@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .explorer import (
+    PROCESS_KINDS,
     ExplorationReport,
     Limits,
     ReplayError,
@@ -90,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.sweep is not None:
+        # a sweep explores every plan and prints one summary line per plan
+        if args.mode != "explore":
+            raise usage_error(f"--sweep cannot be combined with --mode {args.mode}")
+        if args.out != "text":
+            raise usage_error(f"--sweep cannot be combined with --out {args.out}")
     if args.mode == "walk" and args.seed is None:
         parser.error("--mode walk requires --seed")
     if args.mode == "replay" and args.trace_in is None:
@@ -149,7 +156,40 @@ def config_to_dict(config: KernelConfig) -> dict:
     }
 
 
+_CONFIG_FIELDS = {
+    "workers": int,
+    "tasks": str,
+    "fix_wait": bool,
+    "fix_preempt": bool,
+    "faults": list,
+    "max_waits": int,
+    "max_preemptions": int,
+}
+
+
+def _is_a(value: object, kind: type) -> bool:
+    # bool is an int subclass, but a flag is no count
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def check_config_dict(doc: object) -> dict:
+    """Return `doc` if it is a well-typed (possibly partial) config echo;
+    raise ConfigurationError naming the first bad field otherwise."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config must be a JSON object, not {doc!r}")
+    for key, kind in _CONFIG_FIELDS.items():
+        if key in doc and not _is_a(doc[key], kind):
+            raise ConfigurationError(
+                f"config field {key!r} must be {kind.__name__}, not {doc[key]!r}"
+            )
+    for fault in doc.get("faults", []):
+        if fault not in _FAULT_FLAGS:
+            raise ConfigurationError(f"unknown fault {fault!r} in config")
+    return doc
+
+
 def config_from_dict(doc: dict) -> KernelConfig:
+    check_config_dict(doc)
     faults = set(doc.get("faults", []))
     return KernelConfig(
         worker_count=doc["workers"],
@@ -172,8 +212,46 @@ def step_to_dict(step: ScheduleStep) -> dict:
     }
 
 
-def step_from_dict(doc: dict) -> ScheduleStep:
-    return ScheduleStep(VirtualProcess(doc["process"], doc["core"]), doc["variant"])
+def step_from_dict(doc: object) -> ScheduleStep:
+    """Parse one recorded step; raise ConfigurationError if it is malformed."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"step must be a JSON object, not {doc!r}")
+    process, core, variant = doc.get("process"), doc.get("core"), doc.get("variant")
+    if process not in PROCESS_KINDS:
+        raise ConfigurationError(f"unknown process kind {process!r} in step {doc}")
+    if core is not None and not _is_a(core, int):
+        raise ConfigurationError(f"step core must be int or null, not {core!r}")
+    if not _is_a(variant, int):
+        raise ConfigurationError(f"step variant must be int, not {variant!r}")
+    return ScheduleStep(VirtualProcess(process, core), variant)
+
+
+def violations_from_doc(
+    doc: object,
+) -> tuple[dict | None, list[tuple[str, tuple[ScheduleStep, ...]]]]:
+    """Validate a JSON report for replay: return its embedded config (or
+    None) and each violation's (verdict, steps). Raise ConfigurationError
+    naming the first malformed part."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError("trace file must hold a JSON object (a schedcheck report)")
+    if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ConfigurationError(
+            f"trace file has schema {doc['schema']!r}, expected {SCHEMA_VERSION}"
+        )
+    config = doc.get("config")
+    if config is not None:
+        check_config_dict(config)
+    violations = doc.get("violations", [])
+    if not isinstance(violations, list):
+        raise ConfigurationError("trace file field 'violations' must be a list")
+    out = []
+    for i, v in enumerate(violations):
+        if not isinstance(v, dict) or not isinstance(v.get("verdict"), str):
+            raise ConfigurationError(f"violation #{i} needs a string 'verdict'")
+        if not isinstance(v.get("steps"), list):
+            raise ConfigurationError(f"violation #{i} needs a list of 'steps'")
+        out.append((v["verdict"], tuple(step_from_dict(s) for s in v["steps"])))
+    return config, out
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -291,21 +369,21 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise usage_error(f"cannot read trace file: {exc}")
-    config = config_from_args(args, base=doc.get("config"))
+    base, violations = violations_from_doc(doc)
+    config = config_from_args(args, base=base)
     results = []
     worst = EXIT_OK
-    for v in doc.get("violations", []):
-        steps = tuple(step_from_dict(s) for s in v["steps"])
+    for verdict, steps in violations:
         try:
             result = replay(config, steps, verify_invariants=True)
         except ReplayError as exc:
-            results.append({"expected": v["verdict"], "reproduced": None,
+            results.append({"expected": verdict, "reproduced": None,
                             "match": False, "error": str(exc)})
             worst = EXIT_USAGE
             continue
-        match = result.verdict == v["verdict"]
+        match = result.verdict == verdict
         results.append({
-            "expected": v["verdict"],
+            "expected": verdict,
             "reproduced": result.verdict,
             "match": match,
             "error": None,

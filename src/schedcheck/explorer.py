@@ -14,16 +14,37 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from .model import (
+    C_ACTIVE_CTX,
+    C_CURRENT,
+    C_IPI_PHASE,
+    C_PENDING_IPI,
+    CORE_WIDTH,
+    CTX_ACTIVE,
+    CTX_PREEMPTED,
+    DECISION_CORE,
+    DECISION_TASK,
+    IN_FLIGHT,
+    PREEMPTED,
+    QUEUE,
+    QUEUE_LEN,
+    RUNNING,
+    S_CTX_STATE,
+    S_SAVED_PC,
+    SLOT_WIDTH,
+    SPAWN_CURSOR,
+    T_IN_QUEUE,
+    T_PREEMPTIONS,
+    T_STATE,
+    T_WAITS,
+    TASK_WIDTH,
+    TERMINAL_CODES,
     CtxState,
     FetchOutcome,
     KernelConfig,
     KernelState,
-    Role,
-    TaskKind,
-    TaskState,
-    TERMINAL_STATES,
     UsageError,
     initial_state,
     snapshot,
@@ -117,26 +138,29 @@ def _task_state_summary(state: KernelState) -> tuple[tuple[int, str], ...]:
     return tuple(out)
 
 
+@cache
+def _step_of(kind: str, core: int | None = None, variant: int = 0) -> ScheduleStep:
+    """The ScheduleStep for (kind, core, variant); built once, then shared."""
+    return ScheduleStep(VirtualProcess(kind, core), variant)
+
+
 def enabled(state: KernelState) -> list[ScheduleStep]:
     """All enabled steps, deterministically ordered: timer variants first,
     then preempter, spawner, and workers ascending."""
-    steps: list[ScheduleStep] = []
-    timer = VirtualProcess("PrimaryTimer")
-    for i in range(len(state.fireable_timers())):
-        steps.append(ScheduleStep(timer, i))
-    preempter = VirtualProcess("PrimaryPreempter")
-    if state.decision is not None:
-        target = state.decision[0]
-        if state.cores[target].pending_ipi is None:
-            steps.append(ScheduleStep(preempter, 0))
-    elif not state.preempt_in_flight:
+    buf, layout = state.buf, state.layout
+    steps = [_step_of("PrimaryTimer", None, i) for i in range(len(state.fireable_timers()))]
+    target = buf[DECISION_CORE]
+    if target >= 0:
+        if buf[layout.cores + target * CORE_WIDTH + C_PENDING_IPI] < 0:
+            steps.append(_step_of("PrimaryPreempter"))
+    elif not buf[IN_FLIGHT]:
         for i in range(len(state.preempt_candidates())):
-            steps.append(ScheduleStep(preempter, i))
+            steps.append(_step_of("PrimaryPreempter", None, i))
     if _spawner_enabled(state):
-        steps.append(ScheduleStep(VirtualProcess("Spawner"), 0))
-    for core in state.workers():
-        if _worker_action(state, core.core_id) is not None:
-            steps.append(ScheduleStep(VirtualProcess("Worker", core.core_id), 0))
+        steps.append(_step_of("Spawner"))
+    for core_id in range(1, layout.core_count):
+        if _worker_action(state, core_id) is not None:
+            steps.append(_step_of("Worker", core_id))
     return steps
 
 
@@ -144,26 +168,30 @@ def _spawner_enabled(state: KernelState) -> bool:
     # The plan always finishes spawning: enabled while something runs
     # (any running task may spawn) and again once everything spawned so
     # far has terminated, so no maximal path strands unspawned entries.
-    if state.spawn_cursor >= len(state.config.task_plan):
+    buf, tasks = state.buf, state.layout.tasks
+    spawned = buf[SPAWN_CURSOR]
+    if spawned >= state.layout.task_count:
         return False
-    if any(t.state is TaskState.RUNNING for t in state.tcbs):
+    if RUNNING in buf[tasks + T_STATE:tasks + spawned * TASK_WIDTH:TASK_WIDTH]:
         return True
     return state.all_tasks_terminal()
 
 
 def _worker_action(state: KernelState, core_id: int) -> str | None:
     """Which step the worker core would take: an IPI masks everything else."""
-    core = state.cores[core_id]
-    if core.pending_ipi is not None or core.ipi_phase is not None:
+    buf, layout = state.buf, state.layout
+    at = layout.cores + core_id * CORE_WIDTH
+    if buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
         return "ipi"
-    if core.current_task is not None:
-        tcb = state.tcbs[core.current_task]
-        if tcb.state is TaskState.RUNNING or (
-            state.config.fault_skip_resume_state and tcb.state is TaskState.PREEMPTED
+    task = buf[at + C_CURRENT]
+    if task >= 0:
+        task_state = buf[layout.tasks + task * TASK_WIDTH + T_STATE]
+        if task_state == RUNNING or (
+            state.config.fault_skip_resume_state and task_state == PREEMPTED
         ):
             return "poll"
         return None
-    if len(state.run_queue) > 0:
+    if buf[QUEUE_LEN] > 0:
         return "fetch"
     return None
 
@@ -206,48 +234,58 @@ def step(state: KernelState, choice: ScheduleStep) -> KernelState:
 def check_invariants(state: KernelState) -> str | None:
     """Structural invariants every reachable state must satisfy; returns a
     description of the first failure, or None."""
-    queue = state.run_queue.as_tuple()
+    buf, layout = state.buf, state.layout
+    tasks, cores, slots = layout.tasks, layout.cores, layout.slots
+    queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
     if len(set(queue)) != len(queue):
         return f"duplicate task ids in run queue {queue}"
-    if len(queue) > len(state.config.task_plan):
+    if len(queue) > layout.task_count:
         return f"run queue over capacity: {queue}"
-    for t in state.tcbs:
-        if t.in_queue != (t.id in queue):
-            return f"task {t.id} in_queue={t.in_queue} but queue={queue}"
-        if t.remaining_waits < 0 or t.remaining_preemptions < 0:
-            return f"task {t.id} counter below zero"
-    currents = [c.current_task for c in state.cores if c.current_task is not None]
+    spawned = range(buf[SPAWN_CURSOR])
+    for t in spawned:
+        at = tasks + t * TASK_WIDTH
+        in_queue = buf[at + T_IN_QUEUE] == 1
+        if in_queue != (t in queue):
+            return f"task {t} in_queue={in_queue} but queue={queue}"
+        if buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
+            return f"task {t} counter below zero"
+    currents = [t for t in buf[cores + C_CURRENT:slots:CORE_WIDTH] if t >= 0]
     if len(set(currents)) != len(currents):
         return f"cores share a current task: {currents}"
-    for c in state.cores:
-        if c.role is Role.PRIMARY and c.current_task is not None:
-            return "primary core has a current task"
-    for t in state.tcbs:
-        if t.state is TaskState.RUNNING and t.id not in currents:
-            return f"running task {t.id} is not current on any core"
-        if t.state in TERMINAL_STATES and (t.in_queue or t.id in currents):
-            return f"terminal task {t.id} is queued or current"
-    for s in state.slots:
-        if (s.saved_pc is not None) != (s.ctx_state is CtxState.PREEMPTED):
-            return f"slot {s.id}: saved pc {s.saved_pc} with state {s.ctx_state.value}"
-    for c in state.cores:
-        if c.role is Role.WORKER and c.ipi_phase is None:
-            if c.active_context is None:
-                return f"worker {c.core_id} has no active context"
-            if state.slots[c.active_context].ctx_state is not CtxState.ACTIVE:
-                return f"worker {c.core_id} active context is not CtxActive"
-    decisions = (1 if state.decision is not None else 0) + sum(
-        1 for c in state.cores if c.pending_ipi is not None
+    if buf[cores + C_CURRENT] >= 0:
+        return "primary core has a current task"
+    for t in spawned:
+        at = tasks + t * TASK_WIDTH
+        task_state = buf[at + T_STATE]
+        if task_state == RUNNING and t not in currents:
+            return f"running task {t} is not current on any core"
+        if task_state in TERMINAL_CODES and (buf[at + T_IN_QUEUE] or t in currents):
+            return f"terminal task {t} is queued or current"
+    for s in range(layout.slot_count):
+        at = slots + s * SLOT_WIDTH
+        saved_pc, ctx_state = buf[at + S_SAVED_PC], buf[at + S_CTX_STATE]
+        if (saved_pc >= 0) != (ctx_state == CTX_PREEMPTED):
+            return (f"slot {s}: saved pc {saved_pc if saved_pc >= 0 else None} "
+                    f"with state {tuple(CtxState)[ctx_state].value}")
+    for core_id in range(1, layout.core_count):
+        at = cores + core_id * CORE_WIDTH
+        if buf[at + C_IPI_PHASE] < 0:
+            active = buf[at + C_ACTIVE_CTX]
+            if active < 0:
+                return f"worker {core_id} has no active context"
+            if buf[slots + active * SLOT_WIDTH + S_CTX_STATE] != CTX_ACTIVE:
+                return f"worker {core_id} active context is not CtxActive"
+    decided = buf[DECISION_CORE] >= 0
+    decisions = decided + sum(
+        1 for ipi in buf[cores + C_PENDING_IPI:slots:CORE_WIDTH] if ipi >= 0
     )
     if decisions > 1:
         return "more than one preemption decision outstanding"
-    if state.preempt_in_flight != (
-        decisions > 0 or any(c.ipi_phase is not None for c in state.cores)
-    ):
+    handling = any(p >= 0 for p in buf[cores + C_IPI_PHASE:slots:CORE_WIDTH])
+    if (buf[IN_FLIGHT] == 1) != (decisions > 0 or handling):
         return "preempt_in_flight flag out of sync"
-    for d in ([state.decision] if state.decision is not None else []):
-        if state.tcbs[d[1]].kind is not TaskKind.HEAVY:
-            return f"light task {d[1]} observed by a preemption decision"
+    if decided and not layout.heavy[buf[DECISION_TASK]]:
+        return f"light task {buf[DECISION_TASK]} observed by a preemption decision"
     return None
 
 

@@ -15,15 +15,28 @@ live in exactly those windows. Fix and fault toggles in the config
 select buggy or fixed variants of the wake and preemption protocols.
 
 There is no real concurrency: instances are plain values, safe to run in
-parallel OS processes with nothing shared.
+parallel OS processes with nothing shared. A state's whole value is one
+flat array of small ints (see Layout), so cloning a state is one array
+copy and the array's bytes are its canonical encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import MutableSet
+from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
-from .monitor import Event, MonitorRegistry, MonitorViolation
+from .monitor import (
+    STATES,
+    Coded,
+    Event,
+    MonitorRegistry,
+    MonitorViolation,
+    TransitionTable,
+    default_table,
+)
 
 
 class ConfigurationError(ValueError):
@@ -34,7 +47,7 @@ class UsageError(RuntimeError):
     """An operation was invoked outside its precondition."""
 
 
-class TaskState(Enum):
+class TaskState(Coded):
     RUNNABLE = "Runnable"
     RUNNING = "Running"
     WAITING = "Waiting"
@@ -61,10 +74,8 @@ class Action(Enum):
     PANIC = "Panic"
 
 
-class CtxState(Enum):
-    NOT_INITIALIZED = "CtxNotInitialized"
+class CtxState(Coded):
     ACTIVE = "CtxActive"
-    DO_PREEMPTION = "CtxDoPreemption"
     PREEMPTED = "CtxPreempted"
     IN_THREAD_POOL = "CtxInThreadPool"
 
@@ -74,7 +85,7 @@ class Role(Enum):
     WORKER = "Worker"
 
 
-class IpiPhase(Enum):
+class IpiPhase(Coded):
     """Progress marker for the multi-step preemption handler on a core."""
 
     CTX_SAVED = "ctx_saved"
@@ -128,180 +139,415 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
     return tuple(steps)
 
 
-@dataclass
+# -- flat state layout ------------------------------------------------
+#
+# The whole value of a KernelState is one array of small signed ints, laid
+# out by a Layout computed once per config; -1 stands for "none" (no task,
+# core, slot, phase or decision). Monitor history and step bookkeeping are
+# kept beside the array, so copying the array copies the state and its
+# bytes are the state's visited-set key.
+
+# Global fields, then the run queue: its length, then its task ids.
+IN_FLIGHT, DECISION_CORE, DECISION_TASK, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(6)
+# Fields of a task record; T_TIMER flags the task's pending timer entry.
+(T_STATE, T_NEED_SCHED, T_IN_QUEUE, T_PREEMPT_CTX, T_PC, T_PENDING_WAIT,
+ T_WAITS, T_PREEMPTIONS, T_TIMER, TASK_WIDTH) = range(10)
+# Fields of a core record.
+C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_ACTIVE_CTX, CORE_WIDTH = range(6)
+# Fields of a context slot record; S_POOL is the core whose pool holds it.
+S_CTX_STATE, S_SAVED_PC, S_MID_WAIT, S_POOL, SLOT_WIDTH = range(5)
+
+RUNNING = TaskState.RUNNING.code
+PREEMPTED = TaskState.PREEMPTED.code
+TERMINAL_CODES = frozenset(s.code for s in TERMINAL_STATES)
+CTX_ACTIVE = CtxState.ACTIVE.code
+CTX_PREEMPTED = CtxState.PREEMPTED.code
+
+# Array typecodes by the largest value they hold.
+_TYPECODES = (("b", 2**7 - 1), ("h", 2**15 - 1), ("q", 2**63 - 1))
+
+
+class Layout:
+    """Record offsets of one config's states, and the buffer at boot: worker
+    cores each hold one active context slot and a pool of free ones.
+
+    The array's typecode is the narrowest that holds the config's largest
+    value: task, core and slot ids, script positions, the wait and
+    preemption bounds, and monitor state codes. Signed, so that a budget
+    overrun below zero stays visible to the invariant check."""
+
+    def __init__(self, config: KernelConfig) -> None:
+        n = len(config.task_plan)
+        heavies = sum(1 for k in config.task_plan if k is TaskKind.HEAVY)
+        pool_per_core = 1 + config.max_preemptions_per_task * max(heavies, 1)
+        self.task_count = n
+        self.core_count = config.worker_count + 1
+        self.slot_count = config.worker_count * (1 + pool_per_core)
+        self.heavy = tuple(k is TaskKind.HEAVY for k in config.task_plan)
+        self.scripts = tuple(script_for(k, config) for k in config.task_plan)
+        self.tasks = QUEUE + n
+        self.cores = self.tasks + n * TASK_WIDTH
+        self.slots = self.cores + self.core_count * CORE_WIDTH
+        self.monitors = self.slots + self.slot_count * SLOT_WIDTH
+        largest = max(
+            n, self.core_count, self.slot_count, len(STATES),
+            max(len(script) for script in self.scripts),
+            config.max_waits_per_task, config.max_preemptions_per_task,
+        )
+        typecode = next(tc for tc, top in _TYPECODES if largest < top)
+        boot = array(typecode, [0]) * (self.monitors + n)
+        boot[DECISION_CORE] = boot[DECISION_TASK] = -1
+        for task in range(n):
+            boot[self.tasks + task * TASK_WIDTH + T_PREEMPT_CTX] = -1
+        for core in range(self.core_count):
+            at = self.cores + core * CORE_WIDTH
+            for field in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_ACTIVE_CTX):
+                boot[at + field] = -1
+        for slot in range(self.slot_count):
+            at = self.slots + slot * SLOT_WIDTH
+            core = 1 + slot // (1 + pool_per_core)
+            if slot % (1 + pool_per_core) == 0:
+                boot[at + S_CTX_STATE] = CTX_ACTIVE
+                boot[at + S_POOL] = -1
+                boot[self.cores + core * CORE_WIDTH + C_ACTIVE_CTX] = slot
+            else:
+                boot[at + S_CTX_STATE] = CtxState.IN_THREAD_POOL.code
+                boot[at + S_POOL] = core
+            boot[at + S_SAVED_PC] = -1
+        self.boot = boot
+
+
+@cache
+def layout_for(config: KernelConfig) -> Layout:
+    return Layout(config)
+
+
+def _int_field(offset: int) -> property:
+    def get(view):
+        return view._buf[view._at + offset]
+
+    def put(view, value: int) -> None:
+        view._buf[view._at + offset] = value
+
+    return property(get, put)
+
+
+def _flag_field(offset: int) -> property:
+    def get(view) -> bool:
+        return view._buf[view._at + offset] == 1
+
+    def put(view, value: bool) -> None:
+        view._buf[view._at + offset] = 1 if value else 0
+
+    return property(get, put)
+
+
+def _enum_field(offset: int, enum: type[Enum]) -> property:
+    members = tuple(enum)
+
+    def get(view):
+        return members[view._buf[view._at + offset]]
+
+    def put(view, value) -> None:
+        view._buf[view._at + offset] = value.code
+
+    return property(get, put)
+
+
+def _optional_field(offset: int, enum: type[Enum] | None = None) -> property:
+    """A field that may be None (stored as -1), optionally an enum."""
+    members = None if enum is None else tuple(enum)
+
+    def get(view):
+        value = view._buf[view._at + offset]
+        if value < 0:
+            return None
+        return value if members is None else members[value]
+
+    def put(view, value) -> None:
+        if value is None:
+            value = -1
+        elif members is not None:
+            value = value.code
+        view._buf[view._at + offset] = value
+
+    return property(get, put)
+
+
 class TaskControlBlock:
-    """Per-task record; pending_wait marks the window between registering a
-    timer and actually becoming Waiting."""
+    """View of a task's record; pending_wait marks the window between
+    registering a timer and actually becoming Waiting."""
 
-    id: int
-    kind: TaskKind
-    script: tuple[Action, ...]
-    state: TaskState = TaskState.RUNNABLE
-    need_sched: bool = False
-    in_queue: bool = False
-    preempt_context: int | None = None
-    pc: int = 0
-    pending_wait: bool = False
-    remaining_waits: int = 0
-    remaining_preemptions: int = 0
+    __slots__ = ("_state", "_buf", "_at", "id")
 
-    def clone(self) -> TaskControlBlock:
-        return TaskControlBlock(
-            self.id,
-            self.kind,
-            self.script,
-            self.state,
-            self.need_sched,
-            self.in_queue,
-            self.preempt_context,
-            self.pc,
-            self.pending_wait,
-            self.remaining_waits,
-            self.remaining_preemptions,
-        )
+    def __init__(self, state: KernelState, task: int) -> None:
+        self._state = state
+        self._buf = state.buf
+        self._at = state.layout.tasks + task * TASK_WIDTH
+        self.id = task
+
+    @property
+    def kind(self) -> TaskKind:
+        return self._state.config.task_plan[self.id]
+
+    @property
+    def script(self) -> tuple[Action, ...]:
+        return self._state.scripts[self.id]
+
+    @script.setter
+    def script(self, script: tuple[Action, ...]) -> None:
+        scripts = list(self._state.scripts)
+        scripts[self.id] = script
+        self._state.scripts = tuple(scripts)
+
+    state = _enum_field(T_STATE, TaskState)
+    need_sched = _flag_field(T_NEED_SCHED)
+    in_queue = _flag_field(T_IN_QUEUE)
+    preempt_context = _optional_field(T_PREEMPT_CTX)
+    pc = _int_field(T_PC)
+    pending_wait = _flag_field(T_PENDING_WAIT)
+    remaining_waits = _int_field(T_WAITS)
+    remaining_preemptions = _int_field(T_PREEMPTIONS)
 
 
-@dataclass
 class ContextSlot:
-    """Abstract thread context; saved progress is (pc, mid-wait flag),
-    because an IPI can land between timer registration and the waiting
-    transition."""
+    """View of an abstract thread context; saved progress is (pc, mid-wait
+    flag), because an IPI can land between timer registration and the
+    waiting transition. A pooled slot names the core whose pool holds it."""
 
-    id: int
-    ctx_state: CtxState = CtxState.IN_THREAD_POOL
-    saved_pc: int | None = None
-    saved_mid_wait: bool = False
+    __slots__ = ("_buf", "_at", "id")
 
-    def clone(self) -> ContextSlot:
-        return ContextSlot(self.id, self.ctx_state, self.saved_pc, self.saved_mid_wait)
+    def __init__(self, state: KernelState, slot: int) -> None:
+        self._buf = state.buf
+        self._at = state.layout.slots + slot * SLOT_WIDTH
+        self.id = slot
+
+    ctx_state = _enum_field(S_CTX_STATE, CtxState)
+    saved_pc = _optional_field(S_SAVED_PC)
+    saved_mid_wait = _flag_field(S_MID_WAIT)
+    pool_core = _optional_field(S_POOL)
 
 
-@dataclass
 class CoreState:
-    core_id: int
-    role: Role
-    current_task: int | None = None
-    interrupt_flag: bool = False
-    pending_ipi: int | None = None  # observed task id of the delivered decision
-    ipi_phase: IpiPhase | None = None
-    active_context: int | None = None
-    context_pool: list[int] = field(default_factory=list)
+    """View of a core's record; core 0 is the primary."""
 
-    def clone(self) -> CoreState:
-        return CoreState(
-            self.core_id,
-            self.role,
-            self.current_task,
-            self.interrupt_flag,
-            self.pending_ipi,
-            self.ipi_phase,
-            self.active_context,
-            list(self.context_pool),
-        )
+    __slots__ = ("_state", "_buf", "_at", "core_id")
+
+    def __init__(self, state: KernelState, core: int) -> None:
+        self._state = state
+        self._buf = state.buf
+        self._at = state.layout.cores + core * CORE_WIDTH
+        self.core_id = core
+
+    @property
+    def role(self) -> Role:
+        return Role.PRIMARY if self.core_id == 0 else Role.WORKER
+
+    @property
+    def context_pool(self) -> list[int]:
+        """Ids of the free context slots pooled on this core, ascending."""
+        buf, layout = self._buf, self._state.layout
+        pools = buf[layout.slots + S_POOL:layout.monitors:SLOT_WIDTH]
+        return [slot for slot, core in enumerate(pools) if core == self.core_id]
+
+    current_task = _optional_field(C_CURRENT)
+    interrupt_flag = _flag_field(C_INTERRUPT)
+    pending_ipi = _optional_field(C_PENDING_IPI)  # observed task id of the delivered decision
+    ipi_phase = _optional_field(C_IPI_PHASE, IpiPhase)
+    active_context = _optional_field(C_ACTIVE_CTX)
 
 
 class RunQueue:
-    """Bounded FIFO of task ids with no duplicates."""
+    """Bounded FIFO of task ids with no duplicates: a length cell followed by
+    `capacity` id cells. Built on its own, it owns its buffer."""
 
-    __slots__ = ("capacity", "_items")
+    __slots__ = ("capacity", "_buf", "_at")
 
-    def __init__(self, capacity: int, items: tuple[int, ...] = ()) -> None:
+    def __init__(
+        self, capacity: int, items: tuple[int, ...] = (), *,
+        buf: array | None = None, at: int = 0,
+    ) -> None:
         self.capacity = capacity
-        self._items: list[int] = list(items)
+        self._buf = array("q", [0]) * (capacity + 1) if buf is None else buf
+        self._at = at
+        for task in items:
+            self.push_back(task)
 
     def push_back(self, task: int) -> None:
-        if task in self._items:
+        buf, at = self._buf, self._at
+        length = buf[at]
+        if task in buf[at + 1:at + 1 + length]:
             raise UsageError(f"task {task} already queued")
-        if len(self._items) >= self.capacity:
+        if length >= self.capacity:
             raise UsageError("run queue over capacity")
-        self._items.append(task)
+        buf[at + 1 + length] = task
+        buf[at] = length + 1
 
     def pop_front(self) -> int:
-        if not self._items:
+        buf, at = self._buf, self._at
+        length = buf[at]
+        if not length:
             raise UsageError("pop from empty run queue")
-        return self._items.pop(0)
+        task = buf[at + 1]
+        buf[at + 1:at + length] = buf[at + 2:at + 1 + length]
+        buf[at + length] = 0
+        buf[at] = length - 1
+        return task
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._buf[self._at]
 
     def __contains__(self, task: int) -> bool:
-        return task in self._items
+        return task in self.as_tuple()
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self._items)
-
-    def clone(self) -> RunQueue:
-        return RunQueue(self.capacity, tuple(self._items))
+        at = self._at
+        return tuple(self._buf[at + 1:at + 1 + self._buf[at]])
 
 
-@dataclass
+class TimerSet(MutableSet):
+    """The pending timer entries, one flag per task record; time is
+    over-approximated, so any of them may fire at any moment."""
+
+    __slots__ = ("_state", "_buf", "_at")
+
+    def __init__(self, state: KernelState) -> None:
+        self._state = state
+        self._buf = state.buf
+        self._at = state.layout.tasks + T_TIMER
+
+    def __contains__(self, task: object) -> bool:
+        return task in self._state.fireable_timers()
+
+    def __iter__(self):
+        return iter(self._state.fireable_timers())
+
+    def __len__(self) -> int:
+        return len(self._state.fireable_timers())
+
+    def add(self, task: int) -> None:
+        self._buf[self._at + task * TASK_WIDTH] = 1
+
+    def discard(self, task: int) -> None:
+        if task in self:
+            self._buf[self._at + task * TASK_WIDTH] = 0
+
+
 class KernelState:
     """The complete shared world, including the monitors observing it.
 
-    Mutating operations record a human-readable label and any monitor
-    lines for the step just executed in step_label / step_lines; the
-    first monitor violation of a step lands in `violation`.
+    `buf` holds the state's value (see Layout); the record views tcbs,
+    cores, slots, run_queue and timers read and write it in place. Beside
+    it are the task scripts, the monitors' history chain, and the step
+    bookkeeping: mutating operations record a human-readable label and any
+    monitor lines for the step just executed in step_label / step_lines;
+    the first monitor violation of a step lands in `violation`.
     """
 
-    config: KernelConfig
-    tcbs: list[TaskControlBlock]
-    run_queue: RunQueue
-    timers: set[int]
-    cores: list[CoreState]
-    slots: list[ContextSlot]
-    preempt_in_flight: bool = False
-    decision: tuple[int, int] | None = None  # (target core, observed task)
-    spawn_cursor: int = 0
-    monitors: MonitorRegistry = field(default_factory=MonitorRegistry)
-    violation: MonitorViolation | None = None
-    step_label: str = ""
-    step_lines: list[str] = field(default_factory=list)
+    __slots__ = ("config", "layout", "buf", "scripts", "monitors",
+                 "violation", "step_label", "step_lines")
+
+    def __init__(
+        self, config: KernelConfig, layout: Layout, buf: array,
+        scripts: tuple[tuple[Action, ...], ...], table: TransitionTable,
+        chain: tuple | None = None,
+    ) -> None:
+        self.config = config
+        self.layout = layout
+        self.buf = buf
+        self.scripts = scripts
+        self.monitors = MonitorRegistry(table, buf, layout.monitors, chain)
+        self.violation: MonitorViolation | None = None
+        self.step_label = ""
+        self.step_lines: list[str] = []
 
     # -- bookkeeping -------------------------------------------------
 
     def clone(self) -> KernelState:
-        return KernelState(
-            config=self.config,
-            tcbs=[t.clone() for t in self.tcbs],
-            run_queue=self.run_queue.clone(),
-            timers=set(self.timers),
-            cores=[c.clone() for c in self.cores],
-            slots=[s.clone() for s in self.slots],
-            preempt_in_flight=self.preempt_in_flight,
-            decision=self.decision,
-            spawn_cursor=self.spawn_cursor,
-            monitors=self.monitors.clone(),
-            violation=None,
-            step_label="",
-            step_lines=[],
-        )
+        return KernelState(self.config, self.layout, self.buf[:], self.scripts,
+                           self.monitors.table, self.monitors.chain)
 
     def begin_step(self, label: str) -> None:
         self.step_label = label
         self.step_lines = []
         self.violation = None
 
+    @property
+    def preempt_in_flight(self) -> bool:
+        return self.buf[IN_FLIGHT] == 1
+
+    @preempt_in_flight.setter
+    def preempt_in_flight(self, value: bool) -> None:
+        self.buf[IN_FLIGHT] = 1 if value else 0
+
+    @property
+    def decision(self) -> tuple[int, int] | None:
+        """(target core, observed task) of the recorded preemption decision."""
+        if self.buf[DECISION_CORE] < 0:
+            return None
+        return (self.buf[DECISION_CORE], self.buf[DECISION_TASK])
+
+    @decision.setter
+    def decision(self, value: tuple[int, int] | None) -> None:
+        self.buf[DECISION_CORE], self.buf[DECISION_TASK] = value or (-1, -1)
+
+    @property
+    def spawn_cursor(self) -> int:
+        return self.buf[SPAWN_CURSOR]
+
+    @spawn_cursor.setter
+    def spawn_cursor(self, value: int) -> None:
+        self.buf[SPAWN_CURSOR] = value
+
+    @property
+    def tcbs(self) -> list[TaskControlBlock]:
+        return [TaskControlBlock(self, task) for task in range(self.spawn_cursor)]
+
+    @property
+    def cores(self) -> list[CoreState]:
+        return [CoreState(self, core) for core in range(self.layout.core_count)]
+
+    @property
+    def slots(self) -> list[ContextSlot]:
+        return [ContextSlot(self, slot) for slot in range(self.layout.slot_count)]
+
+    @property
+    def run_queue(self) -> RunQueue:
+        return RunQueue(self.layout.task_count, buf=self.buf, at=QUEUE_LEN)
+
+    @property
+    def timers(self) -> TimerSet:
+        return TimerSet(self)
+
     def tcb(self, task: int) -> TaskControlBlock:
-        if not 0 <= task < len(self.tcbs):
+        if not 0 <= task < self.spawn_cursor:
             raise ConfigurationError(f"unknown task id {task}")
-        return self.tcbs[task]
+        return TaskControlBlock(self, task)
+
+    def core(self, core_id: int) -> CoreState:
+        if not 0 <= core_id < self.layout.core_count:
+            raise UsageError(f"no core {core_id}")
+        return CoreState(self, core_id)
+
+    def slot(self, slot_id: int) -> ContextSlot:
+        return ContextSlot(self, slot_id)
 
     def worker(self, core_id: int) -> CoreState:
-        core = self.cores[core_id]
+        core = self.core(core_id)
         if core.role is not Role.WORKER:
             raise UsageError(f"core {core_id} is not a worker")
         return core
 
-    def workers(self) -> list[CoreState]:
-        return [c for c in self.cores if c.role is Role.WORKER]
-
     def all_tasks_terminal(self) -> bool:
-        return all(t.state in TERMINAL_STATES for t in self.tcbs)
+        tasks = self.layout.tasks
+        states = self.buf[tasks + T_STATE:tasks + self.spawn_cursor * TASK_WIDTH:TASK_WIDTH]
+        return all(s in TERMINAL_CODES for s in states)
 
     def fireable_timers(self) -> list[int]:
-        """Pending timer entries, lowest task id first; time is
-        over-approximated, so any of them may fire at any moment."""
-        return sorted(self.timers)
+        """Pending timer entries, lowest task id first."""
+        at = self.layout.tasks + T_TIMER
+        flags = self.buf[at:at + self.layout.task_count * TASK_WIDTH:TASK_WIDTH]
+        return [task for task, flag in enumerate(flags) if flag]
 
     def _fire_event(self, task: int, event: Event) -> None:
         violation, line = self.monitors.fire(task, event)
@@ -311,11 +557,11 @@ class KernelState:
 
     def _enqueue(self, task: int) -> None:
         self.run_queue.push_back(task)
-        self.tcbs[task].in_queue = True
+        self.tcb(task).in_queue = True
 
     def _dequeue(self) -> int:
         task = self.run_queue.pop_front()
-        self.tcbs[task].in_queue = False
+        self.tcb(task).in_queue = False
         return task
 
     # -- operations ---------------------------------------------------
@@ -324,26 +570,18 @@ class KernelState:
         """Create the next planned task; it is woken immediately, so it
         lands Runnable in the run queue. Returns None when the plan is
         exhausted."""
-        if self.spawn_cursor >= len(self.config.task_plan):
+        if self.spawn_cursor >= self.layout.task_count:
             self.begin_step("spawn: nothing to spawn")
             return None
         task_id = self.spawn_cursor
         kind = self.config.task_plan[task_id]
         self.begin_step(f"spawn task {task_id} ({kind.value})")
-        tcb = TaskControlBlock(
-            id=task_id,
-            kind=kind,
-            script=script_for(kind, self.config),
-            state=TaskState.RUNNABLE,
-            remaining_waits=(
-                self.config.max_waits_per_task if kind is TaskKind.HEAVY else 0
-            ),
-            remaining_preemptions=(
-                self.config.max_preemptions_per_task if kind is TaskKind.HEAVY else 0
-            ),
-        )
-        self.tcbs.append(tcb)
         self.spawn_cursor += 1
+        tcb = self.tcb(task_id)
+        tcb.state = TaskState.RUNNABLE
+        if kind is TaskKind.HEAVY:
+            tcb.remaining_waits = self.config.max_waits_per_task
+            tcb.remaining_preemptions = self.config.max_preemptions_per_task
         self.monitors.register(task_id)
         self._fire_event(task_id, Event.SPAWN)
         self._enqueue(task_id)
@@ -394,7 +632,7 @@ class KernelState:
             self.begin_step(f"worker {core_id}: queue empty")
             return FetchOutcome.IDLE
         task = self._dequeue()
-        tcb = self.tcbs[task]
+        tcb = self.tcb(task)
         if (
             tcb.state is TaskState.RUNNING
             and not self.config.fault_skip_running_check
@@ -403,7 +641,7 @@ class KernelState:
             self._enqueue(task)
             return FetchOutcome.SKIPPED
         if tcb.preempt_context is not None:
-            slot = self.slots[tcb.preempt_context]
+            slot = self.slot(tcb.preempt_context)
             self.begin_step(
                 f"worker {core_id}: resume task {task} at pc {slot.saved_pc}"
             )
@@ -414,9 +652,9 @@ class KernelState:
             # pool the core's active context, activate the saved one
             old_active = core.active_context
             if old_active is not None:
-                self.slots[old_active].ctx_state = CtxState.IN_THREAD_POOL
-                core.context_pool.append(old_active)
-                core.context_pool.sort()
+                pooled = self.slot(old_active)
+                pooled.ctx_state = CtxState.IN_THREAD_POOL
+                pooled.pool_core = core_id
             slot.ctx_state = CtxState.ACTIVE
             core.active_context = slot.id
             tcb.preempt_context = None
@@ -443,7 +681,7 @@ class KernelState:
         if core.current_task is None:
             raise UsageError(f"core {core_id} has no current task")
         task = core.current_task
-        tcb = self.tcbs[task]
+        tcb = self.tcb(task)
         runnable_here = tcb.state is TaskState.RUNNING or (
             self.config.fault_skip_resume_state and tcb.state is TaskState.PREEMPTED
         )
@@ -506,17 +744,15 @@ class KernelState:
 
     def preempt_candidates(self) -> list[int]:
         """Worker cores currently running a preemptible heavy task."""
+        buf, layout = self.buf, self.layout
         out = []
-        for core in self.workers():
-            if core.current_task is None:
+        for core_id in range(1, layout.core_count):
+            task = buf[layout.cores + core_id * CORE_WIDTH + C_CURRENT]
+            if task < 0 or not layout.heavy[task]:
                 continue
-            tcb = self.tcbs[core.current_task]
-            if (
-                tcb.kind is TaskKind.HEAVY
-                and tcb.state is TaskState.RUNNING
-                and tcb.remaining_preemptions > 0
-            ):
-                out.append(core.core_id)
+            at = layout.tasks + task * TASK_WIDTH
+            if buf[at + T_STATE] == RUNNING and buf[at + T_PREEMPTIONS] > 0:
+                out.append(core_id)
         return out
 
     def preempt_decide(self, core_id: int) -> None:
@@ -526,13 +762,13 @@ class KernelState:
             raise UsageError("a preemption is already in flight")
         if core_id not in self.preempt_candidates():
             raise UsageError(f"core {core_id} is not a preemption candidate")
-        task = self.cores[core_id].current_task
+        task = self.core(core_id).current_task
         assert task is not None
         self.begin_step(f"preempt decide: core {core_id} task {task}")
         self.decision = (core_id, task)
         self.preempt_in_flight = True
         if self.config.fix_preempt_need_sched:
-            self.tcbs[task].need_sched = True
+            self.tcb(task).need_sched = True
             self._fire_event(task, Event.SET_NEED_SCHED)
 
     def send_ipi(self) -> None:
@@ -541,7 +777,7 @@ class KernelState:
         if self.decision is None:
             raise UsageError("no preemption decision recorded")
         target, observed = self.decision
-        core = self.cores[target]
+        core = self.core(target)
         if core.pending_ipi is not None:
             raise UsageError(f"core {target} already has a pending IPI")
         self.begin_step(f"send IPI to core {target} (observed task {observed})")
@@ -570,7 +806,7 @@ class KernelState:
                 self.begin_step(f"core {core_id}: IPI canceled (idle core)")
                 self.preempt_in_flight = False
                 return
-            tcb = self.tcbs[task]
+            tcb = self.tcb(task)
             if self.config.fix_preempt_need_sched and not tcb.need_sched:
                 self.begin_step(
                     f"core {core_id}: IPI canceled (task {task} need_sched clear)"
@@ -588,7 +824,7 @@ class KernelState:
                 return
             self.begin_step(f"core {core_id}: save context of task {task}")
             assert core.active_context is not None
-            slot = self.slots[core.active_context]
+            slot = self.slot(core.active_context)
             slot.ctx_state = CtxState.PREEMPTED
             slot.saved_pc = tcb.pc
             slot.saved_mid_wait = tcb.pending_wait
@@ -598,7 +834,7 @@ class KernelState:
 
         task = core.current_task
         assert task is not None
-        tcb = self.tcbs[task]
+        tcb = self.tcb(task)
         if core.ipi_phase is IpiPhase.CTX_SAVED:
             if self.config.fault_enqueue_before_state:
                 self.begin_step(f"core {core_id}: enqueue task {task} (before state)")
@@ -621,101 +857,37 @@ class KernelState:
 
     def _finish_preemption(self, core: CoreState, tcb: TaskControlBlock) -> None:
         tcb.remaining_preemptions -= 1
-        if not core.context_pool:
+        pool = core.context_pool
+        if not pool:
             raise UsageError(f"core {core.core_id} context pool exhausted")
-        fresh = core.context_pool.pop(0)
-        self.slots[fresh].ctx_state = CtxState.ACTIVE
-        core.active_context = fresh
+        fresh = self.slot(pool[0])
+        fresh.pool_core = None
+        fresh.ctx_state = CtxState.ACTIVE
+        core.active_context = fresh.id
         core.current_task = None
         core.ipi_phase = None
         self.preempt_in_flight = False
 
 
 def initial_state(config: KernelConfig) -> KernelState:
-    """Boot: build cores and context slots, then spawn the first planned
-    task immediately (later entries are spawned by the spawner step)."""
-    heavies = sum(1 for k in config.task_plan if k is TaskKind.HEAVY)
-    pool_per_core = 1 + config.max_preemptions_per_task * max(heavies, 1)
-    cores = [CoreState(0, Role.PRIMARY)]
-    slots: list[ContextSlot] = []
-    for w in range(1, config.worker_count + 1):
-        active = ContextSlot(len(slots), CtxState.ACTIVE)
-        slots.append(active)
-        pool: list[int] = []
-        for _ in range(pool_per_core):
-            slot = ContextSlot(len(slots), CtxState.IN_THREAD_POOL)
-            slots.append(slot)
-            pool.append(slot.id)
-        cores.append(
-            CoreState(w, Role.WORKER, active_context=active.id, context_pool=pool)
-        )
-    state = KernelState(
-        config=config,
-        tcbs=[],
-        run_queue=RunQueue(capacity=len(config.task_plan)),
-        timers=set(),
-        cores=cores,
-        slots=slots,
-    )
+    """Boot: cores and context slots as laid out, then spawn the first
+    planned task immediately (later entries are spawned by the spawner
+    step)."""
+    layout = layout_for(config)
+    state = KernelState(config, layout, layout.boot[:], layout.scripts, default_table())
     state.spawn_next()
     state.begin_step("init")
     return state
 
 
-def snapshot(state: KernelState) -> str:
-    """Canonical, injective encoding of the full global state.
+def snapshot(state: KernelState) -> bytes:
+    """Canonical, injective encoding of the full global state: the bytes of
+    its buffer.
 
-    Covers every TCB field, queue order, timers, cores with their
-    handler phases and context slots, the preemption flags, the spawn
-    cursor, and each monitor's current state. Equal states encode
-    equally; transient step bookkeeping is excluded.
+    Covers every task record, queue order, timers, cores with their
+    handler phases, active contexts and pools, the context slots, the
+    preemption flags, the spawn cursor, and each monitor's current state.
+    Equal states encode equally; monitor history and transient step
+    bookkeeping live beside the buffer and are excluded.
     """
-    tcbs = tuple(
-        (
-            t.id,
-            t.state.value,
-            int(t.need_sched),
-            int(t.in_queue),
-            -1 if t.preempt_context is None else t.preempt_context,
-            t.pc,
-            int(t.pending_wait),
-            t.remaining_waits,
-            t.remaining_preemptions,
-        )
-        for t in state.tcbs
-    )
-    cores = tuple(
-        (
-            c.core_id,
-            c.role.value,
-            -1 if c.current_task is None else c.current_task,
-            int(c.interrupt_flag),
-            -1 if c.pending_ipi is None else c.pending_ipi,
-            "-" if c.ipi_phase is None else c.ipi_phase.value,
-            -1 if c.active_context is None else c.active_context,
-            tuple(c.context_pool),
-        )
-        for c in state.cores
-    )
-    slots = tuple(
-        (
-            s.id,
-            s.ctx_state.value,
-            -1 if s.saved_pc is None else s.saved_pc,
-            int(s.saved_mid_wait),
-        )
-        for s in state.slots
-    )
-    monitors = tuple((tid, str(mon.current)) for tid, mon in state.monitors.items())
-    key = (
-        tcbs,
-        state.run_queue.as_tuple(),
-        tuple(sorted(state.timers)),
-        cores,
-        slots,
-        int(state.preempt_in_flight),
-        state.decision if state.decision is not None else (-1, -1),
-        state.spawn_cursor,
-        monitors,
-    )
-    return repr(key)
+    return bytes(state.buf)

@@ -3,18 +3,29 @@
 Each spawned task gets its own monitor instance sharing one transition
 table. Scheduler hooks feed events; an event with no defined transition
 yields a violation report carrying the current state, the offending
-symbol, and the full transition history. Monitors are pure values: a
-cloned monitor can step independently of the original, which lets the
-interleaving explorer carry them inside state snapshots.
+symbol, and the full transition history. A registry keeps each monitor's
+current state as a small-int code in a buffer, which a kernel state shares
+with its own fields, so a cloned state's monitors step independently of
+the original's.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 
-class Event(Enum):
+class Coded(Enum):
+    """An enum whose members also carry `code`, their index in definition
+    order, so that a flat state buffer can store them as small ints."""
+
+    def __init__(self, *_) -> None:
+        self.code = len(type(self)._member_map_)
+
+
+class Event(Coded):
     SPAWN = "Spawn"
     WAKE = "Wake"
     SET_NEED_SCHED = "SetNeedSched"
@@ -77,6 +88,16 @@ def mstate(base: Base, flag: bool | None = None) -> MonitorState:
 
 INIT = mstate(Base.INIT)
 
+# Every valid monitor state, indexed by its code; code 0 marks a task whose
+# monitor is not registered.
+STATES: tuple[MonitorState | None, ...] = (None,) + tuple(
+    mstate(b, f)
+    for b in Base
+    for f in ((None,) if b in _DONT_CARE_BASES else (False, True))
+)
+STATE_CODES = {s: code for code, s in enumerate(STATES) if s is not None}
+EVENT_COUNT = len(Event)
+
 
 @dataclass(frozen=True)
 class MonitorViolation:
@@ -113,11 +134,20 @@ class TransitionTable:
         self.triples = triples
         self.initial = initial
         self._index = index
+        # Flat transition function over codes, at src code * EVENT_COUNT
+        # + event code: the target code (0: undefined) and the rendered line.
+        self.targets = [0] * (len(STATES) * EVENT_COUNT)
+        self.labels = [""] * len(self.targets)
+        for (src, ev), dst in index.items():
+            at = STATE_CODES[src] * EVENT_COUNT + ev.code
+            self.targets[at] = STATE_CODES[dst]
+            self.labels[at] = f" {src} -- {ev} --> {dst}"
 
     def lookup(self, state: MonitorState, event: Event) -> MonitorState | None:
         return self._index.get((state, event))
 
 
+@cache
 def default_table() -> TransitionTable:
     """The task life-cycle DFA: states are (base, need_sched) pairs.
 
@@ -154,89 +184,119 @@ def format_transition(
     return f"task={task} {src} -- {event} --> {dst}"
 
 
-# History is kept as a shared-tail cons chain so cloning a monitor is O(1);
-# entry = ((src, event, dst), previous-chain-or-None).
+class MonitorRegistry:
+    """task id -> current monitor state, as one code per task in `buf` from
+    `base` on (code 0: not registered). A registry built on its own owns a
+    buffer that grows as tasks register; a kernel state's registry views
+    the state's buffer. The transition history of all tasks is one
+    shared-tail cons chain, ((task, src code, event, dst code), previous),
+    so copying a registry is O(1) beyond its buffer."""
+
+    __slots__ = ("table", "buf", "base", "chain")
+
+    def __init__(
+        self,
+        table: TransitionTable | None = None,
+        buf: array | None = None,
+        base: int = 0,
+        chain: tuple | None = None,
+    ) -> None:
+        self.table = table if table is not None else default_table()
+        self.buf = array("b") if buf is None else buf
+        self.base = base
+        self.chain = chain
+
+    def register(self, task: int) -> TaskMonitor:
+        at = self.base + task
+        if at >= len(self.buf):
+            self.buf.extend([0] * (at + 1 - len(self.buf)))
+        if self.buf[at]:
+            raise ValueError(f"task {task} already registered")
+        self.buf[at] = STATE_CODES[self.table.initial]
+        return TaskMonitor(self.table, registry=self, task=task)
+
+    def get(self, task: int) -> TaskMonitor:
+        if task not in self:
+            raise KeyError(task)
+        return TaskMonitor(self.table, registry=self, task=task)
+
+    def __contains__(self, task: int) -> bool:
+        at = self.base + task
+        return self.base <= at < len(self.buf) and self.buf[at] != 0
+
+    def __len__(self) -> int:
+        return sum(1 for code in self.buf[self.base:] if code)
+
+    def history(self, task: int) -> tuple[tuple[MonitorState, Event, MonitorState], ...]:
+        entries = []
+        node = self.chain
+        while node is not None:
+            (owner, src, event, dst), node = node
+            if owner == task:
+                entries.append((STATES[src], event, STATES[dst]))
+        entries.reverse()
+        return tuple(entries)
+
+    def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, str]:
+        """Feed one event; return (violation-or-None, formatted line)."""
+        at = self.base + task
+        src = self.buf[at]
+        if not src:
+            raise KeyError(task)
+        key = src * EVENT_COUNT + event.code
+        dst = self.table.targets[key]
+        if not dst:
+            violation = MonitorViolation(STATES[src], event, self.history(task), task)
+            return violation, f"task={task} {violation.describe()}"
+        self.buf[at] = dst
+        self.chain = ((task, src, event, dst), self.chain)
+        return None, f"task={task}{self.table.labels[key]}"
+
+    def clone(self) -> MonitorRegistry:
+        return MonitorRegistry(self.table, self.buf[:], self.base, self.chain)
 
 
 class TaskMonitor:
-    """One task's monitor: shared table, current state, transition history."""
+    """One task's monitor, a view of its entry in a registry. Built without
+    a registry, it gets one of its own that holds only this monitor."""
 
-    __slots__ = ("table", "current", "_hist")
+    __slots__ = ("_registry", "_task")
 
     def __init__(
         self,
         table: TransitionTable,
         current: MonitorState | None = None,
-        _hist: tuple | None = None,
+        *,
+        registry: MonitorRegistry | None = None,
+        task: int = 0,
     ) -> None:
-        self.table = table
-        self.current = table.initial if current is None else current
-        self._hist = _hist
+        if registry is None:
+            registry = MonitorRegistry(table)
+            registry.register(task)
+            if current is not None:
+                registry.buf[registry.base + task] = STATE_CODES[current]
+        self._registry = registry
+        self._task = task
+
+    @property
+    def table(self) -> TransitionTable:
+        return self._registry.table
+
+    @property
+    def current(self) -> MonitorState:
+        registry = self._registry
+        return STATES[registry.buf[registry.base + self._task]]
 
     @property
     def history(self) -> tuple[tuple[MonitorState, Event, MonitorState], ...]:
-        entries = []
-        node = self._hist
-        while node is not None:
-            entries.append(node[0])
-            node = node[1]
-        entries.reverse()
-        return tuple(entries)
+        return self._registry.history(self._task)
 
     def next(self, event: Event) -> MonitorViolation | None:
         """Advance on a defined transition; report and stay on an undefined one."""
-        dst = self.table.lookup(self.current, event)
-        if dst is None:
-            return MonitorViolation(self.current, event, self.history)
-        self._hist = ((self.current, event, dst), self._hist)
-        self.current = dst
-        return None
+        violation, _ = self._registry.fire(self._task, event)
+        if violation is None:
+            return None
+        return MonitorViolation(violation.current_state, event, violation.history)
 
     def clone(self) -> TaskMonitor:
-        return TaskMonitor(self.table, self.current, self._hist)
-
-
-class MonitorRegistry:
-    """task id -> TaskMonitor; monitors persist for the life of the run."""
-
-    __slots__ = ("table", "_monitors")
-
-    def __init__(self, table: TransitionTable | None = None) -> None:
-        self.table = table if table is not None else default_table()
-        self._monitors: dict[int, TaskMonitor] = {}
-
-    def register(self, task: int) -> TaskMonitor:
-        if task in self._monitors:
-            raise ValueError(f"task {task} already registered")
-        mon = TaskMonitor(self.table)
-        self._monitors[task] = mon
-        return mon
-
-    def get(self, task: int) -> TaskMonitor:
-        return self._monitors[task]
-
-    def __contains__(self, task: int) -> bool:
-        return task in self._monitors
-
-    def __len__(self) -> int:
-        return len(self._monitors)
-
-    def items(self):
-        return sorted(self._monitors.items())
-
-    def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, str]:
-        """Feed one event; return (violation-or-None, formatted line)."""
-        mon = self._monitors[task]
-        src = mon.current
-        violation = mon.next(event)
-        if violation is not None:
-            violation = MonitorViolation(
-                violation.current_state, violation.symbol, violation.history, task
-            )
-            return violation, f"task={task} {violation.describe()}"
-        return None, format_transition(task, src, event, mon.current)
-
-    def clone(self) -> MonitorRegistry:
-        other = MonitorRegistry(self.table)
-        other._monitors = {tid: mon.clone() for tid, mon in self._monitors.items()}
-        return other
+        return TaskMonitor(self.table, registry=self._registry.clone(), task=self._task)

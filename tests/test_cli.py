@@ -198,6 +198,47 @@ class TestMainReplay:
         assert code == EXIT_USAGE
 
 
+class TestMalformedTraceFile:
+    """A malformed report is a usage error (exit 2, one message line), never
+    a traceback and never exit 1, which means a reproduced violation."""
+
+    @staticmethod
+    def replay_doc(tmp_path, capsys, doc) -> str:
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["--mode", "replay", "--trace-in", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("schedcheck: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @staticmethod
+    def report(capsys) -> dict:
+        main(["--fix-wait", "off", "--tasks", "H", "--workers", "1",
+              "--max-preemptions", "0", "--out", "json"])
+        return json.loads(capsys.readouterr().out)
+
+    def test_violation_without_steps(self, tmp_path, capsys):
+        doc = self.report(capsys)
+        del doc["violations"][0]["steps"]
+        assert "steps" in self.replay_doc(tmp_path, capsys, doc)
+
+    def test_string_worker_count(self, tmp_path, capsys):
+        doc = self.report(capsys)
+        doc["config"]["workers"] = "1"
+        assert "workers" in self.replay_doc(tmp_path, capsys, doc)
+
+    def test_top_level_list(self, tmp_path, capsys):
+        self.replay_doc(tmp_path, capsys, [self.report(capsys)])
+
+    def test_unknown_process_kind(self, tmp_path, capsys):
+        doc = self.report(capsys)
+        doc["violations"][0]["steps"][0]["process"] = "Interloper"
+        assert "Interloper" in self.replay_doc(tmp_path, capsys, doc)
+
+
 class TestCrossProcessDeterminism:
     def test_reports_do_not_depend_on_hash_seed(self):
         import subprocess
@@ -228,6 +269,20 @@ class TestSweep:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "plan H:" in out and "plan L:" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--out", "json"], ["--mode", "walk", "--seed", "1"],
+        ["--mode", "replay", "--trace-in", "report.json"],
+    ])
+    def test_sweep_rejects_flags_it_would_ignore(self, tmp_path, capsys, flags):
+        plans = tmp_path / "plans.txt"
+        plans.write_text("H\n")
+        code = main(["--sweep", str(plans)] + flags)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("schedcheck: error: --sweep cannot be combined")
+        assert captured.err.count("\n") == 1
 
     def test_sweep_propagates_worst_exit(self, tmp_path, capsys):
         plans = tmp_path / "plans.txt"

@@ -450,6 +450,19 @@ class TestSnapshot:
 
         assert run_schedule() == run_schedule()
 
+    def test_config_beyond_byte_cells_gets_wider_cells(self):
+        # 130 heavy tasks need 264 context slots: ids past a signed byte
+        from schedcheck.explorer import random_walk
+
+        cfg = config(task_plan=(H,) * 130)
+        state = initial_state(cfg)
+        assert state.layout.boot.typecode == "h"
+        assert len(snapshot(state)) == 2 * len(state.buf)
+        assert state.cores[2].active_context == 132
+        assert state.cores[2].context_pool[-1] == 263
+        report = random_walk(cfg, seed=5, max_steps=400, verify_invariants=True)
+        assert report.violations == []
+
     def test_monitor_state_is_part_of_the_encoding(self):
         a = initial_state(config(task_plan=(H,)))
         b = a.clone()
