@@ -125,11 +125,9 @@ def config_from_args(args: argparse.Namespace, base: dict | None = None) -> Kern
         task_plan=parse_task_plan(plan_text),
         fix_wait_need_sched=fix_wait,
         fix_preempt_need_sched=fix_preempt,
-        fault_enqueue_before_state="enqueue-before-state" in faults,
-        fault_skip_resume_state="skip-resume-state" in faults,
-        fault_skip_running_check="skip-running-check" in faults,
         max_waits_per_task=pick(args.max_waits, "max_waits", 1),
         max_preemptions_per_task=pick(args.max_preemptions, "max_preemptions", 1),
+        **{attr: name in faults for name, attr in _FAULT_FLAGS.items()},
     )
 
 
@@ -183,25 +181,9 @@ def check_config_dict(doc: object) -> dict:
                 f"config field {key!r} must be {kind.__name__}, not {doc[key]!r}"
             )
     for fault in doc.get("faults", []):
-        if fault not in _FAULT_FLAGS:
+        if not isinstance(fault, str) or fault not in _FAULT_FLAGS:
             raise ConfigurationError(f"unknown fault {fault!r} in config")
     return doc
-
-
-def config_from_dict(doc: dict) -> KernelConfig:
-    check_config_dict(doc)
-    faults = set(doc.get("faults", []))
-    return KernelConfig(
-        worker_count=doc["workers"],
-        task_plan=parse_task_plan(doc["tasks"]),
-        fix_wait_need_sched=bool(doc["fix_wait"]),
-        fix_preempt_need_sched=bool(doc["fix_preempt"]),
-        fault_enqueue_before_state="enqueue-before-state" in faults,
-        fault_skip_resume_state="skip-resume-state" in faults,
-        fault_skip_running_check="skip-running-check" in faults,
-        max_waits_per_task=doc["max_waits"],
-        max_preemptions_per_task=doc["max_preemptions"],
-    )
 
 
 def step_to_dict(step: ScheduleStep) -> dict:
@@ -348,12 +330,15 @@ def render_text(doc: dict, quiet: bool) -> str:
 # -- modes ------------------------------------------------------------
 
 
-def _run_explore(config: KernelConfig, args: argparse.Namespace) -> dict:
-    limits = Limits(
+def _limits(args: argparse.Namespace) -> Limits:
+    return Limits(
         max_states=args.max_states,
         max_depth=args.max_depth,
         max_violations=args.max_violations,
     )
+
+
+def _run_explore(config: KernelConfig, limits: Limits) -> dict:
     report = explore(config, limits, verify_invariants=True)
     return report_to_doc(report, "explore")
 
@@ -416,14 +401,6 @@ def _render_replay_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_worker(payload: tuple[dict, dict]) -> dict:
-    cfg_doc, limit_doc = payload
-    config = config_from_dict(cfg_doc)
-    limits = Limits(**limit_doc)
-    report = explore(config, limits, verify_invariants=True)
-    return report_to_doc(report, "explore")
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.sweep, "r", encoding="utf-8") as fh:
@@ -432,19 +409,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise usage_error(f"cannot read sweep file: {exc}")
     if not plans:
         raise usage_error("sweep file lists no task plans")
-    payloads = []
+    configs = []
     for plan in plans:
         args_copy = argparse.Namespace(**vars(args))
         args_copy.tasks = plan
-        config = config_from_args(args_copy)
-        payloads.append((
-            config_to_dict(config),
-            {"max_states": args.max_states, "max_depth": args.max_depth,
-             "max_violations": args.max_violations},
-        ))
+        configs.append(config_from_args(args_copy))
+    limits = _limits(args)
     worst = EXIT_OK
     with ProcessPoolExecutor() as pool:
-        for plan, doc in zip(plans, pool.map(_sweep_worker, payloads)):
+        docs = pool.map(_run_explore, configs, [limits] * len(configs))
+        for plan, doc in zip(plans, docs):
             code = exit_code_for(doc)
             worst = max(worst, code)
             c = doc["counters"]
@@ -473,7 +447,10 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(_render_replay_text(doc))
             return code
         config = config_from_args(args)
-        doc = _run_explore(config, args) if args.mode == "explore" else _run_walk(config, args)
+        if args.mode == "explore":
+            doc = _run_explore(config, _limits(args))
+        else:
+            doc = _run_walk(config, args)
         if args.out == "json":
             sys.stdout.write(emit_json(doc))
         else:

@@ -6,13 +6,14 @@ atomic steps. `explore` runs a depth-first search with visited-state
 pruning over full canonical encodings, recording monitor violations,
 deadlocks, and invariant failures as replayable counterexample traces.
 `random_walk` samples one seeded schedule, standing in for live runtime
-verification; `replay` re-executes a recorded trace and reproduces its
-verdict.
+verification; `replay` re-executes a recorded schedule and rebuilds its
+trace. All three end a path by one rule and build traces one way.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -96,11 +97,12 @@ class StepAnnotation:
 @dataclass(frozen=True)
 class Trace:
     """Replayable counterexample: the schedule, per-step annotations, the
-    verdict, and a summary of the final state."""
+    verdict (None for a replay that reproduces nothing), and a summary of
+    the final state."""
 
     steps: tuple[ScheduleStep, ...]
     annotations: tuple[StepAnnotation, ...]
-    verdict: str
+    verdict: str | None
     monitor_error: MonitorViolation | None = None
     final_task_states: tuple[tuple[int, str], ...] = ()
     final_queue: tuple[int, ...] = ()
@@ -304,6 +306,43 @@ class Limits:
             raise ValueError("max_violations must be at least 1")
 
 
+def _settle(
+    state: KernelState, verify_invariants: bool
+) -> tuple[str | None, str, list[ScheduleStep]]:
+    """The one ending rule for a state just reached, as (verdict, detail,
+    enabled steps): a monitor violation, then an invariant failure, end the
+    path there; otherwise the path goes on by the enabled steps, and none
+    enabled while some task is not terminal is a deadlock."""
+    if state.violation is not None:
+        return VERDICT_MONITOR, "", []
+    if verify_invariants and (failure := check_invariants(state)) is not None:
+        return VERDICT_ASSERTION, failure, []
+    options = enabled(state)
+    if not options and not state.all_tasks_terminal():
+        return VERDICT_DEADLOCK, "no step enabled, tasks not terminal", options
+    return None, "", options
+
+
+def _trace(
+    steps: Iterable[ScheduleStep], states: list[KernelState],
+    verdict: str | None, detail: str,
+) -> Trace:
+    """Build a Trace: `states` are the initial state and the state after each
+    step, which carries that step's label and monitor lines."""
+    final = states[-1]
+    return Trace(
+        steps=tuple(steps),
+        annotations=tuple(
+            StepAnnotation(s.step_label, tuple(s.step_lines)) for s in states[1:]
+        ),
+        verdict=verdict,
+        monitor_error=final.violation,
+        final_task_states=_task_state_summary(final),
+        final_queue=final.run_queue.as_tuple(),
+        detail=detail,
+    )
+
+
 def explore(
     config: KernelConfig,
     limits: Limits | None = None,
@@ -312,57 +351,47 @@ def explore(
 ) -> ExplorationReport:
     """Exhaustive DFS from the initial state with visited-state pruning.
 
-    Deadlock means no step is enabled while some task is neither
-    Terminated nor Panicked. Violating states are leaves: the trace is
-    recorded and the search backtracks. Hitting a limit flags the report
-    incomplete instead of crashing.
+    Violating states are leaves: the trace is recorded and the search
+    backtracks. Hitting a limit flags the report incomplete instead of
+    crashing. Each frame of the stack is [state, enabled steps, next
+    index], so frame k took `options[idx - 1]` and a trace is read off the
+    stack.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
     init = initial_state(config)
     visited = {snapshot(init)}
     report.states_visited = 1
+    frames: list[list] = []
 
-    path: list[ScheduleStep] = []
-    annotations: list[StepAnnotation] = []
-
-    def record(state: KernelState, verdict: str, detail: str = "") -> None:
-        report.violations.append(
-            Trace(
-                steps=tuple(path),
-                annotations=tuple(annotations),
-                verdict=verdict,
-                monitor_error=state.violation,
-                final_task_states=_task_state_summary(state),
-                final_queue=state.run_queue.as_tuple(),
-                detail=detail,
-            )
-        )
-
-    def handle_quiescent(state: KernelState) -> None:
-        if state.all_tasks_terminal():
+    def reach(state: KernelState) -> bool:
+        """Settle a newly visited state; True when the search must stop."""
+        verdict, detail, options = _settle(state, verify_invariants)
+        if verdict is not None:
+            report.violations.append(_trace(
+                (opts[idx - 1] for _, opts, idx in frames),
+                [frame[0] for frame in frames] + [state], verdict, detail,
+            ))
+            if len(report.violations) >= limits.max_violations:
+                report.incomplete = True
+                return True
+        elif not options:
             report.quiescent_ok += 1
+        elif limits.max_depth is not None and len(frames) >= limits.max_depth:
+            report.incomplete = True
         else:
-            record(state, VERDICT_DEADLOCK, "no step enabled, tasks not terminal")
+            frames.append([state, options, 0])
+        return False
 
-    init_enabled = enabled(init)
-    if not init_enabled:
-        handle_quiescent(init)
-        report.finalize()
-        return report
-
-    frames: list[tuple[KernelState, list[ScheduleStep], int]] = [(init, init_enabled, 0)]
-    while frames:
-        state, options, idx = frames[-1]
-        if idx >= len(options):
+    stop = reach(init)
+    while frames and not stop:
+        frame = frames[-1]
+        state, options, idx = frame
+        if idx == len(options):
             frames.pop()
-            if path:
-                path.pop()
-                annotations.pop()
             continue
-        frames[-1] = (state, options, idx + 1)
-        choice = options[idx]
-        succ = _apply(state, choice)
+        frame[2] = idx + 1
+        succ = _apply(state, options[idx])
         report.transitions_taken += 1
         key = snapshot(succ)
         if key in visited:
@@ -372,46 +401,8 @@ def explore(
             continue
         visited.add(key)
         report.states_visited += 1
-
-        path.append(choice)
-        annotations.append(
-            StepAnnotation(succ.step_label, tuple(succ.step_lines))
-        )
-        report.max_depth = max(report.max_depth, len(path))
-
-        stop_here = False
-        if succ.violation is not None:
-            record(succ, VERDICT_MONITOR)
-            stop_here = True
-        elif verify_invariants and (failure := check_invariants(succ)) is not None:
-            record(succ, VERDICT_ASSERTION, failure)
-            stop_here = True
-
-        if stop_here:
-            path.pop()
-            annotations.pop()
-            if len(report.violations) >= limits.max_violations:
-                report.incomplete = True
-                break
-            continue
-
-        succ_enabled = enabled(succ)
-        if not succ_enabled:
-            handle_quiescent(succ)
-            if len(report.violations) >= limits.max_violations:
-                report.incomplete = True
-                path.pop()
-                annotations.pop()
-                break
-            path.pop()
-            annotations.pop()
-            continue
-        if limits.max_depth is not None and len(path) >= limits.max_depth:
-            report.incomplete = True
-            path.pop()
-            annotations.pop()
-            continue
-        frames.append((succ, succ_enabled, 0))
+        report.max_depth = max(report.max_depth, len(frames))
+        stop = reach(succ)
 
     report.finalize()
     return report
@@ -431,60 +422,28 @@ def random_walk(
     report = ExplorationReport(config=config)
     state = initial_state(config)
     seen = {snapshot(state)}
-    path: list[ScheduleStep] = []
-    annotations: list[StepAnnotation] = []
-
-    def record(verdict: str, detail: str = "") -> None:
-        report.violations.append(
-            Trace(
-                steps=tuple(path),
-                annotations=tuple(annotations),
-                verdict=verdict,
-                monitor_error=state.violation,
-                final_task_states=_task_state_summary(state),
-                final_queue=state.run_queue.as_tuple(),
-                detail=detail,
-            )
-        )
-
-    for _ in range(max_steps):
-        options = enabled(state)
-        if not options:
-            if state.all_tasks_terminal():
-                report.quiescent_ok += 1
-            else:
-                record(VERDICT_DEADLOCK, "no step enabled, tasks not terminal")
-            report.states_visited = len(seen)
-            report.max_depth = len(path)
-            report.finalize()
-            return report
+    steps: list[ScheduleStep] = []
+    states = [state]
+    verdict, detail, options = _settle(state, verify_invariants)
+    while verdict is None and options:
+        if len(steps) == max_steps:
+            report.incomplete = True
+            break
         choice = options[rng.randrange(len(options))]
         state = _apply(state, choice)
         report.transitions_taken += 1
-        path.append(choice)
-        annotations.append(StepAnnotation(state.step_label, tuple(state.step_lines)))
+        steps.append(choice)
+        states.append(state)
         seen.add(snapshot(state))
-        if state.violation is not None:
-            record(VERDICT_MONITOR)
-            break
-        if verify_invariants and (failure := check_invariants(state)) is not None:
-            record(VERDICT_ASSERTION, failure)
-            break
-    else:
-        report.incomplete = True
+        verdict, detail, options = _settle(state, verify_invariants)
+    if verdict is not None:
+        report.violations.append(_trace(steps, states, verdict, detail))
+    elif not options:
+        report.quiescent_ok += 1
     report.states_visited = len(seen)
-    report.max_depth = len(path)
+    report.max_depth = len(steps)
     report.finalize()
     return report
-
-
-@dataclass(frozen=True)
-class ReplayResult:
-    verdict: str | None
-    monitor_error: MonitorViolation | None
-    final_task_states: tuple[tuple[int, str], ...]
-    final_queue: tuple[int, ...]
-    annotations: tuple[StepAnnotation, ...]
 
 
 def replay(
@@ -492,40 +451,24 @@ def replay(
     steps: tuple[ScheduleStep, ...],
     *,
     verify_invariants: bool = False,
-) -> ReplayResult:
-    """Re-execute a recorded schedule under `config` and report the verdict.
+) -> Trace:
+    """Re-execute a recorded schedule under `config` and rebuild its trace.
 
-    Raises ReplayError naming the first step that is not enabled; an
-    empty schedule reproduces "no violation" (verdict None) unless the
-    initial state itself is quiescent-deadlocked. Pass verify_invariants
-    to reproduce traces recorded with invariant checking on.
+    Raises ReplayError naming the first step that is not enabled, or the
+    step whose verdict comes before the schedule ends. A schedule that
+    reproduces nothing gives a trace with verdict None. Pass
+    verify_invariants to reproduce traces recorded with invariant
+    checking on.
     """
     state = initial_state(config)
-    annotations: list[StepAnnotation] = []
-    verdict: str | None = None
+    states = [state]
+    verdict, detail, options = _settle(state, verify_invariants)
     for i, choice in enumerate(steps):
-        if choice not in enabled(state):
+        if choice not in options:
             raise ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
         state = _apply(state, choice)
-        annotations.append(StepAnnotation(state.step_label, tuple(state.step_lines)))
-        if state.violation is not None:
-            if i != len(steps) - 1:
-                raise ReplayError(
-                    f"violation already at step #{i}, before the trace ends"
-                )
-            verdict = VERDICT_MONITOR
-        elif verify_invariants and check_invariants(state) is not None:
-            if i != len(steps) - 1:
-                raise ReplayError(
-                    f"invariant failure already at step #{i}, before the trace ends"
-                )
-            verdict = VERDICT_ASSERTION
-    if verdict is None and not enabled(state) and not state.all_tasks_terminal():
-        verdict = VERDICT_DEADLOCK
-    return ReplayResult(
-        verdict=verdict,
-        monitor_error=state.violation,
-        final_task_states=_task_state_summary(state),
-        final_queue=state.run_queue.as_tuple(),
-        annotations=tuple(annotations),
-    )
+        states.append(state)
+        verdict, detail, options = _settle(state, verify_invariants)
+        if verdict is not None and i < len(steps) - 1:
+            raise ReplayError(f"{verdict} already at step #{i}, before the trace ends")
+    return _trace(steps, states, verdict, detail)

@@ -23,7 +23,6 @@ copy and the array's bytes are its canonical encoding.
 from __future__ import annotations
 
 from array import array
-from collections.abc import MutableSet
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -69,7 +68,6 @@ class Action(Enum):
 
     COMPUTE = "Compute"
     REGISTER_TIMER_AND_PEND = "RegisterTimerAndPend"
-    SPAWN_NEXT = "SpawnNext"
     FINISH = "Finish"
     PANIC = "Panic"
 
@@ -78,11 +76,6 @@ class CtxState(Coded):
     ACTIVE = "CtxActive"
     PREEMPTED = "CtxPreempted"
     IN_THREAD_POOL = "CtxInThreadPool"
-
-
-class Role(Enum):
-    PRIMARY = "Primary"
-    WORKER = "Worker"
 
 
 class IpiPhase(Coded):
@@ -183,18 +176,22 @@ class Layout:
         self.task_count = n
         self.core_count = config.worker_count + 1
         self.slot_count = config.worker_count * (1 + pool_per_core)
+        # No script is longer than 2 + 2 x waits, a heavy one's length (a light
+        # one's 3 is below len(STATES)). The typecode is picked before any
+        # script is built, so an oversized bound stops here.
+        largest = max(
+            n, self.core_count, self.slot_count, len(STATES),
+            2 + 2 * config.max_waits_per_task, config.max_preemptions_per_task,
+        )
+        typecode = next((tc for tc, top in _TYPECODES if largest < top), None)
+        if typecode is None:
+            raise ConfigurationError(f"bounds too large for the state layout ({largest})")
         self.heavy = tuple(k is TaskKind.HEAVY for k in config.task_plan)
         self.scripts = tuple(script_for(k, config) for k in config.task_plan)
         self.tasks = QUEUE + n
         self.cores = self.tasks + n * TASK_WIDTH
         self.slots = self.cores + self.core_count * CORE_WIDTH
         self.monitors = self.slots + self.slot_count * SLOT_WIDTH
-        largest = max(
-            n, self.core_count, self.slot_count, len(STATES),
-            max(len(script) for script in self.scripts),
-            config.max_waits_per_task, config.max_preemptions_per_task,
-        )
-        typecode = next(tc for tc, top in _TYPECODES if largest < top)
         boot = array(typecode, [0]) * (self.monitors + n)
         boot[DECISION_CORE] = boot[DECISION_TASK] = -1
         for task in range(n):
@@ -340,10 +337,6 @@ class CoreState:
         self.core_id = core
 
     @property
-    def role(self) -> Role:
-        return Role.PRIMARY if self.core_id == 0 else Role.WORKER
-
-    @property
     def context_pool(self) -> list[int]:
         """Ids of the free context slots pooled on this core, ascending."""
         buf, layout = self._buf, self._state.layout
@@ -405,39 +398,11 @@ class RunQueue:
         return tuple(self._buf[at + 1:at + 1 + self._buf[at]])
 
 
-class TimerSet(MutableSet):
-    """The pending timer entries, one flag per task record; time is
-    over-approximated, so any of them may fire at any moment."""
-
-    __slots__ = ("_state", "_buf", "_at")
-
-    def __init__(self, state: KernelState) -> None:
-        self._state = state
-        self._buf = state.buf
-        self._at = state.layout.tasks + T_TIMER
-
-    def __contains__(self, task: object) -> bool:
-        return task in self._state.fireable_timers()
-
-    def __iter__(self):
-        return iter(self._state.fireable_timers())
-
-    def __len__(self) -> int:
-        return len(self._state.fireable_timers())
-
-    def add(self, task: int) -> None:
-        self._buf[self._at + task * TASK_WIDTH] = 1
-
-    def discard(self, task: int) -> None:
-        if task in self:
-            self._buf[self._at + task * TASK_WIDTH] = 0
-
-
 class KernelState:
     """The complete shared world, including the monitors observing it.
 
     `buf` holds the state's value (see Layout); the record views tcbs,
-    cores, slots, run_queue and timers read and write it in place. Beside
+    cores, slots and run_queue read and write it in place. Beside
     it are the task scripts, the monitors' history chain, and the step
     bookkeeping: mutating operations record a human-readable label and any
     monitor lines for the step just executed in step_label / step_lines;
@@ -515,10 +480,6 @@ class KernelState:
     def run_queue(self) -> RunQueue:
         return RunQueue(self.layout.task_count, buf=self.buf, at=QUEUE_LEN)
 
-    @property
-    def timers(self) -> TimerSet:
-        return TimerSet(self)
-
     def tcb(self, task: int) -> TaskControlBlock:
         if not 0 <= task < self.spawn_cursor:
             raise ConfigurationError(f"unknown task id {task}")
@@ -534,7 +495,7 @@ class KernelState:
 
     def worker(self, core_id: int) -> CoreState:
         core = self.core(core_id)
-        if core.role is not Role.WORKER:
+        if core_id == 0:
             raise UsageError(f"core {core_id} is not a worker")
         return core
 
@@ -544,7 +505,8 @@ class KernelState:
         return all(s in TERMINAL_CODES for s in states)
 
     def fireable_timers(self) -> list[int]:
-        """Pending timer entries, lowest task id first."""
+        """Pending timer entries, lowest task id first; time is
+        over-approximated, so any of them may fire at any moment."""
         at = self.layout.tasks + T_TIMER
         flags = self.buf[at:at + self.layout.task_count * TASK_WIDTH:TASK_WIDTH]
         return [task for task, flag in enumerate(flags) if flag]
@@ -612,7 +574,7 @@ class KernelState:
         if chosen not in fireable:
             raise UsageError(f"timer entry for task {chosen} not fireable")
         self.begin_step(f"timer fire: wake task {chosen}")
-        self.timers.discard(chosen)
+        self.buf[self.layout.tasks + chosen * TASK_WIDTH + T_TIMER] = 0
         self.wake(chosen)
         return chosen
 
@@ -700,7 +662,7 @@ class KernelState:
                 tcb.state = TaskState.RUNNABLE
                 self._enqueue(task)
                 self._fire_event(task, Event.POLL_PENDING)
-            elif fix and task not in self.timers:
+            elif fix and task not in self.fireable_timers():
                 # The wake already fired and was recorded in need_sched, but
                 # a preemption consumed the flag in between (it is cleared on
                 # resume). Complete the wait and re-deliver the wake at once,
@@ -725,12 +687,9 @@ class KernelState:
             tcb.pc += 1
         elif action is Action.REGISTER_TIMER_AND_PEND:
             self.begin_step(f"worker {core_id}: task {task} registers timer")
-            self.timers.add(task)
+            self.buf[self.layout.tasks + task * TASK_WIDTH + T_TIMER] = 1
             tcb.pc += 1
             tcb.pending_wait = True
-        elif action is Action.SPAWN_NEXT:
-            tcb.pc += 1
-            self.spawn_next()
         elif action is Action.FINISH:
             self.begin_step(f"worker {core_id}: task {task} finishes")
             tcb.state = TaskState.TERMINATED

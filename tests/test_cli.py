@@ -12,7 +12,7 @@ from schedcheck.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
-    config_from_dict,
+    config_from_args,
     config_to_dict,
     emit_json,
     exit_code_for,
@@ -60,8 +60,6 @@ class TestParsing:
         assert args.tasks is None  # resolved to H,L,L in config building
 
     def test_no_args_echoes_default_config(self):
-        from schedcheck.cli import config_from_args
-
         cfg = config_from_args(parse_args([]))
         assert config_to_dict(cfg) == {
             "workers": 2,
@@ -83,7 +81,7 @@ class TestDocuments:
             fault_skip_running_check=True,
             max_waits_per_task=2,
         )
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_args(parse_args([]), base=config_to_dict(cfg)) == cfg
 
     def test_step_round_trip(self):
         step = ScheduleStep(VirtualProcess("Worker", 2), 0)
@@ -237,6 +235,27 @@ class TestMalformedTraceFile:
         doc = self.report(capsys)
         doc["violations"][0]["steps"][0]["process"] = "Interloper"
         assert "Interloper" in self.replay_doc(tmp_path, capsys, doc)
+
+    def test_list_fault(self, tmp_path, capsys):
+        doc = {"config": {"faults": [[1]]}, "violations": []}
+        assert "fault [1]" in self.replay_doc(tmp_path, capsys, doc)
+
+    def test_object_fault(self, tmp_path, capsys):
+        doc = {"config": {"faults": [{"name": "skip-resume-state"}]}, "violations": []}
+        assert "fault {" in self.replay_doc(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("field", ["max_waits", "max_preemptions"])
+    def test_oversized_bound(self, tmp_path, capsys, field):
+        doc = self.report(capsys)
+        doc["config"][field] = 10**30
+        assert "too large" in self.replay_doc(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("flag", ["--max-waits", "--max-preemptions"])
+def test_oversized_bound_flag_is_a_usage_error(capsys, flag):
+    assert main([flag, str(10**30)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("schedcheck: error: ") and err.count("\n") == 1
 
 
 class TestCrossProcessDeterminism:

@@ -380,6 +380,15 @@ class TestRandomWalk:
         report = random_walk(KernelConfig(), seed=1, max_steps=3)
         assert report.incomplete is True
 
+    def test_budget_spent_on_the_final_state_is_complete(self):
+        # the walk's last budgeted step ends the plan: nothing was cut off
+        cfg = KernelConfig(worker_count=1, task_plan=(L,))
+        taken = random_walk(cfg, seed=0, max_steps=1000).transitions_taken
+        report = random_walk(cfg, seed=0, max_steps=taken)
+        assert report.transitions_taken == taken
+        assert report.incomplete is False
+        assert report.quiescent_ok == 1
+
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             random_walk(KernelConfig(), seed=1, max_steps=0)
@@ -396,6 +405,33 @@ class TestReplay:
 
     def test_empty_trace_is_no_violation(self):
         assert replay(CLEAN_SMALL, ()).verdict is None
+
+    def test_every_trace_replays_whole(self):
+        import itertools
+
+        traces = 0
+        for toggles in itertools.product((True, False), repeat=5):
+            cfg = KernelConfig(
+                worker_count=2,
+                task_plan=(H, L, L),
+                fix_wait_need_sched=toggles[0],
+                fix_preempt_need_sched=toggles[1],
+                fault_enqueue_before_state=toggles[2],
+                fault_skip_resume_state=toggles[3],
+                fault_skip_running_check=toggles[4],
+            )
+            for trace in explore(cfg, Limits(), verify_invariants=True).violations:
+                again = replay(cfg, trace.steps, verify_invariants=True)
+                assert again.steps == trace.steps
+                assert again.annotations == trace.annotations
+                assert again.verdict == trace.verdict
+                assert again.monitor_error == trace.monitor_error
+                assert again.final_task_states == trace.final_task_states
+                assert again.final_queue == trace.final_queue
+                assert again.detail == trace.detail
+                assert again == trace
+                traces += 1
+        assert traces > 100
 
     def test_replay_under_other_toggles_errors_or_differs(self):
         trace = explore(LOST_WAKEUP).violations[0]

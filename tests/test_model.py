@@ -100,7 +100,6 @@ class TestWake:
         state.poll_step(1)  # enter waiting
         assert state.tcbs[0].state is TaskState.WAITING
         assert len(state.run_queue) == 0
-        state.timers.discard(0)
         state.wake(0)
         assert state.tcbs[0].state is TaskState.RUNNABLE
         assert state.run_queue.as_tuple() == (0,)
@@ -142,9 +141,9 @@ class TestTimerFire:
         run_until_running(state)
         state.poll_step(1)
         state.poll_step(1)  # register: timers {0}
-        assert state.timers == {0}
+        assert state.fireable_timers() == [0]
         state.timer_fire()
-        assert state.timers == set()
+        assert state.fireable_timers() == []
 
     def test_empty_registry_not_enabled(self):
         state = initial_state(config())
@@ -164,7 +163,7 @@ class TestTimerFire:
         assert state.fireable_timers() == [0, 1]
         chosen = state.timer_fire(1)
         assert chosen == 1
-        assert state.timers == {0}
+        assert state.fireable_timers() == [0]
 
     def test_default_choice_is_lowest_id(self):
         state = initial_state(config(task_plan=(H, H), worker_count=2))
@@ -246,7 +245,7 @@ class TestPollStep:
         run_until_running(state)
         state.poll_step(1)  # compute
         state.poll_step(1)  # register
-        assert state.timers == {0}
+        assert state.fireable_timers() == [0]
         assert state.tcbs[0].pending_wait is True
         state.poll_step(1)  # waiting transition
         assert state.tcbs[0].state is TaskState.WAITING
@@ -280,15 +279,6 @@ class TestPollStep:
         state = initial_state(config())
         with pytest.raises(UsageError):
             state.poll_step(1)
-
-    def test_scripted_spawn_action_creates_the_next_task(self):
-        state = initial_state(config(task_plan=(H, L), worker_count=1))
-        run_until_running(state)
-        state.tcbs[0].script = (Action.SPAWN_NEXT, Action.FINISH)
-        state.poll_step(1)
-        assert state.spawn_cursor == 2
-        assert state.tcbs[1].kind is L
-        assert state.run_queue.as_tuple() == (1,)
 
     def test_panic_action_reaches_the_absorbing_state(self):
         state = initial_state(config(task_plan=(H,), worker_count=1))
