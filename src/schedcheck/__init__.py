@@ -36,5 +36,6 @@ from .explorer import (  # noqa: F401
     explore,
     random_walk,
     replay,
+    replay_all,
     step,
 )

@@ -20,10 +20,10 @@ from .explorer import (
     ReplayError,
     ScheduleStep,
     Trace,
-    VirtualProcess,
+    _step_of,
     explore,
     random_walk,
-    replay,
+    replay_all,
 )
 from .model import ConfigurationError, KernelConfig, TaskKind
 
@@ -205,7 +205,7 @@ def step_from_dict(doc: object) -> ScheduleStep:
         raise ConfigurationError(f"step core must be int or null, not {core!r}")
     if not _is_a(variant, int):
         raise ConfigurationError(f"step variant must be int, not {variant!r}")
-    return ScheduleStep(VirtualProcess(process, core), variant)
+    return _step_of(process, core, variant)
 
 
 def violations_from_doc(
@@ -358,12 +358,11 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
     config = config_from_args(args, base=base)
     results = []
     worst = EXIT_OK
-    for verdict, steps in violations:
-        try:
-            result = replay(config, steps, verify_invariants=True)
-        except ReplayError as exc:
+    replays = replay_all(config, (steps for _, steps in violations), verify_invariants=True)
+    for (verdict, _), result in zip(violations, replays):
+        if isinstance(result, ReplayError):
             results.append({"expected": verdict, "reproduced": None,
-                            "match": False, "error": str(exc)})
+                            "match": False, "error": str(result)})
             worst = EXIT_USAGE
             continue
         match = result.verdict == verdict

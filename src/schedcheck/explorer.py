@@ -7,13 +7,15 @@ pruning over full canonical encodings, recording monitor violations,
 deadlocks, and invariant failures as replayable counterexample traces.
 `random_walk` samples one seeded schedule, standing in for live runtime
 verification; `replay` re-executes a recorded schedule and rebuilds its
-trace. All three end a path by one rule and build traces one way.
+trace, and `replay_all` does so for a report's schedules, running each
+shared prefix once. All of them end a path by one rule and build traces
+one way.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -141,8 +143,9 @@ def _task_state_summary(state: KernelState) -> tuple[tuple[int, str], ...]:
 
 
 @cache
-def _step_of(kind: str, core: int | None = None, variant: int = 0) -> ScheduleStep:
-    """The ScheduleStep for (kind, core, variant); built once, then shared."""
+def _step_of(kind: str, core: int | None, variant: int) -> ScheduleStep:
+    """The ScheduleStep for (kind, core, variant); built once, then shared.
+    Callers pass all three arguments, so that equal steps share one key."""
     return ScheduleStep(VirtualProcess(kind, core), variant)
 
 
@@ -154,15 +157,15 @@ def enabled(state: KernelState) -> list[ScheduleStep]:
     target = buf[DECISION_CORE]
     if target >= 0:
         if buf[layout.cores + target * CORE_WIDTH + C_PENDING_IPI] < 0:
-            steps.append(_step_of("PrimaryPreempter"))
+            steps.append(_step_of("PrimaryPreempter", None, 0))
     elif not buf[IN_FLIGHT]:
         for i in range(len(state.preempt_candidates())):
             steps.append(_step_of("PrimaryPreempter", None, i))
     if _spawner_enabled(state):
-        steps.append(_step_of("Spawner"))
+        steps.append(_step_of("Spawner", None, 0))
     for core_id in range(1, layout.core_count):
         if _worker_action(state, core_id) is not None:
-            steps.append(_step_of("Worker", core_id))
+            steps.append(_step_of("Worker", core_id, 0))
     return steps
 
 
@@ -460,15 +463,52 @@ def replay(
     verify_invariants to reproduce traces recorded with invariant
     checking on.
     """
-    state = initial_state(config)
-    states = [state]
-    verdict, detail, options = _settle(state, verify_invariants)
-    for i, choice in enumerate(steps):
+    (result,) = replay_all(config, (steps,), verify_invariants=verify_invariants)
+    if isinstance(result, ReplayError):
+        raise result
+    return result
+
+
+def replay_all(
+    config: KernelConfig,
+    schedules: Iterable[Sequence[ScheduleStep]],
+    *,
+    verify_invariants: bool = False,
+) -> Iterator[Trace | ReplayError]:
+    """Replay each schedule as `replay` does, yielding its Trace, or the
+    ReplayError that `replay` would raise.
+
+    One path of (state, verdict, detail, enabled steps) entries is kept
+    for the schedule replayed last; the next one is cut back to the prefix
+    both share and runs only the steps past it. The traces of a report come
+    off one DFS stack, so neighbours share most of their steps.
+    """
+    init = initial_state(config)
+    path = [(init, *_settle(init, verify_invariants))]
+    done: Sequence[ScheduleStep] = ()  # path[k + 1] is the state after done[k]
+    for steps in schedules:
+        i, shared = 0, min(len(steps), len(path) - 1)
+        while i < shared and (steps[i] is done[i] or steps[i] == done[i]):
+            i += 1
+        del path[i + 1:]
+        done = steps
+        yield _replay_from(path, steps, i, verify_invariants)
+
+
+def _replay_from(
+    path: list[tuple], steps: Sequence[ScheduleStep], i: int, verify_invariants: bool,
+) -> Trace | ReplayError:
+    """Extend `path`, which holds the entries of steps[:i], by the rest of
+    `steps`, with replay's checks in replay's order."""
+    while True:
+        state, verdict, detail, options = path[i]
+        if verdict is not None and 0 < i < len(steps):
+            return ReplayError(f"{verdict} already at step #{i - 1}, before the trace ends")
+        if i == len(steps):
+            return _trace(steps, [entry[0] for entry in path], verdict, detail)
+        choice = steps[i]
         if choice not in options:
-            raise ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
-        state = _apply(state, choice)
-        states.append(state)
-        verdict, detail, options = _settle(state, verify_invariants)
-        if verdict is not None and i < len(steps) - 1:
-            raise ReplayError(f"{verdict} already at step #{i}, before the trace ends")
-    return _trace(steps, states, verdict, detail)
+            return ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
+        succ = _apply(state, choice)
+        path.append((succ, *_settle(succ, verify_invariants)))
+        i += 1

@@ -156,8 +156,10 @@ TERMINAL_CODES = frozenset(s.code for s in TERMINAL_STATES)
 CTX_ACTIVE = CtxState.ACTIVE.code
 CTX_PREEMPTED = CtxState.PREEMPTED.code
 
-# Array typecodes by the largest value they hold.
-_TYPECODES = (("b", 2**7 - 1), ("h", 2**15 - 1), ("q", 2**63 - 1))
+# Array typecodes by the largest value they hold. None is wider than 2 bytes:
+# a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
+# build a script of billions of actions before any check could refuse it.
+_TYPECODES = (("b", 2**7 - 1), ("h", 2**15 - 1))
 
 
 class Layout:

@@ -4,6 +4,7 @@ text/JSON consistency of reported verdicts."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -86,6 +87,11 @@ class TestDocuments:
     def test_step_round_trip(self):
         step = ScheduleStep(VirtualProcess("Worker", 2), 0)
         assert step_from_dict(step_to_dict(step)) == step
+
+    def test_parsed_steps_are_the_shared_enabled_steps(self):
+        steps = explore(KernelConfig(fix_wait_need_sched=False)).violations[0].steps
+        for step in steps:
+            assert step_from_dict(step_to_dict(step)) is step
 
     def test_report_json_round_trip(self):
         cfg = KernelConfig(
@@ -250,12 +256,35 @@ class TestMalformedTraceFile:
         doc["config"][field] = 10**30
         assert "too large" in self.replay_doc(tmp_path, capsys, doc)
 
+    def test_billion_waits_is_refused_before_any_script_is_built(self, tmp_path, capsys):
+        doc = self.report(capsys)
+        doc["config"]["max_waits"] = 10**9
+        start = time.perf_counter()
+        assert "too large" in self.replay_doc(tmp_path, capsys, doc)
+        assert time.perf_counter() - start < 1.0
+
 
 @pytest.mark.parametrize("flag", ["--max-waits", "--max-preemptions"])
 def test_oversized_bound_flag_is_a_usage_error(capsys, flag):
     assert main([flag, str(10**30)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("schedcheck: error: ") and err.count("\n") == 1
+
+
+def test_billion_waits_flag_is_a_usage_error(capsys):
+    # a heavy script of 2 x 10**9 actions would exhaust memory first
+    start = time.perf_counter()
+    assert main(["--max-waits", str(10**9)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("schedcheck: error: ") and err.count("\n") == 1
+    assert "too large" in err
+
+
+def test_widest_accepted_wait_bound_still_runs(capsys):
+    # 2 + 2 x 16,382 = 32,766 is the largest script length two-byte cells hold
+    code = main(["--max-waits", "16382", "--mode", "walk", "--seed", "1", "--max-steps", "5"])
+    assert code in (EXIT_OK, EXIT_INCOMPLETE)
 
 
 class TestCrossProcessDeterminism:

@@ -1,0 +1,144 @@
+"""`replay_all` replays a report's schedules along one shared prefix path:
+each result equals what `replay` gives for that schedule on its own, and
+each distinct schedule prefix of a report runs once."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+from functools import cache
+
+from hypothesis import given, settings, strategies as st
+
+from schedcheck import explorer
+from schedcheck.cli import EXIT_VIOLATION, main
+from schedcheck.explorer import (
+    PROCESS_KINDS,
+    Limits,
+    ReplayError,
+    ScheduleStep,
+    VirtualProcess,
+    explore,
+    replay,
+    replay_all,
+)
+from schedcheck.model import KernelConfig, TaskKind
+
+H = TaskKind.HEAVY
+L = TaskKind.LIGHT
+
+
+@cache
+def reports() -> tuple[tuple[KernelConfig, tuple[tuple[ScheduleStep, ...], ...]], ...]:
+    """The violations' schedules of every fix/fault combo on H,L,L/2 with
+    invariants on and default limits, for the combos that have any."""
+    out = []
+    for toggles in itertools.product((True, False), repeat=5):
+        cfg = KernelConfig(
+            worker_count=2,
+            task_plan=(H, L, L),
+            fix_wait_need_sched=toggles[0],
+            fix_preempt_need_sched=toggles[1],
+            fault_enqueue_before_state=toggles[2],
+            fault_skip_resume_state=toggles[3],
+            fault_skip_running_check=toggles[4],
+        )
+        schedules = tuple(t.steps for t in explore(cfg, Limits(), verify_invariants=True).violations)
+        if schedules:
+            out.append((cfg, schedules))
+    return tuple(out)
+
+
+def altered(step: ScheduleStep, core: int, variant: int) -> ScheduleStep:
+    """A freshly built step (not the shared one), so that the prefix
+    comparison must fall back from identity to equality."""
+    process = VirtualProcess(step.process.kind, core if step.process.core is not None else None)
+    return ScheduleStep(process, variant)
+
+
+@st.composite
+def schedule_lists(draw):
+    cfg, base = draw(st.sampled_from(reports()))
+    schedules = list(draw(st.permutations(base)))[: draw(st.integers(0, len(base)))]
+    any_step = st.builds(
+        lambda kind, core, variant: ScheduleStep(
+            VirtualProcess(kind, core if kind == "Worker" else None), variant),
+        st.sampled_from(PROCESS_KINDS), st.integers(1, 2), st.integers(0, 2),
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["duplicate", "truncate", "extend", "alter", "empty"]))
+        at = draw(st.integers(0, len(schedules)))
+        if op == "empty" or not schedules:
+            schedules.insert(at, ())
+            continue
+        at = min(at, len(schedules) - 1)
+        steps = new = schedules[at]
+        if op == "truncate":
+            new = steps[: draw(st.integers(0, len(steps)))]
+        elif op == "extend":
+            new = steps + (draw(any_step),)
+        elif op == "alter" and steps:
+            i = draw(st.integers(0, len(steps) - 1))
+            changed = altered(steps[i], draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+            new = steps[:i] + (changed,) + steps[i + 1:]
+        # the variant either replaces its source or follows it, so that it
+        # replays right after the schedule it shares a prefix with
+        if op != "duplicate" and draw(st.booleans()):
+            schedules[at] = new
+        else:
+            schedules.insert(at + 1, new)
+    return cfg, schedules
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=schedule_lists())
+def test_replay_all_agrees_with_replay_of_each_schedule(case):
+    cfg, schedules = case
+    results = list(replay_all(cfg, schedules, verify_invariants=True))
+    assert len(results) == len(schedules)
+    for steps, result in zip(schedules, results):
+        try:
+            alone = replay(cfg, steps, verify_invariants=True)
+        except ReplayError as exc:
+            assert type(result) is type(exc)
+            assert str(result) == str(exc)
+        else:
+            assert not isinstance(result, ReplayError), str(result)
+            assert result.steps == alone.steps
+            assert result.annotations == alone.annotations
+            assert result.verdict == alone.verdict
+            assert result.monitor_error == alone.monitor_error
+            assert result.final_task_states == alone.final_task_states
+            assert result.final_queue == alone.final_queue
+            assert result.detail == alone.detail
+            assert result == alone
+
+
+def test_replay_runs_each_distinct_prefix_once(tmp_path, monkeypatch):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--fix-wait", "off", "--max-violations", "1000000000", "--out", "json"])
+    assert code == EXIT_VIOLATION
+    path = tmp_path / "report.json"
+    path.write_text(out.getvalue())
+    schedules = [
+        tuple((s["process"], s["core"], s["variant"]) for s in v["steps"])
+        for v in json.loads(out.getvalue())["violations"]
+    ]
+    prefixes = {steps[:k] for steps in schedules for k in range(1, len(steps) + 1)}
+
+    calls = 0
+    apply = explorer._apply
+
+    def counting(state, choice):
+        nonlocal calls
+        calls += 1
+        return apply(state, choice)
+
+    monkeypatch.setattr(explorer, "_apply", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--mode", "replay", "--trace-in", str(path)]) == EXIT_VIOLATION
+    assert calls == len(prefixes)
+    assert calls < sum(map(len, schedules)) / 2
