@@ -14,6 +14,7 @@ from .model import (  # noqa: F401
     UsageError,
     initial_state,
     snapshot,
+    symmetric_key,
 )
 from .monitor import (  # noqa: F401
     Event,

@@ -2,13 +2,15 @@
 
 A fixed set of virtual processes (the primary core's timer and
 preempter, a spawner, and one worker per core) each contribute guarded
-atomic steps. `explore` runs a depth-first search with visited-state
-pruning over full canonical encodings, recording monitor violations,
-deadlocks, and invariant failures as replayable counterexample traces.
-`random_walk` samples one seeded schedule, standing in for live runtime
-verification; `replay` re-executes a recorded schedule and rebuilds its
-trace, and `replay_all` does so for a report's schedules, running each
-shared prefix once. All of them end a path by one rule and build traces
+atomic steps. `explore` runs a depth-first search that prunes states
+already visited up to a renaming of the identical worker cores
+(`model.symmetric_key`), recording monitor violations, deadlocks, and
+invariant failures as replayable counterexample traces; its stack holds
+the real states, so every trace is a real path. `random_walk` samples one
+seeded schedule, standing in for live runtime verification, and counts
+exact states (`snapshot`); `replay` re-executes a recorded schedule and
+rebuilds its trace, and `replay_all` does so for a report's schedules,
+running each shared prefix once. All of them end a path by one rule and build traces
 one way.
 """
 
@@ -26,6 +28,7 @@ from .model import (
     C_PENDING_IPI,
     CORE_WIDTH,
     CTX_ACTIVE,
+    CTX_POOLED,
     CTX_PREEMPTED,
     DECISION_CORE,
     DECISION_TASK,
@@ -35,6 +38,8 @@ from .model import (
     QUEUE_LEN,
     RUNNING,
     S_CTX_STATE,
+    S_MID_WAIT,
+    S_POOL,
     S_SAVED_PC,
     SLOT_WIDTH,
     SPAWN_CURSOR,
@@ -48,9 +53,11 @@ from .model import (
     FetchOutcome,
     KernelConfig,
     KernelState,
+    Layout,
     UsageError,
     initial_state,
     snapshot,
+    symmetric_key,
 )
 from .monitor import MonitorViolation
 
@@ -266,12 +273,21 @@ def check_invariants(state: KernelState) -> str | None:
             return f"running task {t} is not current on any core"
         if task_state in TERMINAL_CODES and (buf[at + T_IN_QUEUE] or t in currents):
             return f"terminal task {t} is queued or current"
-    for s in range(layout.slot_count):
-        at = slots + s * SLOT_WIDTH
-        saved_pc, ctx_state = buf[at + S_SAVED_PC], buf[at + S_CTX_STATE]
-        if (saved_pc >= 0) != (ctx_state == CTX_PREEMPTED):
-            return (f"slot {s}: saved pc {saved_pc if saved_pc >= 0 else None} "
-                    f"with state {tuple(CtxState)[ctx_state].value}")
+    end = layout.monitors
+    cells = iter(buf[slots:end])
+    if not _sound_slot_records(layout).issuperset(zip(*[cells] * SLOT_WIDTH)):
+        for s, (ctx_state, saved_pc, mid_wait, pool) in enumerate(zip(
+            buf[slots + S_CTX_STATE:end:SLOT_WIDTH], buf[slots + S_SAVED_PC:end:SLOT_WIDTH],
+            buf[slots + S_MID_WAIT:end:SLOT_WIDTH], buf[slots + S_POOL:end:SLOT_WIDTH],
+        )):
+            if (saved_pc >= 0) != (ctx_state == CTX_PREEMPTED):
+                return (f"slot {s}: saved pc {saved_pc if saved_pc >= 0 else None} "
+                        f"with state {tuple(CtxState)[ctx_state].value}")
+            # symmetric_key relies on pooled slots being interchangeable:
+            # each is CtxInThreadPool, so with no saved pc (checked above),
+            # and has no mid-wait flag
+            if pool >= 0 and (ctx_state != CTX_POOLED or mid_wait):
+                return f"slot {s}: pooled on core {pool} but not free"
     for core_id in range(1, layout.core_count):
         at = cores + core_id * CORE_WIDTH
         if buf[at + C_IPI_PHASE] < 0:
@@ -292,6 +308,23 @@ def check_invariants(state: KernelState) -> str | None:
     if decided and not layout.heavy[buf[DECISION_TASK]]:
         return f"light task {buf[DECISION_TASK]} observed by a preemption decision"
     return None
+
+
+@cache
+def _sound_slot_records(layout: Layout) -> frozenset[tuple[int, int, int, int]]:
+    """Slot records (context state, saved pc, mid-wait flag, pool core) that
+    pass check_invariants' slot checks: a preempted context with a saved pc,
+    in no pool; an active or free context in no pool; a free context pooled
+    on a worker. check_invariants looks all of a state's slot records up
+    here at once, and checks the slots one by one, to name the first that
+    fails, only when a record is missing. Most records are free pooled
+    slots, which repeat."""
+    longest = max(len(script) for script in layout.scripts)
+    return frozenset(
+        [(CTX_PREEMPTED, pc, mid_wait, -1) for pc in range(longest) for mid_wait in (0, 1)]
+        + [(ctx, -1, mid_wait, -1) for ctx in (CTX_ACTIVE, CTX_POOLED) for mid_wait in (0, 1)]
+        + [(CTX_POOLED, -1, 0, core) for core in range(1, layout.core_count)]
+    )
 
 
 @dataclass(frozen=True)
@@ -354,6 +387,12 @@ def explore(
 ) -> ExplorationReport:
     """Exhaustive DFS from the initial state with visited-state pruning.
 
+    The visited set holds `symmetric_key`s, so of the states that differ
+    only by a renaming of worker cores, the first one reached is searched
+    and the others are pruned; the counters count states up to that
+    renaming. The stack keeps the real states, so each trace is a real
+    path that replays under `config`.
+
     Violating states are leaves: the trace is recorded and the search
     backtracks. Hitting a limit flags the report incomplete instead of
     crashing. Each frame of the stack is [state, enabled steps, next
@@ -363,7 +402,7 @@ def explore(
     limits = limits or Limits()
     report = ExplorationReport(config=config)
     init = initial_state(config)
-    visited = {snapshot(init)}
+    visited = {symmetric_key(init)}
     report.states_visited = 1
     frames: list[list] = []
 
@@ -396,7 +435,7 @@ def explore(
         frame[2] = idx + 1
         succ = _apply(state, options[idx])
         report.transitions_taken += 1
-        key = snapshot(succ)
+        key = symmetric_key(succ)
         if key in visited:
             continue
         if limits.max_states is not None and len(visited) >= limits.max_states:

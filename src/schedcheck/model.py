@@ -155,6 +155,7 @@ PREEMPTED = TaskState.PREEMPTED.code
 TERMINAL_CODES = frozenset(s.code for s in TERMINAL_STATES)
 CTX_ACTIVE = CtxState.ACTIVE.code
 CTX_PREEMPTED = CtxState.PREEMPTED.code
+CTX_POOLED = CtxState.IN_THREAD_POOL.code
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
 # a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
@@ -210,7 +211,7 @@ class Layout:
                 boot[at + S_POOL] = -1
                 boot[self.cores + core * CORE_WIDTH + C_ACTIVE_CTX] = slot
             else:
-                boot[at + S_CTX_STATE] = CtxState.IN_THREAD_POOL.code
+                boot[at + S_CTX_STATE] = CTX_POOLED
                 boot[at + S_POOL] = core
             boot[at + S_SAVED_PC] = -1
         self.boot = boot
@@ -852,3 +853,79 @@ def snapshot(state: KernelState) -> bytes:
     bookkeeping live beside the buffer and are excluded.
     """
     return bytes(state.buf)
+
+
+def symmetric_key(state: KernelState) -> bytes:
+    """Visited-set key of `explore`: the state's bytes up to a renaming of
+    its identical worker cores.
+
+    Workers 1..w are sorted stably by the fields of their record before
+    C_ACTIVE_CTX (current task, interrupt flag, pending IPI, handler
+    phase). When that order is the identity, as it always is with one
+    worker, the key is the state's bytes. Otherwise each worker's record
+    moves to its sorted position with its block of slot_count // w context
+    slots, and every id naming a worker or a slot is remapped: the decision
+    target, each task's preempt context, each core's active context and
+    each slot's pool core.
+
+    The key is always g(state) for one renaming g of workers and slots, so
+    equal keys mean the two states differ only by a renaming. Searching one
+    of them is sound because:
+
+    1. No operation and no part of `enabled` treats a worker differently
+       by its id.
+    2. `_finish_preemption` takes the lowest pooled slot id, which is
+       harmless only while all pooled slots are interchangeable: every
+       pooled slot is CtxInThreadPool with no saved pc and no mid-wait
+       flag. `check_invariants` checks this on every state a search with
+       invariants on (as the CLI runs it) reaches.
+    3. Every verdict is the same under a renaming: monitors are per task,
+       and the invariant and deadlock predicates name no fixed worker. A
+       failure's detail names the ids of the real state on the trace.
+
+    The key is not canonical: two renamings of one state may get different
+    keys, which costs states searched, not soundness.
+    """
+    buf, layout = state.buf, state.layout
+    cores = layout.cores
+    keys = [buf[at:at + C_ACTIVE_CTX]
+            for at in range(cores + CORE_WIDTH, layout.slots, CORE_WIDTH)]
+    if keys == sorted(keys):
+        return bytes(buf)
+    order = sorted(range(1, layout.core_count), key=lambda core: keys[core - 1])
+    moves, core_to, remaps = _renaming(layout, tuple(order))
+    out = buf[:]
+    for to_start, to_stop, from_start, from_stop in moves:
+        out[to_start:to_stop] = buf[from_start:from_stop]
+    out[DECISION_CORE] = core_to[out[DECISION_CORE]]
+    for start, stop, width, to in remaps:
+        out[start:stop:width] = array(buf.typecode, [to[i] for i in out[start:stop:width]])
+    return bytes(out)
+
+
+@cache
+def _renaming(layout: Layout, order: tuple[int, ...]) -> tuple[list, list, tuple]:
+    """How symmetric_key renames a state whose workers sort into `order`:
+    the record moves as (to_start, to_stop, from_start, from_stop) cell
+    ranges, the new core id by old id, and the id fields to remap as
+    (start, stop, width, new id by old id) extended slices. The tables end
+    with an entry that maps "none" (-1) to itself."""
+    cores, slots = layout.cores, layout.slots
+    block = layout.slot_count // len(order)
+    span = block * SLOT_WIDTH
+    core_to = [*range(layout.core_count), -1]
+    moves = []
+    for new, old in enumerate(order, 1):
+        core_to[old] = new
+        moves.append((cores + new * CORE_WIDTH, cores + (new + 1) * CORE_WIDTH,
+                      cores + old * CORE_WIDTH, cores + (old + 1) * CORE_WIDTH))
+        moves.append((slots + (new - 1) * span, slots + new * span,
+                      slots + (old - 1) * span, slots + old * span))
+    slot_to = [(core_to[1 + s // block] - 1) * block + s % block
+               for s in range(layout.slot_count)] + [-1]
+    remaps = (
+        (layout.tasks + T_PREEMPT_CTX, cores, TASK_WIDTH, slot_to),
+        (cores + C_ACTIVE_CTX, slots, CORE_WIDTH, slot_to),
+        (slots + S_POOL, layout.monitors, SLOT_WIDTH, core_to),
+    )
+    return moves, core_to, remaps

@@ -1,6 +1,10 @@
 """Pinned search counters: a change to the state representation must leave
 every counter of every pinned search exactly as it was. A state-space
-reduction is expected to move them, and must re-pin them deliberately."""
+reduction is expected to move them, and must re-pin them deliberately.
+
+`explore` counts states up to a renaming of worker cores
+(`model.symmetric_key`); EXACT_LADDER pins the same rungs searched with
+the exact `snapshot` key, and the walk pins hold `random_walk` to it."""
 
 from __future__ import annotations
 
@@ -8,19 +12,31 @@ import itertools
 
 import pytest
 
+from schedcheck import explorer
 from schedcheck.cli import parse_args
-from schedcheck.explorer import Limits, explore
-from schedcheck.model import KernelConfig, TaskKind
+from schedcheck.explorer import Limits, explore, random_walk
+from schedcheck.model import KernelConfig, TaskKind, snapshot
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
 
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
+    ("H,L,L", 2): (3138, 8404, 27, 6),
+    ("H,H", 2): (13498, 36825, 35, 64),
+    ("H,L,L", 3): (5142, 16465, 27, 10),
+}
+# The same rungs with the visited set keyed by the exact snapshot.
+EXACT_LADDER = {
     ("H,L,L", 2): (6156, 16549, 27, 8),
     ("H,H", 2): (26314, 72145, 35, 76),
     ("H,L,L", 3): (26803, 86757, 27, 16),
 }
+# H,L,L/2 with two preemptions per heavy task: complete and clean.
+TWO_PREEMPTIONS = (8733, 24138, 33, 12)
+
+# Seeded walks of H,H,L/2 under the CLI's step budget, keyed by seed.
+WALKS = {1: (35, 34, 34, 1), 6: (29, 28, 28, 1)}
 
 EBS, SRS, SRC = "enqueue-before-state", "skip-resume-state", "skip-running-check"
 FAULTS = (EBS, SRS, SRC)
@@ -28,12 +44,12 @@ FAULTS = (EBS, SRS, SRC)
 # Every fix/fault combination on H,L,L/2 under the CLI's default limits,
 # keyed by (fix_wait, fix_preempt, faults).
 FAULT_MATRIX = {
-    (True, True, ()): (6156, 16549, 27, 8),
-    (True, True, (EBS,)): (6316, 17041, 27, 8),
+    (True, True, ()): (3138, 8404, 27, 6),
+    (True, True, (EBS,)): (3218, 8650, 27, 6),
     (True, True, (SRS,)): (62, 76, 21, 0),
-    (True, True, (SRC,)): (6156, 16549, 27, 8),
+    (True, True, (SRC,)): (3138, 8404, 27, 6),
     (True, True, (EBS, SRS)): (62, 76, 21, 0),
-    (True, True, (EBS, SRC)): (1416, 3062, 27, 7),
+    (True, True, (EBS, SRC)): (1623, 3872, 27, 6),
     (True, True, (SRS, SRC)): (62, 76, 21, 0),
     (True, True, (EBS, SRS, SRC)): (62, 76, 21, 0),
     (True, False, ()): (54, 77, 15, 0),
@@ -44,12 +60,12 @@ FAULT_MATRIX = {
     (True, False, (EBS, SRC)): (55, 71, 16, 0),
     (True, False, (SRS, SRC)): (54, 77, 15, 0),
     (True, False, (EBS, SRS, SRC)): (55, 71, 16, 0),
-    (False, True, ()): (1135, 2419, 24, 2),
-    (False, True, (EBS,)): (1145, 2449, 24, 2),
+    (False, True, ()): (994, 2131, 24, 2),
+    (False, True, (EBS,)): (1004, 2161, 24, 2),
     (False, True, (SRS,)): (62, 76, 21, 0),
-    (False, True, (SRC,)): (1135, 2419, 24, 2),
+    (False, True, (SRC,)): (994, 2131, 24, 2),
     (False, True, (EBS, SRS)): (62, 76, 21, 0),
-    (False, True, (EBS, SRC)): (1120, 2383, 24, 2),
+    (False, True, (EBS, SRC)): (979, 2095, 24, 2),
     (False, True, (SRS, SRC)): (62, 76, 21, 0),
     (False, True, (EBS, SRS, SRC)): (62, 76, 21, 0),
     (False, False, ()): (54, 77, 15, 0),
@@ -68,10 +84,18 @@ def cli_default_limits() -> Limits:
     return Limits(args.max_states, args.max_depth, args.max_violations)
 
 
-def counters(config: KernelConfig) -> tuple[int, int, int, int]:
-    report = explore(config, cli_default_limits(), verify_invariants=True)
+def pinned(report: explorer.ExplorationReport) -> tuple[int, int, int, int]:
     return (report.states_visited, report.transitions_taken,
             report.max_depth, report.quiescent_ok)
+
+
+def counters(config: KernelConfig) -> tuple[int, int, int, int]:
+    return pinned(explore(config, cli_default_limits(), verify_invariants=True))
+
+
+def ladder_config(plan: str, workers: int) -> KernelConfig:
+    kinds = tuple(H if k == "H" else L for k in plan.split(","))
+    return KernelConfig(worker_count=workers, task_plan=kinds)
 
 
 def test_fault_matrix_covers_every_combination():
@@ -86,9 +110,29 @@ def test_fault_matrix_covers_every_combination():
 
 @pytest.mark.parametrize("plan,workers", sorted(LADDER))
 def test_ladder_counters(plan, workers):
-    kinds = tuple(H if k == "H" else L for k in plan.split(","))
-    config = KernelConfig(worker_count=workers, task_plan=kinds)
-    assert counters(config) == LADDER[plan, workers]
+    assert counters(ladder_config(plan, workers)) == LADDER[plan, workers]
+
+
+@pytest.mark.parametrize("plan,workers", sorted(EXACT_LADDER))
+def test_exact_key_ladder_counters(plan, workers, monkeypatch):
+    monkeypatch.setattr(explorer, "symmetric_key", snapshot)
+    assert counters(ladder_config(plan, workers)) == EXACT_LADDER[plan, workers]
+
+
+def test_two_preemption_rung_is_complete_and_clean():
+    config = KernelConfig(max_preemptions_per_task=2)
+    report = explore(config, cli_default_limits(), verify_invariants=True)
+    assert pinned(report) == TWO_PREEMPTIONS
+    assert not report.incomplete
+    assert report.violations == []
+    assert report.all_paths_terminal_ok
+
+
+@pytest.mark.parametrize("seed", sorted(WALKS))
+def test_walk_counters(seed):
+    report = random_walk(ladder_config("H,H,L", 2), seed, parse_args([]).max_steps,
+                         verify_invariants=True)
+    assert pinned(report) == WALKS[seed]
 
 
 @pytest.mark.parametrize("combo", sorted(FAULT_MATRIX, key=str), ids=str)

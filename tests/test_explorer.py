@@ -20,12 +20,14 @@ from schedcheck.explorer import (
     step,
 )
 from schedcheck.model import (
+    CtxState,
     KernelConfig,
     TaskKind,
     TaskState,
     UsageError,
     initial_state,
     snapshot,
+    symmetric_key,
 )
 
 H = TaskKind.HEAVY
@@ -268,11 +270,12 @@ class TestExplore:
 
     def test_dfs_agrees_with_independent_bfs(self):
         # the DFS frame bookkeeping against a trivially-correct BFS walker
+        # that prunes by explore's key
         from collections import deque
 
         for cfg in (LOST_WAKEUP, PREEMPT_BUG, CLEAN_SMALL):
             init = initial_state(cfg)
-            seen = {snapshot(init)}
+            seen = {symmetric_key(init)}
             quiescent_ok = 0
             frontier = deque([init])
             while frontier:
@@ -282,7 +285,7 @@ class TestExplore:
                     quiescent_ok += 1
                 for choice in options:
                     succ = step(state, choice)
-                    key = snapshot(succ)
+                    key = symmetric_key(succ)
                     if key not in seen:
                         seen.add(key)
                         if succ.violation is None:
@@ -527,6 +530,17 @@ class TestInvariantChecker:
         state = initial_state(CLEAN_SMALL)
         state.tcbs[0].in_queue = False
         assert check_invariants(state) is not None
+
+    @pytest.mark.parametrize("breakage", ["active", "mid_wait"])
+    def test_rejects_pooled_slot_that_is_not_free(self, breakage):
+        # symmetric_key relies on every pooled slot being interchangeable
+        state = initial_state(CLEAN_SMALL)
+        slot = state.slot(state.cores[1].context_pool[0])
+        if breakage == "active":
+            slot.ctx_state = CtxState.ACTIVE
+        else:
+            slot.saved_mid_wait = True
+        assert check_invariants(state) == f"slot {slot.id}: pooled on core 1 but not free"
 
     def test_rejects_duplicate_current_task(self):
         state = initial_state(CLEAN_SMALL)

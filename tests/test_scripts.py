@@ -33,4 +33,4 @@ def test_state_space_table():
     lines = run_script("state_space_table.py", "--plan", "H,L", "--max-bound", "0").splitlines()
     assert lines[0] == "plan=H,L workers=2"
     assert lines[1].split() == ["waits", "preempts", "states", "transitions", "depth", "seconds"]
-    assert lines[2].split()[:5] == ["0", "0", "34", "55", "8"]
+    assert lines[2].split()[:5] == ["0", "0", "19", "30", "8"]

@@ -1,0 +1,179 @@
+"""Worker-core symmetry: `explore` keys its visited set by
+`model.symmetric_key`, and must reach the same verdicts as the search
+keyed by the exact `snapshot`, which these tests restore as the reference
+by monkeypatching `explorer.symmetric_key`."""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from schedcheck import explorer
+from schedcheck.explorer import Limits, enabled, explore, random_walk
+from schedcheck.model import (
+    KernelConfig,
+    KernelState,
+    TaskKind,
+    initial_state,
+    snapshot,
+    symmetric_key,
+)
+
+H = TaskKind.HEAVY
+L = TaskKind.LIGHT
+
+EBS, SRS, SRC = "enqueue-before-state", "skip-resume-state", "skip-running-check"
+FAULTS = (EBS, SRS, SRC)
+
+ALL_COMBOS = tuple(
+    (fix_wait, fix_preempt, faults)
+    for fix_wait, fix_preempt in itertools.product((True, False), repeat=2)
+    for k in range(len(FAULTS) + 1)
+    for faults in itertools.combinations(FAULTS, k)
+)
+# The benchmark's fault matrix: every toggle both ways, each documented race.
+BENCH_COMBOS = (
+    (False, True, ()),
+    (True, False, ()),
+    (True, False, (EBS, SRC)),
+    (False, False, (EBS, SRC)),
+    (True, True, (SRS,)),
+    (True, True, (EBS, SRC)),
+    (False, False, (EBS, SRS, SRC)),
+    (True, True, ()),
+)
+# (task plan, workers, waits, preemptions) and the combos searched on it.
+PLANS = (
+    ((H, L), 2, 1, 1, ALL_COMBOS),
+    ((H, H), 2, 0, 2, ALL_COMBOS),
+    ((H, L), 3, 1, 1, BENCH_COMBOS),
+)
+CASES = [(plan, workers, waits, preemptions, combo)
+         for plan, workers, waits, preemptions, combos in PLANS for combo in combos]
+
+
+def config_for(plan, workers, waits, preemptions, combo) -> KernelConfig:
+    fix_wait, fix_preempt, faults = combo
+    return KernelConfig(
+        worker_count=workers,
+        task_plan=plan,
+        fix_wait_need_sched=fix_wait,
+        fix_preempt_need_sched=fix_preempt,
+        fault_enqueue_before_state=EBS in faults,
+        fault_skip_resume_state=SRS in faults,
+        fault_skip_running_check=SRC in faults,
+        max_waits_per_task=waits,
+        max_preemptions_per_task=preemptions,
+    )
+
+
+def outcome(report: explorer.ExplorationReport):
+    """What a reduction must keep: the (verdict, monitor current state,
+    symbol, task) set, deadlock presence, and the completeness flags."""
+    found = set()
+    for trace in report.violations:
+        err = trace.monitor_error
+        found.add((trace.verdict, None, None, None) if err is None else
+                  (trace.verdict, str(err.current_state), err.symbol.value, err.task))
+    deadlock = any(t.verdict == explorer.VERDICT_DEADLOCK for t in report.violations)
+    return found, deadlock, report.incomplete, report.all_paths_terminal_ok
+
+
+def case_id(case) -> str:
+    plan, workers, waits, preemptions, (fix_wait, fix_preempt, faults) = case
+    return (f"{','.join(k.value for k in plan)}/{workers}/w{waits}p{preemptions}"
+            f"-{'W' if fix_wait else 'w'}{'P' if fix_preempt else 'p'}"
+            f"-{'+'.join(faults) or 'none'}")
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_reduced_search_reaches_the_full_search_verdicts(case, monkeypatch):
+    config = config_for(*case)
+    limits = Limits(max_violations=10**9)
+    reduced = explore(config, limits, verify_invariants=True)
+    monkeypatch.setattr(explorer, "symmetric_key", snapshot)
+    full = explore(config, limits, verify_invariants=True)
+    assert outcome(reduced) == outcome(full)
+    assert reduced.states_visited <= full.states_visited
+    # the check symmetric_key relies on never fires on a reachable state
+    assert not any("pooled on core" in t.detail for t in full.violations)
+
+
+def renamed(state: KernelState, order: tuple[int, ...]) -> KernelState:
+    """Reference renaming, written against the record views: worker
+    order[k] becomes worker k + 1 and takes its block of context slots
+    along, and every worker and slot id is renamed to match."""
+    image = state.clone()
+    block = state.layout.slot_count // len(order)
+    core_to = {None: None, 0: 0} | {old: new for new, old in enumerate(order, 1)}
+
+    def slot_to(slot):
+        if slot is None:
+            return None
+        return (core_to[1 + slot // block] - 1) * block + slot % block
+
+    for old in order:
+        src, dst = state.core(old), image.core(core_to[old])
+        dst.current_task = src.current_task
+        dst.interrupt_flag = src.interrupt_flag
+        dst.pending_ipi = src.pending_ipi
+        dst.ipi_phase = src.ipi_phase
+        dst.active_context = slot_to(src.active_context)
+    for src in state.slots:
+        dst = image.slot(slot_to(src.id))
+        dst.ctx_state = src.ctx_state
+        dst.saved_pc = src.saved_pc
+        dst.saved_mid_wait = src.saved_mid_wait
+        dst.pool_core = core_to[src.pool_core]
+    for tcb in state.tcbs:
+        image.tcb(tcb.id).preempt_context = slot_to(tcb.preempt_context)
+    if state.decision is not None:
+        core, task = state.decision
+        image.decision = (core_to[core], task)
+    return image
+
+
+@pytest.mark.parametrize("config", [
+    KernelConfig(worker_count=3, task_plan=(H, L), max_waits_per_task=0),
+    KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0,
+                 fault_enqueue_before_state=True),
+], ids=["H,L/3-w0", "H,H/2-w0-ebs"])
+def test_key_is_one_renaming_of_the_state(config):
+    # over every reachable state, the key is the bytes of the state renamed
+    # by some permutation of its workers, and the identity keeps the bytes
+    orders = list(itertools.permutations(range(1, config.worker_count + 1)))
+    init = initial_state(config)
+    seen, frontier, renamings = {snapshot(init)}, [init], 0
+    while frontier:
+        state = frontier.pop()
+        key = symmetric_key(state)
+        assert key in {snapshot(renamed(state, order)) for order in orders}
+        renamings += key != snapshot(state)
+        for choice in enabled(state):
+            succ = explorer.step(state, choice)
+            exact = snapshot(succ)
+            if exact not in seen and succ.violation is None:
+                seen.add(exact)
+                frontier.append(succ)
+    assert renamings > 0
+    assert snapshot(renamed(init, orders[0])) == snapshot(init)
+
+
+def test_one_worker_key_is_the_snapshot():
+    state, steps = initial_state(KernelConfig(worker_count=1, task_plan=(H, L))), 0
+    while options := enabled(state):
+        state = explorer.step(state, options[-1])
+        assert symmetric_key(state) == snapshot(state)
+        steps += 1
+    assert steps > 5
+
+
+def test_walks_count_exact_states(monkeypatch):
+    # the key saves a walk nothing, since a walk rarely revisits a state
+    def not_in_walks(state):
+        raise AssertionError("random_walk called symmetric_key")
+
+    monkeypatch.setattr(explorer, "symmetric_key", not_in_walks)
+    config = KernelConfig(worker_count=3, task_plan=(H, H, L))
+    assert random_walk(config, 1, 1000, verify_invariants=True).states_visited > 1
