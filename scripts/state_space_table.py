@@ -2,8 +2,8 @@
 """Tabulate state-space sizes across workload bounds.
 
 Shows how the wait and preemption bounds drive the reachable graph. The
-counts are `explore`'s: states up to a renaming of worker cores, searched
-with invariants checked as the CLI checks them. Each configuration must
+counts are `explore`'s: states up to a renaming of worker cores, each
+checked against the structural invariants. Each configuration must
 stay clean; one that does not is named on stderr and the script exits 1.
 Useful when picking bounds small enough to explore exhaustively but large
 enough to express a bug.
@@ -42,7 +42,7 @@ def main() -> int:
                 max_preemptions_per_task=preemptions,
             )
             start = time.monotonic()
-            report = explore(config, verify_invariants=True)
+            report = explore(config)
             elapsed = time.monotonic() - start
             if report.violations:
                 print(f"waits={waits} preemptions={preemptions}: clean configuration "

@@ -20,7 +20,7 @@ from .explorer import (
     ReplayError,
     ScheduleStep,
     Trace,
-    _step_of,
+    VirtualProcess,
     explore,
     random_walk,
     replay_all,
@@ -205,7 +205,7 @@ def step_from_dict(doc: object) -> ScheduleStep:
         raise ConfigurationError(f"step core must be int or null, not {core!r}")
     if not _is_a(variant, int):
         raise ConfigurationError(f"step variant must be int, not {variant!r}")
-    return _step_of(process, core, variant)
+    return ScheduleStep(VirtualProcess(process, core), variant)
 
 
 def violations_from_doc(
@@ -339,12 +339,12 @@ def _limits(args: argparse.Namespace) -> Limits:
 
 
 def _run_explore(config: KernelConfig, limits: Limits) -> dict:
-    report = explore(config, limits, verify_invariants=True)
+    report = explore(config, limits)
     return report_to_doc(report, "explore")
 
 
 def _run_walk(config: KernelConfig, args: argparse.Namespace) -> dict:
-    report = random_walk(config, args.seed, args.max_steps, verify_invariants=True)
+    report = random_walk(config, args.seed, args.max_steps)
     return report_to_doc(report, "walk", seed=args.seed)
 
 
@@ -358,7 +358,7 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
     config = config_from_args(args, base=base)
     results = []
     worst = EXIT_OK
-    replays = replay_all(config, (steps for _, steps in violations), verify_invariants=True)
+    replays = replay_all(config, (steps for _, steps in violations))
     for (verdict, _), result in zip(violations, replays):
         if isinstance(result, ReplayError):
             results.append({"expected": verdict, "reproduced": None,

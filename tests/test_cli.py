@@ -23,7 +23,9 @@ from schedcheck.cli import (
     report_to_doc,
     step_from_dict,
     step_to_dict,
+    violations_from_doc,
 )
+from schedcheck import explorer
 from schedcheck.explorer import ScheduleStep, VirtualProcess, explore
 from schedcheck.model import ConfigurationError, KernelConfig, TaskKind
 
@@ -88,10 +90,15 @@ class TestDocuments:
         step = ScheduleStep(VirtualProcess("Worker", 2), 0)
         assert step_from_dict(step_to_dict(step)) == step
 
-    def test_parsed_steps_are_the_shared_enabled_steps(self):
-        steps = explore(KernelConfig(fix_wait_need_sched=False)).violations[0].steps
-        for step in steps:
-            assert step_from_dict(step_to_dict(step)) is step
+    def test_parsing_a_report_does_not_grow_the_step_cache(self):
+        # a replayed document is untrusted: its steps must not be interned
+        # in the process-wide cache behind enabled()
+        steps = [{"process": "Worker", "core": 1, "variant": 10**12 + i} for i in range(1000)]
+        before = explorer._step_of.cache_info().currsize
+        _, violations = violations_from_doc({"violations": [{"verdict": "Deadlock",
+                                                             "steps": steps}]})
+        assert len(set(violations[0][1])) == 1000
+        assert explorer._step_of.cache_info().currsize == before
 
     def test_report_json_round_trip(self):
         cfg = KernelConfig(

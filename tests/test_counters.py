@@ -8,6 +8,7 @@ the exact `snapshot` key, and the walk pins hold `random_walk` to it."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -22,18 +23,22 @@ L = TaskKind.LIGHT
 
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
-    ("H,L,L", 2): (3138, 8404, 27, 6),
-    ("H,H", 2): (13498, 36825, 35, 64),
-    ("H,L,L", 3): (5142, 16465, 27, 10),
+    ("H,L,L", 2): (2443, 6778, 27, 4),
+    ("H,H", 2): (7253, 20705, 35, 16),
+    ("H,L,L", 3): (3520, 11864, 27, 4),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
-    ("H,L,L", 2): (6156, 16549, 27, 8),
-    ("H,H", 2): (26314, 72145, 35, 76),
-    ("H,L,L", 3): (26803, 86757, 27, 16),
+    ("H,L,L", 2): (4754, 13274, 27, 4),
+    ("H,H", 2): (13944, 39993, 35, 16),
+    ("H,L,L", 3): (17847, 60945, 27, 4),
 }
-# H,L,L/2 with two preemptions per heavy task: complete and clean.
-TWO_PREEMPTIONS = (8733, 24138, 33, 12)
+# Rungs with two preemptions per heavy task: complete and clean.
+TWO_PREEMPTIONS = {
+    ("H,L,L", 2): (4626, 12994, 33, 6),
+    ("H,H", 2): (22137, 64269, 47, 36),
+    ("H,L,L", 3): (6630, 22603, 33, 6),
+}
 
 # Seeded walks of H,H,L/2 under the CLI's step budget, keyed by seed.
 WALKS = {1: (35, 34, 34, 1), 6: (29, 28, 28, 1)}
@@ -44,14 +49,14 @@ FAULTS = (EBS, SRS, SRC)
 # Every fix/fault combination on H,L,L/2 under the CLI's default limits,
 # keyed by (fix_wait, fix_preempt, faults).
 FAULT_MATRIX = {
-    (True, True, ()): (3138, 8404, 27, 6),
-    (True, True, (EBS,)): (3218, 8650, 27, 6),
-    (True, True, (SRS,)): (62, 76, 21, 0),
-    (True, True, (SRC,)): (3138, 8404, 27, 6),
-    (True, True, (EBS, SRS)): (62, 76, 21, 0),
-    (True, True, (EBS, SRC)): (1623, 3872, 27, 6),
-    (True, True, (SRS, SRC)): (62, 76, 21, 0),
-    (True, True, (EBS, SRS, SRC)): (62, 76, 21, 0),
+    (True, True, ()): (2443, 6778, 27, 4),
+    (True, True, (EBS,)): (2523, 7024, 27, 4),
+    (True, True, (SRS,)): (109, 173, 21, 0),
+    (True, True, (SRC,)): (2443, 6778, 27, 4),
+    (True, True, (EBS, SRS)): (109, 174, 21, 0),
+    (True, True, (EBS, SRC)): (1218, 2981, 27, 4),
+    (True, True, (SRS, SRC)): (109, 173, 21, 0),
+    (True, True, (EBS, SRS, SRC)): (109, 172, 21, 0),
     (True, False, ()): (54, 77, 15, 0),
     (True, False, (EBS,)): (56, 75, 16, 0),
     (True, False, (SRS,)): (54, 77, 15, 0),
@@ -60,14 +65,14 @@ FAULT_MATRIX = {
     (True, False, (EBS, SRC)): (55, 71, 16, 0),
     (True, False, (SRS, SRC)): (54, 77, 15, 0),
     (True, False, (EBS, SRS, SRC)): (55, 71, 16, 0),
-    (False, True, ()): (994, 2131, 24, 2),
-    (False, True, (EBS,)): (1004, 2161, 24, 2),
-    (False, True, (SRS,)): (62, 76, 21, 0),
-    (False, True, (SRC,)): (994, 2131, 24, 2),
-    (False, True, (EBS, SRS)): (62, 76, 21, 0),
-    (False, True, (EBS, SRC)): (979, 2095, 24, 2),
-    (False, True, (SRS, SRC)): (62, 76, 21, 0),
-    (False, True, (EBS, SRS, SRC)): (62, 76, 21, 0),
+    (False, True, ()): (579, 1231, 24, 1),
+    (False, True, (EBS,)): (589, 1261, 24, 1),
+    (False, True, (SRS,)): (109, 173, 21, 0),
+    (False, True, (SRC,)): (579, 1231, 24, 1),
+    (False, True, (EBS, SRS)): (109, 174, 21, 0),
+    (False, True, (EBS, SRC)): (580, 1242, 24, 1),
+    (False, True, (SRS, SRC)): (109, 173, 21, 0),
+    (False, True, (EBS, SRS, SRC)): (109, 172, 21, 0),
     (False, False, ()): (54, 77, 15, 0),
     (False, False, (EBS,)): (56, 75, 16, 0),
     (False, False, (SRS,)): (54, 77, 15, 0),
@@ -90,7 +95,7 @@ def pinned(report: explorer.ExplorationReport) -> tuple[int, int, int, int]:
 
 
 def counters(config: KernelConfig) -> tuple[int, int, int, int]:
-    return pinned(explore(config, cli_default_limits(), verify_invariants=True))
+    return pinned(explore(config, cli_default_limits()))
 
 
 def ladder_config(plan: str, workers: int) -> KernelConfig:
@@ -119,10 +124,11 @@ def test_exact_key_ladder_counters(plan, workers, monkeypatch):
     assert counters(ladder_config(plan, workers)) == EXACT_LADDER[plan, workers]
 
 
-def test_two_preemption_rung_is_complete_and_clean():
-    config = KernelConfig(max_preemptions_per_task=2)
-    report = explore(config, cli_default_limits(), verify_invariants=True)
-    assert pinned(report) == TWO_PREEMPTIONS
+@pytest.mark.parametrize("plan,workers", sorted(TWO_PREEMPTIONS))
+def test_two_preemption_rung_is_complete_and_clean(plan, workers):
+    config = dataclasses.replace(ladder_config(plan, workers), max_preemptions_per_task=2)
+    report = explore(config, cli_default_limits())
+    assert pinned(report) == TWO_PREEMPTIONS[plan, workers]
     assert not report.incomplete
     assert report.violations == []
     assert report.all_paths_terminal_ok
@@ -130,8 +136,7 @@ def test_two_preemption_rung_is_complete_and_clean():
 
 @pytest.mark.parametrize("seed", sorted(WALKS))
 def test_walk_counters(seed):
-    report = random_walk(ladder_config("H,H,L", 2), seed, parse_args([]).max_steps,
-                         verify_invariants=True)
+    report = random_walk(ladder_config("H,H,L", 2), seed, parse_args([]).max_steps)
     assert pinned(report) == WALKS[seed]
 
 

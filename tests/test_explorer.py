@@ -20,7 +20,6 @@ from schedcheck.explorer import (
     step,
 )
 from schedcheck.model import (
-    CtxState,
     KernelConfig,
     TaskKind,
     TaskState,
@@ -164,7 +163,7 @@ class TestStep:
 
 class TestExplore:
     def test_clean_config_has_no_violations(self):
-        report = explore(CLEAN_SMALL, verify_invariants=True)
+        report = explore(CLEAN_SMALL)
         assert report.violations == []
         assert report.all_paths_terminal_ok is True
         assert report.incomplete is False
@@ -257,14 +256,14 @@ class TestExplore:
         assert report.quiescent_ok > 0  # each quiescent state had all 3 terminal
 
     def test_invariants_hold_on_clean_runs(self):
-        report = explore(CLEAN_SMALL, verify_invariants=True)
+        report = explore(CLEAN_SMALL)
         assert all(t.verdict != "AssertionFailure" for t in report.violations)
 
     def test_two_heavy_tasks_stay_clean(self):
         # regression: a stale decision landing on a wake-flagged task with no
         # preemption budget left must cancel, not overrun the bound
         cfg = KernelConfig(worker_count=2, task_plan=(H, H))
-        report = explore(cfg, verify_invariants=True)
+        report = explore(cfg)
         assert report.violations == []
         assert report.all_paths_terminal_ok is True
 
@@ -307,13 +306,13 @@ class TestExplore:
                 fault_skip_resume_state=fr,
                 fault_skip_running_check=fs,
             )
-            report = explore(cfg, Limits(max_violations=4000), verify_invariants=True)
+            report = explore(cfg, Limits(max_violations=4000))
             assert not report.incomplete
             clean = fw and fp and not (fe or fr or fs)
             if clean:
                 assert report.violations == []
             for trace in report.violations:
-                result = replay(cfg, trace.steps, verify_invariants=True)
+                result = replay(cfg, trace.steps)
                 assert result.verdict == trace.verdict
 
     def test_walk_violations_replay_across_toggle_matrix(self):
@@ -329,9 +328,9 @@ class TestExplore:
                 fault_skip_running_check=fs,
             )
             for seed in range(10):
-                report = random_walk(cfg, seed, 5000, verify_invariants=True)
+                report = random_walk(cfg, seed, 5000)
                 for trace in report.violations:
-                    result = replay(cfg, trace.steps, verify_invariants=True)
+                    result = replay(cfg, trace.steps)
                     assert result.verdict == trace.verdict
                     replayed += 1
         assert replayed > 0
@@ -423,8 +422,8 @@ class TestReplay:
                 fault_skip_resume_state=toggles[3],
                 fault_skip_running_check=toggles[4],
             )
-            for trace in explore(cfg, Limits(), verify_invariants=True).violations:
-                again = replay(cfg, trace.steps, verify_invariants=True)
+            for trace in explore(cfg, Limits()).violations:
+                again = replay(cfg, trace.steps)
                 assert again.steps == trace.steps
                 assert again.annotations == trace.annotations
                 assert again.verdict == trace.verdict
@@ -478,14 +477,14 @@ class TestReachableStateProperties:
 
         def check(state):
             # between the save-context and set-state handler steps the task
-            # briefly holds a context while still Running; the equivalence is
-            # claimed only once the handler has finished
+            # briefly holds a saved context while still Running; the
+            # equivalence is claimed only once the handler has finished
             if any(c.ipi_phase is not None for c in state.cores):
                 return
             for t in state.tcbs:
                 assert (t.state is TaskState.PREEMPTED) == (
-                    t.preempt_context is not None
-                ), f"task {t.id}: {t.state} with context {t.preempt_context}"
+                    t.saved_pc is not None
+                ), f"task {t.id}: {t.state} with saved pc {t.saved_pc}"
 
         assert self._walk_all_states(cfg, check) > 0
 
@@ -530,17 +529,6 @@ class TestInvariantChecker:
         state = initial_state(CLEAN_SMALL)
         state.tcbs[0].in_queue = False
         assert check_invariants(state) is not None
-
-    @pytest.mark.parametrize("breakage", ["active", "mid_wait"])
-    def test_rejects_pooled_slot_that_is_not_free(self, breakage):
-        # symmetric_key relies on every pooled slot being interchangeable
-        state = initial_state(CLEAN_SMALL)
-        slot = state.slot(state.cores[1].context_pool[0])
-        if breakage == "active":
-            slot.ctx_state = CtxState.ACTIVE
-        else:
-            slot.saved_mid_wait = True
-        assert check_invariants(state) == f"slot {slot.id}: pooled on core 1 but not free"
 
     def test_rejects_duplicate_current_task(self):
         state = initial_state(CLEAN_SMALL)

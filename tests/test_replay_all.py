@@ -45,7 +45,7 @@ def reports() -> tuple[tuple[KernelConfig, tuple[tuple[ScheduleStep, ...], ...]]
             fault_skip_resume_state=toggles[3],
             fault_skip_running_check=toggles[4],
         )
-        schedules = tuple(t.steps for t in explore(cfg, Limits(), verify_invariants=True).violations)
+        schedules = tuple(t.steps for t in explore(cfg, Limits()).violations)
         if schedules:
             out.append((cfg, schedules))
     return tuple(out)
@@ -96,11 +96,11 @@ def schedule_lists(draw):
 @given(case=schedule_lists())
 def test_replay_all_agrees_with_replay_of_each_schedule(case):
     cfg, schedules = case
-    results = list(replay_all(cfg, schedules, verify_invariants=True))
+    results = list(replay_all(cfg, schedules))
     assert len(results) == len(schedules)
     for steps, result in zip(schedules, results):
         try:
-            alone = replay(cfg, steps, verify_invariants=True)
+            alone = replay(cfg, steps)
         except ReplayError as exc:
             assert type(result) is type(exc)
             assert str(result) == str(exc)
