@@ -219,6 +219,7 @@ class TestGetNextTask:
         state.tcbs[0].in_queue = True
         mon_before = state.monitors.get(0).current
         state.get_next_task(2)
+        assert state.step_label == "worker 2: task 0 still running, requeued"
         assert state.cores[2].current_task is None
         assert state.run_queue.as_tuple() == (0,)
         assert state.monitors.get(0).current == mon_before
@@ -291,6 +292,7 @@ class TestPollStep:
         run_until_running(state)
         state.tcbs[0].script = (Action.PANIC,)
         state.poll_step(1)
+        assert state.step_label == "worker 1: task 0 panics"
         assert state.tcbs[0].state is TaskState.PANICKED
         assert state.cores[1].current_task is None
         assert str(state.monitors.get(0).current) == "Panicked(*)"
@@ -368,7 +370,19 @@ class TestPreemption:
         state.get_next_task(1)  # task 1 starts: need_sched false
         state.send_ipi()
         state.handle_ipi_step(1)
+        assert state.step_label == "core 1: IPI canceled (task 1 need_sched clear)"
         assert state.tcbs[1].state is TaskState.RUNNING
+        assert state.preempt_in_flight is False
+
+    def test_handle_cancels_when_budget_spent(self):
+        state = self.make_running_heavy()
+        state.preempt_decide(1)
+        state.send_ipi()
+        state.tcbs[0].remaining_preemptions = 0
+        state.handle_ipi_step(1)
+        assert state.step_label == "core 1: IPI canceled (task 0 budget spent)"
+        assert state.tcbs[0].state is TaskState.RUNNING
+        assert state.tcbs[0].saved_pc is None
         assert state.preempt_in_flight is False
 
     def test_handle_without_fix_preempts_the_newcomer(self):
