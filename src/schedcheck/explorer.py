@@ -317,7 +317,7 @@ def _trace(
         verdict=verdict,
         monitor_error=final.violation,
         final_task_states=_task_state_summary(final),
-        final_queue=final.run_queue.as_tuple(),
+        final_queue=final.run_queue,
         detail=detail,
     )
 

@@ -56,9 +56,6 @@ class TaskState(Coded):
     PANICKED = "Panicked"
 
 
-TERMINAL_STATES = frozenset({TaskState.TERMINATED, TaskState.PANICKED})
-
-
 class TaskKind(Enum):
     LIGHT = "L"
     HEAVY = "H"
@@ -140,9 +137,10 @@ IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
 # decision aimed at the core. No field names a core.
 C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(6)
 
-RUNNING = TaskState.RUNNING.code
-PREEMPTED = TaskState.PREEMPTED.code
-TERMINAL_CODES = frozenset(s.code for s in TERMINAL_STATES)
+# Codes of task states and handler phases, as the array stores them.
+RUNNABLE, RUNNING, WAITING, PREEMPTED, TERMINATED, PANICKED = (s.code for s in TaskState)
+TERMINAL_CODES = frozenset({TERMINATED, PANICKED})
+CTX_SAVED, STATED, ENQUEUED = (p.code for p in IpiPhase)
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
 # a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
@@ -296,60 +294,13 @@ class CoreState:
     decision = _optional_field(C_DECISION)  # observed task id of a decision not yet sent
 
 
-class RunQueue:
-    """Bounded FIFO of task ids with no duplicates: a length cell followed by
-    `capacity` id cells. Built on its own, it owns its buffer."""
-
-    __slots__ = ("capacity", "_buf", "_at")
-
-    def __init__(
-        self, capacity: int, items: tuple[int, ...] = (), *,
-        buf: array | None = None, at: int = 0,
-    ) -> None:
-        self.capacity = capacity
-        self._buf = array("q", [0]) * (capacity + 1) if buf is None else buf
-        self._at = at
-        for task in items:
-            self.push_back(task)
-
-    def push_back(self, task: int) -> None:
-        buf, at = self._buf, self._at
-        length = buf[at]
-        if task in buf[at + 1:at + 1 + length]:
-            raise UsageError(f"task {task} already queued")
-        if length >= self.capacity:
-            raise UsageError("run queue over capacity")
-        buf[at + 1 + length] = task
-        buf[at] = length + 1
-
-    def pop_front(self) -> int:
-        buf, at = self._buf, self._at
-        length = buf[at]
-        if not length:
-            raise UsageError("pop from empty run queue")
-        task = buf[at + 1]
-        buf[at + 1:at + length] = buf[at + 2:at + 1 + length]
-        buf[at + length] = 0
-        buf[at] = length - 1
-        return task
-
-    def __len__(self) -> int:
-        return self._buf[self._at]
-
-    def __contains__(self, task: int) -> bool:
-        return task in self.as_tuple()
-
-    def as_tuple(self) -> tuple[int, ...]:
-        at = self._at
-        return tuple(self._buf[at + 1:at + 1 + self._buf[at]])
-
-
 class KernelState:
     """The complete shared world, including the monitors observing it.
 
-    `buf` holds the state's value (see Layout); the record views tcbs,
-    cores and run_queue read and write it in place. Beside
-    it are the task scripts, the monitors' history chain, and the step
+    `buf` holds the state's value (see Layout), and the operations read
+    and write it by record offset. The views tcbs and cores, and the tuple
+    run_queue, are accessors for tests and trace summaries. Beside `buf`
+    are the task scripts, the monitors' history chain, and the step
     bookkeeping: mutating operations record a human-readable label and any
     monitor lines for the step just executed in step_label / step_lines;
     the first monitor violation of a step lands in `violation`.
@@ -387,10 +338,6 @@ class KernelState:
     def preempt_in_flight(self) -> bool:
         return self.buf[IN_FLIGHT] == 1
 
-    @preempt_in_flight.setter
-    def preempt_in_flight(self, value: bool) -> None:
-        self.buf[IN_FLIGHT] = 1 if value else 0
-
     @property
     def decision(self) -> tuple[int, int] | None:
         """(target core, observed task) of the recorded preemption decision."""
@@ -404,10 +351,6 @@ class KernelState:
     def spawn_cursor(self) -> int:
         return self.buf[SPAWN_CURSOR]
 
-    @spawn_cursor.setter
-    def spawn_cursor(self, value: int) -> None:
-        self.buf[SPAWN_CURSOR] = value
-
     @property
     def tcbs(self) -> list[TaskControlBlock]:
         return [TaskControlBlock(self, task) for task in range(self.spawn_cursor)]
@@ -417,24 +360,9 @@ class KernelState:
         return [CoreState(self, core) for core in range(self.layout.core_count)]
 
     @property
-    def run_queue(self) -> RunQueue:
-        return RunQueue(self.layout.task_count, buf=self.buf, at=QUEUE_LEN)
-
-    def tcb(self, task: int) -> TaskControlBlock:
-        if not 0 <= task < self.spawn_cursor:
-            raise ConfigurationError(f"unknown task id {task}")
-        return TaskControlBlock(self, task)
-
-    def core(self, core_id: int) -> CoreState:
-        if not 0 <= core_id < self.layout.core_count:
-            raise UsageError(f"no core {core_id}")
-        return CoreState(self, core_id)
-
-    def worker(self, core_id: int) -> CoreState:
-        core = self.core(core_id)
-        if core_id == 0:
-            raise UsageError(f"core {core_id} is not a worker")
-        return core
+    def run_queue(self) -> tuple[int, ...]:
+        """The queued task ids, head first."""
+        return tuple(self.buf[QUEUE:QUEUE + self.buf[QUEUE_LEN]])
 
     def all_tasks_terminal(self) -> bool:
         tasks = self.layout.tasks
@@ -454,13 +382,34 @@ class KernelState:
         if violation is not None and self.violation is None:
             self.violation = violation
 
+    def _worker(self, core_id: int) -> int:
+        """Offset of worker core `core_id`'s record."""
+        if not 0 < core_id < self.layout.core_count:
+            raise UsageError(f"core {core_id} is not a worker")
+        return self.layout.cores + core_id * CORE_WIDTH
+
     def _enqueue(self, task: int) -> None:
-        self.run_queue.push_back(task)
-        self.tcb(task).in_queue = True
+        """Append `task` to the run queue, a bounded FIFO without duplicates."""
+        buf = self.buf
+        length = buf[QUEUE_LEN]
+        if task in buf[QUEUE:QUEUE + length]:
+            raise UsageError(f"task {task} already queued")
+        if length >= self.layout.task_count:
+            raise UsageError("run queue over capacity")
+        buf[QUEUE + length] = task
+        buf[QUEUE_LEN] = length + 1
+        buf[self.layout.tasks + task * TASK_WIDTH + T_IN_QUEUE] = 1
 
     def _dequeue(self) -> int:
-        task = self.run_queue.pop_front()
-        self.tcb(task).in_queue = False
+        buf = self.buf
+        length = buf[QUEUE_LEN]
+        if not length:
+            raise UsageError("run queue is empty")
+        task = buf[QUEUE]
+        buf[QUEUE:QUEUE + length - 1] = buf[QUEUE + 1:QUEUE + length]
+        buf[QUEUE + length - 1] = 0
+        buf[QUEUE_LEN] = length - 1
+        buf[self.layout.tasks + task * TASK_WIDTH + T_IN_QUEUE] = 0
         return task
 
     # -- operations ---------------------------------------------------
@@ -468,34 +417,37 @@ class KernelState:
     def spawn_next(self) -> int:
         """Create the next planned task and return its id; it is woken
         immediately, so it lands Runnable in the run queue."""
-        if self.spawn_cursor >= self.layout.task_count:
+        buf, layout = self.buf, self.layout
+        task = buf[SPAWN_CURSOR]
+        if task >= layout.task_count:
             raise UsageError("every planned task is spawned")
-        task_id = self.spawn_cursor
-        kind = self.config.task_plan[task_id]
-        self.begin_step(f"spawn task {task_id} ({kind.value})")
-        self.spawn_cursor += 1
-        tcb = self.tcb(task_id)
-        tcb.state = TaskState.RUNNABLE
-        if kind is TaskKind.HEAVY:
-            tcb.remaining_waits = self.config.max_waits_per_task
-            tcb.remaining_preemptions = self.config.max_preemptions_per_task
-        self.monitors.register(task_id)
-        self._fire_event(task_id, Event.SPAWN)
-        self._enqueue(task_id)
-        self._fire_event(task_id, Event.WAKE)
-        return task_id
+        self.begin_step(f"spawn task {task} ({self.config.task_plan[task].value})")
+        buf[SPAWN_CURSOR] = task + 1
+        at = layout.tasks + task * TASK_WIDTH
+        buf[at + T_STATE] = RUNNABLE
+        if layout.heavy[task]:
+            buf[at + T_WAITS] = self.config.max_waits_per_task
+            buf[at + T_PREEMPTIONS] = self.config.max_preemptions_per_task
+        self.monitors.register(task)
+        self._fire_event(task, Event.SPAWN)
+        self._enqueue(task)
+        self._fire_event(task, Event.WAKE)
+        return task
 
     def wake(self, task: int) -> None:
         """Timer callback: enqueue a waiting task; with the wait fix, flag a
         running one; ignore every other state."""
-        tcb = self.tcb(task)
-        if tcb.state is TaskState.WAITING:
-            tcb.state = TaskState.RUNNABLE
+        if not 0 <= task < self.buf[SPAWN_CURSOR]:
+            raise ConfigurationError(f"unknown task id {task}")
+        buf = self.buf
+        at = self.layout.tasks + task * TASK_WIDTH
+        if buf[at + T_STATE] == WAITING:
+            buf[at + T_STATE] = RUNNABLE
             self._enqueue(task)
             self._fire_event(task, Event.WAKE)
-        elif tcb.state is TaskState.RUNNING:
+        elif buf[at + T_STATE] == RUNNING:
             if self.config.fix_wait_need_sched:
-                tcb.need_sched = True
+                buf[at + T_NEED_SCHED] = 1
                 self._fire_event(task, Event.SET_NEED_SCHED)
             # without the fix the call is silently dropped
         # Runnable / Preempted / Terminated / Panicked: ignore
@@ -521,37 +473,33 @@ class KernelState:
         by fault toggle; a head with a saved context resumes from its
         saved progress.
         """
-        core = self.worker(core_id)
-        if core.current_task is not None:
-            raise UsageError(f"core {core_id} already runs task {core.current_task}")
-        assert not core.interrupt_flag, "fetch with interrupt flag set"
-        if len(self.run_queue) == 0:
-            raise UsageError("run queue is empty")
+        core = self._worker(core_id)
+        buf = self.buf
+        if buf[core + C_CURRENT] >= 0:
+            raise UsageError(f"core {core_id} already runs task {buf[core + C_CURRENT]}")
+        assert not buf[core + C_INTERRUPT], "fetch with interrupt flag set"
         task = self._dequeue()
-        tcb = self.tcb(task)
-        if (
-            tcb.state is TaskState.RUNNING
-            and not self.config.fault_skip_running_check
-        ):
+        at = self.layout.tasks + task * TASK_WIDTH
+        if buf[at + T_STATE] == RUNNING and not self.config.fault_skip_running_check:
             self.begin_step(f"worker {core_id}: task {task} still running, requeued")
             self._enqueue(task)
             return
-        saved_pc = tcb.saved_pc
-        if saved_pc is not None:
+        saved_pc = buf[at + T_SAVED_PC]
+        if saved_pc >= 0:
             self.begin_step(f"worker {core_id}: resume task {task} at pc {saved_pc}")
-            tcb.pc = saved_pc
-            tcb.pending_wait = tcb.saved_mid_wait
-            tcb.saved_pc = None
-            tcb.saved_mid_wait = False
-            tcb.need_sched = False
-            core.current_task = task
+            buf[at + T_PC] = saved_pc
+            buf[at + T_PENDING_WAIT] = buf[at + T_SAVED_MID_WAIT]
+            buf[at + T_SAVED_PC] = -1
+            buf[at + T_SAVED_MID_WAIT] = 0
+            buf[at + T_NEED_SCHED] = 0
+            buf[core + C_CURRENT] = task
             if not self.config.fault_skip_resume_state:
-                tcb.state = TaskState.RUNNING
+                buf[at + T_STATE] = RUNNING
                 self._fire_event(task, Event.GET_NEXT)
             return
         self.begin_step(f"worker {core_id}: start task {task}")
-        tcb.state = TaskState.RUNNING
-        core.current_task = task
+        buf[at + T_STATE] = RUNNING
+        buf[core + C_CURRENT] = task
         self._fire_event(task, Event.GET_NEXT)
 
     def poll_step(self, core_id: int) -> None:
@@ -561,30 +509,29 @@ class KernelState:
         registration, then the waiting transition, which re-enqueues
         immediately instead when need_sched was set in between.
         """
-        core = self.worker(core_id)
-        if core.current_task is None:
+        core = self._worker(core_id)
+        buf, config = self.buf, self.config
+        task = buf[core + C_CURRENT]
+        if task < 0:
             raise UsageError(f"core {core_id} has no current task")
-        task = core.current_task
-        tcb = self.tcb(task)
-        runnable_here = tcb.state is TaskState.RUNNING or (
-            self.config.fault_skip_resume_state and tcb.state is TaskState.PREEMPTED
-        )
-        if not runnable_here:
-            raise UsageError(f"task {task} is not running (state {tcb.state.value})")
+        at = self.layout.tasks + task * TASK_WIDTH
+        state = buf[at + T_STATE]
+        if not (state == RUNNING or (config.fault_skip_resume_state and state == PREEMPTED)):
+            raise UsageError(f"task {task} is not running (state {tuple(TaskState)[state].value})")
 
-        if tcb.pending_wait:
+        if buf[at + T_PENDING_WAIT]:
             # second half of RegisterTimerAndPend
-            tcb.pending_wait = False
-            tcb.remaining_waits -= 1
-            core.current_task = None
-            fix = self.config.fix_wait_need_sched
-            if fix and tcb.need_sched:
+            buf[at + T_PENDING_WAIT] = 0
+            buf[at + T_WAITS] -= 1
+            buf[core + C_CURRENT] = -1
+            fix = config.fix_wait_need_sched
+            if fix and buf[at + T_NEED_SCHED]:
                 self.begin_step(f"worker {core_id}: task {task} requeued (need_sched)")
-                tcb.need_sched = False
-                tcb.state = TaskState.RUNNABLE
+                buf[at + T_NEED_SCHED] = 0
+                buf[at + T_STATE] = RUNNABLE
                 self._enqueue(task)
                 self._fire_event(task, Event.POLL_PENDING)
-            elif fix and task not in self.fireable_timers():
+            elif fix and not buf[at + T_TIMER]:
                 # The wake already fired and was recorded in need_sched, but
                 # a preemption consumed the flag in between (it is cleared on
                 # resume). Complete the wait and re-deliver the wake at once,
@@ -592,35 +539,36 @@ class KernelState:
                 self.begin_step(
                     f"worker {core_id}: task {task} wait over (wake already delivered)"
                 )
-                tcb.state = TaskState.WAITING
+                buf[at + T_STATE] = WAITING
                 self._fire_event(task, Event.POLL_PENDING)
-                tcb.state = TaskState.RUNNABLE
+                buf[at + T_STATE] = RUNNABLE
                 self._enqueue(task)
                 self._fire_event(task, Event.WAKE)
             else:
                 self.begin_step(f"worker {core_id}: task {task} enters waiting")
-                tcb.state = TaskState.WAITING
+                buf[at + T_STATE] = WAITING
                 self._fire_event(task, Event.POLL_PENDING)
             return
 
-        action = tcb.script[tcb.pc]
+        pc = buf[at + T_PC]
+        action = self.scripts[task][pc]
         if action is Action.COMPUTE:
-            self.begin_step(f"worker {core_id}: task {task} compute (pc {tcb.pc})")
-            tcb.pc += 1
+            self.begin_step(f"worker {core_id}: task {task} compute (pc {pc})")
+            buf[at + T_PC] = pc + 1
         elif action is Action.REGISTER_TIMER_AND_PEND:
             self.begin_step(f"worker {core_id}: task {task} registers timer")
-            self.buf[self.layout.tasks + task * TASK_WIDTH + T_TIMER] = 1
-            tcb.pc += 1
-            tcb.pending_wait = True
+            buf[at + T_TIMER] = 1
+            buf[at + T_PC] = pc + 1
+            buf[at + T_PENDING_WAIT] = 1
         elif action is Action.FINISH:
             self.begin_step(f"worker {core_id}: task {task} finishes")
-            tcb.state = TaskState.TERMINATED
-            core.current_task = None
+            buf[at + T_STATE] = TERMINATED
+            buf[core + C_CURRENT] = -1
             self._fire_event(task, Event.POLL_READY)
         elif action is Action.PANIC:
             self.begin_step(f"worker {core_id}: task {task} panics")
-            tcb.state = TaskState.PANICKED
-            core.current_task = None
+            buf[at + T_STATE] = PANICKED
+            buf[core + C_CURRENT] = -1
             self._fire_event(task, Event.PANIC)
 
     def preempt_candidates(self) -> list[int]:
@@ -639,32 +587,35 @@ class KernelState:
     def preempt_decide(self, core_id: int) -> None:
         """Record a preemption decision for a core; with the preempt fix the
         observed task's need_sched is set now, ahead of any IPI."""
-        if self.preempt_in_flight:
+        buf = self.buf
+        if buf[IN_FLIGHT]:
             raise UsageError("a preemption is already in flight")
         if core_id not in self.preempt_candidates():
             raise UsageError(f"core {core_id} is not a preemption candidate")
-        task = self.core(core_id).current_task
-        assert task is not None
+        core = self.layout.cores + core_id * CORE_WIDTH
+        task = buf[core + C_CURRENT]
         self.begin_step(f"preempt decide: core {core_id} task {task}")
-        self.core(core_id).decision = task
-        self.preempt_in_flight = True
+        buf[core + C_DECISION] = task
+        buf[IN_FLIGHT] = 1
         if self.config.fix_preempt_need_sched:
-            self.tcb(task).need_sched = True
+            buf[self.layout.tasks + task * TASK_WIDTH + T_NEED_SCHED] = 1
             self._fire_event(task, Event.SET_NEED_SCHED)
 
     def send_ipi(self) -> None:
         """Deliver the recorded decision to its target core; deliberately a
         separate step from the decision itself."""
-        if self.decision is None:
+        decision = self.decision
+        if decision is None:
             raise UsageError("no preemption decision recorded")
-        target, observed = self.decision
-        core = self.core(target)
-        if core.pending_ipi is not None:
+        target, observed = decision
+        buf = self.buf
+        core = self.layout.cores + target * CORE_WIDTH
+        if buf[core + C_PENDING_IPI] >= 0:
             raise UsageError(f"core {target} already has a pending IPI")
         self.begin_step(f"send IPI to core {target} (observed task {observed})")
-        core.pending_ipi = observed
-        core.interrupt_flag = True
-        core.decision = None
+        buf[core + C_PENDING_IPI] = observed
+        buf[core + C_INTERRUPT] = 1
+        buf[core + C_DECISION] = -1
 
     def handle_ipi_step(self, core_id: int) -> None:
         """Run the core's next preemption-handler step.
@@ -676,64 +627,65 @@ class KernelState:
         enqueue-before-state fault flips. need_sched is not cleared
         here; it is cleared when the task resumes.
         """
-        core = self.worker(core_id)
-        if core.ipi_phase is None:
-            if core.pending_ipi is None:
+        core = self._worker(core_id)
+        buf, config = self.buf, self.config
+        task = buf[core + C_CURRENT]
+        phase = buf[core + C_IPI_PHASE]
+        if phase < 0:
+            if buf[core + C_PENDING_IPI] < 0:
                 raise UsageError(f"core {core_id} has no pending IPI")
-            core.pending_ipi = None
-            core.interrupt_flag = False
-            task = core.current_task
-            if task is None:
+            buf[core + C_PENDING_IPI] = -1
+            buf[core + C_INTERRUPT] = 0
+            if task < 0:
                 self.begin_step(f"core {core_id}: IPI canceled (idle core)")
-                self.preempt_in_flight = False
+                buf[IN_FLIGHT] = 0
                 return
-            tcb = self.tcb(task)
-            if self.config.fix_preempt_need_sched and not tcb.need_sched:
+            at = self.layout.tasks + task * TASK_WIDTH
+            if config.fix_preempt_need_sched and not buf[at + T_NEED_SCHED]:
                 self.begin_step(
                     f"core {core_id}: IPI canceled (task {task} need_sched clear)"
                 )
-                self.preempt_in_flight = False
+                buf[IN_FLIGHT] = 0
                 return
-            if self.config.fix_preempt_need_sched and tcb.remaining_preemptions <= 0:
+            if config.fix_preempt_need_sched and buf[at + T_PREEMPTIONS] <= 0:
                 # A stale decision can land on a flagged task whose preemption
                 # budget is spent (the flag came from a wake); completing it
                 # would overrun the bound, so the fixed protocol backs off.
                 self.begin_step(
                     f"core {core_id}: IPI canceled (task {task} budget spent)"
                 )
-                self.preempt_in_flight = False
+                buf[IN_FLIGHT] = 0
                 return
             self.begin_step(f"core {core_id}: save context of task {task}")
-            tcb.saved_pc = tcb.pc
-            tcb.saved_mid_wait = tcb.pending_wait
-            core.ipi_phase = IpiPhase.CTX_SAVED
+            buf[at + T_SAVED_PC] = buf[at + T_PC]
+            buf[at + T_SAVED_MID_WAIT] = buf[at + T_PENDING_WAIT]
+            buf[core + C_IPI_PHASE] = CTX_SAVED
             return
 
-        task = core.current_task
-        assert task is not None
-        tcb = self.tcb(task)
-        if core.ipi_phase is IpiPhase.CTX_SAVED:
-            if self.config.fault_enqueue_before_state:
+        assert task >= 0
+        at = self.layout.tasks + task * TASK_WIDTH
+        if phase == CTX_SAVED:
+            if config.fault_enqueue_before_state:
                 self.begin_step(f"core {core_id}: enqueue task {task} (before state)")
                 self._enqueue(task)
-                core.ipi_phase = IpiPhase.ENQUEUED
+                buf[core + C_IPI_PHASE] = ENQUEUED
             else:
                 self.begin_step(f"core {core_id}: task {task} preempted")
-                tcb.state = TaskState.PREEMPTED
+                buf[at + T_STATE] = PREEMPTED
                 self._fire_event(task, Event.PREEMPT)
-                core.ipi_phase = IpiPhase.STATED
+                buf[core + C_IPI_PHASE] = STATED
             return
-        if core.ipi_phase is IpiPhase.STATED:
+        if phase == STATED:
             self.begin_step(f"core {core_id}: enqueue preempted task {task}")
             self._enqueue(task)
         else:  # ENQUEUED: state assignment was deferred past the enqueue
             self.begin_step(f"core {core_id}: task {task} preempted (late state)")
-            tcb.state = TaskState.PREEMPTED
+            buf[at + T_STATE] = PREEMPTED
             self._fire_event(task, Event.PREEMPT)
-        tcb.remaining_preemptions -= 1
-        core.current_task = None
-        core.ipi_phase = None
-        self.preempt_in_flight = False
+        buf[at + T_PREEMPTIONS] -= 1
+        buf[core + C_CURRENT] = -1
+        buf[core + C_IPI_PHASE] = -1
+        buf[IN_FLIGHT] = 0
 
 
 def initial_state(config: KernelConfig) -> KernelState:

@@ -490,7 +490,7 @@ class TestReachableStateProperties:
 
     def test_in_queue_mirrors_membership_everywhere(self):
         def check(state):
-            queued = set(state.run_queue.as_tuple())
+            queued = set(state.run_queue)
             for t in state.tcbs:
                 assert t.in_queue == (t.id in queued)
 

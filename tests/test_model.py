@@ -12,7 +12,6 @@ from schedcheck.model import (
     Action,
     ConfigurationError,
     KernelConfig,
-    RunQueue,
     TaskKind,
     TaskState,
     UsageError,
@@ -66,7 +65,7 @@ class TestSpawn:
         state = initial_state(config(task_plan=(H, L)))
         assert state.spawn_cursor == 1
         assert state.tcbs[0].kind is H
-        assert state.run_queue.as_tuple() == (0,)
+        assert state.run_queue == (0,)
 
     def test_exhausted_plan_is_a_usage_error(self):
         state = initial_state(config(task_plan=(H,)))
@@ -102,7 +101,7 @@ class TestWake:
         assert len(state.run_queue) == 0
         state.wake(0)
         assert state.tcbs[0].state is TaskState.RUNNABLE
-        assert state.run_queue.as_tuple() == (0,)
+        assert state.run_queue == (0,)
 
     def test_wake_running_with_fix_sets_flag(self):
         state = initial_state(config(task_plan=(H,), fix_wait_need_sched=True))
@@ -183,13 +182,12 @@ class TestGetNextTask:
         state.spawn_next()
         state.cores[1].current_task = None  # park the first task artificially
         state.tcbs[0].state = TaskState.RUNNABLE
-        state.tcbs[0].in_queue = True
-        state.run_queue.push_back(0)
-        assert state.run_queue.as_tuple() == (1, 0)
+        state._enqueue(0)
+        assert state.run_queue == (1, 0)
         state.get_next_task(2)
         assert state.cores[2].current_task == 1
         assert state.tcbs[1].state is TaskState.RUNNING
-        assert state.run_queue.as_tuple() == (0,)
+        assert state.run_queue == (0,)
 
     def test_empty_queue_is_a_usage_error(self):
         state = initial_state(config(task_plan=(H,), worker_count=2))
@@ -215,13 +213,12 @@ class TestGetNextTask:
         state = initial_state(config(task_plan=(H, L)))
         run_until_running(state, 1)
         # simulate the enqueue-before-state window: task 0 running and queued
-        state.run_queue.push_back(0)
-        state.tcbs[0].in_queue = True
+        state._enqueue(0)
         mon_before = state.monitors.get(0).current
         state.get_next_task(2)
         assert state.step_label == "worker 2: task 0 still running, requeued"
         assert state.cores[2].current_task is None
-        assert state.run_queue.as_tuple() == (0,)
+        assert state.run_queue == (0,)
         assert state.monitors.get(0).current == mon_before
 
     def test_resume_restores_saved_progress(self):
@@ -269,7 +266,7 @@ class TestPollStep:
         state.poll_step(1)
         assert state.tcbs[0].state is TaskState.RUNNABLE
         assert state.tcbs[0].need_sched is False
-        assert state.run_queue.as_tuple() == (0,)
+        assert state.run_queue == (0,)
         assert str(state.monitors.get(0).current) == "Runnable(false)"
 
     def test_finish_terminates(self):
@@ -450,11 +447,10 @@ class TestSnapshot:
             s.spawn_next()
             s.cores[1].current_task = None
             s.tcbs[0].state = TaskState.RUNNABLE
-            s.tcbs[0].in_queue = True
-        a.run_queue.push_back(0)           # queue (1, 0)
-        items = [b.run_queue.pop_front()]  # rebuild as (0, 1)
-        b.run_queue.push_back(0)
-        b.run_queue.push_back(items[0])
+        a._enqueue(0)          # queue (1, 0)
+        head = b._dequeue()    # rebuild as (0, 1)
+        b._enqueue(0)
+        b._enqueue(head)
         assert snapshot(a) != snapshot(b)
 
     def test_clone_preserves_encoding(self):
@@ -496,6 +492,18 @@ class TestSnapshot:
 
 
 class TestRunQueue:
+    """The run queue of a state: a FIFO of task ids, at most one entry per
+    task and one per planned task in all."""
+
+    def empty_queue(self, tasks: int):
+        """A state with `tasks` spawned tasks and none of them queued."""
+        state = initial_state(config(task_plan=(L,) * tasks))
+        for _ in range(tasks - 1):
+            state.spawn_next()
+        for _ in range(tasks):
+            state._dequeue()
+        return state
+
     @given(
         st.lists(
             st.one_of(
@@ -506,29 +514,47 @@ class TestRunQueue:
         )
     )
     def test_fifo_matches_reference_list(self, ops):
-        queue = RunQueue(capacity=6)
+        state = self.empty_queue(6)
         reference: list[int] = []
         for op, value in ops:
             if op == "push":
-                if value in reference or len(reference) >= 6:
+                if value in reference:
                     with pytest.raises(UsageError):
-                        queue.push_back(value)
+                        state._enqueue(value)
                 else:
-                    queue.push_back(value)
+                    state._enqueue(value)
                     reference.append(value)
             else:
                 if not reference:
                     with pytest.raises(UsageError):
-                        queue.pop_front()
+                        state._dequeue()
                 else:
-                    assert queue.pop_front() == reference.pop(0)
-            assert queue.as_tuple() == tuple(reference)
+                    assert state._dequeue() == reference.pop(0)
+            assert state.run_queue == tuple(reference)
+            assert [t.in_queue for t in state.tcbs] == [t in reference for t in range(6)]
 
     def test_duplicate_rejected(self):
-        queue = RunQueue(capacity=2)
-        queue.push_back(1)
+        state = self.empty_queue(2)
+        state._enqueue(1)
         with pytest.raises(UsageError):
-            queue.push_back(1)
+            state._enqueue(1)
+        assert state.run_queue == (1,)
+
+    def test_over_capacity_rejected(self):
+        state = self.empty_queue(2)
+        state._enqueue(0)
+        state._enqueue(1)
+        before = snapshot(state)
+        with pytest.raises(UsageError):
+            state._enqueue(2)  # no such task: the queue has no room left
+        assert snapshot(state) == before
+
+    def test_empty_pop_rejected(self):
+        state = self.empty_queue(1)
+        before = snapshot(state)
+        with pytest.raises(UsageError):
+            state._dequeue()
+        assert snapshot(state) == before
 
 
 class TestConfigValidation:

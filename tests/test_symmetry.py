@@ -106,7 +106,7 @@ def renamed(state: KernelState, order: tuple[int, ...]) -> KernelState:
     order[k] becomes worker k + 1. No other field names a worker."""
     image = state.clone()
     for new, old in enumerate(order, 1):
-        src, dst = state.core(old), image.core(new)
+        src, dst = state.cores[old], image.cores[new]
         dst.current_task = src.current_task
         dst.interrupt_flag = src.interrupt_flag
         dst.pending_ipi = src.pending_ipi
