@@ -549,13 +549,6 @@ class TestRunQueue:
             state._enqueue(2)  # no such task: the queue has no room left
         assert snapshot(state) == before
 
-    def test_empty_pop_rejected(self):
-        state = self.empty_queue(1)
-        before = snapshot(state)
-        with pytest.raises(UsageError):
-            state._dequeue()
-        assert snapshot(state) == before
-
 
 class TestConfigValidation:
     def test_empty_plan_rejected(self):
