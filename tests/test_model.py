@@ -30,6 +30,13 @@ def config(**kw) -> KernelConfig:
     return KernelConfig(**kw)
 
 
+def assert_usage_error(call, message: str) -> None:
+    """`call()` raises UsageError with exactly `message`."""
+    with pytest.raises(UsageError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def run_until_running(state, core_id=1):
     """Fetch the queue head on a worker so it is Running there."""
     state.get_next_task(core_id)
@@ -173,6 +180,32 @@ class TestTimerFire:
             state.poll_step(core)
             state.poll_step(core)
         assert state.timer_fire() == 0
+
+    def one_timer_pending(self):
+        """Tasks 0 and 1 spawned, only task 0's timer entry pending."""
+        state = initial_state(config(task_plan=(H, H), worker_count=2))
+        run_until_running(state, 1)
+        state.spawn_next()
+        state.poll_step(1)  # compute
+        state.poll_step(1)  # register timer
+        assert state.fireable_timers() == [0]
+        return state
+
+    @pytest.mark.parametrize("task", [1, 2, 7, -1, -2])
+    def test_rejects_an_entry_that_is_not_pending(self, task):
+        # 1 is spawned but has no timer; 2 and 7 are out of range, and a
+        # negative id must not index the records before the task area
+        state = self.one_timer_pending()
+        before = snapshot(state)
+        assert_usage_error(
+            lambda: state.timer_fire(task), f"timer entry for task {task} not fireable"
+        )
+        assert snapshot(state) == before
+
+    @pytest.mark.parametrize("task", [None, 0, 5, -1])
+    def test_rejects_any_choice_when_nothing_is_pending(self, task):
+        state = initial_state(config())
+        assert_usage_error(lambda: state.timer_fire(task), "no fireable timer entry")
 
 
 class TestGetNextTask:
@@ -319,6 +352,40 @@ class TestPreemption:
         state = initial_state(config(task_plan=(L,)))
         run_until_running(state, 1)
         assert state.preempt_candidates() == []
+
+    @pytest.mark.parametrize("core", [0, 2, 3, -1])
+    def test_decide_rejects_a_core_that_is_no_worker(self, core):
+        # 0 is the primary and 3 is past the last worker of two
+        state = self.make_running_heavy(task_plan=(H, L), worker_count=2)
+        before = snapshot(state)
+        assert_usage_error(
+            lambda: state.preempt_decide(core), f"core {core} is not a preemption candidate"
+        )
+        assert snapshot(state) == before
+        assert state.preempt_in_flight is False
+
+    def test_decide_rejects_an_idle_core(self):
+        state = self.make_running_heavy(task_plan=(H, L), worker_count=2)
+        assert state.cores[2].current_task is None
+        assert_usage_error(lambda: state.preempt_decide(2), "core 2 is not a preemption candidate")
+
+    def test_decide_rejects_a_core_running_a_light_task(self):
+        state = initial_state(config(task_plan=(L,)))
+        run_until_running(state, 1)
+        assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
+
+    @pytest.mark.parametrize(
+        "task_state", [TaskState.RUNNABLE, TaskState.WAITING, TaskState.PREEMPTED]
+    )
+    def test_decide_rejects_a_task_that_is_not_running(self, task_state):
+        state = self.make_running_heavy()
+        state.tcbs[0].state = task_state
+        assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
+
+    def test_decide_rejects_a_task_with_spent_budget(self):
+        state = self.make_running_heavy()
+        state.tcbs[0].remaining_preemptions = 0
+        assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
 
     def test_no_flag_without_fix(self):
         state = self.make_running_heavy(fix_preempt_need_sched=False)
