@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .explorer import (
@@ -110,9 +111,7 @@ def config_from_args(args: argparse.Namespace, base: dict | None = None) -> Kern
     base = dict(base or {})
 
     def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return base.get(key, default)
+        return flag_value if flag_value is not None else base.get(key, default)
 
     fix_wait = args.fix_wait == "on" if args.fix_wait is not None else bool(base.get("fix_wait", True))
     fix_preempt = (
@@ -227,13 +226,27 @@ def violations_from_doc(
     if not isinstance(violations, list):
         raise ConfigurationError("trace file field 'violations' must be a list")
     out = []
+    parsed: dict = {}  # the document's steps: raw fields and their types -> step
     for i, v in enumerate(violations):
         if not isinstance(v, dict) or not isinstance(v.get("verdict"), str):
             raise ConfigurationError(f"violation #{i} needs a string 'verdict'")
         if not isinstance(v.get("steps"), list):
             raise ConfigurationError(f"violation #{i} needs a list of 'steps'")
-        out.append((v["verdict"], tuple(step_from_dict(s) for s in v["steps"])))
+        out.append((v["verdict"], tuple(_parse_step(s, parsed) for s in v["steps"])))
     return config, out
+
+
+def _parse_step(doc: object, parsed: dict) -> ScheduleStep:
+    """step_from_dict(doc), run once per distinct step of a document, so that
+    equal steps are one object (replay_all compares them by identity first)."""
+    try:
+        fields = (doc.get("process"), doc.get("core"), doc.get("variant"))
+        key = (*fields, *map(type, fields))
+        if key not in parsed:
+            parsed[key] = step_from_dict(doc)
+        return parsed[key]
+    except (AttributeError, TypeError):  # not an object, or an unhashable field
+        return step_from_dict(doc)
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -273,7 +286,39 @@ def report_to_doc(report: ExplorationReport, mode: str, seed: int | None = None)
 
 
 def emit_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Exactly `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`: with an
+    indent, json.dumps runs its pure-Python encoder, and a report repeats a
+    few step objects thousands of times. Refuses floats, tuples, non-str keys."""
+    return _encode(doc, 0, {}) + "\n"
+
+
+def _encode(value: object, depth: int, memo: dict) -> str:
+    """`value` as json.dumps writes it at nesting `depth`. `memo` maps each
+    dict of scalars met so far, with its value types (1 == True), to its text."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, list):
+        items = [_encode(v, depth + 1, memo) for v in value]
+        return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]" if items else "[]"
+    if not isinstance(value, dict):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    try:
+        key = (depth, *value.items(), *map(type, value.values()))
+        return memo[key]
+    except KeyError:
+        pass
+    except TypeError:  # a value is a list or a dict
+        key = None
+    items = [_encode_str(k) + ": " + _encode(v, depth + 1, memo) for k, v in sorted(value.items())]
+    text = "{" + inner + ("," + inner).join(items) + inner[:-2] + "}" if items else "{}"
+    if key is not None:
+        memo[key] = text
+    return text
 
 
 def exit_code_for(doc: dict) -> int:
@@ -339,13 +384,11 @@ def _limits(args: argparse.Namespace) -> Limits:
 
 
 def _run_explore(config: KernelConfig, limits: Limits) -> dict:
-    report = explore(config, limits)
-    return report_to_doc(report, "explore")
+    return report_to_doc(explore(config, limits), "explore")
 
 
 def _run_walk(config: KernelConfig, args: argparse.Namespace) -> dict:
-    report = random_walk(config, args.seed, args.max_steps)
-    return report_to_doc(report, "walk", seed=args.seed)
+    return report_to_doc(random_walk(config, args.seed, args.max_steps), "walk", seed=args.seed)
 
 
 def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
@@ -360,30 +403,22 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
     worst = EXIT_OK
     replays = replay_all(config, (steps for _, steps in violations))
     for (verdict, _), result in zip(violations, replays):
-        if isinstance(result, ReplayError):
-            results.append({"expected": verdict, "reproduced": None,
-                            "match": False, "error": str(result)})
-            worst = EXIT_USAGE
-            continue
-        match = result.verdict == verdict
-        results.append({
-            "expected": verdict,
-            "reproduced": result.verdict,
-            "match": match,
-            "error": None,
-        })
-        if result.verdict is not None:
+        failed = isinstance(result, ReplayError)
+        reproduced = None if failed else result.verdict
+        match = not failed and reproduced == verdict
+        results.append({"expected": verdict, "reproduced": reproduced, "match": match,
+                        "error": str(result) if failed else None})
+        if reproduced is not None:
             worst = max(worst, EXIT_VIOLATION)
         if not match:
             worst = EXIT_USAGE
-    out = {
+    return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "schedcheck", "version": __version__},
         "mode": "replay",
         "config": config_to_dict(config),
         "replays": results,
-    }
-    return out, worst
+    }, worst
 
 
 def _render_replay_text(doc: dict) -> str:
@@ -408,11 +443,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise usage_error(f"cannot read sweep file: {exc}")
     if not plans:
         raise usage_error("sweep file lists no task plans")
-    configs = []
-    for plan in plans:
-        args_copy = argparse.Namespace(**vars(args))
-        args_copy.tasks = plan
-        configs.append(config_from_args(args_copy))
+    configs = [config_from_args(argparse.Namespace(**{**vars(args), "tasks": plan}))
+               for plan in plans]
     limits = _limits(args)
     worst = EXIT_OK
     with ProcessPoolExecutor() as pool:
@@ -440,21 +472,20 @@ def main(argv: list[str] | None = None) -> int:
             return _run_sweep(args)
         if args.mode == "replay":
             doc, code = _run_replay(args)
-            if args.out == "json":
-                sys.stdout.write(emit_json(doc))
-            else:
-                sys.stdout.write(_render_replay_text(doc))
-            return code
-        config = config_from_args(args)
-        if args.mode == "explore":
-            doc = _run_explore(config, _limits(args))
         else:
-            doc = _run_walk(config, args)
+            config = config_from_args(args)
+            if args.mode == "explore":
+                doc = _run_explore(config, _limits(args))
+            else:
+                doc = _run_walk(config, args)
+            code = exit_code_for(doc)
         if args.out == "json":
             sys.stdout.write(emit_json(doc))
+        elif args.mode == "replay":
+            sys.stdout.write(_render_replay_text(doc))
         else:
             sys.stdout.write(render_text(doc, args.quiet))
-        return exit_code_for(doc)
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ValueError, OSError) as exc:

@@ -454,16 +454,20 @@ class KernelState:
 
     def timer_fire(self, task: int | None = None) -> int:
         """Deliver one pending timed event (lowest eligible id by default)."""
-        fireable = self.fireable_timers()
-        if not fireable:
-            raise UsageError("no fireable timer entry")
-        chosen = fireable[0] if task is None else task
-        if chosen not in fireable:
-            raise UsageError(f"timer entry for task {chosen} not fireable")
-        self.begin_step(f"timer fire: wake task {chosen}")
-        self.buf[self.layout.tasks + chosen * TASK_WIDTH + T_TIMER] = 0
-        self.wake(chosen)
-        return chosen
+        timers = self.layout.tasks + T_TIMER
+        if task is None or not (
+            0 <= task < self.layout.task_count and self.buf[timers + task * TASK_WIDTH]
+        ):
+            fireable = self.fireable_timers()
+            if not fireable:
+                raise UsageError("no fireable timer entry")
+            if task is not None:
+                raise UsageError(f"timer entry for task {task} not fireable")
+            task = fireable[0]
+        self.begin_step(f"timer fire: wake task {task}")
+        self.buf[timers + task * TASK_WIDTH] = 0
+        self.wake(task)
+        return task
 
     def get_next_task(self, core_id: int) -> None:
         """Worker fetch: dequeue the head and start or resume it.
@@ -587,18 +591,21 @@ class KernelState:
     def preempt_decide(self, core_id: int) -> None:
         """Record a preemption decision for a core; with the preempt fix the
         observed task's need_sched is set now, ahead of any IPI."""
-        buf = self.buf
+        buf, layout = self.buf, self.layout
         if buf[IN_FLIGHT]:
             raise UsageError("a preemption is already in flight")
-        if core_id not in self.preempt_candidates():
+        core = layout.cores + core_id * CORE_WIDTH
+        task = buf[core + C_CURRENT] if 0 < core_id < layout.core_count else -1
+        at = layout.tasks + task * TASK_WIDTH
+        if task < 0 or not (
+            layout.heavy[task] and buf[at + T_STATE] == RUNNING and buf[at + T_PREEMPTIONS] > 0
+        ):
             raise UsageError(f"core {core_id} is not a preemption candidate")
-        core = self.layout.cores + core_id * CORE_WIDTH
-        task = buf[core + C_CURRENT]
         self.begin_step(f"preempt decide: core {core_id} task {task}")
         buf[core + C_DECISION] = task
         buf[IN_FLIGHT] = 1
         if self.config.fix_preempt_need_sched:
-            buf[self.layout.tasks + task * TASK_WIDTH + T_NEED_SCHED] = 1
+            buf[at + T_NEED_SCHED] = 1
             self._fire_event(task, Event.SET_NEED_SCHED)
 
     def send_ipi(self) -> None:

@@ -133,7 +133,6 @@ class TransitionTable:
             index[key] = dst
         self.triples = triples
         self.initial = initial
-        self._index = index
         # Flat transition function over codes, at src code * EVENT_COUNT
         # + event code: the target code (0: undefined) and the rendered line.
         self.targets = [0] * (len(STATES) * EVENT_COUNT)
@@ -142,9 +141,6 @@ class TransitionTable:
             at = STATE_CODES[src] * EVENT_COUNT + ev.code
             self.targets[at] = STATE_CODES[dst]
             self.labels[at] = f" {src} -- {ev} --> {dst}"
-
-    def lookup(self, state: MonitorState, event: Event) -> MonitorState | None:
-        return self._index.get((state, event))
 
 
 @cache

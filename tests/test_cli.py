@@ -7,6 +7,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schedcheck.cli import (
     EXIT_INCOMPLETE,
@@ -100,6 +101,32 @@ class TestDocuments:
         assert len(set(violations[0][1])) == 1000
         assert explorer._step_of.cache_info().currsize == before
 
+    def test_equal_steps_of_a_document_are_one_object(self):
+        worker = {"process": "Worker", "core": 1, "variant": 0}
+        spawner = {"process": "Spawner", "core": None, "variant": 0}
+        doc = {"violations": [{"verdict": "Deadlock", "steps": [worker, dict(worker)]},
+                              {"verdict": "Deadlock", "steps": [spawner, dict(worker)]}]}
+        _, [(_, first), (_, second)] = violations_from_doc(doc)
+        assert first[0] is first[1] is second[1]
+        assert first[0] == ScheduleStep(VirtualProcess("Worker", 1), 0)
+        assert second[0] == ScheduleStep(VirtualProcess("Spawner"), 0)
+
+    @pytest.mark.parametrize("field", ["core", "variant"])
+    def test_a_bool_twin_of_a_parsed_step_is_still_rejected(self, field):
+        # True == 1 and hash(True) == hash(1), but a flag is no core or variant
+        step = {"process": "Worker", "core": 1, "variant": 1}
+        doc = {"violations": [{"verdict": "Deadlock", "steps": [step, {**step, field: True}]}]}
+        with pytest.raises(ConfigurationError, match=f"step {field} must be int"):
+            violations_from_doc(doc)
+
+    @pytest.mark.parametrize("field", ["core", "variant"])
+    @pytest.mark.parametrize("value", [[1], {"core": 1}])
+    def test_an_unhashable_step_field_is_rejected(self, field, value):
+        step = {"process": "Worker", "core": 1, "variant": 0}
+        doc = {"violations": [{"verdict": "Deadlock", "steps": [step, {**step, field: value}]}]}
+        with pytest.raises(ConfigurationError, match=f"step {field} must be int"):
+            violations_from_doc(doc)
+
     def test_report_json_round_trip(self):
         cfg = KernelConfig(
             worker_count=1,
@@ -115,6 +142,61 @@ class TestDocuments:
         assert exit_code_for({"violations": [1], "incomplete": False}) == EXIT_VIOLATION
         assert exit_code_for({"violations": [1], "incomplete": True}) == EXIT_VIOLATION
         assert exit_code_for({"violations": [], "incomplete": True}) == EXIT_INCOMPLETE
+
+
+# Strings with the characters json.dumps escapes: quote, backslash, control
+# characters and non-ASCII ones.
+ESCAPED = 'az "\\/\n\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600'
+TEXT = st.text(st.sampled_from(ESCAPED), max_size=5) | st.text(max_size=5)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 1)
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | TEXT
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@st.composite
+def json_documents(draw) -> dict:
+    """A report-like document: a random tree plus flat objects repeated at one
+    depth, next to their twins with 0 and 1 values turned into bools."""
+    flat = draw(st.dictionaries(TEXT, SCALARS, max_size=3))
+    twin = {k: bool(v) if type(v) is int and v in (0, 1) else v for k, v in flat.items()}
+    tree = draw(TREES)
+    return {"tree": tree, "repeats": [flat, twin, flat, [], {}, [flat, twin, tree], tree]}
+
+
+class TestEmitJson:
+    """emit_json writes exactly the bytes of json.dumps(sort_keys, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_documents())
+    def test_matches_json_dumps(self, doc):
+        assert emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_bool_and_int_twins_are_told_apart(self):
+        doc = {"a": [{"x": 1}, {"x": True}, {"x": 0}, {"x": False}, {"x": 1}]}
+        assert emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_a_real_report_matches_json_dumps(self):
+        config = KernelConfig(worker_count=2, task_plan=(H, L), fix_wait_need_sched=False)
+        doc = report_to_doc(explore(config), "explore")
+        assert doc["violations"]
+        assert emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc", [{"a": 0.5}, {"a": [1, 2.0]}, {"a": (1,)}, {"a": {"b": ()}}, {1: "a"}, {None: 1}]
+    )
+    def test_refuses_what_no_report_holds(self, doc):
+        with pytest.raises(TypeError):
+            emit_json(doc)
 
 
 class TestMainExplore:
@@ -256,6 +338,13 @@ class TestMalformedTraceFile:
     def test_object_fault(self, tmp_path, capsys):
         doc = {"config": {"faults": [{"name": "skip-resume-state"}]}, "violations": []}
         assert "fault {" in self.replay_doc(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("field", ["process", "core", "variant"])
+    @pytest.mark.parametrize("value", [[1], {"core": 1}])
+    def test_unhashable_step_field(self, tmp_path, capsys, field, value):
+        doc = self.report(capsys)
+        doc["violations"][0]["steps"][1][field] = value
+        assert f"{value!r}" in self.replay_doc(tmp_path, capsys, doc)
 
     @pytest.mark.parametrize("field", ["max_waits", "max_preemptions"])
     def test_oversized_bound(self, tmp_path, capsys, field):

@@ -182,8 +182,8 @@ class TestTimerFire:
         assert state.timer_fire() == 0
 
     def one_timer_pending(self):
-        """Tasks 0 and 1 spawned, only task 0's timer entry pending."""
-        state = initial_state(config(task_plan=(H, H), worker_count=2))
+        """Tasks 0 and 1 of three spawned, only task 0's timer entry pending."""
+        state = initial_state(config(task_plan=(H, L, L), worker_count=2))
         run_until_running(state, 1)
         state.spawn_next()
         state.poll_step(1)  # compute
@@ -191,10 +191,10 @@ class TestTimerFire:
         assert state.fireable_timers() == [0]
         return state
 
-    @pytest.mark.parametrize("task", [1, 2, 7, -1, -2])
+    @pytest.mark.parametrize("task", [1, 2, 3, 7, -1, -2, -3, -6])
     def test_rejects_an_entry_that_is_not_pending(self, task):
-        # 1 is spawned but has no timer; 2 and 7 are out of range, and a
-        # negative id must not index the records before the task area
+        # 1 is spawned but has no timer, 2 is not spawned, 3 and 7 are out
+        # of range; a negative id must not index some other record's cell
         state = self.one_timer_pending()
         before = snapshot(state)
         assert_usage_error(
@@ -372,6 +372,7 @@ class TestPreemption:
     def test_decide_rejects_a_core_running_a_light_task(self):
         state = initial_state(config(task_plan=(L,)))
         run_until_running(state, 1)
+        state.tcbs[0].remaining_preemptions = 1  # whatever its budget field holds
         assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
 
     @pytest.mark.parametrize(

@@ -49,16 +49,21 @@ def run_monitor(table: TransitionTable, events: list[Event]):
     return ("ok", mon.current)
 
 
+def transitions(table: TransitionTable) -> dict:
+    """The table's (source, event) -> target map, built from its triples."""
+    return {(src, ev): dst for src, ev, dst in table.triples}
+
+
 class TestDefaultTable:
     def test_contains_flag_set_transition(self):
-        table = default_table()
-        assert table.lookup(mstate(Base.RUNNING, False), Event.SET_NEED_SCHED) == mstate(
+        targets = transitions(default_table())
+        assert targets[mstate(Base.RUNNING, False), Event.SET_NEED_SCHED] == mstate(
             Base.RUNNING, True
         )
 
     def test_contains_preempt_transition(self):
-        table = default_table()
-        assert table.lookup(mstate(Base.RUNNING, True), Event.PREEMPT) == mstate(
+        targets = transitions(default_table())
+        assert targets[mstate(Base.RUNNING, True), Event.PREEMPT] == mstate(
             Base.PREEMPTED, True
         )
 
@@ -149,9 +154,10 @@ class TestOracleEquivalence:
         for event in events:
             mon.next(event)
         current = table.initial
+        targets = transitions(table)
         for src, ev, dst in mon.history:
             assert src == current
-            assert table.lookup(src, ev) == dst
+            assert targets.get((src, ev)) == dst
             current = dst
         assert current == mon.current
 
