@@ -353,9 +353,9 @@ class TestPreemption:
         run_until_running(state, 1)
         assert state.preempt_candidates() == []
 
-    @pytest.mark.parametrize("core", [0, 2, 3, -1])
+    @pytest.mark.parametrize("core", [0, 3, -1])
     def test_decide_rejects_a_core_that_is_no_worker(self, core):
-        # 0 is the primary and 3 is past the last worker of two
+        # 0 is the primary, 3 is past the last worker of two
         state = self.make_running_heavy(task_plan=(H, L), worker_count=2)
         before = snapshot(state)
         assert_usage_error(
