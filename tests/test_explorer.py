@@ -3,6 +3,8 @@ verdicts, seeded walks, and trace replay."""
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,9 @@ from schedcheck.explorer import (
     step,
 )
 from schedcheck.model import (
+    IN_FLIGHT,
+    QUEUE,
+    QUEUE_LEN,
     KernelConfig,
     TaskKind,
     TaskState,
@@ -521,17 +526,71 @@ class TestReachableStateProperties:
             self._walk_all_states(cfg, check)
 
 
+def _duplicate_queue_ids(state):
+    state.buf[QUEUE + 1] = 0
+    state.buf[QUEUE_LEN] = 2
+
+
+def _queue_over_capacity(state):
+    # Two tasks, so the queue has two slots; its third entry reads the
+    # next cell, task 0's state (Runnable, code 0).
+    state.buf[QUEUE:QUEUE + 2] = array(state.buf.typecode, [1, 2])
+    state.buf[QUEUE_LEN] = 3
+
+
+def _current_on_two_cores(state):
+    state.get_next_task(1)
+    state.cores[2].current_task = 0
+
+
+def _flag_in_flight(state):
+    state.buf[IN_FLIGHT] = 1
+
+
+def _two_decisions(state):
+    state.cores[1].decision = 0
+    state.cores[2].pending_ipi = 0
+    state.buf[IN_FLIGHT] = 1
+
+
+def _light_task_decided(state):
+    state.spawn_next()
+    state.cores[1].decision = 1
+    state.buf[IN_FLIGHT] = 1
+
+
+# Each failure check_invariants reports, injected into CLEAN_SMALL's
+# initial state (task 0 queued, task 1 not spawned), with its exact message.
+INVARIANT_FAILURES = {
+    "duplicate queue ids": (_duplicate_queue_ids, "duplicate task ids in run queue (0, 0)"),
+    "queue over capacity": (_queue_over_capacity, "run queue over capacity: (1, 2, 0)"),
+    "in_queue mismatch": (
+        lambda s: setattr(s.tcbs[0], "in_queue", False), "task 0 in_queue=False but queue=(0,)"),
+    "counter below zero": (
+        lambda s: setattr(s.tcbs[0], "remaining_waits", -1), "task 0 counter below zero"),
+    "cores share a current task": (_current_on_two_cores, "cores share a current task: [0, 0]"),
+    "primary core has a current task": (
+        lambda s: setattr(s.cores[0], "current_task", 0), "primary core has a current task"),
+    "running task not current": (
+        lambda s: setattr(s.tcbs[0], "state", TaskState.RUNNING),
+        "running task 0 is not current on any core"),
+    "terminal task queued": (
+        lambda s: setattr(s.tcbs[0], "state", TaskState.TERMINATED),
+        "terminal task 0 is queued or current"),
+    "more than one decision": (_two_decisions, "more than one preemption decision outstanding"),
+    "preempt_in_flight out of sync": (_flag_in_flight, "preempt_in_flight flag out of sync"),
+    "light task observed": (
+        _light_task_decided, "light task 1 observed by a preemption decision"),
+}
+
+
 class TestInvariantChecker:
     def test_accepts_initial_state(self):
         assert check_invariants(initial_state(CLEAN_SMALL)) is None
 
-    def test_rejects_queue_membership_mismatch(self):
+    @pytest.mark.parametrize("name", sorted(INVARIANT_FAILURES))
+    def test_reports_each_failure_with_its_message(self, name):
+        inject, message = INVARIANT_FAILURES[name]
         state = initial_state(CLEAN_SMALL)
-        state.tcbs[0].in_queue = False
-        assert check_invariants(state) is not None
-
-    def test_rejects_duplicate_current_task(self):
-        state = initial_state(CLEAN_SMALL)
-        state.get_next_task(1)
-        state.cores[2].current_task = 0
-        assert check_invariants(state) is not None
+        inject(state)
+        assert check_invariants(state) == message
