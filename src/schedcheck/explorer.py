@@ -145,7 +145,8 @@ def _step_of(kind: str, core: int | None, variant: int) -> ScheduleStep:
 
 def enabled(state: KernelState) -> list[ScheduleStep]:
     """All enabled steps, deterministically ordered: timer variants first,
-    then preempter, spawner, and workers ascending."""
+    then preempter, spawner, and workers ascending. Reads only the cells of
+    `Layout.settle_offsets` and the config, since `_settle` memoizes on them."""
     buf, layout = state.buf, state.layout
     steps = [_step_of("PrimaryTimer", None, i) for i in range(len(state.fireable_timers()))]
     if not buf[IN_FLIGHT]:
@@ -230,7 +231,8 @@ def step(state: KernelState, choice: ScheduleStep) -> KernelState:
 
 def check_invariants(state: KernelState) -> str | None:
     """Structural invariants every reachable state must satisfy; returns a
-    description of the first failure, or None."""
+    description of the first failure, or None. Reads only the cells of
+    `Layout.settle_offsets` and the config, since `_settle` memoizes on them."""
     buf, layout = state.buf, state.layout
     tasks, cores, end = layout.tasks, layout.cores, layout.monitors
     queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
@@ -287,16 +289,24 @@ class Limits:
             raise ValueError("max_violations must be at least 1")
 
 
-def _settle(state: KernelState) -> tuple[str | None, str, list[ScheduleStep]]:
+def _settle(
+    state: KernelState, memo: dict | None = None,
+) -> tuple[str | None, str, tuple[ScheduleStep, ...]]:
     """The one ending rule for a state just reached, as (verdict, detail,
     enabled steps): a monitor violation, then an invariant failure, end the
     path there; otherwise the path goes on by the enabled steps, and none
-    enabled while some task is not terminal is a deadlock."""
+    enabled while some task is not terminal is a deadlock. A violation belongs
+    to the step; the rest is kept in `memo`, one per search, by `settle_key`."""
     if state.violation is not None:
-        return VERDICT_MONITOR, "", []
+        return VERDICT_MONITOR, "", ()
+    if memo is not None:
+        key = state.layout.settle_key(state.buf)
+        if (settled := memo.get(key)) is None:
+            settled = memo[key] = _settle(state)
+        return settled
     if (failure := check_invariants(state)) is not None:
-        return VERDICT_ASSERTION, failure, []
-    options = enabled(state)
+        return VERDICT_ASSERTION, failure, ()
+    options = tuple(enabled(state))
     if not options and not state.all_tasks_terminal():
         return VERDICT_DEADLOCK, "no step enabled, tasks not terminal", options
     return None, "", options
@@ -343,10 +353,11 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     visited = {symmetric_key(init)}
     report.states_visited = 1
     frames: list[list] = []
+    memo: dict = {}
 
     def reach(state: KernelState) -> bool:
         """Settle a newly visited state; True when the search must stop."""
-        verdict, detail, options = _settle(state)
+        verdict, detail, options = _settle(state, memo)
         if verdict is not None:
             report.violations.append(_trace(
                 (opts[idx - 1] for _, opts, idx in frames),
@@ -445,7 +456,8 @@ def replay_all(
     off one DFS stack, so neighbours share most of their steps.
     """
     init = initial_state(config)
-    path = [(init, *_settle(init))]
+    memo: dict = {}
+    path = [(init, *_settle(init, memo))]
     done: Sequence[ScheduleStep] = ()  # path[k + 1] is the state after done[k]
     for steps in schedules:
         i, shared = 0, min(len(steps), len(path) - 1)
@@ -453,12 +465,14 @@ def replay_all(
             i += 1
         del path[i + 1:]
         done = steps
-        yield _replay_from(path, steps, i)
+        yield _replay_from(path, steps, i, memo)
 
 
-def _replay_from(path: list[tuple], steps: Sequence[ScheduleStep], i: int) -> Trace | ReplayError:
+def _replay_from(
+    path: list[tuple], steps: Sequence[ScheduleStep], i: int, memo: dict,
+) -> Trace | ReplayError:
     """Extend `path`, which holds the entries of steps[:i], by the rest of
-    `steps`, with replay's checks in replay's order."""
+    `steps`, with replay's checks in replay's order; `memo` is `_settle`'s."""
     while True:
         state, verdict, detail, options = path[i]
         if verdict is not None and 0 < i < len(steps):
@@ -469,5 +483,5 @@ def _replay_from(path: list[tuple], steps: Sequence[ScheduleStep], i: int) -> Tr
         if choice not in options:
             return ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
         succ = _apply(state, choice)
-        path.append((succ, *_settle(succ)))
+        path.append((succ, *_settle(succ, memo)))
         i += 1

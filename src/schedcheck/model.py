@@ -27,6 +27,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from operator import itemgetter
 
 from .monitor import (
     STATES,
@@ -181,6 +182,16 @@ class Layout:
             boot[self.cores + field:self.monitors:CORE_WIDTH] = (
                 array(typecode, [-1]) * self.core_count)
         self.boot = boot
+        # The cells that explorer._settle reads: all but need_sched, the saved
+        # context, pc, the pending wait, the interrupt flag and the monitors.
+        self.settle_offsets = (
+            *range(self.tasks),  # the global fields and the run queue
+            *(at + f for at in range(self.tasks, self.cores, TASK_WIDTH)
+              for f in (T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER)),
+            *(at + f for at in range(self.cores, self.monitors, CORE_WIDTH)
+              for f in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION)),
+        )
+        self.settle_key = itemgetter(*self.settle_offsets)
 
 
 @cache

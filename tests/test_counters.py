@@ -26,6 +26,7 @@ LADDER = {
     ("H,L,L", 2): (2443, 6778, 27, 4),
     ("H,H", 2): (7253, 20705, 35, 16),
     ("H,L,L", 3): (3520, 11864, 27, 4),
+    ("H,H,L", 3): (51446, 197477, 40, 16),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
