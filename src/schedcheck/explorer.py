@@ -295,8 +295,8 @@ def _settle(
     """The one ending rule for a state just reached, as (verdict, detail,
     enabled steps): a monitor violation, then an invariant failure, end the
     path there; otherwise the path goes on by the enabled steps, and none
-    enabled while some task is not terminal is a deadlock. A violation belongs
-    to the step; the rest is kept in `memo`, one per search, by `settle_key`."""
+    enabled while some task is not terminal is a deadlock. Past a violation
+    (part of the step), `memo`, one dict per search, keys answers by `settle_key`."""
     if state.violation is not None:
         return VERDICT_MONITOR, "", ()
     if memo is not None:

@@ -59,13 +59,6 @@ def _reachable(config: KernelConfig):
                 stack.append(succ)
 
 
-def test_projection_offsets_are_distinct_cells():
-    layout = layout_for(KernelConfig())
-    offsets = layout.settle_offsets
-    assert len(set(offsets)) == len(offsets)
-    assert all(0 <= at < len(layout.boot) for at in offsets)
-
-
 @pytest.mark.parametrize(
     "config", CONFIGS,
     ids=lambda c: f"{','.join(k.value for k in c.task_plan)}/{c.worker_count}"
