@@ -48,8 +48,7 @@ SCENARIOS = [
             fix_preempt_need_sched=False,
             max_waits_per_task=0,
             max_preemptions_per_task=1,
-            fault_enqueue_before_state=True,
-            fault_skip_running_check=True,
+            faults=frozenset({"enqueue-before-state", "skip-running-check"}),
         ),
     ),
     (
@@ -59,7 +58,7 @@ SCENARIOS = [
             task_plan=(H, L),
             max_waits_per_task=0,
             max_preemptions_per_task=1,
-            fault_skip_resume_state=True,
+            faults=frozenset({"skip-resume-state"}),
         ),
     ),
 ]

@@ -19,10 +19,8 @@ from .monitor import (  # noqa: F401
     MonitorRegistry,
     MonitorState,
     MonitorViolation,
-    TaskMonitor,
     TransitionTable,
     default_table,
-    format_transition,
 )
 from .explorer import (  # noqa: F401
     ExplorationReport,

@@ -26,7 +26,7 @@ from .explorer import (
     random_walk,
     replay_all,
 )
-from .model import ConfigurationError, KernelConfig, TaskKind
+from .model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 
 SCHEMA_VERSION = 1
 
@@ -34,12 +34,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
-
-_FAULT_FLAGS = {
-    "enqueue-before-state": "fault_enqueue_before_state",
-    "skip-resume-state": "fault_skip_resume_state",
-    "skip-running-check": "fault_skip_running_check",
-}
 
 
 def parse_task_plan(text: str) -> tuple[TaskKind, ...]:
@@ -68,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-preempt", choices=["on", "off"], default=None,
                    help="need_sched-before-IPI fix for preemption (default on)")
     p.add_argument("--fault", action="append", default=[], metavar="NAME",
-                   choices=sorted(_FAULT_FLAGS),
-                   help="enable a fault toggle (repeatable): " + ", ".join(sorted(_FAULT_FLAGS)))
+                   choices=sorted(FAULTS),
+                   help="enable a fault toggle (repeatable): " + ", ".join(sorted(FAULTS)))
     p.add_argument("--max-waits", type=int, default=None, help="waits per heavy task (default 1)")
     p.add_argument("--max-preemptions", type=int, default=None,
                    help="preemptions per heavy task (default 1)")
@@ -117,16 +111,15 @@ def config_from_args(args: argparse.Namespace, base: dict | None = None) -> Kern
     fix_preempt = (
         args.fix_preempt == "on" if args.fix_preempt is not None else bool(base.get("fix_preempt", True))
     )
-    faults = set(args.fault) if args.fault else set(base.get("faults", []))
     plan_text = pick(args.tasks, "tasks", "H,L,L")
     return KernelConfig(
         worker_count=pick(args.workers, "workers", 2),
         task_plan=parse_task_plan(plan_text),
         fix_wait_need_sched=fix_wait,
         fix_preempt_need_sched=fix_preempt,
+        faults=frozenset(args.fault or base.get("faults", [])),
         max_waits_per_task=pick(args.max_waits, "max_waits", 1),
         max_preemptions_per_task=pick(args.max_preemptions, "max_preemptions", 1),
-        **{attr: name in faults for name, attr in _FAULT_FLAGS.items()},
     )
 
 
@@ -139,15 +132,12 @@ def usage_error(message: str) -> SystemExit:
 
 
 def config_to_dict(config: KernelConfig) -> dict:
-    faults = [
-        name for name, attr in sorted(_FAULT_FLAGS.items()) if getattr(config, attr)
-    ]
     return {
         "workers": config.worker_count,
         "tasks": ",".join(k.value for k in config.task_plan),
         "fix_wait": config.fix_wait_need_sched,
         "fix_preempt": config.fix_preempt_need_sched,
-        "faults": faults,
+        "faults": sorted(config.faults),
         "max_waits": config.max_waits_per_task,
         "max_preemptions": config.max_preemptions_per_task,
     }
@@ -180,7 +170,7 @@ def check_config_dict(doc: object) -> dict:
                 f"config field {key!r} must be {kind.__name__}, not {doc[key]!r}"
             )
     for fault in doc.get("faults", []):
-        if not isinstance(fault, str) or fault not in _FAULT_FLAGS:
+        if not isinstance(fault, str) or fault not in FAULTS:
             raise ConfigurationError(f"unknown fault {fault!r} in config")
     return doc
 

@@ -38,7 +38,7 @@ from .model import (
     T_STATE,
     T_WAITS,
     TASK_WIDTH,
-    TERMINAL_CODES,
+    TERMINATED,
     KernelConfig,
     KernelState,
     UsageError,
@@ -186,7 +186,7 @@ def _worker_action(state: KernelState, core_id: int) -> str | None:
     if task >= 0:
         task_state = buf[layout.tasks + task * TASK_WIDTH + T_STATE]
         if task_state == RUNNING or (
-            state.config.fault_skip_resume_state and task_state == PREEMPTED
+            task_state == PREEMPTED and "skip-resume-state" in state.config.faults
         ):
             return "poll"
         return None
@@ -235,11 +235,11 @@ def check_invariants(state: KernelState) -> str | None:
     `Layout.settle_offsets` and the config, since `_settle` memoizes on them."""
     buf, layout = state.buf, state.layout
     tasks, cores, end = layout.tasks, layout.cores, layout.monitors
+    if buf[QUEUE_LEN] > layout.task_count:
+        return f"run queue over capacity: {buf[QUEUE_LEN]} entries for {layout.task_count} tasks"
     queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
     if len(set(queue)) != len(queue):
         return f"duplicate task ids in run queue {queue}"
-    if len(queue) > layout.task_count:
-        return f"run queue over capacity: {queue}"
     spawned = range(buf[SPAWN_CURSOR])
     for t in spawned:
         at = tasks + t * TASK_WIDTH
@@ -258,7 +258,7 @@ def check_invariants(state: KernelState) -> str | None:
         task_state = buf[at + T_STATE]
         if task_state == RUNNING and t not in currents:
             return f"running task {t} is not current on any core"
-        if task_state in TERMINAL_CODES and (buf[at + T_IN_QUEUE] or t in currents):
+        if task_state == TERMINATED and (buf[at + T_IN_QUEUE] or t in currents):
             return f"terminal task {t} is queued or current"
     decided = [t for t in buf[cores + C_DECISION:end:CORE_WIDTH] if t >= 0]
     decisions = len(decided) + sum(

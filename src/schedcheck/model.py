@@ -54,7 +54,6 @@ class TaskState(Coded):
     WAITING = "Waiting"
     PREEMPTED = "Preempted"
     TERMINATED = "Terminated"
-    PANICKED = "Panicked"
 
 
 class TaskKind(Enum):
@@ -68,7 +67,6 @@ class Action(Enum):
     COMPUTE = "Compute"
     REGISTER_TIMER_AND_PEND = "RegisterTimerAndPend"
     FINISH = "Finish"
-    PANIC = "Panic"
 
 
 class IpiPhase(Coded):
@@ -79,17 +77,21 @@ class IpiPhase(Coded):
     ENQUEUED = "enqueued"
 
 
+# Fault toggles, each re-opening a race window that the protocol closes:
+# enqueue a preempted task before setting its state, resume a preempted
+# task without setting it Running, fetch a queued task that still runs.
+FAULTS = frozenset({"enqueue-before-state", "skip-resume-state", "skip-running-check"})
+
+
 @dataclass(frozen=True)
 class KernelConfig:
-    """Workload shape plus the fix/fault toggles under test."""
+    """Workload shape plus the fix toggles and the faults under test."""
 
     worker_count: int = 2
     task_plan: tuple[TaskKind, ...] = (TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT)
     fix_wait_need_sched: bool = True
     fix_preempt_need_sched: bool = True
-    fault_enqueue_before_state: bool = False
-    fault_skip_resume_state: bool = False
-    fault_skip_running_check: bool = False
+    faults: frozenset[str] = frozenset()
     max_waits_per_task: int = 1
     max_preemptions_per_task: int = 1
 
@@ -100,6 +102,8 @@ class KernelConfig:
             raise ConfigurationError("task_plan must be non-empty")
         if self.max_waits_per_task < 0 or self.max_preemptions_per_task < 0:
             raise ConfigurationError("bounds must be >= 0")
+        if unknown := self.faults - FAULTS:
+            raise ConfigurationError(f"unknown faults {sorted(unknown)}")
 
 
 def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
@@ -139,8 +143,7 @@ IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
 C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(6)
 
 # Codes of task states and handler phases, as the array stores them.
-RUNNABLE, RUNNING, WAITING, PREEMPTED, TERMINATED, PANICKED = (s.code for s in TaskState)
-TERMINAL_CODES = frozenset({TERMINATED, PANICKED})
+RUNNABLE, RUNNING, WAITING, PREEMPTED, TERMINATED = (s.code for s in TaskState)
 CTX_SAVED, STATED, ENQUEUED = (p.code for p in IpiPhase)
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
@@ -267,16 +270,6 @@ class TaskControlBlock:
     def kind(self) -> TaskKind:
         return self._state.config.task_plan[self.id]
 
-    @property
-    def script(self) -> tuple[Action, ...]:
-        return self._state.scripts[self.id]
-
-    @script.setter
-    def script(self, script: tuple[Action, ...]) -> None:
-        scripts = list(self._state.scripts)
-        scripts[self.id] = script
-        self._state.scripts = tuple(scripts)
-
     state = _enum_field(T_STATE, TaskState)
     need_sched = _flag_field(T_NEED_SCHED)
     in_queue = _flag_field(T_IN_QUEUE)
@@ -311,24 +304,22 @@ class KernelState:
     `buf` holds the state's value (see Layout), and the operations read
     and write it by record offset. The views tcbs and cores, and the tuple
     run_queue, are accessors for tests and trace summaries. Beside `buf`
-    are the task scripts, the monitors' history chain, and the step
-    bookkeeping: mutating operations record a human-readable label and any
-    monitor lines for the step just executed in step_label / step_lines;
-    the first monitor violation of a step lands in `violation`.
+    are the monitors' history chain and the step bookkeeping: mutating
+    operations record a human-readable label and any monitor lines for the
+    step just executed in step_label / step_lines; the first monitor
+    violation of a step lands in `violation`.
     """
 
-    __slots__ = ("config", "layout", "buf", "scripts", "monitors",
+    __slots__ = ("config", "layout", "buf", "monitors",
                  "violation", "step_label", "step_lines")
 
     def __init__(
         self, config: KernelConfig, layout: Layout, buf: array,
-        scripts: tuple[tuple[Action, ...], ...], table: TransitionTable,
-        chain: tuple | None = None,
+        table: TransitionTable, chain: tuple | None = None,
     ) -> None:
         self.config = config
         self.layout = layout
         self.buf = buf
-        self.scripts = scripts
         self.monitors = MonitorRegistry(table, buf, layout.monitors, chain)
         self.violation: MonitorViolation | None = None
         self.step_label = ""
@@ -337,7 +328,7 @@ class KernelState:
     # -- bookkeeping -------------------------------------------------
 
     def clone(self) -> KernelState:
-        return KernelState(self.config, self.layout, self.buf[:], self.scripts,
+        return KernelState(self.config, self.layout, self.buf[:],
                            self.monitors.table, self.monitors.chain)
 
     def begin_step(self, label: str) -> None:
@@ -378,7 +369,7 @@ class KernelState:
     def all_tasks_terminal(self) -> bool:
         tasks = self.layout.tasks
         states = self.buf[tasks + T_STATE:tasks + self.spawn_cursor * TASK_WIDTH:TASK_WIDTH]
-        return all(s in TERMINAL_CODES for s in states)
+        return all(s == TERMINATED for s in states)
 
     def fireable_timers(self) -> list[int]:
         """Pending timer entries, lowest task id first; time is
@@ -461,24 +452,18 @@ class KernelState:
                 buf[at + T_NEED_SCHED] = 1
                 self._fire_event(task, Event.SET_NEED_SCHED)
             # without the fix the call is silently dropped
-        # Runnable / Preempted / Terminated / Panicked: ignore
+        # Runnable / Preempted / Terminated: ignore
 
-    def timer_fire(self, task: int | None = None) -> int:
-        """Deliver one pending timed event (lowest eligible id by default)."""
+    def timer_fire(self, task: int) -> None:
+        """Deliver the pending timed event of `task`."""
         timers = self.layout.tasks + T_TIMER
-        if task is None or not (
-            0 <= task < self.layout.task_count and self.buf[timers + task * TASK_WIDTH]
-        ):
-            fireable = self.fireable_timers()
-            if not fireable:
+        if not (0 <= task < self.layout.task_count and self.buf[timers + task * TASK_WIDTH]):
+            if not self.fireable_timers():
                 raise UsageError("no fireable timer entry")
-            if task is not None:
-                raise UsageError(f"timer entry for task {task} not fireable")
-            task = fireable[0]
+            raise UsageError(f"timer entry for task {task} not fireable")
         self.begin_step(f"timer fire: wake task {task}")
         self.buf[timers + task * TASK_WIDTH] = 0
         self.wake(task)
-        return task
 
     def get_next_task(self, core_id: int) -> None:
         """Worker fetch: dequeue the head and start or resume it.
@@ -495,7 +480,7 @@ class KernelState:
         assert not buf[core + C_INTERRUPT], "fetch with interrupt flag set"
         task = self._dequeue()
         at = self.layout.tasks + task * TASK_WIDTH
-        if buf[at + T_STATE] == RUNNING and not self.config.fault_skip_running_check:
+        if buf[at + T_STATE] == RUNNING and "skip-running-check" not in self.config.faults:
             self.begin_step(f"worker {core_id}: task {task} still running, requeued")
             self._enqueue(task)
             return
@@ -508,7 +493,7 @@ class KernelState:
             buf[at + T_SAVED_MID_WAIT] = 0
             buf[at + T_NEED_SCHED] = 0
             buf[core + C_CURRENT] = task
-            if not self.config.fault_skip_resume_state:
+            if "skip-resume-state" not in self.config.faults:
                 buf[at + T_STATE] = RUNNING
                 self._fire_event(task, Event.GET_NEXT)
             return
@@ -531,7 +516,7 @@ class KernelState:
             raise UsageError(f"core {core_id} has no current task")
         at = self.layout.tasks + task * TASK_WIDTH
         state = buf[at + T_STATE]
-        if not (state == RUNNING or (config.fault_skip_resume_state and state == PREEMPTED)):
+        if not (state == RUNNING or (state == PREEMPTED and "skip-resume-state" in config.faults)):
             raise UsageError(f"task {task} is not running (state {tuple(TaskState)[state].value})")
 
         if buf[at + T_PENDING_WAIT]:
@@ -566,7 +551,7 @@ class KernelState:
             return
 
         pc = buf[at + T_PC]
-        action = self.scripts[task][pc]
+        action = self.layout.scripts[task][pc]
         if action is Action.COMPUTE:
             self.begin_step(f"worker {core_id}: task {task} compute (pc {pc})")
             buf[at + T_PC] = pc + 1
@@ -575,16 +560,11 @@ class KernelState:
             buf[at + T_TIMER] = 1
             buf[at + T_PC] = pc + 1
             buf[at + T_PENDING_WAIT] = 1
-        elif action is Action.FINISH:
+        else:  # Action.FINISH
             self.begin_step(f"worker {core_id}: task {task} finishes")
             buf[at + T_STATE] = TERMINATED
             buf[core + C_CURRENT] = -1
             self._fire_event(task, Event.POLL_READY)
-        elif action is Action.PANIC:
-            self.begin_step(f"worker {core_id}: task {task} panics")
-            buf[at + T_STATE] = PANICKED
-            buf[core + C_CURRENT] = -1
-            self._fire_event(task, Event.PANIC)
 
     def preempt_candidates(self) -> list[int]:
         """Worker cores currently running a preemptible heavy task."""
@@ -683,7 +663,7 @@ class KernelState:
         assert task >= 0
         at = self.layout.tasks + task * TASK_WIDTH
         if phase == CTX_SAVED:
-            if config.fault_enqueue_before_state:
+            if "enqueue-before-state" in config.faults:
                 self.begin_step(f"core {core_id}: enqueue task {task} (before state)")
                 self._enqueue(task)
                 buf[core + C_IPI_PHASE] = ENQUEUED
@@ -710,7 +690,7 @@ def initial_state(config: KernelConfig) -> KernelState:
     """Boot: cores as laid out, then spawn the first planned task
     immediately (later entries are spawned by the spawner step)."""
     layout = layout_for(config)
-    state = KernelState(config, layout, layout.boot[:], layout.scripts, default_table())
+    state = KernelState(config, layout, layout.boot[:], default_table())
     state.spawn_next()
     state.begin_step("init")
     return state

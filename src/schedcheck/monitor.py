@@ -1,12 +1,12 @@
 """Per-task DFA runtime monitors over (task state, need_sched flag).
 
-Each spawned task gets its own monitor instance sharing one transition
+Each spawned task gets its own monitor, and all share one transition
 table. Scheduler hooks feed events; an event with no defined transition
 yields a violation report carrying the current state, the offending
 symbol, and the full transition history. A registry keeps each monitor's
-current state as a small-int code in a buffer, which a kernel state shares
-with its own fields, so a cloned state's monitors step independently of
-the original's.
+current state as a small-int code in the kernel state's buffer, beside the
+state's own fields, so a cloned state's monitors step independently of the
+original's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class Event(Coded):
     POLL_PENDING = "PollPending"
     POLL_READY = "PollReady"
     PREEMPT = "Preempt"
-    PANIC = "Panic"
 
     def __str__(self) -> str:
         return self.value
@@ -51,7 +50,6 @@ class Base(Enum):
     WAITING = "Waiting"
     PREEMPTED = "Preempted"
     TERMINATED = "Terminated"
-    PANICKED = "Panicked"
 
 
 class Flag(Enum):
@@ -61,7 +59,7 @@ class Flag(Enum):
 
 
 # Bases whose flag carries no information (rendered as "*").
-_DONT_CARE_BASES = frozenset({Base.INIT, Base.TERMINATED, Base.PANICKED})
+_DONT_CARE_BASES = frozenset({Base.INIT, Base.TERMINATED})
 
 
 @dataclass(frozen=True)
@@ -118,21 +116,16 @@ class MonitorViolation:
 class TransitionTable:
     """Deterministic transition relation as (source, event, target) triples."""
 
-    def __init__(
-        self,
-        triples: tuple[tuple[MonitorState, Event, MonitorState], ...],
-        initial: MonitorState = INIT,
-    ) -> None:
+    def __init__(self, triples: tuple[tuple[MonitorState, Event, MonitorState], ...]) -> None:
         index: dict[tuple[MonitorState, Event], MonitorState] = {}
         for src, ev, dst in triples:
             key = (src, ev)
             if key in index:
                 raise ValueError(f"nondeterministic table: duplicate {src} --{ev}-->")
-            if src.base in (Base.TERMINATED, Base.PANICKED):
+            if src.base is Base.TERMINATED:
                 raise ValueError(f"absorbing state {src} must have no outgoing triples")
             index[key] = dst
         self.triples = triples
-        self.initial = initial
         # Flat transition function over codes, at src code * EVENT_COUNT
         # + event code: the target code (0: undefined) and the rendered line.
         self.targets = [0] * (len(STATES) * EVENT_COUNT)
@@ -167,61 +160,36 @@ def default_table() -> TransitionTable:
         (s(B.RUNNING, True), Event.POLL_READY, s(B.TERMINATED)),
         (s(B.PREEMPTED, True), Event.GET_NEXT, s(B.RUNNING, False)),
         (s(B.PREEMPTED, False), Event.GET_NEXT, s(B.RUNNING, False)),
-        (s(B.RUNNING, False), Event.PANIC, s(B.PANICKED)),
-        (s(B.RUNNING, True), Event.PANIC, s(B.PANICKED)),
     )
     return TransitionTable(triples)
 
 
-def format_transition(
-    task: int, src: MonitorState, event: Event, dst: MonitorState
-) -> str:
-    """Render one observed transition as a stable log line."""
-    return f"task={task} {src} -- {event} --> {dst}"
-
-
 class MonitorRegistry:
-    """task id -> current monitor state, as one code per task in `buf` from
-    `base` on (code 0: not registered). A registry built on its own owns a
-    buffer that grows as tasks register; a kernel state's registry views
-    the state's buffer. The transition history of all tasks is one
-    shared-tail cons chain, ((task, src code, event, dst code), previous),
-    so copying a registry is O(1) beyond its buffer."""
+    """task id -> current monitor state, as one code per task in a kernel
+    state's buffer `buf` from `base` on (code 0: not registered). The
+    transition history of all tasks is one shared-tail cons chain,
+    ((task, src code, event, dst code), previous), so copying a registry is
+    O(1) beyond its buffer."""
 
     __slots__ = ("table", "buf", "base", "chain")
 
     def __init__(
-        self,
-        table: TransitionTable | None = None,
-        buf: array | None = None,
-        base: int = 0,
-        chain: tuple | None = None,
+        self, table: TransitionTable, buf: array, base: int, chain: tuple | None = None,
     ) -> None:
-        self.table = table if table is not None else default_table()
-        self.buf = array("b") if buf is None else buf
+        self.table = table
+        self.buf = buf
         self.base = base
         self.chain = chain
 
-    def register(self, task: int) -> TaskMonitor:
+    def register(self, task: int) -> None:
         at = self.base + task
-        if at >= len(self.buf):
-            self.buf.extend([0] * (at + 1 - len(self.buf)))
         if self.buf[at]:
             raise ValueError(f"task {task} already registered")
-        self.buf[at] = STATE_CODES[self.table.initial]
-        return TaskMonitor(self.table, registry=self, task=task)
+        self.buf[at] = STATE_CODES[INIT]
 
-    def get(self, task: int) -> TaskMonitor:
-        if task not in self:
-            raise KeyError(task)
-        return TaskMonitor(self.table, registry=self, task=task)
-
-    def __contains__(self, task: int) -> bool:
-        at = self.base + task
-        return self.base <= at < len(self.buf) and self.buf[at] != 0
-
-    def __len__(self) -> int:
-        return sum(1 for code in self.buf[self.base:] if code)
+    def current(self, task: int) -> MonitorState | None:
+        """The task's monitor state; None before it is registered."""
+        return STATES[self.buf[self.base + task]]
 
     def history(self, task: int) -> tuple[tuple[MonitorState, Event, MonitorState], ...]:
         entries = []
@@ -250,49 +218,3 @@ class MonitorRegistry:
 
     def clone(self) -> MonitorRegistry:
         return MonitorRegistry(self.table, self.buf[:], self.base, self.chain)
-
-
-class TaskMonitor:
-    """One task's monitor, a view of its entry in a registry. Built without
-    a registry, it gets one of its own that holds only this monitor."""
-
-    __slots__ = ("_registry", "_task")
-
-    def __init__(
-        self,
-        table: TransitionTable,
-        current: MonitorState | None = None,
-        *,
-        registry: MonitorRegistry | None = None,
-        task: int = 0,
-    ) -> None:
-        if registry is None:
-            registry = MonitorRegistry(table)
-            registry.register(task)
-            if current is not None:
-                registry.buf[registry.base + task] = STATE_CODES[current]
-        self._registry = registry
-        self._task = task
-
-    @property
-    def table(self) -> TransitionTable:
-        return self._registry.table
-
-    @property
-    def current(self) -> MonitorState:
-        registry = self._registry
-        return STATES[registry.buf[registry.base + self._task]]
-
-    @property
-    def history(self) -> tuple[tuple[MonitorState, Event, MonitorState], ...]:
-        return self._registry.history(self._task)
-
-    def next(self, event: Event) -> MonitorViolation | None:
-        """Advance on a defined transition; report and stay on an undefined one."""
-        violation, _ = self._registry.fire(self._task, event)
-        if violation is None:
-            return None
-        return MonitorViolation(violation.current_state, event, violation.history)
-
-    def clone(self) -> TaskMonitor:
-        return TaskMonitor(self.table, registry=self._registry.clone(), task=self._task)

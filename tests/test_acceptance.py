@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import resource
 import time
+from array import array
 
 import pytest
 
@@ -28,7 +29,7 @@ from schedcheck.explorer import (
     replay,
 )
 from schedcheck.model import KernelConfig, TaskKind
-from schedcheck.monitor import Event, TaskMonitor, default_table
+from schedcheck.monitor import INIT, Event, MonitorRegistry, default_table
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -66,15 +67,14 @@ MONITOR_GAP = KernelConfig(
     fix_preempt_need_sched=False,
     max_waits_per_task=0,
     max_preemptions_per_task=1,
-    fault_enqueue_before_state=True,
-    fault_skip_running_check=True,
+    faults=frozenset({"enqueue-before-state", "skip-running-check"}),
 )
 RESUME_GAP = KernelConfig(
     worker_count=2,
     task_plan=(H, L),
     max_waits_per_task=0,
     max_preemptions_per_task=1,
-    fault_skip_resume_state=True,
+    faults=frozenset({"skip-resume-state"}),
 )
 CLEAN_FULL = KernelConfig()  # 2 workers, H,L,L, both fixes, 1 wait, 1 preemption
 
@@ -228,7 +228,7 @@ def test_criterion_4_running_task_dequeued_gap():
             fix_preempt_need_sched=False,
             max_waits_per_task=0,
             max_preemptions_per_task=1,
-            fault_enqueue_before_state=True,
+            faults=frozenset({"enqueue-before-state"}),
         ),
         WIDE,
     )
@@ -245,8 +245,7 @@ def test_criterion_4_running_task_dequeued_gap():
             task_plan=(H,),
             max_waits_per_task=0,
             max_preemptions_per_task=1,
-            fault_enqueue_before_state=True,
-            fault_skip_running_check=True,
+            faults=frozenset({"enqueue-before-state", "skip-running-check"}),
         ),
         WIDE,
     )
@@ -261,7 +260,7 @@ def test_criterion_4_running_task_dequeued_gap():
             task_plan=(H,),
             max_waits_per_task=0,
             max_preemptions_per_task=1,
-            fault_enqueue_before_state=True,
+            faults=frozenset({"enqueue-before-state"}),
         )
     )
 
@@ -368,7 +367,7 @@ def test_criterion_7_monitor_oracle_equivalence():
     for _ in range(total):
         sequence = [rng.choice(events) for _ in range(rng.randint(0, 20))]
         # brute-force fold over the raw triple set
-        current = table.initial
+        current = INIT
         fold_result = ("ok", None)
         for i, event in enumerate(sequence):
             hits = [d for (s, e, d) in table.triples if s == current and e == event]
@@ -376,15 +375,16 @@ def test_criterion_7_monitor_oracle_equivalence():
                 fold_result = ("violation", i)
                 break
             current = hits[0]
-        # step-by-step monitor
-        mon = TaskMonitor(table)
+        # step-by-step monitor, in the registry a kernel state uses
+        mon = MonitorRegistry(table, array("b", [0]), 0)
+        mon.register(0)
         mon_result = ("ok", None)
         for i, event in enumerate(sequence):
-            if mon.next(event) is not None:
+            if mon.fire(0, event)[0] is not None:
                 mon_result = ("violation", i)
                 break
         if fold_result == mon_result and (
-            fold_result[0] == "violation" or mon.current == current
+            fold_result[0] == "violation" or mon.current(0) == current
         ):
             agreements += 1
     ok = agreements == total

@@ -14,6 +14,7 @@ from schedcheck.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    build_parser,
     config_from_args,
     config_to_dict,
     emit_json,
@@ -28,7 +29,7 @@ from schedcheck.cli import (
 )
 from schedcheck import explorer
 from schedcheck.explorer import ScheduleStep, VirtualProcess, explore
-from schedcheck.model import ConfigurationError, KernelConfig, TaskKind
+from schedcheck.model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -58,6 +59,14 @@ class TestParsing:
             parse_args(["--frobnicate"])
         assert err.value.code == 2
 
+    def test_fault_choices_are_the_model_vocabulary(self):
+        (action,) = [a for a in build_parser()._actions if a.dest == "fault"]
+        assert action.choices == sorted(FAULTS)
+
+    def test_unknown_fault_flag_is_usage_error(self, capsys):
+        assert main(["--fault", "bogus"]) == EXIT_USAGE
+        assert "bogus" in capsys.readouterr().err
+
     def test_defaults(self):
         args = parse_args([])
         assert args.mode == "explore"
@@ -82,7 +91,7 @@ class TestDocuments:
             worker_count=3,
             task_plan=(H, L),
             fix_wait_need_sched=False,
-            fault_skip_running_check=True,
+            faults=frozenset({"skip-running-check"}),
             max_waits_per_task=2,
         )
         assert config_from_args(parse_args([]), base=config_to_dict(cfg)) == cfg
@@ -334,6 +343,11 @@ class TestMalformedTraceFile:
     def test_list_fault(self, tmp_path, capsys):
         doc = {"config": {"faults": [[1]]}, "violations": []}
         assert "fault [1]" in self.replay_doc(tmp_path, capsys, doc)
+
+    def test_unknown_fault(self, tmp_path, capsys):
+        doc = self.report(capsys)
+        doc["config"]["faults"] = ["bogus"]
+        assert "unknown fault 'bogus'" in self.replay_doc(tmp_path, capsys, doc)
 
     def test_object_fault(self, tmp_path, capsys):
         doc = {"config": {"faults": [{"name": "skip-resume-state"}]}, "violations": []}

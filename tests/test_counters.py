@@ -147,8 +147,6 @@ def test_fault_matrix_counters(combo):
     config = KernelConfig(
         fix_wait_need_sched=fix_wait,
         fix_preempt_need_sched=fix_preempt,
-        fault_enqueue_before_state=EBS in faults,
-        fault_skip_resume_state=SRS in faults,
-        fault_skip_running_check=SRC in faults,
+        faults=frozenset(faults),
     )
     assert counters(config) == FAULT_MATRIX[combo]

@@ -3,6 +3,7 @@ verdicts, seeded walks, and trace replay."""
 
 from __future__ import annotations
 
+import random
 from array import array
 
 import pytest
@@ -22,9 +23,13 @@ from schedcheck.explorer import (
     step,
 )
 from schedcheck.model import (
+    FAULTS,
     IN_FLIGHT,
     QUEUE,
     QUEUE_LEN,
+    T_NEED_SCHED,
+    T_SAVED_MID_WAIT,
+    T_SAVED_PC,
     KernelConfig,
     TaskKind,
     TaskState,
@@ -307,9 +312,7 @@ class TestExplore:
                 task_plan=(H,),
                 fix_wait_need_sched=fw,
                 fix_preempt_need_sched=fp,
-                fault_enqueue_before_state=fe,
-                fault_skip_resume_state=fr,
-                fault_skip_running_check=fs,
+                faults=frozenset(f for f, on in zip(sorted(FAULTS), (fe, fr, fs)) if on),
             )
             report = explore(cfg, Limits(max_violations=4000))
             assert not report.incomplete
@@ -328,9 +331,7 @@ class TestExplore:
             cfg = KernelConfig(
                 worker_count=2,
                 task_plan=(H, L),
-                fault_enqueue_before_state=fe,
-                fault_skip_resume_state=fr,
-                fault_skip_running_check=fs,
+                faults=frozenset(f for f, on in zip(sorted(FAULTS), (fe, fr, fs)) if on),
             )
             for seed in range(10):
                 report = random_walk(cfg, seed, 5000)
@@ -423,9 +424,7 @@ class TestReplay:
                 task_plan=(H, L, L),
                 fix_wait_need_sched=toggles[0],
                 fix_preempt_need_sched=toggles[1],
-                fault_enqueue_before_state=toggles[2],
-                fault_skip_resume_state=toggles[3],
-                fault_skip_running_check=toggles[4],
+                faults=frozenset(f for f, on in zip(sorted(FAULTS), toggles[2:]) if on),
             )
             for trace in explore(cfg, Limits()).violations:
                 again = replay(cfg, trace.steps)
@@ -512,14 +511,13 @@ class TestReachableStateProperties:
             TaskState.WAITING: Base.WAITING,
             TaskState.PREEMPTED: Base.PREEMPTED,
             TaskState.TERMINATED: Base.TERMINATED,
-            TaskState.PANICKED: Base.PANICKED,
         }
 
         def check(state):
             for t in state.tcbs:
-                current = state.monitors.get(t.id).current
+                current = state.monitors.current(t.id)
                 assert current.base is base_for[t.state], (t.id, t.state, str(current))
-                if t.state not in (TaskState.TERMINATED, TaskState.PANICKED):
+                if t.state is not TaskState.TERMINATED:
                     assert (current.flag.value == "true") == t.need_sched
 
         for cfg in (CLEAN_SMALL, KernelConfig(worker_count=2, task_plan=(H, H))):
@@ -532,8 +530,8 @@ def _duplicate_queue_ids(state):
 
 
 def _queue_over_capacity(state):
-    # Two tasks, so the queue has two slots; its third entry reads the
-    # next cell, task 0's state (Runnable, code 0).
+    # Two tasks, so the queue has two slots; a third entry would read the
+    # next cell, task 0's state.
     state.buf[QUEUE:QUEUE + 2] = array(state.buf.typecode, [1, 2])
     state.buf[QUEUE_LEN] = 3
 
@@ -563,7 +561,7 @@ def _light_task_decided(state):
 # initial state (task 0 queued, task 1 not spawned), with its exact message.
 INVARIANT_FAILURES = {
     "duplicate queue ids": (_duplicate_queue_ids, "duplicate task ids in run queue (0, 0)"),
-    "queue over capacity": (_queue_over_capacity, "run queue over capacity: (1, 2, 0)"),
+    "queue over capacity": (_queue_over_capacity, "run queue over capacity: 3 entries for 2 tasks"),
     "in_queue mismatch": (
         lambda s: setattr(s.tcbs[0], "in_queue", False), "task 0 in_queue=False but queue=(0,)"),
     "counter below zero": (
@@ -594,3 +592,19 @@ class TestInvariantChecker:
         state = initial_state(CLEAN_SMALL)
         inject(state)
         assert check_invariants(state) == message
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_over_capacity_detail_reads_no_cell_past_the_queue(self, seed):
+        # A length past the queue's slots reaches into task 0's record; its
+        # need_sched and saved context lie outside `Layout.settle_offsets`,
+        # so the detail must not depend on them.
+        state = initial_state(CLEAN_SMALL)
+        _queue_over_capacity(state)
+        # the queue's slots, then task 0's cells up to its saved context
+        state.buf[QUEUE_LEN] = state.layout.tasks - QUEUE + T_SAVED_MID_WAIT + 1
+        expected = check_invariants(state)
+        rng = random.Random(seed)
+        at = state.layout.tasks
+        for field in (T_NEED_SCHED, T_SAVED_PC, T_SAVED_MID_WAIT):
+            state.buf[at + field] = rng.choice(range(-1, 5))
+        assert check_invariants(state) == expected

@@ -85,13 +85,13 @@ class TestSpawn:
         state = initial_state(config(task_plan=(H,)))
         assert state.tcbs[0].state is TaskState.RUNNABLE
         assert state.tcbs[0].in_queue is True
-        assert str(state.monitors.get(0).current) == "Runnable(false)"
+        assert str(state.monitors.current(0)) == "Runnable(false)"
 
     def test_spawn_events_are_spawn_then_wake(self):
         state = initial_state(config(task_plan=(H, L)))
         run_until_running(state)
         state.spawn_next()
-        assert [ev for (_, ev, _) in state.monitors.get(1).history] == [
+        assert [ev for (_, ev, _) in state.monitors.history(1)] == [
             Event.SPAWN,
             Event.WAKE,
         ]
@@ -116,7 +116,7 @@ class TestWake:
         state.wake(0)
         assert state.tcbs[0].need_sched is True
         assert len(state.run_queue) == 0
-        assert str(state.monitors.get(0).current) == "Running(true)"
+        assert str(state.monitors.current(0)) == "Running(true)"
 
     def test_wake_running_without_fix_is_dropped(self):
         state = initial_state(config(task_plan=(H,), fix_wait_need_sched=False))
@@ -148,14 +148,14 @@ class TestTimerFire:
         state.poll_step(1)
         state.poll_step(1)  # register: timers {0}
         assert state.fireable_timers() == [0]
-        state.timer_fire()
+        state.timer_fire(0)
         assert state.fireable_timers() == []
 
     def test_empty_registry_not_enabled(self):
         state = initial_state(config())
         assert state.fireable_timers() == []
         with pytest.raises(UsageError):
-            state.timer_fire()
+            state.timer_fire(0)
 
     def test_explicit_choice_overrides_lowest_id_default(self):
         # two heavy tasks both registered; firing either is a distinct branch
@@ -167,19 +167,9 @@ class TestTimerFire:
             state.poll_step(core)  # compute
             state.poll_step(core)  # register timer
         assert state.fireable_timers() == [0, 1]
-        chosen = state.timer_fire(1)
-        assert chosen == 1
+        state.timer_fire(1)
+        assert state.step_label == "timer fire: wake task 1"
         assert state.fireable_timers() == [0]
-
-    def test_default_choice_is_lowest_id(self):
-        state = initial_state(config(task_plan=(H, H), worker_count=2))
-        run_until_running(state, 1)
-        state.spawn_next()
-        run_until_running(state, 2)
-        for core in (1, 2):
-            state.poll_step(core)
-            state.poll_step(core)
-        assert state.timer_fire() == 0
 
     def one_timer_pending(self):
         """Tasks 0 and 1 of three spawned, only task 0's timer entry pending."""
@@ -202,7 +192,7 @@ class TestTimerFire:
         )
         assert snapshot(state) == before
 
-    @pytest.mark.parametrize("task", [None, 0, 5, -1])
+    @pytest.mark.parametrize("task", [0, 5, -1])
     def test_rejects_any_choice_when_nothing_is_pending(self, task):
         state = initial_state(config())
         assert_usage_error(lambda: state.timer_fire(task), "no fireable timer entry")
@@ -247,12 +237,12 @@ class TestGetNextTask:
         run_until_running(state, 1)
         # simulate the enqueue-before-state window: task 0 running and queued
         state._enqueue(0)
-        mon_before = state.monitors.get(0).current
+        mon_before = state.monitors.current(0)
         state.get_next_task(2)
         assert state.step_label == "worker 2: task 0 still running, requeued"
         assert state.cores[2].current_task is None
         assert state.run_queue == (0,)
-        assert state.monitors.get(0).current == mon_before
+        assert state.monitors.current(0) == mon_before
 
     def test_resume_restores_saved_progress(self):
         # drive a full preemption, then fetch the preempted task
@@ -294,13 +284,13 @@ class TestPollStep:
         run_until_running(state)
         state.poll_step(1)
         state.poll_step(1)
-        state.timer_fire()  # wake while running: sets need_sched with the fix
+        state.timer_fire(0)  # wake while running: sets need_sched with the fix
         assert state.tcbs[0].need_sched is True
         state.poll_step(1)
         assert state.tcbs[0].state is TaskState.RUNNABLE
         assert state.tcbs[0].need_sched is False
         assert state.run_queue == (0,)
-        assert str(state.monitors.get(0).current) == "Runnable(false)"
+        assert str(state.monitors.current(0)) == "Runnable(false)"
 
     def test_finish_terminates(self):
         state = initial_state(config(task_plan=(L,), worker_count=1))
@@ -310,25 +300,12 @@ class TestPollStep:
         state.poll_step(1)
         assert state.tcbs[0].state is TaskState.TERMINATED
         assert state.cores[1].current_task is None
-        assert str(state.monitors.get(0).current) == "Terminated(*)"
+        assert str(state.monitors.current(0)) == "Terminated(*)"
 
     def test_poll_without_current_task_rejected(self):
         state = initial_state(config())
         with pytest.raises(UsageError):
             state.poll_step(1)
-
-    def test_panic_action_reaches_the_absorbing_state(self):
-        state = initial_state(config(task_plan=(H,), worker_count=1))
-        run_until_running(state)
-        state.tcbs[0].script = (Action.PANIC,)
-        state.poll_step(1)
-        assert state.step_label == "worker 1: task 0 panics"
-        assert state.tcbs[0].state is TaskState.PANICKED
-        assert state.cores[1].current_task is None
-        assert str(state.monitors.get(0).current) == "Panicked(*)"
-        before = snapshot(state)
-        state.wake(0)  # absorbing: wakes bounce off
-        assert snapshot(state) == before
 
 
 class TestPreemption:
@@ -555,7 +532,7 @@ class TestSnapshot:
     def test_monitor_state_is_part_of_the_encoding(self):
         a = initial_state(config(task_plan=(H,)))
         b = a.clone()
-        b.monitors.get(0).next(Event.GET_NEXT)
+        b.monitors.fire(0, Event.GET_NEXT)
         assert snapshot(a) != snapshot(b)
 
 
@@ -630,3 +607,7 @@ class TestConfigValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             KernelConfig(worker_count=0)
+
+    def test_unknown_fault_rejected(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            KernelConfig(faults=frozenset({"bogus", "skip-resume-state"}))

@@ -3,6 +3,8 @@ with a brute-force fold over the raw triple set."""
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,16 +13,28 @@ from schedcheck.monitor import (
     Event,
     Flag,
     INIT,
+    STATE_CODES,
     MonitorRegistry,
     MonitorState,
-    TaskMonitor,
     TransitionTable,
     default_table,
-    format_transition,
     mstate,
 )
 
 EVENTS = list(Event)
+
+
+def registry(tasks: int = 1) -> MonitorRegistry:
+    """A registry over a buffer of its own, laid out as a kernel state's
+    monitor cells: one code per task, none registered."""
+    return MonitorRegistry(default_table(), array("b", [0]) * tasks, 0)
+
+
+def monitor() -> MonitorRegistry:
+    """A one-task registry with task 0 registered, at Init."""
+    reg = registry()
+    reg.register(0)
+    return reg
 
 
 def fold_events(table: TransitionTable, events: list[Event]):
@@ -29,7 +43,7 @@ def fold_events(table: TransitionTable, events: list[Event]):
 
     Returns ("ok", final_state) or ("violation", index, state_at_violation).
     """
-    current = table.initial
+    current = INIT
     for i, event in enumerate(events):
         hits = [dst for (src, ev, dst) in table.triples if src == current and ev == event]
         if not hits:
@@ -40,13 +54,14 @@ def fold_events(table: TransitionTable, events: list[Event]):
 
 
 def run_monitor(table: TransitionTable, events: list[Event]):
-    """Same sequence through the monitor's own stepper."""
-    mon = TaskMonitor(table)
+    """Same sequence through the registry's own stepper."""
+    reg = MonitorRegistry(table, array("b", [0]), 0)
+    reg.register(0)
     for i, event in enumerate(events):
-        violation = mon.next(event)
+        violation, _ = reg.fire(0, event)
         if violation is not None:
             return ("violation", i, violation.current_state)
-    return ("ok", mon.current)
+    return ("ok", reg.current(0))
 
 
 def transitions(table: TransitionTable) -> dict:
@@ -69,7 +84,7 @@ class TestDefaultTable:
 
     def test_terminal_states_have_no_outgoing_triples(self):
         for src, _, _ in default_table().triples:
-            assert src.base not in (Base.TERMINATED, Base.PANICKED)
+            assert src.base is not Base.TERMINATED
 
     def test_table_is_deterministic(self):
         seen = set()
@@ -82,8 +97,8 @@ class TestDefaultTable:
         with pytest.raises(ValueError):
             TransitionTable(
                 (
-                    (running, Event.PANIC, mstate(Base.PANICKED)),
-                    (running, Event.PANIC, mstate(Base.TERMINATED)),
+                    (running, Event.POLL_READY, mstate(Base.TERMINATED)),
+                    (running, Event.POLL_READY, mstate(Base.WAITING, False)),
                 )
             )
 
@@ -99,41 +114,45 @@ class TestNext:
         # expected value computed by the fold oracle
         expected = fold_events(default_table(), [Event.SPAWN, Event.WAKE, Event.GET_NEXT])
         assert expected == ("ok", mstate(Base.RUNNING, False))
-        mon = TaskMonitor(default_table())
+        mon = monitor()
         for ev in (Event.SPAWN, Event.WAKE, Event.GET_NEXT):
-            assert mon.next(ev) is None
-        assert mon.current == expected[1]
+            assert mon.fire(0, ev)[0] is None
+        assert mon.current(0) == expected[1]
 
     def test_getnext_while_running_violates(self):
-        mon = TaskMonitor(default_table())
+        mon = monitor()
         for ev in (Event.SPAWN, Event.WAKE, Event.GET_NEXT):
-            mon.next(ev)
-        violation = mon.next(Event.GET_NEXT)
+            mon.fire(0, ev)
+        violation, line = mon.fire(0, Event.GET_NEXT)
         assert violation is not None
+        assert line == "task=0 invalid transition: current state: Running(false), symbol: GetNext"
         assert str(violation.current_state) == "Running(false)"
         assert violation.symbol is Event.GET_NEXT
         assert "current state: Running(false)" in violation.describe()
         assert "symbol: GetNext" in violation.describe()
 
     def test_violation_leaves_monitor_unchanged(self):
-        mon = TaskMonitor(default_table())
-        mon.next(Event.SPAWN)
-        before_state, before_hist = mon.current, mon.history
-        assert mon.next(Event.PREEMPT) is not None
-        assert mon.current == before_state
-        assert mon.history == before_hist
+        mon = monitor()
+        mon.fire(0, Event.SPAWN)
+        before_state, before_hist = mon.current(0), mon.history(0)
+        before_buf, before_chain = mon.buf[:], mon.chain
+        assert mon.fire(0, Event.PREEMPT)[0] is not None
+        assert mon.current(0) == before_state
+        assert mon.history(0) == before_hist
+        assert (mon.buf, mon.chain) == (before_buf, before_chain)
 
     def test_terminal_state_rejects_everything(self):
-        for terminal in (Base.TERMINATED, Base.PANICKED):
-            for event in EVENTS:
-                mon = TaskMonitor(default_table(), current=mstate(terminal))
-                assert mon.next(event) is not None
+        for event in EVENTS:
+            mon = monitor()
+            mon.buf[0] = STATE_CODES[mstate(Base.TERMINATED)]
+            assert mon.fire(0, event)[0] is not None
+            assert mon.current(0) == mstate(Base.TERMINATED)
 
     def test_violation_carries_full_history(self):
-        mon = TaskMonitor(default_table())
-        mon.next(Event.SPAWN)
-        mon.next(Event.WAKE)
-        violation = mon.next(Event.PREEMPT)
+        mon = monitor()
+        mon.fire(0, Event.SPAWN)
+        mon.fire(0, Event.WAKE)
+        violation, _ = mon.fire(0, Event.PREEMPT)
         assert violation is not None
         assert [ev for (_, ev, _) in violation.history] == [Event.SPAWN, Event.WAKE]
 
@@ -149,34 +168,33 @@ class TestOracleEquivalence:
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(EVENTS), max_size=20))
     def test_history_replays_to_current(self, events):
-        table = default_table()
-        mon = TaskMonitor(table)
+        mon = monitor()
         for event in events:
-            mon.next(event)
-        current = table.initial
-        targets = transitions(table)
-        for src, ev, dst in mon.history:
+            mon.fire(0, event)
+        current = INIT
+        targets = transitions(default_table())
+        for src, ev, dst in mon.history(0):
             assert src == current
             assert targets.get((src, ev)) == dst
             current = dst
-        assert current == mon.current
+        assert current == mon.current(0)
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(EVENTS), max_size=20))
     def test_clone_is_independent(self, events):
-        mon = TaskMonitor(default_table())
-        mon.next(Event.SPAWN)
+        mon = monitor()
+        mon.fire(0, Event.SPAWN)
         fork = mon.clone()
         for event in events:
-            fork.next(event)
-        assert mon.current == mstate(Base.WAITING, False)
-        assert len(mon.history) == 1
+            fork.fire(0, event)
+        assert mon.current(0) == mstate(Base.WAITING, False)
+        assert len(mon.history(0)) == 1
 
 
 class TestFlagDiscipline:
     def test_reachable_terminal_states_use_dont_care(self):
         for _, _, dst in default_table().triples:
-            if dst.base in (Base.TERMINATED, Base.PANICKED, Base.INIT):
+            if dst.base in (Base.TERMINATED, Base.INIT):
                 assert dst.flag is Flag.DONT_CARE
             else:
                 assert dst.flag in (Flag.TRUE, Flag.FALSE)
@@ -190,52 +208,51 @@ class TestFlagDiscipline:
 
 class TestRegistry:
     def test_register_starts_at_init(self):
-        reg = MonitorRegistry()
-        mon = reg.register(0)
-        assert mon.current == INIT
-        assert 0 in reg and len(reg) == 1
+        reg = registry(2)
+        assert reg.register(0) is None
+        assert reg.current(0) == INIT
+        assert reg.current(1) is None
 
     def test_register_then_spawn_lands_in_waiting(self):
         expected = fold_events(default_table(), [Event.SPAWN])
         assert expected[0] == "ok"
-        reg = MonitorRegistry()
-        reg.register(0)
+        reg = monitor()
         violation, line = reg.fire(0, Event.SPAWN)
         assert violation is None
-        assert reg.get(0).current == expected[1]
+        assert reg.current(0) == expected[1]
         assert line == "task=0 Init(*) -- Spawn --> Waiting(false)"
 
     def test_duplicate_registration_rejected(self):
-        reg = MonitorRegistry()
-        reg.register(0)
+        reg = monitor()
         with pytest.raises(ValueError):
             reg.register(0)
 
     def test_fire_reports_violation_with_task_id(self):
-        reg = MonitorRegistry()
+        reg = registry(4)
         reg.register(3)
         violation, _ = reg.fire(3, Event.PREEMPT)
         assert violation is not None and violation.task == 3
 
+    def test_fire_on_unregistered_task_rejected(self):
+        with pytest.raises(KeyError):
+            registry().fire(0, Event.SPAWN)
+
     def test_clone_isolates_monitors(self):
-        reg = MonitorRegistry()
-        reg.register(0)
+        reg = monitor()
         fork = reg.clone()
         fork.fire(0, Event.SPAWN)
-        assert reg.get(0).current == INIT
-        assert fork.get(0).current == mstate(Base.WAITING, False)
+        assert reg.current(0) == INIT
+        assert fork.current(0) == mstate(Base.WAITING, False)
+        assert reg.history(0) == ()
 
 
 class TestFormatting:
     def test_line_shape(self):
-        line = format_transition(
-            1, mstate(Base.RUNNING, False), Event.POLL_PENDING, mstate(Base.WAITING, False)
-        )
-        assert line == "task=1 Running(false) -- PollPending --> Waiting(false)"
+        reg = monitor()
+        for event in (Event.SPAWN, Event.WAKE, Event.GET_NEXT):
+            reg.fire(0, event)
+        _, line = reg.fire(0, Event.POLL_PENDING)
+        assert line == "task=0 Running(false) -- PollPending --> Waiting(false)"
 
     def test_dont_care_renders_star(self):
         assert str(mstate(Base.TERMINATED)) == "Terminated(*)"
-
-    def test_formatting_is_stable(self):
-        args = (2, mstate(Base.RUNNING, True), Event.PREEMPT, mstate(Base.PREEMPTED, True))
-        assert format_transition(*args) == format_transition(*args)

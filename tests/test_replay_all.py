@@ -24,7 +24,7 @@ from schedcheck.explorer import (
     replay,
     replay_all,
 )
-from schedcheck.model import KernelConfig, TaskKind
+from schedcheck.model import FAULTS, KernelConfig, TaskKind
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -41,9 +41,7 @@ def reports() -> tuple[tuple[KernelConfig, tuple[tuple[ScheduleStep, ...], ...]]
             task_plan=(H, L, L),
             fix_wait_need_sched=toggles[0],
             fix_preempt_need_sched=toggles[1],
-            fault_enqueue_before_state=toggles[2],
-            fault_skip_resume_state=toggles[3],
-            fault_skip_running_check=toggles[4],
+            faults=frozenset(f for f, on in zip(sorted(FAULTS), toggles[2:]) if on),
         )
         schedules = tuple(t.steps for t in explore(cfg, Limits()).violations)
         if schedules:

@@ -14,12 +14,12 @@ import random
 import pytest
 
 from schedcheck.explorer import _apply, _settle
-from schedcheck.model import KernelConfig, TaskKind, initial_state, layout_for, snapshot
+from schedcheck.model import (
+    FAULTS, KernelConfig, TaskKind, initial_state, layout_for, snapshot,
+)
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
-
-FAULTS = ("fault_enqueue_before_state", "fault_skip_resume_state", "fault_skip_running_check")
 
 
 def _combos() -> list[KernelConfig]:
@@ -29,7 +29,7 @@ def _combos() -> list[KernelConfig]:
         for flags in itertools.product((False, True), repeat=len(FAULTS)):
             out.append(KernelConfig(
                 fix_wait_need_sched=fix_wait, fix_preempt_need_sched=fix_preempt,
-                **dict(zip(FAULTS, flags)),
+                faults=frozenset(f for f, on in zip(sorted(FAULTS), flags) if on),
             ))
     return out
 
@@ -63,7 +63,7 @@ def _reachable(config: KernelConfig):
     "config", CONFIGS,
     ids=lambda c: f"{','.join(k.value for k in c.task_plan)}/{c.worker_count}"
     f"-w{int(c.fix_wait_need_sched)}p{int(c.fix_preempt_need_sched)}"
-    f"-{''.join(str(int(getattr(c, f))) for f in FAULTS)}",
+    f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}",
 )
 def test_cells_outside_the_projection_do_not_move_the_settle(config):
     layout = layout_for(config)

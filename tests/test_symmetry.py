@@ -63,9 +63,7 @@ def config_for(plan, workers, waits, preemptions, combo) -> KernelConfig:
         task_plan=plan,
         fix_wait_need_sched=fix_wait,
         fix_preempt_need_sched=fix_preempt,
-        fault_enqueue_before_state=EBS in faults,
-        fault_skip_resume_state=SRS in faults,
-        fault_skip_running_check=SRC in faults,
+        faults=frozenset(faults),
         max_waits_per_task=waits,
         max_preemptions_per_task=preemptions,
     )
@@ -118,7 +116,7 @@ def renamed(state: KernelState, order: tuple[int, ...]) -> KernelState:
 @pytest.mark.parametrize("config", [
     KernelConfig(worker_count=3, task_plan=(H, L), max_waits_per_task=0),
     KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0,
-                 fault_enqueue_before_state=True),
+                 faults=frozenset({EBS})),
 ], ids=["H,L/3-w0", "H,H/2-w0-ebs"])
 def test_key_is_one_renaming_of_the_state(config):
     # over every reachable state, the key is the bytes of the state renamed
