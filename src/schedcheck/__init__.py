@@ -34,5 +34,4 @@ from .explorer import (  # noqa: F401
     random_walk,
     replay,
     replay_all,
-    step,
 )

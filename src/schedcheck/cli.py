@@ -385,7 +385,7 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
     try:
         with open(args.trace_in, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise usage_error(f"cannot read trace file: {exc}")
     base, violations = violations_from_doc(doc)
     config = config_from_args(args, base=base)

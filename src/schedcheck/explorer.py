@@ -34,6 +34,7 @@ from .model import (
     RUNNING,
     SPAWN_CURSOR,
     T_IN_QUEUE,
+    T_NEED_SCHED,
     T_PREEMPTIONS,
     T_STATE,
     T_WAITS,
@@ -41,7 +42,7 @@ from .model import (
     TERMINATED,
     KernelConfig,
     KernelState,
-    UsageError,
+    TaskState,
     initial_state,
     snapshot,
     symmetric_key,
@@ -129,10 +130,12 @@ class ExplorationReport:
 
 
 def _task_state_summary(state: KernelState) -> tuple[tuple[int, str], ...]:
+    buf, names = state.buf, tuple(TaskState)
     out = []
-    for t in state.tcbs:
-        flag = "true" if t.need_sched else "false"
-        out.append((t.id, f"{t.state.value}({flag})"))
+    for t in range(buf[SPAWN_CURSOR]):
+        at = state.layout.tasks + t * TASK_WIDTH
+        flag = "true" if buf[at + T_NEED_SCHED] else "false"
+        out.append((t, f"{names[buf[at + T_STATE]].value}({flag})"))
     return tuple(out)
 
 
@@ -220,13 +223,6 @@ def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
         else:
             succ.get_next_task(core_id)
     return succ
-
-
-def step(state: KernelState, choice: ScheduleStep) -> KernelState:
-    """Pure successor of `state` under an enabled `choice`."""
-    if choice not in enabled(state):
-        raise UsageError(f"step {choice} is not enabled")
-    return _apply(state, choice)
 
 
 def check_invariants(state: KernelState) -> str | None:

@@ -35,7 +35,6 @@ from .monitor import (
     Event,
     MonitorRegistry,
     MonitorViolation,
-    TransitionTable,
     default_table,
 )
 
@@ -67,14 +66,6 @@ class Action(Enum):
     COMPUTE = "Compute"
     REGISTER_TIMER_AND_PEND = "RegisterTimerAndPend"
     FINISH = "Finish"
-
-
-class IpiPhase(Coded):
-    """Progress marker for the multi-step preemption handler on a core."""
-
-    CTX_SAVED = "ctx_saved"
-    STATED = "stated"
-    ENQUEUED = "enqueued"
 
 
 # Fault toggles, each re-opening a race window that the protocol closes:
@@ -126,9 +117,9 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 #
 # The whole value of a KernelState is one array of small signed ints, laid
 # out by a Layout computed once per config; -1 stands for "none" (no task,
-# saved pc, phase or decision). Monitor history and step bookkeeping are
-# kept beside the array, so copying the array copies the state and its
-# bytes are the state's visited-set key.
+# saved pc, phase or decision). Only the step bookkeeping is kept beside
+# the array, so copying the array copies the state and its bytes are the
+# state's visited-set key.
 
 # Global fields, then the run queue: its length, then its task ids.
 IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
@@ -142,9 +133,10 @@ IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
 # decision aimed at the core. No field names a core.
 C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(6)
 
-# Codes of task states and handler phases, as the array stores them.
+# Codes of task states, and the phases of a core's preemption handler, as
+# the array stores them.
 RUNNABLE, RUNNING, WAITING, PREEMPTED, TERMINATED = (s.code for s in TaskState)
-CTX_SAVED, STATED, ENQUEUED = (p.code for p in IpiPhase)
+CTX_SAVED, STATED, ENQUEUED = range(3)
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
 # a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
@@ -202,125 +194,24 @@ def layout_for(config: KernelConfig) -> Layout:
     return Layout(config)
 
 
-def _int_field(offset: int) -> property:
-    def get(view):
-        return view._buf[view._at + offset]
-
-    def put(view, value: int) -> None:
-        view._buf[view._at + offset] = value
-
-    return property(get, put)
-
-
-def _flag_field(offset: int) -> property:
-    def get(view) -> bool:
-        return view._buf[view._at + offset] == 1
-
-    def put(view, value: bool) -> None:
-        view._buf[view._at + offset] = 1 if value else 0
-
-    return property(get, put)
-
-
-def _enum_field(offset: int, enum: type[Enum]) -> property:
-    members = tuple(enum)
-
-    def get(view):
-        return members[view._buf[view._at + offset]]
-
-    def put(view, value) -> None:
-        view._buf[view._at + offset] = value.code
-
-    return property(get, put)
-
-
-def _optional_field(offset: int, enum: type[Enum] | None = None) -> property:
-    """A field that may be None (stored as -1), optionally an enum."""
-    members = None if enum is None else tuple(enum)
-
-    def get(view):
-        value = view._buf[view._at + offset]
-        if value < 0:
-            return None
-        return value if members is None else members[value]
-
-    def put(view, value) -> None:
-        if value is None:
-            value = -1
-        elif members is not None:
-            value = value.code
-        view._buf[view._at + offset] = value
-
-    return property(get, put)
-
-
-class TaskControlBlock:
-    """View of a task's record; pending_wait marks the window between
-    registering a timer and actually becoming Waiting."""
-
-    __slots__ = ("_state", "_buf", "_at", "id")
-
-    def __init__(self, state: KernelState, task: int) -> None:
-        self._state = state
-        self._buf = state.buf
-        self._at = state.layout.tasks + task * TASK_WIDTH
-        self.id = task
-
-    @property
-    def kind(self) -> TaskKind:
-        return self._state.config.task_plan[self.id]
-
-    state = _enum_field(T_STATE, TaskState)
-    need_sched = _flag_field(T_NEED_SCHED)
-    in_queue = _flag_field(T_IN_QUEUE)
-    saved_pc = _optional_field(T_SAVED_PC)
-    saved_mid_wait = _flag_field(T_SAVED_MID_WAIT)
-    pc = _int_field(T_PC)
-    pending_wait = _flag_field(T_PENDING_WAIT)
-    remaining_waits = _int_field(T_WAITS)
-    remaining_preemptions = _int_field(T_PREEMPTIONS)
-
-
-class CoreState:
-    """View of a core's record; core 0 is the primary."""
-
-    __slots__ = ("_buf", "_at", "core_id")
-
-    def __init__(self, state: KernelState, core: int) -> None:
-        self._buf = state.buf
-        self._at = state.layout.cores + core * CORE_WIDTH
-        self.core_id = core
-
-    current_task = _optional_field(C_CURRENT)
-    interrupt_flag = _flag_field(C_INTERRUPT)
-    pending_ipi = _optional_field(C_PENDING_IPI)  # observed task id of the delivered decision
-    ipi_phase = _optional_field(C_IPI_PHASE, IpiPhase)
-    decision = _optional_field(C_DECISION)  # observed task id of a decision not yet sent
-
-
 class KernelState:
     """The complete shared world, including the monitors observing it.
 
     `buf` holds the state's value (see Layout), and the operations read
-    and write it by record offset. The views tcbs and cores, and the tuple
-    run_queue, are accessors for tests and trace summaries. Beside `buf`
-    are the monitors' history chain and the step bookkeeping: mutating
-    operations record a human-readable label and any monitor lines for the
-    step just executed in step_label / step_lines; the first monitor
-    violation of a step lands in `violation`.
+    and write it by record offset. Beside `buf` is the step bookkeeping:
+    mutating operations record a human-readable label and any monitor
+    lines for the step just executed in step_label / step_lines; the first
+    monitor violation of a step lands in `violation`.
     """
 
     __slots__ = ("config", "layout", "buf", "monitors",
                  "violation", "step_label", "step_lines")
 
-    def __init__(
-        self, config: KernelConfig, layout: Layout, buf: array,
-        table: TransitionTable, chain: tuple | None = None,
-    ) -> None:
+    def __init__(self, config: KernelConfig, layout: Layout, buf: array) -> None:
         self.config = config
         self.layout = layout
         self.buf = buf
-        self.monitors = MonitorRegistry(table, buf, layout.monitors, chain)
+        self.monitors = MonitorRegistry(default_table(), buf, layout.monitors)
         self.violation: MonitorViolation | None = None
         self.step_label = ""
         self.step_lines: list[str] = []
@@ -328,17 +219,12 @@ class KernelState:
     # -- bookkeeping -------------------------------------------------
 
     def clone(self) -> KernelState:
-        return KernelState(self.config, self.layout, self.buf[:],
-                           self.monitors.table, self.monitors.chain)
+        return KernelState(self.config, self.layout, self.buf[:])
 
     def begin_step(self, label: str) -> None:
         self.step_label = label
         self.step_lines = []
         self.violation = None
-
-    @property
-    def preempt_in_flight(self) -> bool:
-        return self.buf[IN_FLIGHT] == 1
 
     @property
     def decision(self) -> tuple[int, int] | None:
@@ -350,25 +236,13 @@ class KernelState:
         return None
 
     @property
-    def spawn_cursor(self) -> int:
-        return self.buf[SPAWN_CURSOR]
-
-    @property
-    def tcbs(self) -> list[TaskControlBlock]:
-        return [TaskControlBlock(self, task) for task in range(self.spawn_cursor)]
-
-    @property
-    def cores(self) -> list[CoreState]:
-        return [CoreState(self, core) for core in range(self.layout.core_count)]
-
-    @property
     def run_queue(self) -> tuple[int, ...]:
         """The queued task ids, head first."""
         return tuple(self.buf[QUEUE:QUEUE + self.buf[QUEUE_LEN]])
 
     def all_tasks_terminal(self) -> bool:
         tasks = self.layout.tasks
-        states = self.buf[tasks + T_STATE:tasks + self.spawn_cursor * TASK_WIDTH:TASK_WIDTH]
+        states = self.buf[tasks + T_STATE:tasks + self.buf[SPAWN_CURSOR] * TASK_WIDTH:TASK_WIDTH]
         return all(s == TERMINATED for s in states)
 
     def fireable_timers(self) -> list[int]:
@@ -436,13 +310,18 @@ class KernelState:
         self._fire_event(task, Event.WAKE)
         return task
 
-    def wake(self, task: int) -> None:
-        """Timer callback: enqueue a waiting task; with the wait fix, flag a
-        running one; ignore every other state."""
-        if not 0 <= task < self.buf[SPAWN_CURSOR]:
-            raise ConfigurationError(f"unknown task id {task}")
+    def timer_fire(self, task: int) -> None:
+        """Deliver the pending timed event of `task`, the timer callback's
+        wake: enqueue a waiting task; with the wait fix, flag a running one;
+        ignore every other state."""
         buf = self.buf
         at = self.layout.tasks + task * TASK_WIDTH
+        if not (0 <= task < self.layout.task_count and buf[at + T_TIMER]):
+            if not self.fireable_timers():
+                raise UsageError("no fireable timer entry")
+            raise UsageError(f"timer entry for task {task} not fireable")
+        self.begin_step(f"timer fire: wake task {task}")
+        buf[at + T_TIMER] = 0
         if buf[at + T_STATE] == WAITING:
             buf[at + T_STATE] = RUNNABLE
             self._enqueue(task)
@@ -453,17 +332,6 @@ class KernelState:
                 self._fire_event(task, Event.SET_NEED_SCHED)
             # without the fix the call is silently dropped
         # Runnable / Preempted / Terminated: ignore
-
-    def timer_fire(self, task: int) -> None:
-        """Deliver the pending timed event of `task`."""
-        timers = self.layout.tasks + T_TIMER
-        if not (0 <= task < self.layout.task_count and self.buf[timers + task * TASK_WIDTH]):
-            if not self.fireable_timers():
-                raise UsageError("no fireable timer entry")
-            raise UsageError(f"timer entry for task {task} not fireable")
-        self.begin_step(f"timer fire: wake task {task}")
-        self.buf[timers + task * TASK_WIDTH] = 0
-        self.wake(task)
 
     def get_next_task(self, core_id: int) -> None:
         """Worker fetch: dequeue the head and start or resume it.
@@ -690,7 +558,7 @@ def initial_state(config: KernelConfig) -> KernelState:
     """Boot: cores as laid out, then spawn the first planned task
     immediately (later entries are spawned by the spawner step)."""
     layout = layout_for(config)
-    state = KernelState(config, layout, layout.boot[:], default_table())
+    state = KernelState(config, layout, layout.boot[:])
     state.spawn_next()
     state.begin_step("init")
     return state
@@ -703,8 +571,8 @@ def snapshot(state: KernelState) -> bytes:
     Covers every task record with its saved context, queue order, timers,
     cores with their handler phases and pending decisions, the preemption
     flag, the spawn cursor, and each monitor's current state. Equal states
-    encode equally; monitor history and transient step bookkeeping live
-    beside the buffer and are excluded.
+    encode equally; the transient step bookkeeping lives beside the buffer
+    and is excluded.
     """
     return bytes(state.buf)
 

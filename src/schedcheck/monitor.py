@@ -2,8 +2,9 @@
 
 Each spawned task gets its own monitor, and all share one transition
 table. Scheduler hooks feed events; an event with no defined transition
-yields a violation report carrying the current state, the offending
-symbol, and the full transition history. A registry keeps each monitor's
+yields a violation report carrying the task, its current state and the
+offending symbol, and every event gives one formatted line, so a trace's
+lines list each task's transitions. A registry keeps each monitor's
 current state as a small-int code in the kernel state's buffer, beside the
 state's own fields, so a cloned state's monitors step independently of the
 original's.
@@ -103,8 +104,7 @@ class MonitorViolation:
 
     current_state: MonitorState
     symbol: Event
-    history: tuple[tuple[MonitorState, Event, MonitorState], ...]
-    task: int | None = None
+    task: int
 
     def describe(self) -> str:
         return (
@@ -166,20 +166,14 @@ def default_table() -> TransitionTable:
 
 class MonitorRegistry:
     """task id -> current monitor state, as one code per task in a kernel
-    state's buffer `buf` from `base` on (code 0: not registered). The
-    transition history of all tasks is one shared-tail cons chain,
-    ((task, src code, event, dst code), previous), so copying a registry is
-    O(1) beyond its buffer."""
+    state's buffer `buf` from `base` on (code 0: not registered)."""
 
-    __slots__ = ("table", "buf", "base", "chain")
+    __slots__ = ("table", "buf", "base")
 
-    def __init__(
-        self, table: TransitionTable, buf: array, base: int, chain: tuple | None = None,
-    ) -> None:
+    def __init__(self, table: TransitionTable, buf: array, base: int) -> None:
         self.table = table
         self.buf = buf
         self.base = base
-        self.chain = chain
 
     def register(self, task: int) -> None:
         at = self.base + task
@@ -191,16 +185,6 @@ class MonitorRegistry:
         """The task's monitor state; None before it is registered."""
         return STATES[self.buf[self.base + task]]
 
-    def history(self, task: int) -> tuple[tuple[MonitorState, Event, MonitorState], ...]:
-        entries = []
-        node = self.chain
-        while node is not None:
-            (owner, src, event, dst), node = node
-            if owner == task:
-                entries.append((STATES[src], event, STATES[dst]))
-        entries.reverse()
-        return tuple(entries)
-
     def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, str]:
         """Feed one event; return (violation-or-None, formatted line)."""
         at = self.base + task
@@ -210,11 +194,7 @@ class MonitorRegistry:
         key = src * EVENT_COUNT + event.code
         dst = self.table.targets[key]
         if not dst:
-            violation = MonitorViolation(STATES[src], event, self.history(task), task)
+            violation = MonitorViolation(STATES[src], event, task)
             return violation, f"task={task} {violation.describe()}"
         self.buf[at] = dst
-        self.chain = ((task, src, event, dst), self.chain)
         return None, f"task={task}{self.table.labels[key]}"
-
-    def clone(self) -> MonitorRegistry:
-        return MonitorRegistry(self.table, self.buf[:], self.base, self.chain)

@@ -306,8 +306,12 @@ class TestMalformedTraceFile:
 
     @staticmethod
     def replay_doc(tmp_path, capsys, doc) -> str:
+        return TestMalformedTraceFile.replay_text(tmp_path, capsys, json.dumps(doc))
+
+    @staticmethod
+    def replay_text(tmp_path, capsys, text: str) -> str:
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         capsys.readouterr()
         code = main(["--mode", "replay", "--trace-in", str(path)])
         err = capsys.readouterr().err
@@ -331,6 +335,10 @@ class TestMalformedTraceFile:
         doc = self.report(capsys)
         doc["config"]["workers"] = "1"
         assert "workers" in self.replay_doc(tmp_path, capsys, doc)
+
+    def test_nesting_past_the_parser_stack(self, tmp_path, capsys):
+        text = "[" * 200_000 + "]" * 200_000
+        assert "cannot read trace file" in self.replay_text(tmp_path, capsys, text)
 
     def test_top_level_list(self, tmp_path, capsys):
         self.replay_doc(tmp_path, capsys, [self.report(capsys)])

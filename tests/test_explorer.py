@@ -5,35 +5,48 @@ from __future__ import annotations
 
 import random
 from array import array
+from operator import setitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cells import core_cell, task_cell
 from schedcheck.explorer import (
     Limits,
     ReplayError,
     ScheduleStep,
     VERDICT_DEADLOCK,
     VirtualProcess,
+    _apply,
     check_invariants,
     enabled,
     explore,
     random_walk,
     replay,
-    step,
 )
 from schedcheck.model import (
+    C_CURRENT,
+    C_DECISION,
+    C_IPI_PHASE,
+    C_PENDING_IPI,
     FAULTS,
     IN_FLIGHT,
+    PREEMPTED,
     QUEUE,
     QUEUE_LEN,
+    RUNNABLE,
+    RUNNING,
+    SPAWN_CURSOR,
+    T_IN_QUEUE,
     T_NEED_SCHED,
     T_SAVED_MID_WAIT,
     T_SAVED_PC,
+    T_STATE,
+    T_WAITS,
+    TERMINATED,
+    WAITING,
     KernelConfig,
     TaskKind,
-    TaskState,
-    UsageError,
     initial_state,
     snapshot,
     symmetric_key,
@@ -96,7 +109,7 @@ class TestEnabled:
         state.get_next_task(1)
         for _ in range(3):
             state.poll_step(1)
-        assert state.tcbs[0].state is TaskState.TERMINATED
+        assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
         assert enabled(state) == []
 
     def test_ordering_is_processes_then_variants(self):
@@ -136,23 +149,23 @@ class TestStep:
         state = initial_state(CLEAN_SMALL)
         before = snapshot(state)
         choice = enabled(state)[0]
-        succ1 = step(state, choice)
-        succ2 = step(state, choice)
+        succ1 = _apply(state, choice)
+        succ2 = _apply(state, choice)
         assert snapshot(state) == before
         assert snapshot(succ1) == snapshot(succ2)
 
     def test_worker_fetch_starts_the_task(self):
         state = initial_state(KernelConfig(worker_count=1, task_plan=(H,)))
         (choice,) = enabled(state)
-        succ = step(state, choice)
-        assert succ.tcbs[0].state is TaskState.RUNNING
-        assert succ.cores[1].current_task == 0
+        succ = _apply(state, choice)
+        assert succ.buf[task_cell(succ, 0, T_STATE)] == RUNNING
+        assert succ.buf[core_cell(succ, 1, C_CURRENT)] == 0
 
-    def test_disabled_choice_rejected(self):
+    def test_disabled_choice_is_not_offered(self):
+        # replay refuses it (TestReplay.test_mismatched_trace_reports_first_divergence)
         state = initial_state(KernelConfig(worker_count=2, task_plan=(H,)))
         bogus = ScheduleStep(VirtualProcess("PrimaryTimer"), 0)
-        with pytest.raises(UsageError):
-            step(state, bogus)
+        assert bogus not in enabled(state)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**30))
@@ -166,7 +179,7 @@ class TestStep:
             if not options:
                 break
             before = snapshot(state)
-            succ = step(state, options[rng.randrange(len(options))])
+            succ = _apply(state, options[rng.randrange(len(options))])
             assert snapshot(state) == before
             state = succ
 
@@ -293,7 +306,7 @@ class TestExplore:
                 if not options and state.all_tasks_terminal():
                     quiescent_ok += 1
                 for choice in options:
-                    succ = step(state, choice)
+                    succ = _apply(state, choice)
                     key = symmetric_key(succ)
                     if key not in seen:
                         seen.add(key)
@@ -466,7 +479,7 @@ class TestReachableStateProperties:
             state = frontier.popleft()
             check(state)
             for choice in enabled(state):
-                succ = step(state, choice)
+                succ = _apply(state, choice)
                 key = snapshot(succ)
                 if key not in seen and succ.violation is None:
                     seen.add(key)
@@ -483,20 +496,23 @@ class TestReachableStateProperties:
             # between the save-context and set-state handler steps the task
             # briefly holds a saved context while still Running; the
             # equivalence is claimed only once the handler has finished
-            if any(c.ipi_phase is not None for c in state.cores):
+            cores = range(state.layout.core_count)
+            if any(state.buf[core_cell(state, c, C_IPI_PHASE)] >= 0 for c in cores):
                 return
-            for t in state.tcbs:
-                assert (t.state is TaskState.PREEMPTED) == (
-                    t.saved_pc is not None
-                ), f"task {t.id}: {t.state} with saved pc {t.saved_pc}"
+            for t in range(state.buf[SPAWN_CURSOR]):
+                task_state = state.buf[task_cell(state, t, T_STATE)]
+                saved_pc = state.buf[task_cell(state, t, T_SAVED_PC)]
+                assert (task_state == PREEMPTED) == (
+                    saved_pc >= 0
+                ), f"task {t}: state {task_state} with saved pc {saved_pc}"
 
         assert self._walk_all_states(cfg, check) > 0
 
     def test_in_queue_mirrors_membership_everywhere(self):
         def check(state):
             queued = set(state.run_queue)
-            for t in state.tcbs:
-                assert t.in_queue == (t.id in queued)
+            for t in range(state.buf[SPAWN_CURSOR]):
+                assert (state.buf[task_cell(state, t, T_IN_QUEUE)] == 1) == (t in queued)
 
         self._walk_all_states(CLEAN_SMALL, check)
 
@@ -506,19 +522,21 @@ class TestReachableStateProperties:
         from schedcheck.monitor import Base
 
         base_for = {
-            TaskState.RUNNABLE: Base.RUNNABLE,
-            TaskState.RUNNING: Base.RUNNING,
-            TaskState.WAITING: Base.WAITING,
-            TaskState.PREEMPTED: Base.PREEMPTED,
-            TaskState.TERMINATED: Base.TERMINATED,
+            RUNNABLE: Base.RUNNABLE,
+            RUNNING: Base.RUNNING,
+            WAITING: Base.WAITING,
+            PREEMPTED: Base.PREEMPTED,
+            TERMINATED: Base.TERMINATED,
         }
 
         def check(state):
-            for t in state.tcbs:
-                current = state.monitors.current(t.id)
-                assert current.base is base_for[t.state], (t.id, t.state, str(current))
-                if t.state is not TaskState.TERMINATED:
-                    assert (current.flag.value == "true") == t.need_sched
+            for t in range(state.buf[SPAWN_CURSOR]):
+                task_state = state.buf[task_cell(state, t, T_STATE)]
+                current = state.monitors.current(t)
+                assert current.base is base_for[task_state], (t, task_state, str(current))
+                if task_state != TERMINATED:
+                    need_sched = state.buf[task_cell(state, t, T_NEED_SCHED)] == 1
+                    assert (current.flag.value == "true") == need_sched
 
         for cfg in (CLEAN_SMALL, KernelConfig(worker_count=2, task_plan=(H, H))):
             self._walk_all_states(cfg, check)
@@ -538,7 +556,7 @@ def _queue_over_capacity(state):
 
 def _current_on_two_cores(state):
     state.get_next_task(1)
-    state.cores[2].current_task = 0
+    state.buf[core_cell(state, 2, C_CURRENT)] = 0
 
 
 def _flag_in_flight(state):
@@ -546,14 +564,14 @@ def _flag_in_flight(state):
 
 
 def _two_decisions(state):
-    state.cores[1].decision = 0
-    state.cores[2].pending_ipi = 0
+    state.buf[core_cell(state, 1, C_DECISION)] = 0
+    state.buf[core_cell(state, 2, C_PENDING_IPI)] = 0
     state.buf[IN_FLIGHT] = 1
 
 
 def _light_task_decided(state):
     state.spawn_next()
-    state.cores[1].decision = 1
+    state.buf[core_cell(state, 1, C_DECISION)] = 1
     state.buf[IN_FLIGHT] = 1
 
 
@@ -563,17 +581,19 @@ INVARIANT_FAILURES = {
     "duplicate queue ids": (_duplicate_queue_ids, "duplicate task ids in run queue (0, 0)"),
     "queue over capacity": (_queue_over_capacity, "run queue over capacity: 3 entries for 2 tasks"),
     "in_queue mismatch": (
-        lambda s: setattr(s.tcbs[0], "in_queue", False), "task 0 in_queue=False but queue=(0,)"),
+        lambda s: setitem(s.buf, task_cell(s, 0, T_IN_QUEUE), 0),
+        "task 0 in_queue=False but queue=(0,)"),
     "counter below zero": (
-        lambda s: setattr(s.tcbs[0], "remaining_waits", -1), "task 0 counter below zero"),
+        lambda s: setitem(s.buf, task_cell(s, 0, T_WAITS), -1), "task 0 counter below zero"),
     "cores share a current task": (_current_on_two_cores, "cores share a current task: [0, 0]"),
     "primary core has a current task": (
-        lambda s: setattr(s.cores[0], "current_task", 0), "primary core has a current task"),
+        lambda s: setitem(s.buf, core_cell(s, 0, C_CURRENT), 0),
+        "primary core has a current task"),
     "running task not current": (
-        lambda s: setattr(s.tcbs[0], "state", TaskState.RUNNING),
+        lambda s: setitem(s.buf, task_cell(s, 0, T_STATE), RUNNING),
         "running task 0 is not current on any core"),
     "terminal task queued": (
-        lambda s: setattr(s.tcbs[0], "state", TaskState.TERMINATED),
+        lambda s: setitem(s.buf, task_cell(s, 0, T_STATE), TERMINATED),
         "terminal task 0 is queued or current"),
     "more than one decision": (_two_decisions, "more than one preemption decision outstanding"),
     "preempt_in_flight out of sync": (_flag_in_flight, "preempt_in_flight flag out of sync"),

@@ -7,8 +7,29 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from cells import core_cell, task_cell
 from schedcheck.monitor import Event
 from schedcheck.model import (
+    C_CURRENT,
+    C_INTERRUPT,
+    C_PENDING_IPI,
+    IN_FLIGHT,
+    PREEMPTED,
+    RUNNABLE,
+    RUNNING,
+    SPAWN_CURSOR,
+    T_IN_QUEUE,
+    T_NEED_SCHED,
+    T_PC,
+    T_PENDING_WAIT,
+    T_PREEMPTIONS,
+    T_SAVED_MID_WAIT,
+    T_SAVED_PC,
+    T_STATE,
+    T_TIMER,
+    T_WAITS,
+    TERMINATED,
+    WAITING,
     Action,
     ConfigurationError,
     KernelConfig,
@@ -40,8 +61,8 @@ def assert_usage_error(call, message: str) -> None:
 def run_until_running(state, core_id=1):
     """Fetch the queue head on a worker so it is Running there."""
     state.get_next_task(core_id)
-    task = state.cores[core_id].current_task
-    assert task is not None
+    task = state.buf[core_cell(state, core_id, C_CURRENT)]
+    assert task >= 0
     return task
 
 
@@ -70,8 +91,8 @@ class TestScripts:
 class TestSpawn:
     def test_boot_spawn_creates_first_planned_task(self):
         state = initial_state(config(task_plan=(H, L)))
-        assert state.spawn_cursor == 1
-        assert state.tcbs[0].kind is H
+        assert state.buf[SPAWN_CURSOR] == 1
+        assert state.config.task_plan[0] is H
         assert state.run_queue == (0,)
 
     def test_exhausted_plan_is_a_usage_error(self):
@@ -83,62 +104,65 @@ class TestSpawn:
 
     def test_spawned_task_is_woken_into_the_queue(self):
         state = initial_state(config(task_plan=(H,)))
-        assert state.tcbs[0].state is TaskState.RUNNABLE
-        assert state.tcbs[0].in_queue is True
+        assert state.buf[task_cell(state, 0, T_STATE)] == RUNNABLE
+        assert state.buf[task_cell(state, 0, T_IN_QUEUE)] == 1
         assert str(state.monitors.current(0)) == "Runnable(false)"
 
     def test_spawn_events_are_spawn_then_wake(self):
         state = initial_state(config(task_plan=(H, L)))
         run_until_running(state)
         state.spawn_next()
-        assert [ev for (_, ev, _) in state.monitors.history(1)] == [
-            Event.SPAWN,
-            Event.WAKE,
+        assert state.step_lines == [
+            "task=1 Init(*) -- Spawn --> Waiting(false)",
+            "task=1 Waiting(false) -- Wake --> Runnable(false)",
         ]
 
 
 class TestWake:
+    """timer_fire's wake, by the state of the task whose entry is pending."""
+
     def test_wake_waiting_task_enqueues(self):
         state = initial_state(config(task_plan=(H,), worker_count=1))
         run_until_running(state)
         state.poll_step(1)  # compute
         state.poll_step(1)  # register timer
         state.poll_step(1)  # enter waiting
-        assert state.tcbs[0].state is TaskState.WAITING
+        assert state.buf[task_cell(state, 0, T_STATE)] == WAITING
         assert len(state.run_queue) == 0
-        state.wake(0)
-        assert state.tcbs[0].state is TaskState.RUNNABLE
+        state.timer_fire(0)
+        assert state.buf[task_cell(state, 0, T_STATE)] == RUNNABLE
         assert state.run_queue == (0,)
 
     def test_wake_running_with_fix_sets_flag(self):
         state = initial_state(config(task_plan=(H,), fix_wait_need_sched=True))
         run_until_running(state)
-        state.wake(0)
-        assert state.tcbs[0].need_sched is True
+        state.poll_step(1)  # compute
+        state.poll_step(1)  # register timer: still running
+        state.timer_fire(0)
+        assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 1
         assert len(state.run_queue) == 0
         assert str(state.monitors.current(0)) == "Running(true)"
 
     def test_wake_running_without_fix_is_dropped(self):
         state = initial_state(config(task_plan=(H,), fix_wait_need_sched=False))
         run_until_running(state)
-        before = snapshot(state)
-        state.wake(0)
-        assert snapshot(state) == before
+        state.poll_step(1)  # compute
+        state.poll_step(1)  # register timer: still running
+        expected = state.buf[:]
+        expected[task_cell(state, 0, T_TIMER)] = 0  # the entry is consumed, nothing else
+        state.timer_fire(0)
+        assert state.buf == expected
 
     def test_wake_terminated_task_is_ignored(self):
         state = initial_state(config(task_plan=(L,), worker_count=1))
         run_until_running(state)
         for _ in range(3):
             state.poll_step(1)
-        assert state.tcbs[0].state is TaskState.TERMINATED
+        assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
         before = snapshot(state)
-        state.wake(0)
+        state.buf[task_cell(state, 0, T_TIMER)] = 1  # an entry left pending
+        state.timer_fire(0)
         assert snapshot(state) == before
-
-    def test_wake_unknown_task_is_a_configuration_error(self):
-        state = initial_state(config())
-        with pytest.raises(ConfigurationError):
-            state.wake(7)
 
 
 class TestTimerFire:
@@ -203,13 +227,13 @@ class TestGetNextTask:
         state = initial_state(config(task_plan=(H, L), worker_count=2))
         run_until_running(state, 1)
         state.spawn_next()
-        state.cores[1].current_task = None  # park the first task artificially
-        state.tcbs[0].state = TaskState.RUNNABLE
+        state.buf[core_cell(state, 1, C_CURRENT)] = -1  # park the first task artificially
+        state.buf[task_cell(state, 0, T_STATE)] = RUNNABLE
         state._enqueue(0)
         assert state.run_queue == (1, 0)
         state.get_next_task(2)
-        assert state.cores[2].current_task == 1
-        assert state.tcbs[1].state is TaskState.RUNNING
+        assert state.buf[core_cell(state, 2, C_CURRENT)] == 1
+        assert state.buf[task_cell(state, 1, T_STATE)] == RUNNING
         assert state.run_queue == (0,)
 
     def test_empty_queue_is_a_usage_error(self):
@@ -240,7 +264,7 @@ class TestGetNextTask:
         mon_before = state.monitors.current(0)
         state.get_next_task(2)
         assert state.step_label == "worker 2: task 0 still running, requeued"
-        assert state.cores[2].current_task is None
+        assert state.buf[core_cell(state, 2, C_CURRENT)] == -1
         assert state.run_queue == (0,)
         assert state.monitors.current(0) == mon_before
 
@@ -256,14 +280,14 @@ class TestGetNextTask:
         state.handle_ipi_step(1)  # save context
         state.handle_ipi_step(1)  # set state
         state.handle_ipi_step(1)  # enqueue + finish
-        assert state.tcbs[0].state is TaskState.PREEMPTED
-        assert state.tcbs[0].saved_pc == 1
+        assert state.buf[task_cell(state, 0, T_STATE)] == PREEMPTED
+        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == 1
         state.get_next_task(2)
-        assert state.cores[2].current_task == 0
-        assert state.tcbs[0].pc == 1
-        assert state.tcbs[0].state is TaskState.RUNNING
-        assert state.tcbs[0].saved_pc is None
-        assert state.tcbs[0].need_sched is False
+        assert state.buf[core_cell(state, 2, C_CURRENT)] == 0
+        assert state.buf[task_cell(state, 0, T_PC)] == 1
+        assert state.buf[task_cell(state, 0, T_STATE)] == RUNNING
+        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == -1
+        assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 0
 
 
 class TestPollStep:
@@ -273,11 +297,11 @@ class TestPollStep:
         state.poll_step(1)  # compute
         state.poll_step(1)  # register
         assert state.fireable_timers() == [0]
-        assert state.tcbs[0].pending_wait is True
+        assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 1
         state.poll_step(1)  # waiting transition
-        assert state.tcbs[0].state is TaskState.WAITING
-        assert state.tcbs[0].remaining_waits == 0
-        assert state.cores[1].current_task is None
+        assert state.buf[task_cell(state, 0, T_STATE)] == WAITING
+        assert state.buf[task_cell(state, 0, T_WAITS)] == 0
+        assert state.buf[core_cell(state, 1, C_CURRENT)] == -1
 
     def test_register_then_requeue_with_flag(self):
         state = initial_state(config(task_plan=(H,), worker_count=1))
@@ -285,10 +309,10 @@ class TestPollStep:
         state.poll_step(1)
         state.poll_step(1)
         state.timer_fire(0)  # wake while running: sets need_sched with the fix
-        assert state.tcbs[0].need_sched is True
+        assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 1
         state.poll_step(1)
-        assert state.tcbs[0].state is TaskState.RUNNABLE
-        assert state.tcbs[0].need_sched is False
+        assert state.buf[task_cell(state, 0, T_STATE)] == RUNNABLE
+        assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 0
         assert state.run_queue == (0,)
         assert str(state.monitors.current(0)) == "Runnable(false)"
 
@@ -298,8 +322,8 @@ class TestPollStep:
         state.poll_step(1)
         state.poll_step(1)
         state.poll_step(1)
-        assert state.tcbs[0].state is TaskState.TERMINATED
-        assert state.cores[1].current_task is None
+        assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
+        assert state.buf[core_cell(state, 1, C_CURRENT)] == -1
         assert str(state.monitors.current(0)) == "Terminated(*)"
 
     def test_poll_without_current_task_rejected(self):
@@ -322,8 +346,8 @@ class TestPreemption:
         assert state.preempt_candidates() == [1]
         state.preempt_decide(1)
         assert state.decision == (1, 0)
-        assert state.preempt_in_flight is True
-        assert state.tcbs[0].need_sched is True
+        assert state.buf[IN_FLIGHT] == 1
+        assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 1
 
     def test_light_tasks_are_not_candidates(self):
         state = initial_state(config(task_plan=(L,)))
@@ -339,17 +363,17 @@ class TestPreemption:
             lambda: state.preempt_decide(core), f"core {core} is not a preemption candidate"
         )
         assert snapshot(state) == before
-        assert state.preempt_in_flight is False
+        assert state.buf[IN_FLIGHT] == 0
 
     def test_decide_rejects_an_idle_core(self):
         state = self.make_running_heavy(task_plan=(H, L), worker_count=2)
-        assert state.cores[2].current_task is None
+        assert state.buf[core_cell(state, 2, C_CURRENT)] == -1
         assert_usage_error(lambda: state.preempt_decide(2), "core 2 is not a preemption candidate")
 
     def test_decide_rejects_a_core_running_a_light_task(self):
         state = initial_state(config(task_plan=(L,)))
         run_until_running(state, 1)
-        state.tcbs[0].remaining_preemptions = 1  # whatever its budget field holds
+        state.buf[task_cell(state, 0, T_PREEMPTIONS)] = 1  # whatever its budget field holds
         assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
 
     @pytest.mark.parametrize(
@@ -357,25 +381,25 @@ class TestPreemption:
     )
     def test_decide_rejects_a_task_that_is_not_running(self, task_state):
         state = self.make_running_heavy()
-        state.tcbs[0].state = task_state
+        state.buf[task_cell(state, 0, T_STATE)] = task_state.code
         assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
 
     def test_decide_rejects_a_task_with_spent_budget(self):
         state = self.make_running_heavy()
-        state.tcbs[0].remaining_preemptions = 0
+        state.buf[task_cell(state, 0, T_PREEMPTIONS)] = 0
         assert_usage_error(lambda: state.preempt_decide(1), "core 1 is not a preemption candidate")
 
     def test_no_flag_without_fix(self):
         state = self.make_running_heavy(fix_preempt_need_sched=False)
         state.preempt_decide(1)
-        assert state.tcbs[0].need_sched is False
+        assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 0
 
     def test_send_ipi_targets_decided_core(self):
         state = self.make_running_heavy()
         state.preempt_decide(1)
         state.send_ipi()
-        assert state.cores[1].pending_ipi == 0
-        assert state.cores[1].interrupt_flag is True
+        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == 0
+        assert state.buf[core_cell(state, 1, C_INTERRUPT)] == 1
         assert state.decision is None
 
     def test_send_without_decision_rejected(self):
@@ -388,9 +412,9 @@ class TestPreemption:
         state.preempt_decide(1)
         state.poll_step(1)  # compute
         state.poll_step(1)  # finish: observed task terminated
-        assert state.tcbs[0].state is TaskState.TERMINATED
+        assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
         state.send_ipi()
-        assert state.cores[1].pending_ipi == 0  # stale observation delivered
+        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == 0  # stale observation delivered
 
     def test_handle_cancels_on_idle_core(self):
         state = self.make_running_heavy()
@@ -399,8 +423,8 @@ class TestPreemption:
         state.poll_step(1)  # finish
         state.send_ipi()
         state.handle_ipi_step(1)
-        assert state.preempt_in_flight is False
-        assert state.cores[1].pending_ipi is None
+        assert state.buf[IN_FLIGHT] == 0
+        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == -1
 
     def test_handle_cancels_when_flag_clear(self):
         # the race: observed task finished, a fresh task runs when the IPI lands
@@ -413,19 +437,19 @@ class TestPreemption:
         state.send_ipi()
         state.handle_ipi_step(1)
         assert state.step_label == "core 1: IPI canceled (task 1 need_sched clear)"
-        assert state.tcbs[1].state is TaskState.RUNNING
-        assert state.preempt_in_flight is False
+        assert state.buf[task_cell(state, 1, T_STATE)] == RUNNING
+        assert state.buf[IN_FLIGHT] == 0
 
     def test_handle_cancels_when_budget_spent(self):
         state = self.make_running_heavy()
         state.preempt_decide(1)
         state.send_ipi()
-        state.tcbs[0].remaining_preemptions = 0
+        state.buf[task_cell(state, 0, T_PREEMPTIONS)] = 0
         state.handle_ipi_step(1)
         assert state.step_label == "core 1: IPI canceled (task 0 budget spent)"
-        assert state.tcbs[0].state is TaskState.RUNNING
-        assert state.tcbs[0].saved_pc is None
-        assert state.preempt_in_flight is False
+        assert state.buf[task_cell(state, 0, T_STATE)] == RUNNING
+        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == -1
+        assert state.buf[IN_FLIGHT] == 0
 
     def test_handle_without_fix_preempts_the_newcomer(self):
         state = self.make_running_heavy(
@@ -439,7 +463,7 @@ class TestPreemption:
         state.send_ipi()
         state.handle_ipi_step(1)  # save
         state.handle_ipi_step(1)  # set state: the bug fires here
-        assert state.tcbs[1].state is TaskState.PREEMPTED
+        assert state.buf[task_cell(state, 1, T_STATE)] == PREEMPTED
         assert state.violation is not None
         assert str(state.violation.current_state) == "Running(false)"
         assert str(state.violation.symbol) == "Preempt"
@@ -450,18 +474,19 @@ class TestPreemption:
         state.preempt_decide(1)
         state.send_ipi()
         state.handle_ipi_step(1)
-        assert state.tcbs[0].saved_pc == 1
-        assert state.tcbs[0].saved_mid_wait is False
+        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == 1
+        assert state.buf[task_cell(state, 0, T_SAVED_MID_WAIT)] == 0
         state.handle_ipi_step(1)
         state.handle_ipi_step(1)
-        assert state.cores[1].current_task is None
-        assert state.tcbs[0].remaining_preemptions == 0
-        state.tcbs[0].pc = 0  # a resume restores the saved pc, not the live one
+        assert state.buf[core_cell(state, 1, C_CURRENT)] == -1
+        assert state.buf[task_cell(state, 0, T_PREEMPTIONS)] == 0
+        # a resume restores the saved pc, not the live one
+        state.buf[task_cell(state, 0, T_PC)] = 0
         # resumed on the other worker
         state.get_next_task(2)
-        assert state.cores[2].current_task == 0
-        assert state.tcbs[0].pc == 1
-        assert state.tcbs[0].saved_pc is None
+        assert state.buf[core_cell(state, 2, C_CURRENT)] == 0
+        assert state.buf[task_cell(state, 0, T_PC)] == 1
+        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == -1
 
     def test_preemption_between_register_and_wait_resumes_mid_wait(self):
         state = self.make_running_heavy(worker_count=2, max_waits_per_task=1)
@@ -471,12 +496,13 @@ class TestPreemption:
         state.send_ipi()
         for _ in range(3):
             state.handle_ipi_step(1)
-        assert (state.tcbs[0].saved_pc, state.tcbs[0].saved_mid_wait) == (2, True)
+        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == 2
+        assert state.buf[task_cell(state, 0, T_SAVED_MID_WAIT)] == 1
         state.get_next_task(2)
-        assert state.tcbs[0].pending_wait is True
-        assert state.tcbs[0].saved_mid_wait is False
+        assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 1
+        assert state.buf[task_cell(state, 0, T_SAVED_MID_WAIT)] == 0
         state.poll_step(2)  # second half of the wait
-        assert state.tcbs[0].state is TaskState.WAITING
+        assert state.buf[task_cell(state, 0, T_STATE)] == WAITING
 
 
 class TestSnapshot:
@@ -490,8 +516,8 @@ class TestSnapshot:
         for s in (a, b):
             run_until_running(s, 1)
             s.spawn_next()
-            s.cores[1].current_task = None
-            s.tcbs[0].state = TaskState.RUNNABLE
+            s.buf[core_cell(s, 1, C_CURRENT)] = -1
+            s.buf[task_cell(s, 0, T_STATE)] = RUNNABLE
         a._enqueue(0)          # queue (1, 0)
         head = b._dequeue()    # rebuild as (0, 1)
         b._enqueue(0)
@@ -503,7 +529,7 @@ class TestSnapshot:
         assert snapshot(state.clone()) == snapshot(state)
 
     def test_identical_schedule_replays_to_identical_encoding(self):
-        from schedcheck.explorer import enabled, step
+        from schedcheck.explorer import _apply, enabled
 
         def run_schedule():
             state = initial_state(config(task_plan=(H, L)))
@@ -511,7 +537,7 @@ class TestSnapshot:
                 options = enabled(state)
                 if not options:
                     break
-                state = step(state, options[0])
+                state = _apply(state, options[0])
             return snapshot(state)
 
         assert run_schedule() == run_schedule()
@@ -534,6 +560,7 @@ class TestSnapshot:
         b = a.clone()
         b.monitors.fire(0, Event.GET_NEXT)
         assert snapshot(a) != snapshot(b)
+        assert str(a.monitors.current(0)) == "Runnable(false)"  # the clone's own cells
 
 
 class TestRunQueue:
@@ -576,7 +603,8 @@ class TestRunQueue:
                 else:
                     assert state._dequeue() == reference.pop(0)
             assert state.run_queue == tuple(reference)
-            assert [t.in_queue for t in state.tcbs] == [t in reference for t in range(6)]
+            in_queue = [state.buf[task_cell(state, t, T_IN_QUEUE)] == 1 for t in range(6)]
+            assert in_queue == [t in reference for t in range(6)]
 
     def test_duplicate_rejected(self):
         state = self.empty_queue(2)

@@ -134,12 +134,10 @@ class TestNext:
     def test_violation_leaves_monitor_unchanged(self):
         mon = monitor()
         mon.fire(0, Event.SPAWN)
-        before_state, before_hist = mon.current(0), mon.history(0)
-        before_buf, before_chain = mon.buf[:], mon.chain
+        before_state, before_buf = mon.current(0), mon.buf[:]
         assert mon.fire(0, Event.PREEMPT)[0] is not None
         assert mon.current(0) == before_state
-        assert mon.history(0) == before_hist
-        assert (mon.buf, mon.chain) == (before_buf, before_chain)
+        assert mon.buf == before_buf
 
     def test_terminal_state_rejects_everything(self):
         for event in EVENTS:
@@ -147,14 +145,6 @@ class TestNext:
             mon.buf[0] = STATE_CODES[mstate(Base.TERMINATED)]
             assert mon.fire(0, event)[0] is not None
             assert mon.current(0) == mstate(Base.TERMINATED)
-
-    def test_violation_carries_full_history(self):
-        mon = monitor()
-        mon.fire(0, Event.SPAWN)
-        mon.fire(0, Event.WAKE)
-        violation, _ = mon.fire(0, Event.PREEMPT)
-        assert violation is not None
-        assert [ev for (_, ev, _) in violation.history] == [Event.SPAWN, Event.WAKE]
 
 
 class TestOracleEquivalence:
@@ -167,28 +157,18 @@ class TestOracleEquivalence:
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(EVENTS), max_size=20))
-    def test_history_replays_to_current(self, events):
+    def test_lines_replay_to_current(self, events):
+        # the lines of the transitions taken list all that the task went through
         mon = monitor()
-        for event in events:
-            mon.fire(0, event)
         current = INIT
         targets = transitions(default_table())
-        for src, ev, dst in mon.history(0):
-            assert src == current
-            assert targets.get((src, ev)) == dst
-            current = dst
-        assert current == mon.current(0)
-
-    @settings(max_examples=100)
-    @given(st.lists(st.sampled_from(EVENTS), max_size=20))
-    def test_clone_is_independent(self, events):
-        mon = monitor()
-        mon.fire(0, Event.SPAWN)
-        fork = mon.clone()
         for event in events:
-            fork.fire(0, event)
-        assert mon.current(0) == mstate(Base.WAITING, False)
-        assert len(mon.history(0)) == 1
+            violation, line = mon.fire(0, event)
+            if violation is None:
+                dst = targets[current, event]
+                assert line == f"task=0 {current} -- {event} --> {dst}"
+                current = dst
+        assert current == mon.current(0)
 
 
 class TestFlagDiscipline:
@@ -236,14 +216,6 @@ class TestRegistry:
     def test_fire_on_unregistered_task_rejected(self):
         with pytest.raises(KeyError):
             registry().fire(0, Event.SPAWN)
-
-    def test_clone_isolates_monitors(self):
-        reg = monitor()
-        fork = reg.clone()
-        fork.fire(0, Event.SPAWN)
-        assert reg.current(0) == INIT
-        assert fork.current(0) == mstate(Base.WAITING, False)
-        assert reg.history(0) == ()
 
 
 class TestFormatting:

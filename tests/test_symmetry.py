@@ -9,9 +9,11 @@ import itertools
 
 import pytest
 
+from cells import core_cell
 from schedcheck import explorer
 from schedcheck.explorer import Limits, enabled, explore, random_walk
 from schedcheck.model import (
+    CORE_WIDTH,
     KernelConfig,
     KernelState,
     TaskKind,
@@ -100,16 +102,12 @@ def test_reduced_search_reaches_the_full_search_verdicts(case, monkeypatch):
 
 
 def renamed(state: KernelState, order: tuple[int, ...]) -> KernelState:
-    """Reference renaming, written against the record views: worker
-    order[k] becomes worker k + 1. No other field names a worker."""
+    """Reference renaming, one core record at a time: worker order[k]
+    becomes worker k + 1. No other field names a worker."""
     image = state.clone()
     for new, old in enumerate(order, 1):
-        src, dst = state.cores[old], image.cores[new]
-        dst.current_task = src.current_task
-        dst.interrupt_flag = src.interrupt_flag
-        dst.pending_ipi = src.pending_ipi
-        dst.ipi_phase = src.ipi_phase
-        dst.decision = src.decision
+        src, dst = core_cell(state, old, 0), core_cell(image, new, 0)
+        image.buf[dst:dst + CORE_WIDTH] = state.buf[src:src + CORE_WIDTH]
     return image
 
 
@@ -133,7 +131,7 @@ def test_key_is_one_renaming_of_the_state(config):
         assert {symmetric_key(image) for image in images} == {key}
         renamings += key != snapshot(state)
         for choice in enabled(state):
-            succ = explorer.step(state, choice)
+            succ = explorer._apply(state, choice)
             exact = snapshot(succ)
             if exact not in seen and succ.violation is None:
                 seen.add(exact)
@@ -145,7 +143,7 @@ def test_key_is_one_renaming_of_the_state(config):
 def test_one_worker_key_is_the_snapshot():
     state, steps = initial_state(KernelConfig(worker_count=1, task_plan=(H, L))), 0
     while options := enabled(state):
-        state = explorer.step(state, options[-1])
+        state = explorer._apply(state, options[-1])
         assert symmetric_key(state) == snapshot(state)
         steps += 1
     assert steps > 5
