@@ -428,7 +428,7 @@ def _render_replay_text(doc: dict) -> str:
 def _run_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.sweep, "r", encoding="utf-8") as fh:
-            plans = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            plans = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except OSError as exc:
         raise usage_error(f"cannot read sweep file: {exc}")
     if not plans:

@@ -12,11 +12,17 @@ exact states (`snapshot`); `replay` re-executes a recorded schedule and
 rebuilds its trace, and `replay_all` does so for a report's schedules,
 running each shared prefix once. All of them end a path by one rule and build traces
 one way.
+
+`explore` and `replay_all` step state buffers through two per-search
+memos: `_settler` keys each ending rule by the cells it reads, and
+`_transition` keys each step's effect by the cells the step read, so an
+operation runs only on a miss.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -42,8 +48,10 @@ from .model import (
     TERMINATED,
     KernelConfig,
     KernelState,
+    Layout,
     TaskState,
     initial_state,
+    layout_for,
     snapshot,
     symmetric_key,
 )
@@ -129,11 +137,11 @@ class ExplorationReport:
         self.all_paths_terminal_ok = not self.violations and not self.incomplete
 
 
-def _task_state_summary(state: KernelState) -> tuple[tuple[int, str], ...]:
-    buf, names = state.buf, tuple(TaskState)
+def _task_state_summary(buf: array, layout: Layout) -> tuple[tuple[int, str], ...]:
+    names = tuple(TaskState)
     out = []
     for t in range(buf[SPAWN_CURSOR]):
-        at = state.layout.tasks + t * TASK_WIDTH
+        at = layout.tasks + t * TASK_WIDTH
         flag = "true" if buf[at + T_NEED_SCHED] else "false"
         out.append((t, f"{names[buf[at + T_STATE]].value}({flag})"))
     return tuple(out)
@@ -201,28 +209,97 @@ def _worker_action(state: KernelState, core_id: int) -> str | None:
 def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
     """Clone-and-execute one enabled step; the caller guarantees enabledness."""
     succ = state.clone()
+    _run(succ, choice)
+    return succ
+
+
+def _run(state: KernelState, choice: ScheduleStep) -> None:
+    """Execute one enabled step on `state` in place."""
     kind = choice.process.kind
     if kind == "PrimaryTimer":
-        fireable = succ.fireable_timers()
-        succ.timer_fire(fireable[choice.variant])
+        state.timer_fire(state.fireable_timers()[choice.variant])
     elif kind == "PrimaryPreempter":
-        if succ.decision is not None:
-            succ.send_ipi()
+        if state.decision is not None:
+            state.send_ipi()
         else:
-            succ.preempt_decide(succ.preempt_candidates()[choice.variant])
+            state.preempt_decide(state.preempt_candidates()[choice.variant])
     elif kind == "Spawner":
-        succ.spawn_next()
+        state.spawn_next()
     else:
         core_id = choice.process.core
         assert core_id is not None
-        action = _worker_action(succ, core_id)
+        action = _worker_action(state, core_id)
         if action == "ipi":
-            succ.handle_ipi_step(core_id)
+            state.handle_ipi_step(core_id)
         elif action == "poll":
-            succ.poll_step(core_id)
+            state.poll_step(core_id)
         else:
-            succ.get_next_task(core_id)
-    return succ
+            state.get_next_task(core_id)
+
+
+class _Recorder:
+    """Stands in for a state's array while one step runs on a transition-memo
+    miss: notes, in order, each cell read before the step wrote it, slices
+    cell by cell, and each cell written."""
+
+    def __init__(self, buf: array) -> None:
+        self.buf = buf
+        self.reads: dict[int, int] = {}
+        self.written: dict[int, None] = {}
+
+    def _cells(self, key: int | slice) -> Iterable[int]:
+        return range(*key.indices(len(self.buf))) if type(key) is slice else (key,)
+
+    def __getitem__(self, key: int | slice):
+        for at in self._cells(key):
+            if at not in self.written and at not in self.reads:
+                self.reads[at] = self.buf[at]
+        return self.buf[key]
+
+    def __setitem__(self, key: int | slice, value) -> None:
+        self.buf[key] = value
+        self.written.update(dict.fromkeys(self._cells(key)))
+
+
+def _transition(
+    config: KernelConfig, buf: array, choice: ScheduleStep, root: list,
+) -> tuple[array, tuple]:
+    """The successor of `buf` by the enabled step `choice`, and the step's
+    effect: a leaf (writes, StepAnnotation, MonitorViolation or None) of the
+    step's trie `root`. A node is [offset, {value: child}], and a state
+    walks it by its value at the offset; the step runs only on a miss."""
+    leaf = root
+    while type(leaf) is list:
+        leaf = leaf[1].get(buf[leaf[0]])
+    if leaf is None:
+        leaf = _learn(config, buf, choice, root)
+    succ = buf[:]
+    for at, value in leaf[0]:
+        succ[at] = value
+    return succ, leaf
+
+
+def _learn(config: KernelConfig, buf: array, choice: ScheduleStep, root: list) -> tuple:
+    """Run `choice` once on a recorder over a copy of `buf`, and add its leaf
+    to the trie `root` along the cells it read, in order (an empty root
+    takes the first of them as its cell). For a fixed config an operation
+    is a deterministic function of the cells it reads, so every state that
+    walks this path would take the same path and have the same effect."""
+    recorder = _Recorder(buf[:])
+    state = KernelState(config, layout_for(config), recorder)
+    _run(state, choice)
+    leaf = (tuple((at, recorder.buf[at]) for at in recorder.written),
+            StepAnnotation(state.step_label, tuple(state.step_lines)), state.violation)
+    path = list(recorder.reads.items())
+    if not root[1]:
+        root[0] = path[0][0]
+    node = root
+    for k, (at, value) in enumerate(path):
+        assert node[0] == at, "a step read different cells after equal values"
+        if value not in node[1]:
+            node[1][value] = [path[k + 1][0], {}] if k + 1 < len(path) else leaf
+        node = node[1][value]
+    return leaf
 
 
 def check_invariants(state: KernelState) -> str | None:
@@ -285,21 +362,13 @@ class Limits:
             raise ValueError("max_violations must be at least 1")
 
 
-def _settle(
-    state: KernelState, memo: dict | None = None,
-) -> tuple[str | None, str, tuple[ScheduleStep, ...]]:
+def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ...]]:
     """The one ending rule for a state just reached, as (verdict, detail,
     enabled steps): a monitor violation, then an invariant failure, end the
     path there; otherwise the path goes on by the enabled steps, and none
-    enabled while some task is not terminal is a deadlock. Past a violation
-    (part of the step), `memo`, one dict per search, keys answers by `settle_key`."""
+    enabled while some task is not terminal is a deadlock."""
     if state.violation is not None:
         return VERDICT_MONITOR, "", ()
-    if memo is not None:
-        key = state.layout.settle_key(state.buf)
-        if (settled := memo.get(key)) is None:
-            settled = memo[key] = _settle(state)
-        return settled
     if (failure := check_invariants(state)) is not None:
         return VERDICT_ASSERTION, failure, ()
     options = tuple(enabled(state))
@@ -308,22 +377,40 @@ def _settle(
     return None, "", options
 
 
+def _settler(config: KernelConfig):
+    """`settle(buf, violation)`: `_settle`'s answer for a buffer reached by a step
+    with that monitor violation, plus a `_transition` trie root per enabled
+    step, kept per search by `Layout.settle_key` (a state is built on a miss)."""
+    layout = layout_for(config)
+    memo: dict = {}
+    roots: dict[ScheduleStep, list] = {}
+
+    def settle(buf: array, violation: MonitorViolation | None) -> tuple:
+        if violation is not None:
+            return VERDICT_MONITOR, "", (), ()
+        key = layout.settle_key(buf)
+        if (settled := memo.get(key)) is None:
+            verdict, detail, options = _settle(KernelState(config, layout, buf))
+            settled = memo[key] = (verdict, detail, options, tuple(
+                roots.setdefault(step, [0, {}]) for step in options))
+        return settled
+
+    return settle
+
+
 def _trace(
-    steps: Iterable[ScheduleStep], states: list[KernelState],
-    verdict: str | None, detail: str,
+    steps: Iterable[ScheduleStep], annotations: Iterable[StepAnnotation],
+    violation: MonitorViolation | None, buf: array, layout: Layout, verdict: str | None, detail: str,
 ) -> Trace:
-    """Build a Trace: `states` are the initial state and the state after each
-    step, which carries that step's label and monitor lines."""
-    final = states[-1]
+    """Build a Trace from the steps' annotations, the last step's monitor
+    violation and the final state's buffer."""
     return Trace(
         steps=tuple(steps),
-        annotations=tuple(
-            StepAnnotation(s.step_label, tuple(s.step_lines)) for s in states[1:]
-        ),
+        annotations=tuple(annotations),
         verdict=verdict,
-        monitor_error=final.violation,
-        final_task_states=_task_state_summary(final),
-        final_queue=final.run_queue,
+        monitor_error=violation,
+        final_task_states=_task_state_summary(buf, layout),
+        final_queue=tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]]),
         detail=detail,
     )
 
@@ -339,25 +426,30 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     Violating states are leaves: the trace is recorded and the search
     backtracks. Hitting a limit flags the report incomplete instead of
-    crashing. Each frame of the stack is [state, enabled steps, next
-    index], so frame k took `options[idx - 1]` and a trace is read off the
-    stack.
+    crashing. Each frame of the stack is [state buffer, enabled steps,
+    their trie roots, next index, the effect of the step that reached the
+    state (None at the root)], so frame k took `options[idx - 1]` and a
+    trace is read off the stack. Successors come from `_transition`, so an
+    operation runs only on a transition-memo miss.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
-    init = initial_state(config)
-    visited = {symmetric_key(init)}
+    layout = layout_for(config)
+    init = initial_state(config).buf
+    visited = {symmetric_key(init, layout)}
     report.states_visited = 1
     frames: list[list] = []
-    memo: dict = {}
+    settle = _settler(config)
 
-    def reach(state: KernelState) -> bool:
+    def reach(buf: array, leaf: tuple | None) -> bool:
         """Settle a newly visited state; True when the search must stop."""
-        verdict, detail, options = _settle(state, memo)
+        violation = leaf[2] if leaf else None
+        verdict, detail, options, roots = settle(buf, violation)
         if verdict is not None:
+            leaves = [frame[4] for frame in frames[1:]] + [leaf] if frames else []
             report.violations.append(_trace(
-                (opts[idx - 1] for _, opts, idx in frames),
-                [frame[0] for frame in frames] + [state], verdict, detail,
+                (frame[1][frame[3] - 1] for frame in frames),
+                (effect[1] for effect in leaves), violation, buf, layout, verdict, detail,
             ))
             if len(report.violations) >= limits.max_violations:
                 report.incomplete = True
@@ -367,20 +459,20 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         elif limits.max_depth is not None and len(frames) >= limits.max_depth:
             report.incomplete = True
         else:
-            frames.append([state, options, 0])
+            frames.append([buf, options, roots, 0, leaf])
         return False
 
-    stop = reach(init)
+    stop = reach(init, None)
     while frames and not stop:
         frame = frames[-1]
-        state, options, idx = frame
+        buf, options, roots, idx, _ = frame
         if idx == len(options):
             frames.pop()
             continue
-        frame[2] = idx + 1
-        succ = _apply(state, options[idx])
+        frame[3] = idx + 1
+        succ, leaf = _transition(config, buf, options[idx], roots[idx])
         report.transitions_taken += 1
-        key = symmetric_key(succ)
+        key = symmetric_key(succ, layout)
         if key in visited:
             continue
         if limits.max_states is not None and len(visited) >= limits.max_states:
@@ -389,7 +481,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         visited.add(key)
         report.states_visited += 1
         report.max_depth = max(report.max_depth, len(frames))
-        stop = reach(succ)
+        stop = reach(succ, leaf)
 
     report.finalize()
     return report
@@ -418,7 +510,10 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
         seen.add(snapshot(state))
         verdict, detail, options = _settle(state)
     if verdict is not None:
-        report.violations.append(_trace(steps, states, verdict, detail))
+        report.violations.append(_trace(
+            steps, (StepAnnotation(s.step_label, tuple(s.step_lines)) for s in states[1:]),
+            state.violation, state.buf, state.layout, verdict, detail,
+        ))
     elif not options:
         report.quiescent_ok += 1
     report.states_visited = len(seen)
@@ -446,14 +541,16 @@ def replay_all(
     """Replay each schedule as `replay` does, yielding its Trace, or the
     ReplayError that `replay` would raise.
 
-    One path of (state, verdict, detail, enabled steps) entries is kept
-    for the schedule replayed last; the next one is cut back to the prefix
-    both share and runs only the steps past it. The traces of a report come
-    off one DFS stack, so neighbours share most of their steps.
+    One path of (state buffer, step effect, verdict, detail, enabled
+    steps, their trie roots) entries is kept for the schedule replayed
+    last; the next one is cut back to the prefix both share and runs only
+    the steps past it. The traces of a report come off one DFS stack, so
+    neighbours share most of their steps. Successors come from
+    `_transition`, as in `explore`.
     """
-    init = initial_state(config)
-    memo: dict = {}
-    path = [(init, *_settle(init, memo))]
+    settle = _settler(config)
+    init = initial_state(config).buf
+    path = [(init, None, *settle(init, None))]
     done: Sequence[ScheduleStep] = ()  # path[k + 1] is the state after done[k]
     for steps in schedules:
         i, shared = 0, min(len(steps), len(path) - 1)
@@ -461,23 +558,26 @@ def replay_all(
             i += 1
         del path[i + 1:]
         done = steps
-        yield _replay_from(path, steps, i, memo)
+        yield _replay_from(config, path, steps, i, settle)
 
 
 def _replay_from(
-    path: list[tuple], steps: Sequence[ScheduleStep], i: int, memo: dict,
+    config: KernelConfig, path: list[tuple], steps: Sequence[ScheduleStep], i: int, settle,
 ) -> Trace | ReplayError:
     """Extend `path`, which holds the entries of steps[:i], by the rest of
-    `steps`, with replay's checks in replay's order; `memo` is `_settle`'s."""
+    `steps`, with replay's checks in replay's order; `settle` is the search's."""
     while True:
-        state, verdict, detail, options = path[i]
+        buf, leaf, verdict, detail, options, roots = path[i]
         if verdict is not None and 0 < i < len(steps):
             return ReplayError(f"{verdict} already at step #{i - 1}, before the trace ends")
         if i == len(steps):
-            return _trace(steps, [entry[0] for entry in path], verdict, detail)
+            return _trace(steps, (entry[1][1] for entry in path[1:]), leaf and leaf[2],
+                          buf, layout_for(config), verdict, detail)
         choice = steps[i]
-        if choice not in options:
+        try:
+            root = roots[options.index(choice)]
+        except ValueError:
             return ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
-        succ = _apply(state, choice)
-        path.append((succ, *_settle(succ, memo)))
+        succ, leaf = _transition(config, buf, choice, root)
+        path.append((succ, leaf, *settle(succ, leaf[2])))
         i += 1

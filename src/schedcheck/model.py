@@ -577,11 +577,11 @@ def snapshot(state: KernelState) -> bytes:
     return bytes(state.buf)
 
 
-def symmetric_key(state: KernelState) -> bytes:
-    """Visited-set key of `explore`: the state's bytes with the records of
-    workers 1..w sorted, so every renaming of the identical worker cores
-    gets the same key. When the records are already in order, as they
-    always are with one worker, the key is the state's bytes.
+def symmetric_key(buf: array, layout: Layout) -> bytes:
+    """Visited-set key of `explore` for a state's buffer `buf`: its bytes
+    with the records of workers 1..w sorted, so every renaming of the
+    identical worker cores gets the same key. When the records are already
+    in order, as they always are with one worker, the key is the bytes.
 
     No field of the state names a worker, so sorting the records is a
     renaming, and two states get equal keys exactly when one is a renaming
@@ -591,8 +591,7 @@ def symmetric_key(state: KernelState) -> bytes:
     invariant and deadlock predicates name no fixed worker. A failure's
     detail names the ids of the real state on the trace.
     """
-    buf = state.buf
-    first, end = state.layout.cores + CORE_WIDTH, state.layout.monitors
+    first, end = layout.cores + CORE_WIDTH, layout.monitors
     records = [buf[at:at + CORE_WIDTH] for at in range(first, end, CORE_WIDTH)]
     ordered = sorted(records)
     if ordered == records:

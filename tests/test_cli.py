@@ -436,6 +436,15 @@ class TestSweep:
         assert code == EXIT_OK
         assert "plan H:" in out and "plan L:" in out
 
+    def test_sweep_skips_blank_lines_and_comments_even_indented(self, tmp_path, capsys):
+        plans = tmp_path / "plans.txt"
+        plans.write_text("# plans\n\n  # an indented note\n   \nH\n\t# a tabbed note\n")
+        code = main(["--sweep", str(plans), "--workers", "1",
+                     "--max-preemptions", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert len(lines) == 1 and lines[0].startswith("plan H:")
+
     @pytest.mark.parametrize("flags", [
         ["--out", "json"], ["--mode", "walk", "--seed", "1"],
         ["--mode", "replay", "--trace-in", "report.json"],

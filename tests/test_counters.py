@@ -16,7 +16,7 @@ import pytest
 from schedcheck import explorer
 from schedcheck.cli import parse_args
 from schedcheck.explorer import Limits, explore, random_walk
-from schedcheck.model import KernelConfig, TaskKind, snapshot
+from schedcheck.model import KernelConfig, TaskKind
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -99,6 +99,12 @@ def counters(config: KernelConfig) -> tuple[int, int, int, int]:
     return pinned(explore(config, cli_default_limits()))
 
 
+def exact_key(buf, layout) -> bytes:
+    """`symmetric_key`'s stand-in for the exact search: the state's bytes,
+    which is `snapshot`."""
+    return bytes(buf)
+
+
 def ladder_config(plan: str, workers: int) -> KernelConfig:
     kinds = tuple(H if k == "H" else L for k in plan.split(","))
     return KernelConfig(worker_count=workers, task_plan=kinds)
@@ -121,7 +127,7 @@ def test_ladder_counters(plan, workers):
 
 @pytest.mark.parametrize("plan,workers", sorted(EXACT_LADDER))
 def test_exact_key_ladder_counters(plan, workers, monkeypatch):
-    monkeypatch.setattr(explorer, "symmetric_key", snapshot)
+    monkeypatch.setattr(explorer, "symmetric_key", exact_key)
     assert counters(ladder_config(plan, workers)) == EXACT_LADDER[plan, workers]
 
 

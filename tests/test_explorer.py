@@ -297,7 +297,7 @@ class TestExplore:
 
         for cfg in (LOST_WAKEUP, PREEMPT_BUG, CLEAN_SMALL):
             init = initial_state(cfg)
-            seen = {symmetric_key(init)}
+            seen = {symmetric_key(init.buf, init.layout)}
             quiescent_ok = 0
             frontier = deque([init])
             while frontier:
@@ -307,7 +307,7 @@ class TestExplore:
                     quiescent_ok += 1
                 for choice in options:
                     succ = _apply(state, choice)
-                    key = symmetric_key(succ)
+                    key = symmetric_key(succ.buf, succ.layout)
                     if key not in seen:
                         seen.add(key)
                         if succ.violation is None:

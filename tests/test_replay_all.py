@@ -128,14 +128,14 @@ def test_replay_runs_each_distinct_prefix_once(tmp_path, monkeypatch):
     prefixes = {steps[:k] for steps in schedules for k in range(1, len(steps) + 1)}
 
     calls = 0
-    apply = explorer._apply
+    transition = explorer._transition
 
-    def counting(state, choice):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return apply(state, choice)
+        return transition(*args)
 
-    monkeypatch.setattr(explorer, "_apply", counting)
+    monkeypatch.setattr(explorer, "_transition", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--mode", "replay", "--trace-in", str(path)]) == EXIT_VIOLATION
     assert calls == len(prefixes)

@@ -1,0 +1,68 @@
+"""`explore` and `replay_all` take each successor from the transition memo
+(`explorer._transition`): one trie per step, keyed by the cells that the
+step's runs read, whose leaves hold the step's writes, annotation and
+monitor violation. Over every reachable (state, enabled step) of the
+settle-projection configs, the memo must agree with running the operation
+(`_apply`), on misses and on hits. And a leaf may depend on no cell off its
+path: with every other cell scrambled, the trie must return the same leaf,
+and the operation must make the same writes, annotation and violation."""
+
+from __future__ import annotations
+
+import random
+from array import array
+
+import pytest
+
+from schedcheck.explorer import StepAnnotation, _apply, _settler, _transition
+from schedcheck.model import FAULTS, KernelState
+from test_settle_projection import CONFIGS, _reachable
+
+
+def _effect(succ: KernelState) -> tuple:
+    """The successor's bytes, annotation and violation of one `_apply`."""
+    return (bytes(succ.buf), StepAnnotation(succ.step_label, tuple(succ.step_lines)),
+            succ.violation)
+
+
+def _walk(root: list, buf) -> tuple[list[int], object]:
+    """The offsets that `buf` reads on its way down the trie, and where it ends."""
+    node, path = root, []
+    while type(node) is list:
+        path.append(node[0])
+        node = node[1].get(buf[node[0]])
+    return path, node
+
+
+@pytest.mark.parametrize(
+    "config", CONFIGS,
+    ids=lambda c: f"{','.join(k.value for k in c.task_plan)}/{c.worker_count}"
+    f"-w{int(c.fix_wait_need_sched)}p{int(c.fix_preempt_need_sched)}"
+    f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}",
+)
+def test_memo_agrees_with_the_operations_off_its_paths_too(config):
+    settle = _settler(config)
+    cases = [(state, choice, _effect(_apply(state, choice)))
+             for state, (_, _, options) in _reachable(config) for choice in options]
+    for _ in range(2):  # the first pass fills the memo, the second only hits it
+        for state, choice, effect in cases:
+            _, _, options, roots = settle(state.buf, None)
+            succ, leaf = _transition(config, state.buf, choice, roots[options.index(choice)])
+            assert (bytes(succ), leaf[1], leaf[2]) == effect
+
+    rng = random.Random(11)
+    typecode, size = cases[0][0].buf.typecode, len(cases[0][0].buf)
+    noise = [array(typecode, rng.choices(range(-1, 5), k=size)) for _ in range(97)]
+    for k, (state, choice, _) in enumerate(cases):
+        _, _, options, roots = settle(state.buf, None)
+        root = roots[options.index(choice)]
+        path, leaf = _walk(root, state.buf)
+        scrambled = noise[k % len(noise)][:]
+        for at in path:
+            scrambled[at] = state.buf[at]
+        assert _walk(root, scrambled)[1] is leaf
+        expected = scrambled[:]
+        for at, value in leaf[0]:
+            expected[at] = value
+        succ = _apply(KernelState(config, state.layout, scrambled), choice)
+        assert (bytes(expected), leaf[1], leaf[2]) == _effect(succ), (choice, list(state.buf))
