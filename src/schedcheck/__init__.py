@@ -28,7 +28,6 @@ from .explorer import (  # noqa: F401
     ReplayError,
     ScheduleStep,
     Trace,
-    VirtualProcess,
     enabled,
     explore,
     random_walk,

@@ -21,7 +21,6 @@ from .explorer import (
     ReplayError,
     ScheduleStep,
     Trace,
-    VirtualProcess,
     explore,
     random_walk,
     replay_all,
@@ -176,11 +175,8 @@ def check_config_dict(doc: object) -> dict:
 
 
 def step_to_dict(step: ScheduleStep) -> dict:
-    return {
-        "process": step.process.kind,
-        "core": step.process.core,
-        "variant": step.variant,
-    }
+    process, core, variant = step
+    return {"process": process, "core": core, "variant": variant}
 
 
 def step_from_dict(doc: object) -> ScheduleStep:
@@ -194,7 +190,7 @@ def step_from_dict(doc: object) -> ScheduleStep:
         raise ConfigurationError(f"step core must be int or null, not {core!r}")
     if not _is_a(variant, int):
         raise ConfigurationError(f"step variant must be int, not {variant!r}")
-    return ScheduleStep(VirtualProcess(process, core), variant)
+    return process, core, variant
 
 
 def violations_from_doc(
@@ -216,27 +212,13 @@ def violations_from_doc(
     if not isinstance(violations, list):
         raise ConfigurationError("trace file field 'violations' must be a list")
     out = []
-    parsed: dict = {}  # the document's steps: raw fields and their types -> step
     for i, v in enumerate(violations):
         if not isinstance(v, dict) or not isinstance(v.get("verdict"), str):
             raise ConfigurationError(f"violation #{i} needs a string 'verdict'")
         if not isinstance(v.get("steps"), list):
             raise ConfigurationError(f"violation #{i} needs a list of 'steps'")
-        out.append((v["verdict"], tuple(_parse_step(s, parsed) for s in v["steps"])))
+        out.append((v["verdict"], tuple(map(step_from_dict, v["steps"]))))
     return config, out
-
-
-def _parse_step(doc: object, parsed: dict) -> ScheduleStep:
-    """step_from_dict(doc), run once per distinct step of a document, so that
-    equal steps are one object (replay_all compares them by identity first)."""
-    try:
-        fields = (doc.get("process"), doc.get("core"), doc.get("variant"))
-        key = (*fields, *map(type, fields))
-        if key not in parsed:
-            parsed[key] = step_from_dict(doc)
-        return parsed[key]
-    except (AttributeError, TypeError):  # not an object, or an unhashable field
-        return step_from_dict(doc)
 
 
 def trace_to_dict(trace: Trace) -> dict:

@@ -6,17 +6,17 @@ atomic steps. `explore` runs a depth-first search that prunes states
 already visited up to a renaming of the identical worker cores
 (`model.symmetric_key`), recording monitor violations, deadlocks, and
 invariant failures as replayable counterexample traces; its stack holds
-the real states, so every trace is a real path. `random_walk` samples one
-seeded schedule, standing in for live runtime verification, and counts
-exact states (`snapshot`); `replay` re-executes a recorded schedule and
-rebuilds its trace, and `replay_all` does so for a report's schedules,
-running each shared prefix once. All of them end a path by one rule and build traces
-one way.
+the real states, so every trace is a real path. `random_walk` steps one
+state in place along a seeded schedule, standing in for live runtime
+verification, and counts exact states (`snapshot`); `replay` re-executes
+a recorded schedule and rebuilds its trace, and `replay_all` does so for a
+report's schedules, running each shared prefix once. All of them end a
+path by one rule and build traces one way.
 
 `explore` and `replay_all` step state buffers through two per-search
 memos: `_settler` keys each ending rule by the cells it reads, and
-`_transition` keys each step's effect by the cells the step read, so an
-operation runs only on a miss.
+`_transition` keeps one trie per step, keyed by the cells the step read,
+so an operation runs only on a miss.
 """
 
 from __future__ import annotations
@@ -68,29 +68,16 @@ class ReplayError(RuntimeError):
     """A recorded trace does not fit the configuration it is replayed under."""
 
 
-@dataclass(frozen=True)
-class VirtualProcess:
-    kind: str
-    core: int | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "Worker":
-            return f"Worker({self.core})"
-        return self.kind
+# One atomic step, as a report stores it: (process kind, worker core or None,
+# variant), where `variant` indexes that process's enabled choices (which
+# timer entry, which target core).
+ScheduleStep = tuple[str, int | None, int]
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    """One atomic step attributed to a virtual process; `variant` indexes
-    that process's enabled choices (which timer entry, which target core)."""
-
-    process: VirtualProcess
-    variant: int = 0
-
-    def __str__(self) -> str:
-        if self.variant:
-            return f"{self.process}[{self.variant}]"
-        return str(self.process)
+def process_name(step: ScheduleStep) -> str:
+    """The step's process: `Worker(1)`, `PrimaryTimer`."""
+    kind, core, _ = step
+    return f"Worker({core})" if kind == "Worker" else kind
 
 
 @dataclass(frozen=True)
@@ -116,9 +103,10 @@ class Trace:
     def lines(self) -> list[str]:
         out = []
         for i, (step, ann) in enumerate(zip(self.steps, self.annotations)):
-            out.append(f"#{i} {step.process} | {ann.label}")
+            name = process_name(step)
+            out.append(f"#{i} {name} | {ann.label}")
             for line in ann.monitor_lines:
-                out.append(f"#{i} {step.process} | {line}")
+                out.append(f"#{i} {name} | {line}")
         return out
 
 
@@ -131,10 +119,10 @@ class ExplorationReport:
     quiescent_ok: int = 0
     violations: list[Trace] = field(default_factory=list)
     incomplete: bool = False
-    all_paths_terminal_ok: bool = False
 
-    def finalize(self) -> None:
-        self.all_paths_terminal_ok = not self.violations and not self.incomplete
+    @property
+    def all_paths_terminal_ok(self) -> bool:
+        return not self.violations and not self.incomplete
 
 
 def _task_state_summary(buf: array, layout: Layout) -> tuple[tuple[int, str], ...]:
@@ -149,9 +137,9 @@ def _task_state_summary(buf: array, layout: Layout) -> tuple[tuple[int, str], ..
 
 @cache
 def _step_of(kind: str, core: int | None, variant: int) -> ScheduleStep:
-    """The ScheduleStep for (kind, core, variant); built once, then shared.
-    Callers pass all three arguments, so that equal steps share one key."""
-    return ScheduleStep(VirtualProcess(kind, core), variant)
+    """The step (kind, core, variant), built once and then shared, so that
+    the settle memo's entries hold no step tuples of their own."""
+    return kind, core, variant
 
 
 def enabled(state: KernelState) -> list[ScheduleStep]:
@@ -207,7 +195,8 @@ def _worker_action(state: KernelState, core_id: int) -> str | None:
 
 
 def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
-    """Clone-and-execute one enabled step; the caller guarantees enabledness."""
+    """Clone-and-execute one enabled step: the reference that the tests hold
+    the memo and in-place walks to; the caller guarantees enabledness."""
     succ = state.clone()
     _run(succ, choice)
     return succ
@@ -215,26 +204,24 @@ def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
 
 def _run(state: KernelState, choice: ScheduleStep) -> None:
     """Execute one enabled step on `state` in place."""
-    kind = choice.process.kind
+    kind, core, variant = choice
     if kind == "PrimaryTimer":
-        state.timer_fire(state.fireable_timers()[choice.variant])
+        state.timer_fire(state.fireable_timers()[variant])
     elif kind == "PrimaryPreempter":
         if state.decision is not None:
             state.send_ipi()
         else:
-            state.preempt_decide(state.preempt_candidates()[choice.variant])
+            state.preempt_decide(state.preempt_candidates()[variant])
     elif kind == "Spawner":
         state.spawn_next()
     else:
-        core_id = choice.process.core
-        assert core_id is not None
-        action = _worker_action(state, core_id)
+        action = _worker_action(state, core)
         if action == "ipi":
-            state.handle_ipi_step(core_id)
+            state.handle_ipi_step(core)
         elif action == "poll":
-            state.poll_step(core_id)
+            state.poll_step(core)
         else:
-            state.get_next_task(core_id)
+            state.get_next_task(core)
 
 
 class _Recorder:
@@ -262,13 +249,14 @@ class _Recorder:
 
 
 def _transition(
-    config: KernelConfig, buf: array, choice: ScheduleStep, root: list,
+    config: KernelConfig, buf: array, choice: ScheduleStep, roots: dict[ScheduleStep, list],
 ) -> tuple[array, tuple]:
     """The successor of `buf` by the enabled step `choice`, and the step's
     effect: a leaf (writes, StepAnnotation, MonitorViolation or None) of the
-    step's trie `root`. A node is [offset, {value: child}], and a state
-    walks it by its value at the offset; the step runs only on a miss."""
-    leaf = root
+    step's trie in `roots`, the search's tries keyed by step. A node is
+    [offset, {value: child}], and a state walks it by its value at the
+    offset; the step runs only on a miss."""
+    leaf = root = roots.get(choice) or roots.setdefault(choice, [0, {}])
     while type(leaf) is list:
         leaf = leaf[1].get(buf[leaf[0]])
     if leaf is None:
@@ -378,21 +366,18 @@ def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ..
 
 
 def _settler(config: KernelConfig):
-    """`settle(buf, violation)`: `_settle`'s answer for a buffer reached by a step
-    with that monitor violation, plus a `_transition` trie root per enabled
-    step, kept per search by `Layout.settle_key` (a state is built on a miss)."""
+    """`settle(buf, violation)`: `_settle`'s answer for a buffer reached by a
+    step with that monitor violation, kept per search by `Layout.settle_key`
+    (a state is built on a miss)."""
     layout = layout_for(config)
     memo: dict = {}
-    roots: dict[ScheduleStep, list] = {}
 
     def settle(buf: array, violation: MonitorViolation | None) -> tuple:
         if violation is not None:
-            return VERDICT_MONITOR, "", (), ()
+            return VERDICT_MONITOR, "", ()
         key = layout.settle_key(buf)
         if (settled := memo.get(key)) is None:
-            verdict, detail, options = _settle(KernelState(config, layout, buf))
-            settled = memo[key] = (verdict, detail, options, tuple(
-                roots.setdefault(step, [0, {}]) for step in options))
+            settled = memo[key] = _settle(KernelState(config, layout, buf))
         return settled
 
     return settle
@@ -426,11 +411,11 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     Violating states are leaves: the trace is recorded and the search
     backtracks. Hitting a limit flags the report incomplete instead of
-    crashing. Each frame of the stack is [state buffer, enabled steps,
-    their trie roots, next index, the effect of the step that reached the
-    state (None at the root)], so frame k took `options[idx - 1]` and a
-    trace is read off the stack. Successors come from `_transition`, so an
-    operation runs only on a transition-memo miss.
+    crashing. Each frame of the stack is [state buffer, enabled steps, next
+    index, the effect of the step that reached the state (None at the
+    root)], so frame k took `options[idx - 1]` and a trace is read off the
+    stack. Successors come from `_transition`, so an operation runs only on
+    a transition-memo miss.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
@@ -440,15 +425,16 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     report.states_visited = 1
     frames: list[list] = []
     settle = _settler(config)
+    roots: dict[ScheduleStep, list] = {}
 
     def reach(buf: array, leaf: tuple | None) -> bool:
         """Settle a newly visited state; True when the search must stop."""
         violation = leaf[2] if leaf else None
-        verdict, detail, options, roots = settle(buf, violation)
+        verdict, detail, options = settle(buf, violation)
         if verdict is not None:
-            leaves = [frame[4] for frame in frames[1:]] + [leaf] if frames else []
+            leaves = [frame[3] for frame in frames[1:]] + [leaf] if frames else []
             report.violations.append(_trace(
-                (frame[1][frame[3] - 1] for frame in frames),
+                (frame[1][frame[2] - 1] for frame in frames),
                 (effect[1] for effect in leaves), violation, buf, layout, verdict, detail,
             ))
             if len(report.violations) >= limits.max_violations:
@@ -459,18 +445,18 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         elif limits.max_depth is not None and len(frames) >= limits.max_depth:
             report.incomplete = True
         else:
-            frames.append([buf, options, roots, 0, leaf])
+            frames.append([buf, options, 0, leaf])
         return False
 
     stop = reach(init, None)
     while frames and not stop:
         frame = frames[-1]
-        buf, options, roots, idx, _ = frame
+        buf, options, idx, _ = frame
         if idx == len(options):
             frames.pop()
             continue
-        frame[3] = idx + 1
-        succ, leaf = _transition(config, buf, options[idx], roots[idx])
+        frame[2] = idx + 1
+        succ, leaf = _transition(config, buf, options[idx], roots)
         report.transitions_taken += 1
         key = symmetric_key(succ, layout)
         if key in visited:
@@ -483,7 +469,6 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         report.max_depth = max(report.max_depth, len(frames))
         stop = reach(succ, leaf)
 
-    report.finalize()
     return report
 
 
@@ -496,29 +481,27 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
     state = initial_state(config)
     seen = {snapshot(state)}
     steps: list[ScheduleStep] = []
-    states = [state]
+    annotations: list[StepAnnotation] = []
     verdict, detail, options = _settle(state)
     while verdict is None and options:
         if len(steps) == max_steps:
             report.incomplete = True
             break
         choice = options[rng.randrange(len(options))]
-        state = _apply(state, choice)
+        _run(state, choice)
         report.transitions_taken += 1
         steps.append(choice)
-        states.append(state)
+        annotations.append(StepAnnotation(state.step_label, tuple(state.step_lines)))
         seen.add(snapshot(state))
         verdict, detail, options = _settle(state)
     if verdict is not None:
         report.violations.append(_trace(
-            steps, (StepAnnotation(s.step_label, tuple(s.step_lines)) for s in states[1:]),
-            state.violation, state.buf, state.layout, verdict, detail,
+            steps, annotations, state.violation, state.buf, state.layout, verdict, detail,
         ))
     elif not options:
         report.quiescent_ok += 1
     report.states_visited = len(seen)
     report.max_depth = len(steps)
-    report.finalize()
     return report
 
 
@@ -542,42 +525,44 @@ def replay_all(
     ReplayError that `replay` would raise.
 
     One path of (state buffer, step effect, verdict, detail, enabled
-    steps, their trie roots) entries is kept for the schedule replayed
-    last; the next one is cut back to the prefix both share and runs only
-    the steps past it. The traces of a report come off one DFS stack, so
-    neighbours share most of their steps. Successors come from
-    `_transition`, as in `explore`.
+    steps) entries is kept for the schedule replayed last; the next one is
+    cut back to the prefix both share and runs only the steps past it. The
+    traces of a report come off one DFS stack, so neighbours share most of
+    their steps. Successors come from `_transition`, as in `explore`.
     """
     settle = _settler(config)
+    roots: dict[ScheduleStep, list] = {}
     init = initial_state(config).buf
     path = [(init, None, *settle(init, None))]
     done: Sequence[ScheduleStep] = ()  # path[k + 1] is the state after done[k]
     for steps in schedules:
         i, shared = 0, min(len(steps), len(path) - 1)
-        while i < shared and (steps[i] is done[i] or steps[i] == done[i]):
+        while i < shared and steps[i] == done[i]:
             i += 1
         del path[i + 1:]
         done = steps
-        yield _replay_from(config, path, steps, i, settle)
+        yield _replay_from(config, path, steps, i, settle, roots)
 
 
 def _replay_from(
-    config: KernelConfig, path: list[tuple], steps: Sequence[ScheduleStep], i: int, settle,
+    config: KernelConfig, path: list[tuple], steps: Sequence[ScheduleStep], i: int,
+    settle, roots: dict[ScheduleStep, list],
 ) -> Trace | ReplayError:
     """Extend `path`, which holds the entries of steps[:i], by the rest of
-    `steps`, with replay's checks in replay's order; `settle` is the search's."""
+    `steps`, with replay's checks in replay's order; `settle` and `roots`
+    are the search's."""
     while True:
-        buf, leaf, verdict, detail, options, roots = path[i]
+        buf, leaf, verdict, detail, options = path[i]
         if verdict is not None and 0 < i < len(steps):
             return ReplayError(f"{verdict} already at step #{i - 1}, before the trace ends")
         if i == len(steps):
             return _trace(steps, (entry[1][1] for entry in path[1:]), leaf and leaf[2],
                           buf, layout_for(config), verdict, detail)
         choice = steps[i]
-        try:
-            root = roots[options.index(choice)]
-        except ValueError:
-            return ReplayError(f"step #{i} ({choice}) is not enabled; trace diverges")
-        succ, leaf = _transition(config, buf, choice, root)
+        if choice not in options:
+            suffix = f"[{choice[2]}]" if choice[2] else ""
+            return ReplayError(
+                f"step #{i} ({process_name(choice)}{suffix}) is not enabled; trace diverges")
+        succ, leaf = _transition(config, buf, choice, roots)
         path.append((succ, leaf, *settle(succ, leaf[2])))
         i += 1

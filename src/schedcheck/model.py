@@ -235,11 +235,6 @@ class KernelState:
                 return core, task
         return None
 
-    @property
-    def run_queue(self) -> tuple[int, ...]:
-        """The queued task ids, head first."""
-        return tuple(self.buf[QUEUE:QUEUE + self.buf[QUEUE_LEN]])
-
     def all_tasks_terminal(self) -> bool:
         tasks = self.layout.tasks
         states = self.buf[tasks + T_STATE:tasks + self.buf[SPAWN_CURSOR] * TASK_WIDTH:TASK_WIDTH]

@@ -143,7 +143,8 @@ def default_table() -> TransitionTable:
     Spawn lands in Waiting(false) and the spawn hook's immediate wake
     moves it on to Runnable(false). SetNeedSched records a wake or a
     preemption decision hitting a running task; Preempt is only valid
-    once the flag is set, and resuming a preempted task clears it.
+    once the flag is set, so a preempted task is Preempted(true), and
+    resuming it clears the flag. Every source is Init or some target.
     """
     s = mstate
     B = Base
@@ -159,7 +160,6 @@ def default_table() -> TransitionTable:
         (s(B.RUNNING, False), Event.POLL_READY, s(B.TERMINATED)),
         (s(B.RUNNING, True), Event.POLL_READY, s(B.TERMINATED)),
         (s(B.PREEMPTED, True), Event.GET_NEXT, s(B.RUNNING, False)),
-        (s(B.PREEMPTED, False), Event.GET_NEXT, s(B.RUNNING, False)),
     )
     return TransitionTable(triples)
 

@@ -4,6 +4,7 @@ text/JSON consistency of reported verdicts."""
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
@@ -28,8 +29,9 @@ from schedcheck.cli import (
     violations_from_doc,
 )
 from schedcheck import explorer
-from schedcheck.explorer import ScheduleStep, VirtualProcess, explore
+from schedcheck.explorer import ReplayError, explore, process_name, replay
 from schedcheck.model import FAULTS, ConfigurationError, KernelConfig, TaskKind
+from test_settle_projection import CONFIGS, _reachable
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -97,8 +99,20 @@ class TestDocuments:
         assert config_from_args(parse_args([]), base=config_to_dict(cfg)) == cfg
 
     def test_step_round_trip(self):
-        step = ScheduleStep(VirtualProcess("Worker", 2), 0)
+        step = ("Worker", 2, 0)
+        assert step_to_dict(step) == {"process": "Worker", "core": 2, "variant": 0}
         assert step_from_dict(step_to_dict(step)) == step
+
+    def test_every_enabled_step_round_trips_and_keeps_its_name(self):
+        steps = {step for config in CONFIGS
+                 for _, (_, _, options) in _reachable(config) for step in options}
+        for step in steps:
+            assert step_from_dict(step_to_dict(step)) == step
+        names = {process_name(step) for step in steps}
+        assert {"Worker(1)", "PrimaryTimer", "PrimaryPreempter", "Spawner"} <= names
+        # a replay error names the step with its variant
+        with pytest.raises(ReplayError, match=re.escape("step #0 (PrimaryTimer[1]) is not")):
+            replay(KernelConfig(), (("PrimaryTimer", None, 1),))
 
     def test_parsing_a_report_does_not_grow_the_step_cache(self):
         # a replayed document is untrusted: its steps must not be interned
@@ -110,15 +124,14 @@ class TestDocuments:
         assert len(set(violations[0][1])) == 1000
         assert explorer._step_of.cache_info().currsize == before
 
-    def test_equal_steps_of_a_document_are_one_object(self):
+    def test_a_document_parses_to_step_triples(self):
         worker = {"process": "Worker", "core": 1, "variant": 0}
         spawner = {"process": "Spawner", "core": None, "variant": 0}
         doc = {"violations": [{"verdict": "Deadlock", "steps": [worker, dict(worker)]},
                               {"verdict": "Deadlock", "steps": [spawner, dict(worker)]}]}
         _, [(_, first), (_, second)] = violations_from_doc(doc)
-        assert first[0] is first[1] is second[1]
-        assert first[0] == ScheduleStep(VirtualProcess("Worker", 1), 0)
-        assert second[0] == ScheduleStep(VirtualProcess("Spawner"), 0)
+        assert first == (("Worker", 1, 0), ("Worker", 1, 0))
+        assert second == (("Spawner", None, 0), ("Worker", 1, 0))
 
     @pytest.mark.parametrize("field", ["core", "variant"])
     def test_a_bool_twin_of_a_parsed_step_is_still_rejected(self, field):

@@ -10,13 +10,11 @@ from operator import setitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cells import core_cell, task_cell
+from cells import core_cell, run_queue, task_cell
 from schedcheck.explorer import (
     Limits,
     ReplayError,
-    ScheduleStep,
     VERDICT_DEADLOCK,
-    VirtualProcess,
     _apply,
     check_invariants,
     enabled,
@@ -87,7 +85,7 @@ CLEAN_SMALL = KernelConfig(
 class TestEnabled:
     def test_initial_state_offers_worker_steps_only(self):
         state = initial_state(KernelConfig(worker_count=2, task_plan=(H,)))
-        kinds = {s.process.kind for s in enabled(state)}
+        kinds = {kind for kind, _, _ in enabled(state)}
         assert kinds == {"Worker"}
 
     def test_pending_timer_and_ipi_both_enabled(self):
@@ -100,7 +98,7 @@ class TestEnabled:
         state.preempt_decide(1)
         state.send_ipi()
         steps = enabled(state)
-        kinds = {(s.process.kind, s.process.core) for s in steps}
+        kinds = {(kind, core) for kind, core, _ in steps}
         assert ("PrimaryTimer", None) in kinds
         assert ("Worker", 1) in kinds  # the IPI handler step
 
@@ -122,8 +120,7 @@ class TestEnabled:
         for core in (1, 2):
             state.poll_step(core)
             state.poll_step(core)  # both registered: two timer variants
-        names = [(s.process.kind, s.process.core, s.variant) for s in enabled(state)]
-        assert names == [
+        assert enabled(state) == [
             ("PrimaryTimer", None, 0),
             ("PrimaryTimer", None, 1),
             ("PrimaryPreempter", None, 0),
@@ -140,7 +137,7 @@ class TestEnabled:
         state.get_next_task(1)
         state.preempt_decide(1)
         state.send_ipi()
-        worker_steps = [s for s in enabled(state) if s.process.kind == "Worker"]
+        worker_steps = [s for s in enabled(state) if s[0] == "Worker"]
         assert len(worker_steps) == 1  # only the handler, not the poll
 
 
@@ -164,7 +161,7 @@ class TestStep:
     def test_disabled_choice_is_not_offered(self):
         # replay refuses it (TestReplay.test_mismatched_trace_reports_first_divergence)
         state = initial_state(KernelConfig(worker_count=2, task_plan=(H,)))
-        bogus = ScheduleStep(VirtualProcess("PrimaryTimer"), 0)
+        bogus = ("PrimaryTimer", None, 0)
         assert bogus not in enabled(state)
 
     @settings(max_examples=60, deadline=None)
@@ -461,7 +458,7 @@ class TestReplay:
         assert result.verdict != trace.verdict
 
     def test_mismatched_trace_reports_first_divergence(self):
-        bogus = (ScheduleStep(VirtualProcess("PrimaryTimer"), 0),)
+        bogus = (("PrimaryTimer", None, 0),)
         with pytest.raises(ReplayError) as err:
             replay(CLEAN_SMALL, bogus)
         assert "#0" in str(err.value)
@@ -510,7 +507,7 @@ class TestReachableStateProperties:
 
     def test_in_queue_mirrors_membership_everywhere(self):
         def check(state):
-            queued = set(state.run_queue)
+            queued = set(run_queue(state))
             for t in range(state.buf[SPAWN_CURSOR]):
                 assert (state.buf[task_cell(state, t, T_IN_QUEUE)] == 1) == (t in queued)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from cells import core_cell, task_cell
+from cells import core_cell, run_queue, task_cell
 from schedcheck.monitor import Event
 from schedcheck.model import (
     C_CURRENT,
@@ -93,7 +93,7 @@ class TestSpawn:
         state = initial_state(config(task_plan=(H, L)))
         assert state.buf[SPAWN_CURSOR] == 1
         assert state.config.task_plan[0] is H
-        assert state.run_queue == (0,)
+        assert run_queue(state) == (0,)
 
     def test_exhausted_plan_is_a_usage_error(self):
         state = initial_state(config(task_plan=(H,)))
@@ -128,10 +128,10 @@ class TestWake:
         state.poll_step(1)  # register timer
         state.poll_step(1)  # enter waiting
         assert state.buf[task_cell(state, 0, T_STATE)] == WAITING
-        assert len(state.run_queue) == 0
+        assert len(run_queue(state)) == 0
         state.timer_fire(0)
         assert state.buf[task_cell(state, 0, T_STATE)] == RUNNABLE
-        assert state.run_queue == (0,)
+        assert run_queue(state) == (0,)
 
     def test_wake_running_with_fix_sets_flag(self):
         state = initial_state(config(task_plan=(H,), fix_wait_need_sched=True))
@@ -140,7 +140,7 @@ class TestWake:
         state.poll_step(1)  # register timer: still running
         state.timer_fire(0)
         assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 1
-        assert len(state.run_queue) == 0
+        assert len(run_queue(state)) == 0
         assert str(state.monitors.current(0)) == "Running(true)"
 
     def test_wake_running_without_fix_is_dropped(self):
@@ -230,11 +230,11 @@ class TestGetNextTask:
         state.buf[core_cell(state, 1, C_CURRENT)] = -1  # park the first task artificially
         state.buf[task_cell(state, 0, T_STATE)] = RUNNABLE
         state._enqueue(0)
-        assert state.run_queue == (1, 0)
+        assert run_queue(state) == (1, 0)
         state.get_next_task(2)
         assert state.buf[core_cell(state, 2, C_CURRENT)] == 1
         assert state.buf[task_cell(state, 1, T_STATE)] == RUNNING
-        assert state.run_queue == (0,)
+        assert run_queue(state) == (0,)
 
     def test_empty_queue_is_a_usage_error(self):
         state = initial_state(config(task_plan=(H,), worker_count=2))
@@ -265,7 +265,7 @@ class TestGetNextTask:
         state.get_next_task(2)
         assert state.step_label == "worker 2: task 0 still running, requeued"
         assert state.buf[core_cell(state, 2, C_CURRENT)] == -1
-        assert state.run_queue == (0,)
+        assert run_queue(state) == (0,)
         assert state.monitors.current(0) == mon_before
 
     def test_resume_restores_saved_progress(self):
@@ -313,7 +313,7 @@ class TestPollStep:
         state.poll_step(1)
         assert state.buf[task_cell(state, 0, T_STATE)] == RUNNABLE
         assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 0
-        assert state.run_queue == (0,)
+        assert run_queue(state) == (0,)
         assert str(state.monitors.current(0)) == "Runnable(false)"
 
     def test_finish_terminates(self):
@@ -602,7 +602,7 @@ class TestRunQueue:
                         state._dequeue()
                 else:
                     assert state._dequeue() == reference.pop(0)
-            assert state.run_queue == tuple(reference)
+            assert run_queue(state) == tuple(reference)
             in_queue = [state.buf[task_cell(state, t, T_IN_QUEUE)] == 1 for t in range(6)]
             assert in_queue == [t in reference for t in range(6)]
 
@@ -611,7 +611,7 @@ class TestRunQueue:
         state._enqueue(1)
         with pytest.raises(UsageError):
             state._enqueue(1)
-        assert state.run_queue == (1,)
+        assert run_queue(state) == (1,)
 
     def test_over_capacity_rejected(self):
         state = self.empty_queue(2)

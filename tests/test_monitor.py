@@ -86,6 +86,12 @@ class TestDefaultTable:
         for src, _, _ in default_table().triples:
             assert src.base is not Base.TERMINATED
 
+    def test_every_source_is_init_or_a_target(self):
+        # a row whose source no triple enters can never fire
+        triples = default_table().triples
+        targets = {INIT} | {dst for _, _, dst in triples}
+        assert [(src, ev) for src, ev, _ in triples if src not in targets] == []
+
     def test_table_is_deterministic(self):
         seen = set()
         for src, ev, _ in default_table().triples:

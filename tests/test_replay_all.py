@@ -19,7 +19,6 @@ from schedcheck.explorer import (
     Limits,
     ReplayError,
     ScheduleStep,
-    VirtualProcess,
     explore,
     replay,
     replay_all,
@@ -50,10 +49,9 @@ def reports() -> tuple[tuple[KernelConfig, tuple[tuple[ScheduleStep, ...], ...]]
 
 
 def altered(step: ScheduleStep, core: int, variant: int) -> ScheduleStep:
-    """A freshly built step (not the shared one), so that the prefix
-    comparison must fall back from identity to equality."""
-    process = VirtualProcess(step.process.kind, core if step.process.core is not None else None)
-    return ScheduleStep(process, variant)
+    """`step` with another variant and, for a worker, another core."""
+    kind, old_core, _ = step
+    return kind, core if old_core is not None else None, variant
 
 
 @st.composite
@@ -61,8 +59,7 @@ def schedule_lists(draw):
     cfg, base = draw(st.sampled_from(reports()))
     schedules = list(draw(st.permutations(base)))[: draw(st.integers(0, len(base)))]
     any_step = st.builds(
-        lambda kind, core, variant: ScheduleStep(
-            VirtualProcess(kind, core if kind == "Worker" else None), variant),
+        lambda kind, core, variant: (kind, core if kind == "Worker" else None, variant),
         st.sampled_from(PROCESS_KINDS), st.integers(1, 2), st.integers(0, 2),
     )
     for _ in range(draw(st.integers(0, 4))):

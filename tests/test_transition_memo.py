@@ -1,7 +1,7 @@
 """`explore` and `replay_all` take each successor from the transition memo
-(`explorer._transition`): one trie per step, keyed by the cells that the
-step's runs read, whose leaves hold the step's writes, annotation and
-monitor violation. Over every reachable (state, enabled step) of the
+(`explorer._transition`): a dict from each step to its trie, keyed by the
+cells that the step's runs read, whose leaves hold the step's writes,
+annotation and monitor violation. Over every reachable (state, enabled step) of the
 settle-projection configs, the memo must agree with running the operation
 (`_apply`), on misses and on hits. And a leaf may depend on no cell off its
 path: with every other cell scrambled, the trie must return the same leaf,
@@ -14,7 +14,7 @@ from array import array
 
 import pytest
 
-from schedcheck.explorer import StepAnnotation, _apply, _settler, _transition
+from schedcheck.explorer import StepAnnotation, _apply, _transition
 from schedcheck.model import FAULTS, KernelState
 from test_settle_projection import CONFIGS, _reachable
 
@@ -41,21 +41,19 @@ def _walk(root: list, buf) -> tuple[list[int], object]:
     f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}",
 )
 def test_memo_agrees_with_the_operations_off_its_paths_too(config):
-    settle = _settler(config)
+    roots: dict = {}
     cases = [(state, choice, _effect(_apply(state, choice)))
              for state, (_, _, options) in _reachable(config) for choice in options]
     for _ in range(2):  # the first pass fills the memo, the second only hits it
         for state, choice, effect in cases:
-            _, _, options, roots = settle(state.buf, None)
-            succ, leaf = _transition(config, state.buf, choice, roots[options.index(choice)])
+            succ, leaf = _transition(config, state.buf, choice, roots)
             assert (bytes(succ), leaf[1], leaf[2]) == effect
 
     rng = random.Random(11)
     typecode, size = cases[0][0].buf.typecode, len(cases[0][0].buf)
     noise = [array(typecode, rng.choices(range(-1, 5), k=size)) for _ in range(97)]
     for k, (state, choice, _) in enumerate(cases):
-        _, _, options, roots = settle(state.buf, None)
-        root = roots[options.index(choice)]
+        root = roots[choice]
         path, leaf = _walk(root, state.buf)
         scrambled = noise[k % len(noise)][:]
         for at in path:
