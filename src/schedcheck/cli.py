@@ -211,14 +211,24 @@ def violations_from_doc(
     violations = doc.get("violations", [])
     if not isinstance(violations, list):
         raise ConfigurationError("trace file field 'violations' must be a list")
-    out = []
+    out, parsed = [], {}
     for i, v in enumerate(violations):
         if not isinstance(v, dict) or not isinstance(v.get("verdict"), str):
             raise ConfigurationError(f"violation #{i} needs a string 'verdict'")
         if not isinstance(v.get("steps"), list):
             raise ConfigurationError(f"violation #{i} needs a list of 'steps'")
-        out.append((v["verdict"], tuple(map(step_from_dict, v["steps"]))))
+        out.append((v["verdict"], tuple(_parse_step(step, parsed) for step in v["steps"])))
     return config, out
+
+
+def _parse_step(doc: object, parsed: dict) -> ScheduleStep:
+    """`step_from_dict(doc)`, kept in `parsed` by the fields it reads and their types."""
+    try:
+        core, variant = doc.get("core"), doc.get("variant")
+        key = (doc.get("process"), core, variant, type(core), type(variant))
+        return parsed.get(key) or parsed.setdefault(key, step_from_dict(doc))
+    except (AttributeError, TypeError):  # not an object, or a list or an object in it
+        return step_from_dict(doc)
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -376,13 +386,12 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
     replays = replay_all(config, (steps for _, steps in violations))
     for (verdict, _), result in zip(violations, replays):
         failed = isinstance(result, ReplayError)
-        reproduced = None if failed else result.verdict
-        match = not failed and reproduced == verdict
-        results.append({"expected": verdict, "reproduced": reproduced, "match": match,
+        reproduced = None if failed else result
+        results.append({"expected": verdict, "reproduced": reproduced, "match": result == verdict,
                         "error": str(result) if failed else None})
         if reproduced is not None:
             worst = max(worst, EXIT_VIOLATION)
-        if not match:
+        if result != verdict:
             worst = EXIT_USAGE
     return {
         "schema": SCHEMA_VERSION,

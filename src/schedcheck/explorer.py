@@ -9,12 +9,12 @@ invariant failures as replayable counterexample traces; its stack holds
 the real states, so every trace is a real path. `random_walk` steps one
 state in place along a seeded schedule, standing in for live runtime
 verification, and counts exact states (`snapshot`); `replay` re-executes
-a recorded schedule and rebuilds its trace, and `replay_all` does so for a
-report's schedules, running each shared prefix once. All of them end a
-path by one rule and build traces one way.
+a recorded schedule and rebuilds its trace, and `replay_all` gives the
+verdicts of a report's schedules, running each shared prefix once. All of
+them end a path by one rule and build traces one way.
 
-`explore` and `replay_all` step state buffers through two per-search
-memos: `_settler` keys each ending rule by the cells it reads, and
+`explore`, `replay` and `replay_all` step state buffers through two
+per-search memos: `_settler` keys each ending rule by the cells it reads, and
 `_transition` keeps one trie per step, keyed by the cells the step read,
 so an operation runs only on a miss.
 """
@@ -406,8 +406,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     The visited set holds `symmetric_key`s, so of the states that differ
     only by a renaming of worker cores, the first one reached is searched
     and the others are pruned; the counters count states up to that
-    renaming. The stack keeps the real states, so each trace is a real
-    path that replays under `config`.
+    renaming, and a successor's bytes are looked up first (a key is its own
+    key). The stack keeps the real states: each trace replays under `config`.
 
     Violating states are leaves: the trace is recorded and the search
     backtracks. Hitting a limit flags the report incomplete instead of
@@ -421,7 +421,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     report = ExplorationReport(config=config)
     layout = layout_for(config)
     init = initial_state(config).buf
-    visited = {symmetric_key(init, layout)}
+    visited = {symmetric_key(bytes(init), layout)}
     report.states_visited = 1
     frames: list[list] = []
     settle = _settler(config)
@@ -458,10 +458,10 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         frame[2] = idx + 1
         succ, leaf = _transition(config, buf, options[idx], roots)
         report.transitions_taken += 1
-        key = symmetric_key(succ, layout)
-        if key in visited:
+        raw = bytes(succ)
+        if raw in visited or (key := symmetric_key(raw, layout)) in visited:
             continue
-        if limits.max_states is not None and len(visited) >= limits.max_states:
+        if limits.max_states is not None and report.states_visited >= limits.max_states:
             report.incomplete = True
             continue
         visited.add(key)
@@ -512,17 +512,21 @@ def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
     step whose verdict comes before the schedule ends. A schedule that
     reproduces nothing gives a trace with verdict None.
     """
-    (result,) = replay_all(config, (steps,))
-    if isinstance(result, ReplayError):
-        raise result
-    return result
+    settle = _settler(config)
+    init = initial_state(config).buf
+    path = [(init, None, *settle(init, None))]
+    if (error := _replay_from(config, path, steps, 0, settle, {})) is not None:
+        raise error
+    buf, leaf, verdict, detail, _ = path[-1]
+    return _trace(steps, (entry[1][1] for entry in path[1:]), leaf and leaf[2],
+                  buf, layout_for(config), verdict, detail)
 
 
 def replay_all(
     config: KernelConfig, schedules: Iterable[Sequence[ScheduleStep]]
-) -> Iterator[Trace | ReplayError]:
-    """Replay each schedule as `replay` does, yielding its Trace, or the
-    ReplayError that `replay` would raise.
+) -> Iterator[str | None | ReplayError]:
+    """Replay each schedule as `replay` does, yielding its trace's verdict
+    (no trace is built), or the ReplayError that `replay` would raise.
 
     One path of (state buffer, step effect, verdict, detail, enabled
     steps) entries is kept for the schedule replayed last; the next one is
@@ -541,23 +545,20 @@ def replay_all(
             i += 1
         del path[i + 1:]
         done = steps
-        yield _replay_from(config, path, steps, i, settle, roots)
+        yield _replay_from(config, path, steps, i, settle, roots) or path[-1][2]
 
 
 def _replay_from(
     config: KernelConfig, path: list[tuple], steps: Sequence[ScheduleStep], i: int,
     settle, roots: dict[ScheduleStep, list],
-) -> Trace | ReplayError:
+) -> ReplayError | None:
     """Extend `path`, which holds the entries of steps[:i], by the rest of
-    `steps`, with replay's checks in replay's order; `settle` and `roots`
-    are the search's."""
-    while True:
-        buf, leaf, verdict, detail, options = path[i]
-        if verdict is not None and 0 < i < len(steps):
+    `steps` with replay's checks in replay's order; return the ReplayError
+    that `replay` would raise, or None. `settle` and `roots` are the search's."""
+    for i in range(i, len(steps)):
+        buf, _, verdict, _, options = path[i]
+        if verdict is not None and i > 0:
             return ReplayError(f"{verdict} already at step #{i - 1}, before the trace ends")
-        if i == len(steps):
-            return _trace(steps, (entry[1][1] for entry in path[1:]), leaf and leaf[2],
-                          buf, layout_for(config), verdict, detail)
         choice = steps[i]
         if choice not in options:
             suffix = f"[{choice[2]}]" if choice[2] else ""
@@ -565,4 +566,4 @@ def _replay_from(
                 f"step #{i} ({process_name(choice)}{suffix}) is not enabled; trace diverges")
         succ, leaf = _transition(config, buf, choice, roots)
         path.append((succ, leaf, *settle(succ, leaf[2])))
-        i += 1
+    return None

@@ -187,6 +187,11 @@ class Layout:
               for f in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION)),
         )
         self.settle_key = itemgetter(*self.settle_offsets)
+        # symmetric_key's cut of a state's bytes into the head, the records
+        # of workers 1..w and the tail; offsets in bytes, so 'h' cells stay whole.
+        size, record = boot.itemsize, CORE_WIDTH * boot.itemsize
+        cuts = (0, *range(self.cores * size + record, self.monitors * size + 1, record), None)
+        self.worker_cut = itemgetter(*map(slice, cuts, cuts[1:]))
 
 
 @cache
@@ -572,11 +577,11 @@ def snapshot(state: KernelState) -> bytes:
     return bytes(state.buf)
 
 
-def symmetric_key(buf: array, layout: Layout) -> bytes:
-    """Visited-set key of `explore` for a state's buffer `buf`: its bytes
-    with the records of workers 1..w sorted, so every renaming of the
-    identical worker cores gets the same key. When the records are already
-    in order, as they always are with one worker, the key is the bytes.
+def symmetric_key(raw: bytes, layout: Layout) -> bytes:
+    """Visited-set key of `explore` for a state's bytes `raw`: `raw` with the
+    records of workers 1..w sorted as byte strings, so every renaming of the
+    identical worker cores gets the same key. When they are already in order,
+    as with one worker, the key is `raw` itself, so a key is its own key.
 
     No field of the state names a worker, so sorting the records is a
     renaming, and two states get equal keys exactly when one is a renaming
@@ -586,13 +591,8 @@ def symmetric_key(buf: array, layout: Layout) -> bytes:
     invariant and deadlock predicates name no fixed worker. A failure's
     detail names the ids of the real state on the trace.
     """
-    first, end = layout.cores + CORE_WIDTH, layout.monitors
-    records = [buf[at:at + CORE_WIDTH] for at in range(first, end, CORE_WIDTH)]
+    head, *records, tail = layout.worker_cut(raw)
     ordered = sorted(records)
     if ordered == records:
-        return bytes(buf)
-    out = buf[:first]
-    for record in ordered:
-        out += record
-    out += buf[end:]
-    return bytes(out)
+        return raw
+    return b"".join((head, *ordered, tail))

@@ -28,7 +28,7 @@ from schedcheck.cli import (
     step_to_dict,
     violations_from_doc,
 )
-from schedcheck import explorer
+from schedcheck import cli, explorer
 from schedcheck.explorer import ReplayError, explore, process_name, replay
 from schedcheck.model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 from test_settle_projection import CONFIGS, _reachable
@@ -124,7 +124,17 @@ class TestDocuments:
         assert len(set(violations[0][1])) == 1000
         assert explorer._step_of.cache_info().currsize == before
 
-    def test_a_document_parses_to_step_triples(self):
+    def test_a_document_parses_to_step_triples(self, monkeypatch):
+        # each distinct step object of a document is validated once
+        calls = 0
+        parse = cli.step_from_dict
+
+        def counting(doc):
+            nonlocal calls
+            calls += 1
+            return parse(doc)
+
+        monkeypatch.setattr(cli, "step_from_dict", counting)
         worker = {"process": "Worker", "core": 1, "variant": 0}
         spawner = {"process": "Spawner", "core": None, "variant": 0}
         doc = {"violations": [{"verdict": "Deadlock", "steps": [worker, dict(worker)]},
@@ -132,6 +142,7 @@ class TestDocuments:
         _, [(_, first), (_, second)] = violations_from_doc(doc)
         assert first == (("Worker", 1, 0), ("Worker", 1, 0))
         assert second == (("Spawner", None, 0), ("Worker", 1, 0))
+        assert calls == 2
 
     @pytest.mark.parametrize("field", ["core", "variant"])
     def test_a_bool_twin_of_a_parsed_step_is_still_rejected(self, field):

@@ -247,7 +247,20 @@ class TestExplore:
         report = explore(KernelConfig(), Limits(max_states=10))
         assert report.incomplete is True
         assert report.all_paths_terminal_ok is False
-        assert report.states_visited <= 10
+        assert (report.states_visited, report.transitions_taken) == (10, 23)
+
+    @pytest.mark.parametrize("max_states,pinned", [
+        (1, (1, 2, 0, True)),
+        (100, (100, 211, 0, True)),
+        (1000, (1000, 2609, 0, True)),
+    ])
+    def test_state_budget_counters_are_pinned(self, max_states, pinned):
+        # (states, transitions, violations, incomplete) of H,H/2 under a
+        # state budget: transitions past the budget are still taken
+        report = explore(KernelConfig(worker_count=2, task_plan=(H, H)),
+                         Limits(max_states=max_states))
+        assert (report.states_visited, report.transitions_taken,
+                len(report.violations), report.incomplete) == pinned
 
     def test_depth_budget_flags_incomplete(self):
         report = explore(KernelConfig(), Limits(max_depth=3))
@@ -294,7 +307,7 @@ class TestExplore:
 
         for cfg in (LOST_WAKEUP, PREEMPT_BUG, CLEAN_SMALL):
             init = initial_state(cfg)
-            seen = {symmetric_key(init.buf, init.layout)}
+            seen = {symmetric_key(bytes(init.buf), init.layout)}
             quiescent_ok = 0
             frontier = deque([init])
             while frontier:
@@ -304,7 +317,7 @@ class TestExplore:
                     quiescent_ok += 1
                 for choice in options:
                     succ = _apply(state, choice)
-                    key = symmetric_key(succ.buf, succ.layout)
+                    key = symmetric_key(bytes(succ.buf), succ.layout)
                     if key not in seen:
                         seen.add(key)
                         if succ.violation is None:

@@ -1,6 +1,7 @@
 """`replay_all` replays a report's schedules along one shared prefix path:
-each result equals what `replay` gives for that schedule on its own, and
-each distinct schedule prefix of a report runs once."""
+each result is the verdict of the trace that `replay` gives for that
+schedule on its own, or the error it raises, and each distinct schedule
+prefix of a report runs once."""
 
 from __future__ import annotations
 
@@ -101,14 +102,7 @@ def test_replay_all_agrees_with_replay_of_each_schedule(case):
             assert str(result) == str(exc)
         else:
             assert not isinstance(result, ReplayError), str(result)
-            assert result.steps == alone.steps
-            assert result.annotations == alone.annotations
-            assert result.verdict == alone.verdict
-            assert result.monitor_error == alone.monitor_error
-            assert result.final_task_states == alone.final_task_states
-            assert result.final_queue == alone.final_queue
-            assert result.detail == alone.detail
-            assert result == alone
+            assert result == alone.verdict
 
 
 def test_replay_runs_each_distinct_prefix_once(tmp_path, monkeypatch):

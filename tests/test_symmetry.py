@@ -119,24 +119,33 @@ def renamed(state: KernelState, order: tuple[int, ...]) -> KernelState:
     return image
 
 
-@pytest.mark.parametrize("config", [
-    KernelConfig(worker_count=3, task_plan=(H, L), max_waits_per_task=0),
-    KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0,
-                 faults=frozenset({EBS})),
-], ids=["H,L/3-w0", "H,H/2-w0-ebs"])
-def test_key_is_one_renaming_of_the_state(config):
+@pytest.mark.parametrize("config,typecode", [
+    (KernelConfig(worker_count=3, task_plan=(H, L), max_waits_per_task=0), "b"),
+    (KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0,
+                  faults=frozenset({EBS})), "b"),
+    # 2 + 2 x 70 script positions need two-byte cells; with no preemption
+    # the search stays at a few thousand states
+    (KernelConfig(worker_count=2, task_plan=(H, L), max_waits_per_task=70,
+                  max_preemptions_per_task=0), "h"),
+], ids=["H,L/3-w0", "H,H/2-w0-ebs", "H,L/2-w70p0-h"])
+def test_key_is_one_renaming_of_the_state(config, typecode):
     # over every reachable state, the key is the bytes of the state renamed
     # by some permutation of its workers, every renaming gets that same
-    # key, and the identity keeps the bytes
+    # key, a key is its own key (explore looks the bytes up first), and
+    # states already in order keep their bytes object
     orders = list(itertools.permutations(range(1, config.worker_count + 1)))
     init = initial_state(config)
+    assert init.layout.boot.typecode == typecode
     seen, frontier, renamings = {snapshot(init)}, [init], 0
     while frontier:
         state = frontier.pop()
-        key = symmetric_key(state.buf, state.layout)
+        raw = bytes(state.buf)
+        key = symmetric_key(raw, state.layout)
         images = [renamed(state, order) for order in orders]
         assert key in {snapshot(image) for image in images}
-        assert {symmetric_key(image.buf, image.layout) for image in images} == {key}
+        assert {symmetric_key(bytes(image.buf), image.layout) for image in images} == {key}
+        assert symmetric_key(key, state.layout) == key
+        assert key is raw or key != raw
         renamings += key != snapshot(state)
         for choice in enabled(state):
             succ = explorer._apply(state, choice)
@@ -152,7 +161,7 @@ def test_one_worker_key_is_the_snapshot():
     state, steps = initial_state(KernelConfig(worker_count=1, task_plan=(H, L))), 0
     while options := enabled(state):
         state = explorer._apply(state, options[-1])
-        assert symmetric_key(state.buf, state.layout) == snapshot(state)
+        assert symmetric_key(bytes(state.buf), state.layout) == snapshot(state)
         steps += 1
     assert steps > 5
 
