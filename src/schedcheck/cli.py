@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -48,7 +48,10 @@ def parse_task_plan(text: str) -> tuple[TaskKind, ...]:
     return tuple(plan)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `main` runs it once per call, and
+    parsing leaves the parser and its defaults unchanged."""
     p = argparse.ArgumentParser(
         prog="schedcheck",
         description="Check a preemptive async-task scheduler model by "
@@ -417,6 +420,9 @@ def _render_replay_text(doc: dict) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    # only a sweep needs the pool, and importing it loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         with open(args.sweep, "r", encoding="utf-8") as fh:
             plans = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]

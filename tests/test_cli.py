@@ -74,6 +74,31 @@ class TestParsing:
         assert args.mode == "explore"
         assert args.tasks is None  # resolved to H,L,L in config building
 
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_faults_do_not_leak_into_the_next_parse(self):
+        (action,) = [a for a in build_parser()._actions if a.dest == "fault"]
+        a, b = sorted(FAULTS)[:2]
+        assert parse_args(["--fault", a, "--fault", b]).fault == [a, b]
+        assert parse_args([]).fault == []
+        assert action.default == []
+
+    def test_a_usage_error_leaves_the_next_parse_intact(self):
+        assert parse_args(["--tasks", "H", "--seed", "3"]).seed == 3
+        with pytest.raises(SystemExit) as err:
+            parse_args(["--mode", "walk", "--tasks", "L", "--max-steps", "x"])
+        assert err.value.code == 2
+        args = parse_args(["--mode", "walk", "--seed", "5"])
+        assert (args.mode, args.seed, args.tasks, args.max_steps) == ("walk", 5, None, 100_000)
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("usage: schedcheck")
+
     def test_no_args_echoes_default_config(self):
         cfg = config_from_args(parse_args([]))
         assert config_to_dict(cfg) == {
