@@ -27,7 +27,10 @@ from .explorer import (
 )
 from .model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# Replay reads the schedules of reports of these schemas; schema 2 keeps one
+# shortest trace per violation class.
+READABLE_SCHEMAS = (1, 2)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -73,9 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="random-walk seed (walk mode)")
     p.add_argument("--max-steps", type=int, default=100_000, help="walk step budget")
     p.add_argument("--max-states", type=int, default=None, help="explore state budget")
-    p.add_argument("--max-depth", type=int, default=None, help="explore depth budget")
+    p.add_argument("--max-depth", type=int, default=None,
+                   help="explore depth budget: search exactly the states within N steps")
     p.add_argument("--max-violations", type=int, default=16,
-                   help="stop after collecting this many violations")
+                   help="stop once this many violation classes are found "
+                   "(explore keeps one shortest trace per class)")
     p.add_argument("--trace-in", default=None, metavar="FILE",
                    help="JSON report whose violations to replay (replay mode)")
     p.add_argument("--out", choices=["text", "json"], default="text")
@@ -204,9 +209,11 @@ def violations_from_doc(
     naming the first malformed part."""
     if not isinstance(doc, dict):
         raise ConfigurationError("trace file must hold a JSON object (a schedcheck report)")
-    if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if not (_is_a(schema, int) and schema in READABLE_SCHEMAS):
         raise ConfigurationError(
-            f"trace file has schema {doc['schema']!r}, expected {SCHEMA_VERSION}"
+            f"trace file has schema {doc['schema']!r}, "
+            f"expected {' or '.join(map(str, READABLE_SCHEMAS))}"
         )
     config = doc.get("config")
     if config is not None:
@@ -234,10 +241,11 @@ def _parse_step(doc: object, parsed: dict) -> ScheduleStep:
         return step_from_dict(doc)
 
 
-def trace_to_dict(trace: Trace) -> dict:
+def trace_to_dict(trace: Trace, violating_states: int) -> dict:
     err = trace.monitor_error
     return {
         "verdict": trace.verdict,
+        "violating_states": violating_states,
         "steps": [step_to_dict(s) for s in trace.steps],
         "lines": trace.lines(),
         "monitor_error": None if err is None else {
@@ -265,8 +273,10 @@ def report_to_doc(report: ExplorationReport, mode: str, seed: int | None = None)
             "quiescent_ok": report.quiescent_ok,
         },
         "incomplete": report.incomplete,
+        "incomplete_reason": report.incomplete_reason,
         "all_paths_terminal_ok": report.all_paths_terminal_ok,
-        "violations": [trace_to_dict(t) for t in report.violations],
+        "violations": [trace_to_dict(t, n)
+                       for t, n in zip(report.violations, report.violating_states)],
     }
 
 
@@ -331,7 +341,8 @@ def render_text(doc: dict, quiet: bool) -> str:
         f"max_preemptions={cfg['max_preemptions']}"
     )
     for i, v in enumerate(doc["violations"]):
-        lines.append(f"violation {i + 1}: {v['verdict']}")
+        lines.append(f"violation {i + 1}: {v['verdict']} "
+                     f"(violating states: {v['violating_states']})")
         if not quiet:
             lines.extend("  " + ln for ln in v["lines"])
         if v["monitor_error"] is not None:
@@ -344,11 +355,11 @@ def render_text(doc: dict, quiet: bool) -> str:
         states = ", ".join(f"task {t}={s}" for t, s in sorted(v["final_task_states"].items()))
         lines.append(f"  final states: {states}; queue={v['final_queue']}")
     c = doc["counters"]
+    status = f"INCOMPLETE ({doc['incomplete_reason']})" if doc["incomplete"] else "complete"
     lines.append(
         f"states={c['states_visited']} transitions={c['transitions_taken']} "
         f"max_depth={c['max_depth']} quiescent_ok={c['quiescent_ok']} "
-        f"violations={len(doc['violations'])} "
-        f"{'INCOMPLETE' if doc['incomplete'] else 'complete'}"
+        f"violations={len(doc['violations'])} {status}"
     )
     verdict = "ok" if not doc["violations"] else "violations found"
     if doc["incomplete"] and not doc["violations"]:

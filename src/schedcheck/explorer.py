@@ -2,16 +2,18 @@
 
 A fixed set of virtual processes (the primary core's timer and
 preempter, a spawner, and one worker per core) each contribute guarded
-atomic steps. `explore` runs a depth-first search that prunes states
+atomic steps. `explore` runs a breadth-first search that prunes states
 already visited up to a renaming of the identical worker cores
-(`model.symmetric_key`), recording monitor violations, deadlocks, and
-invariant failures as replayable counterexample traces; its stack holds
-the real states, so every trace is a real path. `random_walk` steps one
-state in place along a seeded schedule, standing in for live runtime
-verification, and counts exact states (`snapshot`); `replay` re-executes
-a recorded schedule and rebuilds its trace, and `replay_all` gives the
-verdicts of a report's schedules, running each shared prefix once. All of
-them end a path by one rule and build traces one way.
+(`model.symmetric_key`), and keeps a parent map, as TLC does. It records
+monitor violations, deadlocks and invariant failures by class
+(`violation_class`): one shortest counterexample per class, whose schedule
+is read off the parent map and whose trace `replay` builds, so every trace
+is a real path. `random_walk` steps one state in place along a seeded
+schedule, standing in for live runtime verification, and counts exact
+states (`snapshot`); `replay` re-executes a recorded schedule and rebuilds
+its trace, and `replay_all` gives the verdicts of a report's schedules,
+running each shared prefix once. All of them end a path by one rule and
+build traces one way.
 
 `explore`, `replay` and `replay_all` step state buffers through two
 per-search memos: `_settler` keys each ending rule by the cells it reads, and
@@ -22,6 +24,7 @@ so an operation runs only on a miss.
 from __future__ import annotations
 
 import random
+import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -118,7 +121,12 @@ class ExplorationReport:
     max_depth: int = 0
     quiescent_ok: int = 0
     violations: list[Trace] = field(default_factory=list)
+    # per violation, the violating states of its class that the search met
+    violating_states: list[int] = field(default_factory=list)
     incomplete: bool = False
+    # the first limit that cut the run short: max_states, max_depth,
+    # max_violations or max_steps
+    incomplete_reason: str | None = None
 
     @property
     def all_paths_terminal_ok(self) -> bool:
@@ -337,6 +345,9 @@ def check_invariants(state: KernelState) -> str | None:
 
 @dataclass(frozen=True)
 class Limits:
+    """`explore`'s budgets: states visited, depth in steps, and violation
+    classes found."""
+
     max_states: int | None = None
     max_depth: int | None = None
     max_violations: int = 16
@@ -400,76 +411,146 @@ def _trace(
     )
 
 
+def violation_class(verdict: str, violation: MonitorViolation | None, detail: str) -> tuple:
+    """What `explore` records one trace of: a monitor violation's verdict,
+    task, monitor state and symbol; any other verdict with its detail, its
+    numbers masked, so that the same failure on other ids is one class."""
+    if violation is not None:
+        return verdict, violation.task, violation.current_state, violation.symbol
+    return verdict, re.sub(r"\d+", "#", detail)
+
+
 def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationReport:
-    """Exhaustive DFS from the initial state with visited-state pruning.
+    """Exhaustive breadth-first search from the initial state, with one
+    shortest counterexample per violation class.
 
-    The visited set holds `symmetric_key`s, so of the states that differ
-    only by a renaming of worker cores, the first one reached is searched
-    and the others are pruned; the counters count states up to that
-    renaming, and a successor's bytes are looked up first (a key is its own
-    key). The stack keeps the real states: each trace replays under `config`.
+    The visited set is a dict from each state's `symmetric_key` to its
+    parent's key (None at the root). So of the states that differ only by
+    a renaming of worker cores, the first one reached is searched and the
+    others are pruned; the counters count states up to that renaming, and
+    a successor's bytes are looked up first (a key is its own key).
 
-    Violating states are leaves: the trace is recorded and the search
-    backtracks. Hitting a limit flags the report incomplete instead of
-    crashing. Each frame of the stack is [state buffer, enabled steps, next
-    index, the effect of the step that reached the state (None at the
-    root)], so frame k took `options[idx - 1]` and a trace is read off the
-    stack. Successors come from `_transition`, so an operation runs only on
-    a transition-memo miss.
+    Violating states are leaves. The first violating state of each class
+    (`violation_class`) lies, in BFS order, at the least depth of its
+    class; its schedule is read off the parent map (`_schedule_to`) and
+    `replay` builds its trace, which replays under `config`. Later states of
+    a known class are only counted, in `violating_states`, and
+    `max_violations` counts classes. Hitting a limit flags the report
+    incomplete, names the first limit hit in `incomplete_reason`, and does
+    not crash; `max_depth` d searches exactly the states within d steps.
+    Each level of the frontier is three parallel lists: state buffers,
+    their enabled steps and their keys. Successors come from
+    `_transition`, so an operation runs only on a transition-memo miss.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
     layout = layout_for(config)
-    init = initial_state(config).buf
-    visited = {symmetric_key(bytes(init), layout)}
-    report.states_visited = 1
-    frames: list[list] = []
     settle = _settler(config)
     roots: dict[ScheduleStep, list] = {}
+    init = initial_state(config).buf
+    init_key = symmetric_key(bytes(init), layout)
+    parents: dict[bytes, bytes | None] = {init_key: None}
+    # violation class -> violating states of it; `firsts` keeps each one's first key
+    counts: dict[tuple, int] = {}
+    firsts: dict[tuple, bytes] = {}
+    bufs: list[array] = []
+    opts: list[tuple[ScheduleStep, ...]] = []
+    keys: list[bytes] = []
 
-    def reach(buf: array, leaf: tuple | None) -> bool:
+    def cut(reason: str) -> None:
+        report.incomplete = True
+        report.incomplete_reason = report.incomplete_reason or reason
+
+    def visit(buf: array, violation: MonitorViolation | None, key: bytes, depth: int) -> bool:
         """Settle a newly visited state; True when the search must stop."""
-        violation = leaf[2] if leaf else None
         verdict, detail, options = settle(buf, violation)
         if verdict is not None:
-            leaves = [frame[3] for frame in frames[1:]] + [leaf] if frames else []
-            report.violations.append(_trace(
-                (frame[1][frame[2] - 1] for frame in frames),
-                (effect[1] for effect in leaves), violation, buf, layout, verdict, detail,
-            ))
-            if len(report.violations) >= limits.max_violations:
-                report.incomplete = True
+            kind = violation_class(verdict, violation, detail)
+            if kind in counts:
+                counts[kind] += 1
+                return False
+            counts[kind] = 1
+            firsts[kind] = key
+            if len(counts) >= limits.max_violations:
+                cut("max_violations")
                 return True
         elif not options:
             report.quiescent_ok += 1
-        elif limits.max_depth is not None and len(frames) >= limits.max_depth:
-            report.incomplete = True
+        elif limits.max_depth is not None and depth >= limits.max_depth:
+            cut("max_depth")
         else:
-            frames.append([buf, options, 0, leaf])
+            bufs.append(buf)
+            opts.append(options)
+            keys.append(key)
         return False
 
-    stop = reach(init, None)
-    while frames and not stop:
-        frame = frames[-1]
-        buf, options, idx, _ = frame
-        if idx == len(options):
-            frames.pop()
-            continue
-        frame[2] = idx + 1
-        succ, leaf = _transition(config, buf, options[idx], roots)
-        report.transitions_taken += 1
-        raw = bytes(succ)
-        if raw in visited or (key := symmetric_key(raw, layout)) in visited:
-            continue
-        if limits.max_states is not None and report.states_visited >= limits.max_states:
-            report.incomplete = True
-            continue
-        visited.add(key)
-        report.states_visited += 1
-        report.max_depth = max(report.max_depth, len(frames))
-        stop = reach(succ, leaf)
+    states = 1
+    transitions = depth = deepest = 0
+    stop = visit(init, None, init_key, 0)
+    while bufs and not stop:
+        depth += 1
+        level = zip(bufs, opts, keys)
+        bufs, opts, keys = [], [], []
+        for buf, options, parent in level:
+            for choice in options:
+                succ, leaf = _transition(config, buf, choice, roots)
+                transitions += 1
+                raw = bytes(succ)
+                if raw in parents or (key := symmetric_key(raw, layout)) in parents:
+                    continue
+                if limits.max_states is not None and states >= limits.max_states:
+                    cut("max_states")
+                    continue
+                parents[key] = parent
+                states += 1
+                deepest = depth
+                if stop := visit(succ, leaf[2], key, depth):
+                    break
+            if stop:
+                break
 
+    report.states_visited, report.transitions_taken = states, transitions
+    report.max_depth = deepest
+    for kind, key in firsts.items():
+        steps = _schedule_to(config, key, kind, parents, settle, roots)
+        report.violations.append(replay(config, steps))
+        report.violating_states.append(counts[kind])
     return report
+
+
+def _schedule_to(
+    config: KernelConfig, key: bytes, kind: tuple, parents: dict[bytes, bytes | None],
+    settle, roots: dict[ScheduleStep, list],
+) -> tuple[ScheduleStep, ...]:
+    """The schedule of a shortest real path to the state `explore` keyed
+    `key`, a violation of class `kind`: from the initial state, at each
+    depth the first enabled step whose successor has the next key on the
+    parent chain, with no verdict until the last, which must be of `kind`.
+    Steps are matched by key because, under worker symmetry, the state the
+    search kept may be a renaming of the one reached here, and its step may
+    name another core. `settle` and `roots` are the search's memos."""
+    chain = []
+    while key is not None:
+        chain.append(key)
+        key = parents[key]
+    layout = layout_for(config)
+    buf = initial_state(config).buf
+    options = settle(buf, None)[2]
+    steps = []
+    for depth, want in enumerate(reversed(chain[:-1]), 1):
+        goal = kind if depth == len(chain) - 1 else None
+        for choice in options:
+            succ, leaf = _transition(config, buf, choice, roots)
+            if symmetric_key(bytes(succ), layout) != want:
+                continue
+            verdict, detail, succ_options = settle(succ, leaf[2])
+            if (verdict and violation_class(verdict, leaf[2], detail)) == goal:
+                break
+        else:
+            raise AssertionError(f"no step reaches the state at depth {depth} of its chain")
+        steps.append(choice)
+        buf, options = succ, succ_options
+    return tuple(steps)
 
 
 def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationReport:
@@ -486,6 +567,7 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
     while verdict is None and options:
         if len(steps) == max_steps:
             report.incomplete = True
+            report.incomplete_reason = "max_steps"
             break
         choice = options[rng.randrange(len(options))]
         _run(state, choice)
@@ -498,6 +580,7 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
         report.violations.append(_trace(
             steps, annotations, state.violation, state.buf, state.layout, verdict, detail,
         ))
+        report.violating_states.append(1)
     elif not options:
         report.quiescent_ok += 1
     report.states_visited = len(seen)
@@ -530,9 +613,8 @@ def replay_all(
 
     One path of (state buffer, step effect, verdict, detail, enabled
     steps) entries is kept for the schedule replayed last; the next one is
-    cut back to the prefix both share and runs only the steps past it. The
-    traces of a report come off one DFS stack, so neighbours share most of
-    their steps. Successors come from `_transition`, as in `explore`.
+    cut back to the prefix both share and runs only the steps past it.
+    Successors come from `_transition`, as in `explore`.
     """
     settle = _settler(config)
     roots: dict[ScheduleStep, list] = {}

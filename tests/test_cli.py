@@ -344,6 +344,40 @@ class TestMainReplay:
         assert code == EXIT_USAGE
         assert "MISMATCH" in out or "diverges" in out
 
+    def test_replay_of_a_schema_1_report(self, tmp_path, capsys):
+        # a hand-written report of the first schema, which had no per-class
+        # counts and no incomplete_reason: the lost-wakeup deadlock
+        worker, timer = {"process": "Worker", "core": 1, "variant": 0}, {
+            "process": "PrimaryTimer", "core": None, "variant": 0}
+        doc = {
+            "schema": 1,
+            "tool": {"name": "schedcheck", "version": "0.1.0"},
+            "mode": "explore",
+            "seed": None,
+            "config": {"workers": 1, "tasks": "H", "fix_wait": False, "fix_preempt": True,
+                       "faults": [], "max_waits": 1, "max_preemptions": 0},
+            "counters": {"states_visited": 11, "transitions_taken": 10, "max_depth": 8,
+                         "quiescent_ok": 1},
+            "incomplete": False,
+            "all_paths_terminal_ok": False,
+            "violations": [{
+                "verdict": "Deadlock",
+                "steps": [worker, worker, worker, timer, worker],
+                "lines": [],
+                "monitor_error": None,
+                "final_task_states": {"0": "Waiting(false)"},
+                "final_queue": [],
+                "detail": "no step enabled, tasks not terminal",
+            }],
+        }
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps(doc))
+        code = main(["--mode", "replay", "--trace-in", str(report_file), "--out", "json"])
+        replays = json.loads(capsys.readouterr().out)["replays"]
+        assert code == EXIT_VIOLATION
+        assert replays == [{"expected": "Deadlock", "reproduced": "Deadlock", "match": True,
+                            "error": None}]
+
     def test_missing_trace_file_is_usage_error(self, capsys):
         code = main(["--mode", "replay", "--trace-in", "/nonexistent.json"])
         assert code == EXIT_USAGE
@@ -374,6 +408,13 @@ class TestMalformedTraceFile:
         main(["--fix-wait", "off", "--tasks", "H", "--workers", "1",
               "--max-preemptions", "0", "--out", "json"])
         return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("schema", [0, 3, "2", True, None])
+    def test_unknown_schema(self, tmp_path, capsys, schema):
+        doc = self.report(capsys)
+        doc["schema"] = schema
+        err = self.replay_doc(tmp_path, capsys, doc)
+        assert f"schema {schema!r}, expected 1 or 2" in err
 
     def test_violation_without_steps(self, tmp_path, capsys):
         doc = self.report(capsys)

@@ -48,40 +48,41 @@ EBS, SRS, SRC = "enqueue-before-state", "skip-resume-state", "skip-running-check
 FAULTS = (EBS, SRS, SRC)
 
 # Every fix/fault combination on H,L,L/2 under the CLI's default limits,
-# keyed by (fix_wait, fix_preempt, faults).
+# keyed by (fix_wait, fix_preempt, faults). No combo has 16 violation
+# classes, so each of these searches is complete.
 FAULT_MATRIX = {
     (True, True, ()): (2443, 6778, 27, 4),
     (True, True, (EBS,)): (2523, 7024, 27, 4),
-    (True, True, (SRS,)): (109, 173, 21, 0),
+    (True, True, (SRS,)): (2298, 6306, 26, 2),
     (True, True, (SRC,)): (2443, 6778, 27, 4),
-    (True, True, (EBS, SRS)): (109, 174, 21, 0),
-    (True, True, (EBS, SRC)): (1218, 2981, 27, 4),
-    (True, True, (SRS, SRC)): (109, 173, 21, 0),
-    (True, True, (EBS, SRS, SRC)): (109, 172, 21, 0),
-    (True, False, ()): (54, 77, 15, 0),
-    (True, False, (EBS,)): (56, 75, 16, 0),
-    (True, False, (SRS,)): (54, 77, 15, 0),
-    (True, False, (SRC,)): (54, 77, 15, 0),
-    (True, False, (EBS, SRS)): (56, 75, 16, 0),
-    (True, False, (EBS, SRC)): (55, 71, 16, 0),
-    (True, False, (SRS, SRC)): (54, 77, 15, 0),
-    (True, False, (EBS, SRS, SRC)): (55, 71, 16, 0),
-    (False, True, ()): (579, 1231, 24, 1),
-    (False, True, (EBS,)): (589, 1261, 24, 1),
-    (False, True, (SRS,)): (109, 173, 21, 0),
-    (False, True, (SRC,)): (579, 1231, 24, 1),
-    (False, True, (EBS, SRS)): (109, 174, 21, 0),
-    (False, True, (EBS, SRC)): (580, 1242, 24, 1),
-    (False, True, (SRS, SRC)): (109, 173, 21, 0),
-    (False, True, (EBS, SRS, SRC)): (109, 172, 21, 0),
-    (False, False, ()): (54, 77, 15, 0),
-    (False, False, (EBS,)): (56, 75, 16, 0),
-    (False, False, (SRS,)): (54, 77, 15, 0),
-    (False, False, (SRC,)): (54, 77, 15, 0),
-    (False, False, (EBS, SRS)): (56, 75, 16, 0),
-    (False, False, (EBS, SRC)): (55, 71, 16, 0),
-    (False, False, (SRS, SRC)): (54, 77, 15, 0),
-    (False, False, (EBS, SRS, SRC)): (55, 71, 16, 0),
+    (True, True, (EBS, SRS)): (2402, 6590, 26, 2),
+    (True, True, (EBS, SRC)): (2571, 7024, 27, 4),
+    (True, True, (SRS, SRC)): (2298, 6306, 26, 2),
+    (True, True, (EBS, SRS, SRC)): (2450, 6590, 26, 2),
+    (True, False, ()): (1317, 2871, 24, 2),
+    (True, False, (EBS,)): (1697, 3574, 24, 2),
+    (True, False, (SRS,)): (1237, 2677, 21, 1),
+    (True, False, (SRC,)): (1317, 2871, 24, 2),
+    (True, False, (EBS, SRS)): (1621, 3384, 22, 1),
+    (True, False, (EBS, SRC)): (1772, 3574, 24, 2),
+    (True, False, (SRS, SRC)): (1237, 2677, 21, 1),
+    (True, False, (EBS, SRS, SRC)): (1696, 3384, 22, 1),
+    (False, True, ()): (1491, 3317, 24, 3),
+    (False, True, (EBS,)): (1551, 3489, 24, 3),
+    (False, True, (SRS,)): (1415, 3053, 24, 2),
+    (False, True, (SRC,)): (1491, 3317, 24, 3),
+    (False, True, (EBS, SRS)): (1493, 3251, 24, 2),
+    (False, True, (EBS, SRC)): (1587, 3489, 24, 3),
+    (False, True, (SRS, SRC)): (1415, 3053, 24, 2),
+    (False, True, (EBS, SRS, SRC)): (1529, 3251, 24, 2),
+    (False, False, ()): (1357, 2862, 21, 1),
+    (False, False, (EBS,)): (1792, 3658, 22, 1),
+    (False, False, (SRS,)): (1357, 2862, 21, 1),
+    (False, False, (SRC,)): (1357, 2862, 21, 1),
+    (False, False, (EBS, SRS)): (1792, 3658, 22, 1),
+    (False, False, (EBS, SRC)): (1879, 3658, 22, 1),
+    (False, False, (SRS, SRC)): (1357, 2862, 21, 1),
+    (False, False, (EBS, SRS, SRC)): (1879, 3658, 22, 1),
 }
 
 
@@ -155,4 +156,6 @@ def test_fault_matrix_counters(combo):
         fix_preempt_need_sched=fix_preempt,
         faults=frozenset(faults),
     )
-    assert counters(config) == FAULT_MATRIX[combo]
+    report = explore(config, cli_default_limits())
+    assert pinned(report) == FAULT_MATRIX[combo]
+    assert not report.incomplete

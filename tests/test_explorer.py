@@ -247,16 +247,17 @@ class TestExplore:
         report = explore(KernelConfig(), Limits(max_states=10))
         assert report.incomplete is True
         assert report.all_paths_terminal_ok is False
-        assert (report.states_visited, report.transitions_taken) == (10, 23)
+        assert (report.states_visited, report.transitions_taken) == (10, 31)
 
     @pytest.mark.parametrize("max_states,pinned", [
         (1, (1, 2, 0, True)),
-        (100, (100, 211, 0, True)),
-        (1000, (1000, 2609, 0, True)),
+        (100, (100, 291, 0, True)),
+        (1000, (1000, 2994, 0, True)),
     ])
     def test_state_budget_counters_are_pinned(self, max_states, pinned):
         # (states, transitions, violations, incomplete) of H,H/2 under a
-        # state budget: transitions past the budget are still taken
+        # state budget, in BFS order: transitions past the budget are still
+        # taken
         report = explore(KernelConfig(worker_count=2, task_plan=(H, H)),
                          Limits(max_states=max_states))
         assert (report.states_visited, report.transitions_taken,
@@ -265,6 +266,18 @@ class TestExplore:
     def test_depth_budget_flags_incomplete(self):
         report = explore(KernelConfig(), Limits(max_depth=3))
         assert report.incomplete is True
+        assert report.incomplete_reason == "max_depth"
+
+    @pytest.mark.parametrize("limits,reason", [
+        (Limits(max_states=5), "max_states"),
+        (Limits(max_violations=1), "max_violations"),
+        (Limits(max_violations=10**9), None),
+    ])
+    def test_incomplete_reason_names_the_limit(self, limits, reason):
+        cfg = KernelConfig(fix_wait_need_sched=False)
+        report = explore(cfg, limits)
+        assert report.incomplete_reason == reason
+        assert report.incomplete == (reason is not None)
 
     def test_bound_monotonicity(self):
         counts = []
@@ -300,31 +313,35 @@ class TestExplore:
         assert report.violations == []
         assert report.all_paths_terminal_ok is True
 
-    def test_dfs_agrees_with_independent_bfs(self):
-        # the DFS frame bookkeeping against a trivially-correct BFS walker
-        # that prunes by explore's key
-        from collections import deque
-
+    def test_explore_agrees_with_independent_bfs(self):
+        # explore's level lists and parent map against a trivially-correct
+        # BFS walker that prunes by explore's key, and the depth budget d
+        # against the states it finds within d steps
         for cfg in (LOST_WAKEUP, PREEMPT_BUG, CLEAN_SMALL):
             init = initial_state(cfg)
-            seen = {symmetric_key(bytes(init.buf), init.layout)}
+            distance = {symmetric_key(bytes(init.buf), init.layout): 0}
             quiescent_ok = 0
-            frontier = deque([init])
-            while frontier:
-                state = frontier.popleft()
+            frontier = [(init, 0)]
+            for state, depth in frontier:
                 options = enabled(state)
                 if not options and state.all_tasks_terminal():
                     quiescent_ok += 1
                 for choice in options:
                     succ = _apply(state, choice)
                     key = symmetric_key(bytes(succ.buf), succ.layout)
-                    if key not in seen:
-                        seen.add(key)
+                    if key not in distance:
+                        distance[key] = depth + 1
                         if succ.violation is None:
-                            frontier.append(succ)
+                            frontier.append((succ, depth + 1))
             report = explore(cfg, Limits(max_violations=10_000))
-            assert report.states_visited == len(seen)
+            assert report.states_visited == len(distance)
             assert report.quiescent_ok == quiescent_ok
+            deepest = max(distance.values())
+            assert report.max_depth == deepest
+            for depth in range(1, deepest + 1):
+                report = explore(cfg, Limits(max_depth=depth, max_violations=10_000))
+                assert report.states_visited == sum(d <= depth for d in distance.values())
+                assert report.incomplete_reason == ("max_depth" if depth < deepest else None)
 
     def test_all_toggle_combinations_terminate_and_replay(self):
         import itertools
@@ -410,6 +427,7 @@ class TestRandomWalk:
     def test_step_budget_flags_incomplete(self):
         report = random_walk(KernelConfig(), seed=1, max_steps=3)
         assert report.incomplete is True
+        assert report.incomplete_reason == "max_steps"
 
     def test_budget_spent_on_the_final_state_is_complete(self):
         # the walk's last budgeted step ends the plan: nothing was cut off

@@ -87,85 +87,85 @@ def digest(argv: list[str]) -> str:
 
 GOLDEN = {
     "explore H,L/2 wait=on preempt=on faults=none":
-        "3c9c6dc6a9213c151b79741b6ed073f5f7b6dfc17eca479dcde574cef2abc529",
+        "a30f8fabe37c8cc5fa7fbe1c18bfa780f826b4d77963d49b1aa9c3dbf2a6343e",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state":
-        "feea90d7d13b78e8f3c323ef83be9d0f4e02628725a11ba3bf8a53ca58c6e2d7",
+        "89b6569d74133864e7d6bba2af26831767d7b6793e930c14347dd520968d8350",
     "explore H,L/2 wait=on preempt=on faults=skip-resume-state":
-        "a17021576a0ebe773f01bd8977e5f5a257ea24adac40e818617a12de428c2aa1",
+        "620425405a0d93c8a77131d0eeb486e731eb27e814954b6d9944a9bfd27858cc",
     "explore H,L/2 wait=on preempt=on faults=skip-running-check":
-        "c9ba739a8ff26823e6465b35b96fdaa03106e5ea129bbe1a48eda111273531f1",
+        "691b747f63dad576f4d6cc9d613242512e5007c7bd610935232741245dd9e712",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-resume-state":
-        "f45e99b14e072b0b0a524b56772b6ec251d0722c3c3a3743e94af6b808ab7494",
+        "ec909392ca4689124636191502a693015eeb5f8ef9353d5ab9803161682deca0",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "86e211116b1b3fefef35e64b675139887141d657ecc7e2e8438ad15eb6b293f6",
+        "8ecdecbf22a3d78483a09ff7d8a1e6860fd73058f682558459ef25b90ee4d0d1",
     "explore H,L/2 wait=on preempt=on faults=skip-resume-state+skip-running-check":
-        "b158b14310f37ca4b7e6c3b1121f16b7673a56bcf091d69d7a525a8cfb7d0a31",
+        "1550384d2fa292e4c6e00ac3815c7a1386ec35d7d373b1cc8b8b59b3fbc05e26",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "878c99abff286cde78fa8f50335317c60463b08bd30bb480541509fff8a9e27e",
+        "c25e79ce1e7ba6a77b917656d3fd7d23801036630342e7613ffa63b0e0099656",
     "explore H,L/2 wait=on preempt=off faults=none":
-        "4a52cf128fafd7631602f70ffb4cd1c43bd0df99f6aad7d1a7f6295f0114f3ef",
+        "866420db9f394091860d4d16df30f9af68a88bab5547b96b94aa4b05fd9a57e4",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state":
-        "cc8c41847b33e8d4ef1abead6d1946960673e14f1f2cd4c1b3f848fa0eac441c",
+        "662fd981d083af4fa3bb4c20071bf17699d01cf97193938d6a2c059bdb36e6de",
     "explore H,L/2 wait=on preempt=off faults=skip-resume-state":
-        "23bc876c903ac79e03dbbdef0346d43c544b0d90b08da8e1cb4b71b8008adb31",
+        "bf5e3d9174329a093e6baa1ae35f5ffb009aa70cabed714e2908cde470f238df",
     "explore H,L/2 wait=on preempt=off faults=skip-running-check":
-        "640110ec22c3425e9ad757a9d21ca9f8c3c5be49280a07b29be4301e3acf7b5e",
+        "5d8402cd895d12177d179708ce1a7024b6167ec7c5dd54bb50f96e0d2b03c8e0",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state+skip-resume-state":
-        "282c1e40bccc0147aa1222bde66c0c8f6b846ac4be2ce9539e3ba975ac7f8866",
+        "123eb71d5052d187410dacd517bad923b621bf2544f0fa91571676c0f2ff487c",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state+skip-running-check":
-        "9bdd8d2930a3e0f80939ee64a37a63bc8a5de62da4171aeef8f28b09d53a485d",
+        "4f196adbbdbf8fb8f9bf4aa7d5f0a42968408f7be978964627a6b2118a5ddc8c",
     "explore H,L/2 wait=on preempt=off faults=skip-resume-state+skip-running-check":
-        "77e1f0b0afece55335bc38465ec82571f821fe047d8552c906fc4ccc9b63d5b7",
+        "2b27e8c0f39a1c84380f08f091d5e1da32eac0fa065b0609731719eae8578e1e",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "054302a9604fd710cb5c28fa89af43c46984e64aec5f67e83343d3c97680e19a",
+        "2739db4a0547d523a7a6e5e978bebf46f1010655bce5d31e54380158f30ac952",
     "explore H,L/2 wait=off preempt=on faults=none":
-        "2e97094dcc6a1c187fb5124434673749537eb114b1fca9b41566c90dcbf03834",
+        "05c6c7d0f5f984e8e7435e4b6ff63030ffef7d4dd669a5cb990b531c545894a3",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state":
-        "4e0d6942e260a3b3ece1e49f6bcc59cdd44426bfdac50766940afa6828e45e01",
+        "7ec1dea4b5b753978a19333ccebe48c5cea4eae61c6caf0b9c0fc10a2c357cf9",
     "explore H,L/2 wait=off preempt=on faults=skip-resume-state":
-        "65c3b7cdf89422e6321988a4252d482f5ba21f118a1b1b803a1406cb4510e0a3",
+        "04713708cfc442e865d7b3376dae967c7909d7ee33903a5b8410fb82717c7f3d",
     "explore H,L/2 wait=off preempt=on faults=skip-running-check":
-        "e54fac6a1181076441d5d133edaa460d067d9ea7c37061ef0025dec22f5b7d3e",
+        "c36b50fae92bde9fee7ceba9601f726b1492f2f3f5aef919bbe82945228eb3af",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state+skip-resume-state":
-        "b4705d380b0772ec71a6ceba560ffceb6adebc89a98ce0f5e5bdfd348f82ec97",
+        "ce45e4f1f86dc4a0842831ed04f5bfc74093aa5e70ac4d5c005dc0e9cdf16007",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state+skip-running-check":
-        "62c1be1e16035a929c0ca62e4473578aaaf5ea4bba6da94c991fa9be7b47b7d5",
+        "ccaec7a7cb4cd35dfc280216dcd921d5b0b861fd1b49afab3baeea9a7bd4efe1",
     "explore H,L/2 wait=off preempt=on faults=skip-resume-state+skip-running-check":
-        "9ff49979f45f29771c098658b631a8927ada02b9f92c24e0509786acbfa0c214",
+        "dd279e2ee4cc37b5ae887952d9893d52ee78e24bd2d0dd41c3ec0197c0654e36",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "ddae37e80ddc1b581842f8d0099d339e17c5a01d6b117c5f98087bc8b9c98553",
+        "ddf805e7577c5580bbe8410a42e7ef7391e1c59d3a85697d3dc8372cd23d1c31",
     "explore H,L/2 wait=off preempt=off faults=none":
-        "6ca7d3e5383b1c8b2a173efbfb44274c63e3b7238956bd343d0cd10df5449916",
+        "0f44f87e4bb86af51542d9983179c43a6d58e197a5b3e8bc88e5975e26361d95",
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state":
-        "848d7d2b164267e60ee00a169634e65acb361d7257705fc968d380a737c0fe2f",
+        "30c20e49c02851137bb73eade4e927093de8f3ece9118ae50e97e9454817a2e6",
     "explore H,L/2 wait=off preempt=off faults=skip-resume-state":
-        "9dfd883768202056f7e858c3d037a22ab44a70df8340a0fa451990c3973297b9",
+        "1aab92ed32973798c28fa8abd30db8bc643701e25b3185602d59a01acad862bb",
     "explore H,L/2 wait=off preempt=off faults=skip-running-check":
-        "0e38f2e2eaa47e6b087eee5964fd8acd2c877b407f22fe731ce1c08a325aaf6c",
+        "a31ebfba9865fc33ea361708fc7dca301cc2858084f7ddd8b9ed51b2d5a105d7",
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state":
-        "9dc5570c7d3dc401e26063d6300026aab77e1cb1f0cdd5a59da62595e1feae4a",
+        "1ef015ed0cc7ae89d2779d60bab3e826616f256719789654185375aeb98f4c56",
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-running-check":
-        "07d406a9bee82e161c9ce1a722f376fdbcc5870a90dab77f5631395f980adeca",
+        "2dc1f63dc8634d99654090ba98cf2380efdedba0c8260c2e2e4adcc310aeeef4",
     "explore H,L/2 wait=off preempt=off faults=skip-resume-state+skip-running-check":
-        "64166bd1ea7928577f04bff79b671b3596d2c4514488445a1a91c6c956ce1f9f",
+        "599607b6df0bfd9079b51ac71f56043aed77a64c43359f1fd281fbdca5bfe645",
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "af877c77d08bd6462e9d86f3ab3a7946a3bfe791db9130dc082088b26e638e5c",
+        "7a34507d12b50188180c38b5010650a1b284186c1f6f5b1b150a063e879d2e10",
     "explore H,H/2 wait=on preempt=on faults=none":
-        "5adf5da52dd27afa4ec732e7411f374092b4336263af329e1271a1329d3ed0e1",
+        "0c62721c10ffaafd06db8177322b37a418a636c99e4a088fff0a30e9e6779e52",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state":
-        "44d1e58418297ae0273e12974d42d918d3f2f1a5ef8d0c1217ecff0f3ec1ea1a",
+        "ce8d803b3bb897adca871568e7cb14388b4a64722aebe2733fc587a9b53a5b55",
     "explore H,H/2 wait=on preempt=on faults=skip-running-check":
-        "77989279328ecb66a71481fea57cef2500780a906ddbc6ef65a29f715e85d2cf",
+        "c539abd5ac63326e79ff3d3b0277f8316429e715aece3ba9efd4a7516b269103",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "161deb024e1029e99549ff78d1a439aa4b7e7d38c918d0052e1eb77096267325",
+        "10638248bed2bec7db9c3488be6b533b313205d46f247e4ba58b031ffbc27d9d",
     "walk seed=1":
-        "ed2632d12726dc4e55f0b3f69ddff5f909300357c6265becf5c6f916b0dee7de",
+        "cb23a102167b41997f6d7c866841b6c418a564ba16b4cd434ac7718fbd0cd4fb",
     "walk seed=2":
-        "5eb47cd59b84df7686deb31a9caf065cfdfaa301e6d89cbbc5bc85242e45cb64",
+        "a88f0c6ea9fd61a3f740d5dabcc324f946674682fbe2c082611f411c56dd4806",
     "walk seed=3":
-        "1a1a44ab3e8e6351bb9983a4c56054725903716ed2c0347a677c32d60effa18f",
+        "67127e011d862714eccbb4172c12d1b5bb5f9ddd8b6c7f84633e52a6b6bfae3a",
     "replay of explore H,L/2 wait=off preempt=on faults=enqueue-before-state":
-        "ec31bbe60651ec797918122bfd854bcc0e36363f32b26c9cecf68e7dd73d67e4",
+        "488cdecced4e9da88228948b978d36af885385391840a6d7d9f2d019f0c8557b",
 }
 
 
