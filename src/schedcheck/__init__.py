@@ -32,5 +32,4 @@ from .explorer import (  # noqa: F401
     explore,
     random_walk,
     replay,
-    replay_all,
 )

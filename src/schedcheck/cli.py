@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .explorer import (
@@ -23,7 +22,7 @@ from .explorer import (
     Trace,
     explore,
     random_walk,
-    replay_all,
+    replay,
 )
 from .model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 
@@ -221,24 +220,14 @@ def violations_from_doc(
     violations = doc.get("violations", [])
     if not isinstance(violations, list):
         raise ConfigurationError("trace file field 'violations' must be a list")
-    out, parsed = [], {}
+    out = []
     for i, v in enumerate(violations):
         if not isinstance(v, dict) or not isinstance(v.get("verdict"), str):
             raise ConfigurationError(f"violation #{i} needs a string 'verdict'")
         if not isinstance(v.get("steps"), list):
             raise ConfigurationError(f"violation #{i} needs a list of 'steps'")
-        out.append((v["verdict"], tuple(_parse_step(step, parsed) for step in v["steps"])))
+        out.append((v["verdict"], tuple(map(step_from_dict, v["steps"]))))
     return config, out
-
-
-def _parse_step(doc: object, parsed: dict) -> ScheduleStep:
-    """`step_from_dict(doc)`, kept in `parsed` by the fields it reads and their types."""
-    try:
-        core, variant = doc.get("core"), doc.get("variant")
-        key = (doc.get("process"), core, variant, type(core), type(variant))
-        return parsed.get(key) or parsed.setdefault(key, step_from_dict(doc))
-    except (AttributeError, TypeError):  # not an object, or a list or an object in it
-        return step_from_dict(doc)
 
 
 def trace_to_dict(trace: Trace, violating_states: int) -> dict:
@@ -281,39 +270,9 @@ def report_to_doc(report: ExplorationReport, mode: str, seed: int | None = None)
 
 
 def emit_json(doc: dict) -> str:
-    """Exactly `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`: with an
-    indent, json.dumps runs its pure-Python encoder, and a report repeats a
-    few step objects thousands of times. Refuses floats, tuples, non-str keys."""
-    return _encode(doc, 0, {}) + "\n"
-
-
-def _encode(value: object, depth: int, memo: dict) -> str:
-    """`value` as json.dumps writes it at nesting `depth`. `memo` maps each
-    dict of scalars met so far, with its value types (1 == True), to its text."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return "true" if value is True else "false" if value is False else int.__repr__(value)
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, list):
-        items = [_encode(v, depth + 1, memo) for v in value]
-        return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]" if items else "[]"
-    if not isinstance(value, dict):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    try:
-        key = (depth, *value.items(), *map(type, value.values()))
-        return memo[key]
-    except KeyError:
-        pass
-    except TypeError:  # a value is a list or a dict
-        key = None
-    items = [_encode_str(k) + ": " + _encode(v, depth + 1, memo) for k, v in sorted(value.items())]
-    text = "{" + inner + ("," + inner).join(items) + inner[:-2] + "}" if items else "{}"
-    if key is not None:
-        memo[key] = text
-    return text
+    """The report document as JSON: sorted keys, two-space indent, one
+    trailing newline, so that equal reports give equal bytes."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def exit_code_for(doc: dict) -> int:
@@ -388,6 +347,10 @@ def _run_walk(config: KernelConfig, args: argparse.Namespace) -> dict:
 
 
 def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
+    """Replay each violation of the `--trace-in` report under its embedded
+    config (flags override it), and give the replay document and its exit
+    code: 2 when any replay does not match its recorded verdict, or raises
+    ReplayError; otherwise 1 when any violation reproduced, else 0."""
     try:
         with open(args.trace_in, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -397,15 +360,16 @@ def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
     config = config_from_args(args, base=base)
     results = []
     worst = EXIT_OK
-    replays = replay_all(config, (steps for _, steps in violations))
-    for (verdict, _), result in zip(violations, replays):
-        failed = isinstance(result, ReplayError)
-        reproduced = None if failed else result
-        results.append({"expected": verdict, "reproduced": reproduced, "match": result == verdict,
-                        "error": str(result) if failed else None})
+    for verdict, steps in violations:
+        try:
+            reproduced, error = replay(config, steps).verdict, None
+        except ReplayError as exc:
+            reproduced, error = None, str(exc)
+        results.append({"expected": verdict, "reproduced": reproduced,
+                        "match": reproduced == verdict, "error": error})
         if reproduced is not None:
             worst = max(worst, EXIT_VIOLATION)
-        if result != verdict:
+        if reproduced != verdict:
             worst = EXIT_USAGE
     return {
         "schema": SCHEMA_VERSION,

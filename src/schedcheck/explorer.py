@@ -6,19 +6,18 @@ atomic steps. `explore` runs a breadth-first search that prunes states
 already visited up to a renaming of the identical worker cores
 (`model.symmetric_key`), and keeps a parent map, as TLC does. It records
 monitor violations, deadlocks and invariant failures by class
-(`violation_class`): one shortest counterexample per class, whose schedule
-is read off the parent map and whose trace `replay` builds, so every trace
-is a real path. `random_walk` steps one state in place along a seeded
-schedule, standing in for live runtime verification, and counts exact
-states (`snapshot`); `replay` re-executes a recorded schedule and rebuilds
-its trace, and `replay_all` gives the verdicts of a report's schedules,
-running each shared prefix once. All of them end a path by one rule and
-build traces one way.
+(`violation_class`): one shortest counterexample per class, whose trace
+is rebuilt along the parent map, so every trace is a real path.
+`random_walk` steps one state in place along a seeded schedule, standing
+in for live runtime verification, and counts exact states (`snapshot`);
+`replay` steps one state in place along a recorded schedule and rebuilds
+its trace. All of them end a path by one rule (`_settle`) and build
+traces one way (`_trace`).
 
-`explore`, `replay` and `replay_all` step state buffers through two
-per-search memos: `_settler` keys each ending rule by the cells it reads, and
-`_transition` keeps one trie per step, keyed by the cells the step read,
-so an operation runs only on a miss.
+Only `explore` steps state buffers through the two per-search memos:
+`_settler` keys each ending rule by the cells it reads, and `_transition`
+keeps one trie per step, keyed by the cells the step read, so an operation
+runs only on a miss. Its traces are read off those same memos.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -432,8 +431,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     Violating states are leaves. The first violating state of each class
     (`violation_class`) lies, in BFS order, at the least depth of its
-    class; its schedule is read off the parent map (`_schedule_to`) and
-    `replay` builds its trace, which replays under `config`. Later states of
+    class; its trace is rebuilt along the parent map (`_trace_to`) from the
+    search's own memos, and replays under `config`. Later states of
     a known class are only counted, in `violating_states`, and
     `max_violations` counts classes. Hitting a limit flags the report
     incomplete, names the first limit hit in `incomplete_reason`, and does
@@ -512,31 +511,31 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     report.states_visited, report.transitions_taken = states, transitions
     report.max_depth = deepest
     for kind, key in firsts.items():
-        steps = _schedule_to(config, key, kind, parents, settle, roots)
-        report.violations.append(replay(config, steps))
+        report.violations.append(_trace_to(config, key, kind, parents, settle, roots))
         report.violating_states.append(counts[kind])
     return report
 
 
-def _schedule_to(
+def _trace_to(
     config: KernelConfig, key: bytes, kind: tuple, parents: dict[bytes, bytes | None],
     settle, roots: dict[ScheduleStep, list],
-) -> tuple[ScheduleStep, ...]:
-    """The schedule of a shortest real path to the state `explore` keyed
-    `key`, a violation of class `kind`: from the initial state, at each
-    depth the first enabled step whose successor has the next key on the
-    parent chain, with no verdict until the last, which must be of `kind`.
-    Steps are matched by key because, under worker symmetry, the state the
-    search kept may be a renaming of the one reached here, and its step may
-    name another core. `settle` and `roots` are the search's memos."""
+) -> Trace:
+    """The trace of a shortest real path to the state `explore` keyed `key`,
+    a violation of class `kind`: from the initial state, at each depth the
+    first enabled step whose successor has the next key on the parent chain,
+    with no verdict until the last, which must be of `kind`. Steps are
+    matched by key because, under worker symmetry, the state the search kept
+    may be a renaming of the one reached here, and its step may name another
+    core. `settle` and `roots` are the search's memos, whose leaves give the
+    annotations."""
     chain = []
     while key is not None:
         chain.append(key)
         key = parents[key]
     layout = layout_for(config)
-    buf = initial_state(config).buf
-    options = settle(buf, None)[2]
-    steps = []
+    buf, violation = initial_state(config).buf, None
+    verdict, detail, options = settle(buf, None)
+    steps, annotations = [], []
     for depth, want in enumerate(reversed(chain[:-1]), 1):
         goal = kind if depth == len(chain) - 1 else None
         for choice in options:
@@ -549,8 +548,9 @@ def _schedule_to(
         else:
             raise AssertionError(f"no step reaches the state at depth {depth} of its chain")
         steps.append(choice)
-        buf, options = succ, succ_options
-    return tuple(steps)
+        annotations.append(leaf[1])
+        buf, options, violation = succ, succ_options, leaf[2]
+    return _trace(steps, annotations, violation, buf, layout, verdict, detail)
 
 
 def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationReport:
@@ -589,63 +589,24 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
 
 
 def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
-    """Re-execute a recorded schedule under `config` and rebuild its trace.
+    """Re-execute a recorded schedule under `config`, stepping one state in
+    place as `random_walk` does, and rebuild its trace.
 
     Raises ReplayError naming the first step that is not enabled, or the
     step whose verdict comes before the schedule ends. A schedule that
     reproduces nothing gives a trace with verdict None.
     """
-    settle = _settler(config)
-    init = initial_state(config).buf
-    path = [(init, None, *settle(init, None))]
-    if (error := _replay_from(config, path, steps, 0, settle, {})) is not None:
-        raise error
-    buf, leaf, verdict, detail, _ = path[-1]
-    return _trace(steps, (entry[1][1] for entry in path[1:]), leaf and leaf[2],
-                  buf, layout_for(config), verdict, detail)
-
-
-def replay_all(
-    config: KernelConfig, schedules: Iterable[Sequence[ScheduleStep]]
-) -> Iterator[str | None | ReplayError]:
-    """Replay each schedule as `replay` does, yielding its trace's verdict
-    (no trace is built), or the ReplayError that `replay` would raise.
-
-    One path of (state buffer, step effect, verdict, detail, enabled
-    steps) entries is kept for the schedule replayed last; the next one is
-    cut back to the prefix both share and runs only the steps past it.
-    Successors come from `_transition`, as in `explore`.
-    """
-    settle = _settler(config)
-    roots: dict[ScheduleStep, list] = {}
-    init = initial_state(config).buf
-    path = [(init, None, *settle(init, None))]
-    done: Sequence[ScheduleStep] = ()  # path[k + 1] is the state after done[k]
-    for steps in schedules:
-        i, shared = 0, min(len(steps), len(path) - 1)
-        while i < shared and steps[i] == done[i]:
-            i += 1
-        del path[i + 1:]
-        done = steps
-        yield _replay_from(config, path, steps, i, settle, roots) or path[-1][2]
-
-
-def _replay_from(
-    config: KernelConfig, path: list[tuple], steps: Sequence[ScheduleStep], i: int,
-    settle, roots: dict[ScheduleStep, list],
-) -> ReplayError | None:
-    """Extend `path`, which holds the entries of steps[:i], by the rest of
-    `steps` with replay's checks in replay's order; return the ReplayError
-    that `replay` would raise, or None. `settle` and `roots` are the search's."""
-    for i in range(i, len(steps)):
-        buf, _, verdict, _, options = path[i]
+    state = initial_state(config)
+    annotations: list[StepAnnotation] = []
+    verdict, detail, options = _settle(state)
+    for i, choice in enumerate(steps):
         if verdict is not None and i > 0:
-            return ReplayError(f"{verdict} already at step #{i - 1}, before the trace ends")
-        choice = steps[i]
+            raise ReplayError(f"{verdict} already at step #{i - 1}, before the trace ends")
         if choice not in options:
             suffix = f"[{choice[2]}]" if choice[2] else ""
-            return ReplayError(
+            raise ReplayError(
                 f"step #{i} ({process_name(choice)}{suffix}) is not enabled; trace diverges")
-        succ, leaf = _transition(config, buf, choice, roots)
-        path.append((succ, leaf, *settle(succ, leaf[2])))
-    return None
+        _run(state, choice)
+        annotations.append(StepAnnotation(state.step_label, tuple(state.step_lines)))
+        verdict, detail, options = _settle(state)
+    return _trace(steps, annotations, state.violation, state.buf, state.layout, verdict, detail)

@@ -28,7 +28,7 @@ from schedcheck.cli import (
     step_to_dict,
     violations_from_doc,
 )
-from schedcheck import cli, explorer
+from schedcheck import explorer
 from schedcheck.explorer import ReplayError, explore, process_name, replay
 from schedcheck.model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 from test_settle_projection import CONFIGS, _reachable
@@ -149,17 +149,7 @@ class TestDocuments:
         assert len(set(violations[0][1])) == 1000
         assert explorer._step_of.cache_info().currsize == before
 
-    def test_a_document_parses_to_step_triples(self, monkeypatch):
-        # each distinct step object of a document is validated once
-        calls = 0
-        parse = cli.step_from_dict
-
-        def counting(doc):
-            nonlocal calls
-            calls += 1
-            return parse(doc)
-
-        monkeypatch.setattr(cli, "step_from_dict", counting)
+    def test_a_document_parses_to_step_triples(self):
         worker = {"process": "Worker", "core": 1, "variant": 0}
         spawner = {"process": "Spawner", "core": None, "variant": 0}
         doc = {"violations": [{"verdict": "Deadlock", "steps": [worker, dict(worker)]},
@@ -167,7 +157,6 @@ class TestDocuments:
         _, [(_, first), (_, second)] = violations_from_doc(doc)
         assert first == (("Worker", 1, 0), ("Worker", 1, 0))
         assert second == (("Spawner", None, 0), ("Worker", 1, 0))
-        assert calls == 2
 
     @pytest.mark.parametrize("field", ["core", "variant"])
     def test_a_bool_twin_of_a_parsed_step_is_still_rejected(self, field):
@@ -232,7 +221,8 @@ def json_documents(draw) -> dict:
 
 
 class TestEmitJson:
-    """emit_json writes exactly the bytes of json.dumps(sort_keys, indent=2)."""
+    """emit_json writes exactly the bytes of json.dumps(sort_keys, indent=2)
+    and one newline: the golden digests and the tracer rely on that form."""
 
     @settings(max_examples=300, deadline=None)
     @given(json_documents())
@@ -242,19 +232,14 @@ class TestEmitJson:
     def test_bool_and_int_twins_are_told_apart(self):
         doc = {"a": [{"x": 1}, {"x": True}, {"x": 0}, {"x": False}, {"x": 1}]}
         assert emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert [line.strip() for line in emit_json(doc).splitlines() if '"x"' in line] == [
+            '"x": 1', '"x": true', '"x": 0', '"x": false', '"x": 1']
 
     def test_a_real_report_matches_json_dumps(self):
         config = KernelConfig(worker_count=2, task_plan=(H, L), fix_wait_need_sched=False)
         doc = report_to_doc(explore(config), "explore")
         assert doc["violations"]
         assert emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    @pytest.mark.parametrize(
-        "doc", [{"a": 0.5}, {"a": [1, 2.0]}, {"a": (1,)}, {"a": {"b": ()}}, {1: "a"}, {None: 1}]
-    )
-    def test_refuses_what_no_report_holds(self, doc):
-        with pytest.raises(TypeError):
-            emit_json(doc)
 
 
 class TestMainExplore:

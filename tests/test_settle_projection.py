@@ -1,10 +1,10 @@
 """`_settle` reads only the cells of `Layout.settle_offsets`.
 
-`explore` and `replay_all` keep one `_settle` answer per value of those
-cells, so any other cell that `check_invariants`, `enabled` or the deadlock
-test read would make two states share an answer that differs. Here every
-cell outside the projection is scrambled in a copy of each reachable state,
-and the copy must settle exactly as the original does."""
+`explore` keeps one `_settle` answer per value of those cells, so any other
+cell that `check_invariants`, `enabled` or the deadlock test read would
+make two states share an answer that differs. Here every cell outside the
+projection is scrambled in a copy of each reachable state, and the copy
+must settle exactly as the original does."""
 
 from __future__ import annotations
 

@@ -1,11 +1,13 @@
-"""`explore` and `replay_all` take each successor from the transition memo
+"""`explore` takes each successor from the transition memo
 (`explorer._transition`): a dict from each step to its trie, keyed by the
 cells that the step's runs read, whose leaves hold the step's writes,
 annotation and monitor violation. Over every reachable (state, enabled step) of the
 settle-projection configs, the memo must agree with running the operation
 (`_apply`), on misses and on hits. And a leaf may depend on no cell off its
 path: with every other cell scrambled, the trie must return the same leaf,
-and the operation must make the same writes, annotation and violation."""
+and the operation must make the same writes, annotation and violation.
+`explore` also rebuilds its traces through the search's own tries, so it
+learns each step into one trie."""
 
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from array import array
 
 import pytest
 
-from schedcheck.explorer import StepAnnotation, _apply, _transition
-from schedcheck.model import FAULTS, KernelState
+from schedcheck import explorer
+from schedcheck.explorer import Limits, StepAnnotation, _apply, _transition, explore
+from schedcheck.model import FAULTS, KernelConfig, KernelState, TaskKind
 from test_settle_projection import CONFIGS, _reachable
 
 
@@ -64,3 +67,47 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
             expected[at] = value
         succ = _apply(KernelState(config, state.layout, scrambled), choice)
         assert (bytes(expected), leaf[1], leaf[2]) == _effect(succ), (choice, list(state.buf))
+
+
+def test_explore_learns_each_step_into_one_trie(monkeypatch):
+    # a trace that learned into tries of its own would re-run operations
+    # that the search has already run
+    tries: dict = {}
+    learn = explorer._learn
+
+    def spying(config, buf, choice, root):
+        tries.setdefault(choice, []).append(root)  # kept, so no id is reused
+        return learn(config, buf, choice, root)
+
+    monkeypatch.setattr(explorer, "_learn", spying)
+    config = KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT),
+                          fix_wait_need_sched=False, fix_preempt_need_sched=False)
+    report = explore(config, Limits(max_violations=10**9))
+    assert len(report.violations) > 1
+    distinct = {choice: len({id(root) for root in roots}) for choice, roots in tries.items()}
+    assert set(distinct.values()) == {1}, distinct
+
+
+@pytest.mark.parametrize("config", [
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
+                 fix_wait_need_sched=False),
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
+                 fix_preempt_need_sched=False),
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
+                 faults=frozenset({"skip-resume-state"})),
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.HEAVY),
+                 fix_wait_need_sched=False, faults=frozenset({"skip-resume-state"})),
+], ids=["HLL-wait", "HLL-preempt", "HLL-skip-resume", "HH-wait-skip-resume"])
+def test_replay_steps_without_the_memos(monkeypatch, config):
+    # replay executes each operation directly, so it checks explore's
+    # memo-built traces rather than reading the same memos again
+    report = explore(config, Limits(max_violations=10**9))
+    assert len(report.violations) > 1
+
+    def refused(*args):
+        raise AssertionError("replay used a memo")
+
+    for name in ("_learn", "_transition", "_settler"):
+        monkeypatch.setattr(explorer, name, refused)
+    for trace in report.violations:
+        assert explorer.replay(config, trace.steps) == trace
