@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=100_000, help="walk step budget")
     p.add_argument("--max-states", type=int, default=None, help="explore state budget")
     p.add_argument("--max-depth", type=int, default=None,
-                   help="explore depth budget: search exactly the states within N steps")
+                   help="explore depth budget: search exactly the states within N steps; "
+                   "INCOMPLETE only when a state lies beyond them")
     p.add_argument("--max-violations", type=int, default=16,
                    help="stop once this many violation classes are found "
                    "(explore keeps one shortest trace per class)")

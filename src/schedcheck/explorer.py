@@ -435,8 +435,12 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     search's own memos, and replays under `config`. Later states of
     a known class are only counted, in `violating_states`, and
     `max_violations` counts classes. Hitting a limit flags the report
-    incomplete, names the first limit hit in `incomplete_reason`, and does
-    not crash; `max_depth` d searches exactly the states within d steps.
+    incomplete, names the first limit that cut it in `incomplete_reason`,
+    and does not crash. `max_depth` d searches exactly the states within d
+    steps, and cuts the search only when some state lies beyond them: the
+    states left unexpanded at depth d are probed after the search, and the
+    cut holds only if one of their successors is a state it never visited.
+    Probes are not counted.
     Each level of the frontier is three parallel lists: state buffers,
     their enabled steps and their keys. Successors come from
     `_transition`, so an operation runs only on a transition-memo miss.
@@ -455,6 +459,9 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     bufs: list[array] = []
     opts: list[tuple[ScheduleStep, ...]] = []
     keys: list[bytes] = []
+    # the states left unexpanded at the depth limit; no state is visited
+    # after another limit cuts, so their cut, if real, is the first
+    edge: list[tuple[array, tuple[ScheduleStep, ...]]] = []
 
     def cut(reason: str) -> None:
         report.incomplete = True
@@ -476,7 +483,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         elif not options:
             report.quiescent_ok += 1
         elif limits.max_depth is not None and depth >= limits.max_depth:
-            cut("max_depth")
+            edge.append((buf, options))
         else:
             bufs.append(buf)
             opts.append(options)
@@ -507,6 +514,13 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                     break
             if stop:
                 break
+    if any(
+        (raw := bytes(_transition(config, buf, choice, roots)[0])) not in parents
+        and symmetric_key(raw, layout) not in parents
+        for buf, options in edge for choice in options
+    ):
+        report.incomplete = True
+        report.incomplete_reason = "max_depth"
 
     report.states_visited, report.transitions_taken = states, transitions
     report.max_depth = deepest

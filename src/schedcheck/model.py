@@ -431,6 +431,7 @@ class KernelState:
         else:  # Action.FINISH
             self.begin_step(f"worker {core_id}: task {task} finishes")
             buf[at + T_STATE] = TERMINATED
+            reset_dead_fields(buf, at)
             buf[core + C_CURRENT] = -1
             self._fire_event(task, Event.POLL_READY)
 
@@ -552,6 +553,20 @@ class KernelState:
         buf[core + C_CURRENT] = -1
         buf[core + C_IPI_PHASE] = -1
         buf[IN_FLIGHT] = 0
+
+
+def reset_dead_fields(buf: array, at: int) -> None:
+    """Zero the need_sched flag and the wait and preemption budgets of the
+    task record at `at`, which has just finished.
+
+    No step reads them again: no operation and no part of `enabled` reads a
+    terminated task's flag or budgets, and `check_invariants` reads only the
+    budgets, to check they are >= 0, which held before the task finished.
+    So states that differ only in these dead values are equivalent, and the
+    reset gives them one buffer (Bozga et al., SAS 1999)."""
+    buf[at + T_NEED_SCHED] = 0
+    buf[at + T_WAITS] = 0
+    buf[at + T_PREEMPTIONS] = 0
 
 
 def initial_state(config: KernelConfig) -> KernelState:

@@ -23,22 +23,22 @@ L = TaskKind.LIGHT
 
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
-    ("H,L,L", 2): (2443, 6778, 27, 4),
-    ("H,H", 2): (7253, 20705, 35, 16),
-    ("H,L,L", 3): (3520, 11864, 27, 4),
-    ("H,H,L", 3): (51446, 197477, 40, 16),
+    ("H,L,L", 2): (2116, 5968, 26, 1),
+    ("H,H", 2): (5842, 17448, 33, 1),
+    ("H,L,L", 3): (3157, 10862, 26, 1),
+    ("H,H,L", 3): (41535, 164885, 38, 1),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
-    ("H,L,L", 2): (4754, 13274, 27, 4),
-    ("H,H", 2): (13944, 39993, 35, 16),
-    ("H,L,L", 3): (17847, 60945, 27, 4),
+    ("H,L,L", 2): (4130, 11706, 26, 1),
+    ("H,H", 2): (11307, 33868, 33, 1),
+    ("H,L,L", 3): (16215, 56273, 26, 1),
 }
 # Rungs with two preemptions per heavy task: complete and clean.
 TWO_PREEMPTIONS = {
-    ("H,L,L", 2): (4626, 12994, 33, 6),
-    ("H,H", 2): (22137, 64269, 47, 36),
-    ("H,L,L", 3): (6630, 22603, 33, 6),
+    ("H,L,L", 2): (3807, 10882, 32, 1),
+    ("H,H", 2): (16842, 51432, 45, 1),
+    ("H,L,L", 3): (5703, 19951, 32, 1),
 }
 
 # Seeded walks of H,H,L/2 under the CLI's step budget, keyed by seed.
@@ -51,30 +51,30 @@ FAULTS = (EBS, SRS, SRC)
 # keyed by (fix_wait, fix_preempt, faults). No combo has 16 violation
 # classes, so each of these searches is complete.
 FAULT_MATRIX = {
-    (True, True, ()): (2443, 6778, 27, 4),
-    (True, True, (EBS,)): (2523, 7024, 27, 4),
-    (True, True, (SRS,)): (2298, 6306, 26, 2),
-    (True, True, (SRC,)): (2443, 6778, 27, 4),
-    (True, True, (EBS, SRS)): (2402, 6590, 26, 2),
-    (True, True, (EBS, SRC)): (2571, 7024, 27, 4),
-    (True, True, (SRS, SRC)): (2298, 6306, 26, 2),
-    (True, True, (EBS, SRS, SRC)): (2450, 6590, 26, 2),
-    (True, False, ()): (1317, 2871, 24, 2),
-    (True, False, (EBS,)): (1697, 3574, 24, 2),
+    (True, True, ()): (2116, 5968, 26, 1),
+    (True, True, (EBS,)): (2196, 6214, 26, 1),
+    (True, True, (SRS,)): (2052, 5655, 26, 1),
+    (True, True, (SRC,)): (2116, 5968, 26, 1),
+    (True, True, (EBS, SRS)): (2156, 5939, 26, 1),
+    (True, True, (EBS, SRC)): (2244, 6214, 26, 1),
+    (True, True, (SRS, SRC)): (2052, 5655, 26, 1),
+    (True, True, (EBS, SRS, SRC)): (2204, 5939, 26, 1),
+    (True, False, ()): (1290, 2827, 23, 1),
+    (True, False, (EBS,)): (1670, 3530, 23, 1),
     (True, False, (SRS,)): (1237, 2677, 21, 1),
-    (True, False, (SRC,)): (1317, 2871, 24, 2),
+    (True, False, (SRC,)): (1290, 2827, 23, 1),
     (True, False, (EBS, SRS)): (1621, 3384, 22, 1),
-    (True, False, (EBS, SRC)): (1772, 3574, 24, 2),
+    (True, False, (EBS, SRC)): (1745, 3530, 23, 1),
     (True, False, (SRS, SRC)): (1237, 2677, 21, 1),
     (True, False, (EBS, SRS, SRC)): (1696, 3384, 22, 1),
-    (False, True, ()): (1491, 3317, 24, 3),
-    (False, True, (EBS,)): (1551, 3489, 24, 3),
-    (False, True, (SRS,)): (1415, 3053, 24, 2),
-    (False, True, (SRC,)): (1491, 3317, 24, 3),
-    (False, True, (EBS, SRS)): (1493, 3251, 24, 2),
-    (False, True, (EBS, SRC)): (1587, 3489, 24, 3),
-    (False, True, (SRS, SRC)): (1415, 3053, 24, 2),
-    (False, True, (EBS, SRS, SRC)): (1529, 3251, 24, 2),
+    (False, True, ()): (1437, 3229, 23, 1),
+    (False, True, (EBS,)): (1497, 3401, 23, 1),
+    (False, True, (SRS,)): (1388, 3009, 24, 1),
+    (False, True, (SRC,)): (1437, 3229, 23, 1),
+    (False, True, (EBS, SRS)): (1466, 3207, 24, 1),
+    (False, True, (EBS, SRC)): (1533, 3401, 23, 1),
+    (False, True, (SRS, SRC)): (1388, 3009, 24, 1),
+    (False, True, (EBS, SRS, SRC)): (1502, 3207, 24, 1),
     (False, False, ()): (1357, 2862, 21, 1),
     (False, False, (EBS,)): (1792, 3658, 22, 1),
     (False, False, (SRS,)): (1357, 2862, 21, 1),

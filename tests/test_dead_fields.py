@@ -1,0 +1,118 @@
+"""A finished task's need_sched flag and its wait and preemption budgets are
+dead: `model.reset_dead_fields` zeroes them at Finish, so states that differ
+only in them share one buffer and one visited key. The reduction must keep
+what the unreduced search finds, which these tests get by patching the
+reset out: on all 32 fix/fault combos of H,L,L/2 and H,H/2, the same
+violation classes, (verdict, state, symbol) pairs, quiescent outcome and
+trace length per class, and every trace replays."""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from cells import task_cell
+from schedcheck import model
+from schedcheck.explorer import Limits, explore, replay, violation_class
+from schedcheck.model import (
+    FAULTS,
+    T_NEED_SCHED,
+    T_PREEMPTIONS,
+    T_STATE,
+    T_WAITS,
+    TERMINATED,
+    KernelConfig,
+    TaskKind,
+    initial_state,
+    snapshot,
+)
+
+H = TaskKind.HEAVY
+L = TaskKind.LIGHT
+
+DEAD = (T_NEED_SCHED, T_WAITS, T_PREEMPTIONS)
+
+PLANS = {"H,L,L/2": ((H, L, L), 2), "H,H/2": ((H, H), 2)}
+COMBOS = [
+    (fix_wait, fix_preempt, faults)
+    for fix_wait, fix_preempt in itertools.product((True, False), repeat=2)
+    for n in range(len(FAULTS) + 1)
+    for faults in itertools.combinations(sorted(FAULTS), n)
+]
+
+
+def about_to_finish(config: KernelConfig):
+    """Task 0 running on worker 1, its next poll its Finish: started, then
+    polled past its one compute (no waits)."""
+    assert config.max_waits_per_task == 0
+    state = initial_state(config)
+    state.get_next_task(1)
+    state.poll_step(1)
+    return state
+
+
+def test_finish_zeroes_the_dead_fields():
+    config = KernelConfig(worker_count=1, task_plan=(H,), max_waits_per_task=0)
+    state = about_to_finish(config)
+    state.preempt_decide(1)  # sets need_sched, with the preempt fix
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [1, 0, 1]
+    state.poll_step(1)
+    assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 0]
+
+
+# task 0's dead fields are (0, 0, 1) before its Finish; each of these differs
+@pytest.mark.parametrize("values", [(1, 0, 1), (0, 1, 1), (0, 0, 0), (1, 1, 0)])
+def test_states_differing_only_in_dead_fields_become_equal(values):
+    config = KernelConfig(worker_count=1, task_plan=(H, L), max_waits_per_task=0)
+    state = about_to_finish(config)
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 1]
+    other = state.clone()
+    for field, value in zip(DEAD, values):
+        other.buf[task_cell(other, 0, field)] = value
+    assert snapshot(other) != snapshot(state)
+    state.poll_step(1)
+    other.poll_step(1)
+    assert snapshot(other) == snapshot(state)
+
+
+def outcome(config: KernelConfig) -> tuple:
+    """What the reduction must keep, from a complete search: class -> (trace
+    length, (verdict, monitor state, symbol)), and whether any path ends
+    quiescent; every trace replays to itself under the model searched."""
+    report = explore(config, Limits(max_violations=10**9))
+    assert not report.incomplete
+    classes = {}
+    for trace in report.violations:
+        err = trace.monitor_error
+        pair = (trace.verdict, err and str(err.current_state), err and str(err.symbol))
+        classes[violation_class(trace.verdict, err, trace.detail)] = (len(trace.steps), pair)
+        assert replay(config, trace.steps) == trace
+    return classes, report.quiescent_ok > 0, report
+
+
+def case_id(case) -> str:
+    plan, (fix_wait, fix_preempt, faults) = case
+    return (f"{plan}-{'W' if fix_wait else 'w'}{'P' if fix_preempt else 'p'}"
+            f"-{'+'.join(faults) or 'none'}")
+
+
+@pytest.mark.parametrize("case", list(itertools.product(PLANS, COMBOS)), ids=case_id)
+def test_reset_keeps_the_unreduced_verdicts(case, monkeypatch):
+    plan, (fix_wait, fix_preempt, faults) = case
+    tasks, workers = PLANS[plan]
+    config = KernelConfig(worker_count=workers, task_plan=tasks,
+                          fix_wait_need_sched=fix_wait, fix_preempt_need_sched=fix_preempt,
+                          faults=frozenset(faults))
+    *reduced, reduced_report = outcome(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "reset_dead_fields", lambda buf, at: None)
+        *full, full_report = outcome(config)
+    assert reduced == full
+    assert reduced_report.states_visited <= full_report.states_visited
+    # the unreduced search's traces also replay under the reduced model
+    for trace in full_report.violations:
+        again = replay(config, trace.steps)
+        assert violation_class(again.verdict, again.monitor_error, again.detail) == \
+            violation_class(trace.verdict, trace.monitor_error, trace.detail)

@@ -252,7 +252,7 @@ class TestExplore:
     @pytest.mark.parametrize("max_states,pinned", [
         (1, (1, 2, 0, True)),
         (100, (100, 291, 0, True)),
-        (1000, (1000, 2994, 0, True)),
+        (1000, (1000, 3017, 0, True)),
     ])
     def test_state_budget_counters_are_pinned(self, max_states, pinned):
         # (states, transitions, violations, incomplete) of H,H/2 under a
@@ -267,6 +267,28 @@ class TestExplore:
         report = explore(KernelConfig(), Limits(max_depth=3))
         assert report.incomplete is True
         assert report.incomplete_reason == "max_depth"
+
+    @pytest.mark.parametrize("config,unexpanded", [
+        (KernelConfig(), True), (LOST_WAKEUP, False), (PREEMPT_BUG, False),
+    ], ids=["clean", "lost-wakeup", "preempt-bug"])
+    def test_depth_budget_at_the_deepest_level_is_complete(self, config, unexpanded):
+        # the states at the limit lead only to states already visited, so
+        # the cut is not real; the probes of their successors are not
+        # counted. In the buggy configs every deepest state is a leaf.
+        full = explore(config, Limits(max_violations=10**9))
+        report = explore(config, Limits(max_depth=full.max_depth, max_violations=10**9))
+        assert not report.incomplete and report.incomplete_reason is None
+        assert (report.states_visited, report.max_depth) == (full.states_visited, full.max_depth)
+        assert (report.transitions_taken < full.transitions_taken) == unexpanded
+        assert [t.steps for t in report.violations] == [t.steps for t in full.violations]
+
+    @pytest.mark.parametrize("max_states,reason", [(27, "max_depth"), (26, "max_states")])
+    def test_incomplete_reason_is_the_first_real_cut(self, max_states, reason):
+        # 26 states lie within 4 steps: a 27th state is one at the depth
+        # limit 5, cut before the state budget cuts the next one
+        assert explore(KernelConfig(), Limits(max_depth=4)).states_visited == 26
+        report = explore(KernelConfig(), Limits(max_states=max_states, max_depth=5))
+        assert report.incomplete_reason == reason
 
     @pytest.mark.parametrize("limits,reason", [
         (Limits(max_states=5), "max_states"),

@@ -87,53 +87,53 @@ def digest(argv: list[str]) -> str:
 
 GOLDEN = {
     "explore H,L/2 wait=on preempt=on faults=none":
-        "a30f8fabe37c8cc5fa7fbe1c18bfa780f826b4d77963d49b1aa9c3dbf2a6343e",
+        "0dd73b5927f5512efd8479afbd332072292807508b50b57f76e719e8c5659d1e",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state":
-        "89b6569d74133864e7d6bba2af26831767d7b6793e930c14347dd520968d8350",
+        "a5d043d05cfb6ca06184d778143db5a4629f7036073338f0c75bba3704fe07b9",
     "explore H,L/2 wait=on preempt=on faults=skip-resume-state":
-        "620425405a0d93c8a77131d0eeb486e731eb27e814954b6d9944a9bfd27858cc",
+        "e902fad48b9179ec2128ee5b21e010543c9d26c25d2a2564174ff9d5f6d945e0",
     "explore H,L/2 wait=on preempt=on faults=skip-running-check":
-        "691b747f63dad576f4d6cc9d613242512e5007c7bd610935232741245dd9e712",
+        "53a8de7b3d17c2ef0cb43d0e732ec2da280bc53c18213ad640be44f9361d079e",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-resume-state":
-        "ec909392ca4689124636191502a693015eeb5f8ef9353d5ab9803161682deca0",
+        "3a2b4b7d8179f5338936e4f4d357e589ccfad30bc14fb495816c8da3f57ac767",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "8ecdecbf22a3d78483a09ff7d8a1e6860fd73058f682558459ef25b90ee4d0d1",
+        "6c715ce732797184de18ed08eb9bef0bb376b4e535bb662d9788e54c4c76eeca",
     "explore H,L/2 wait=on preempt=on faults=skip-resume-state+skip-running-check":
-        "1550384d2fa292e4c6e00ac3815c7a1386ec35d7d373b1cc8b8b59b3fbc05e26",
+        "a32fcc10f71159f1915633fb0e70c51afa6e897d52abb5e348f5ce2396178ce1",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "c25e79ce1e7ba6a77b917656d3fd7d23801036630342e7613ffa63b0e0099656",
+        "cf09d7c16d7c9316f73358fe0f6f460dd5efe4a986880dce77d7cb55a8d04cbe",
     "explore H,L/2 wait=on preempt=off faults=none":
-        "866420db9f394091860d4d16df30f9af68a88bab5547b96b94aa4b05fd9a57e4",
+        "c88f51dc7f3fa047649f7d6feae85d0576761e5691f2c4a62db5021d2998e1c7",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state":
-        "662fd981d083af4fa3bb4c20071bf17699d01cf97193938d6a2c059bdb36e6de",
+        "7ffb80754bb01acc34198afcfa82cbc3ef8dbd7b7feebf5c8da66d46ea0a6210",
     "explore H,L/2 wait=on preempt=off faults=skip-resume-state":
         "bf5e3d9174329a093e6baa1ae35f5ffb009aa70cabed714e2908cde470f238df",
     "explore H,L/2 wait=on preempt=off faults=skip-running-check":
-        "5d8402cd895d12177d179708ce1a7024b6167ec7c5dd54bb50f96e0d2b03c8e0",
+        "624a4fddd4ad1f55e9ba3bc4e30ffe753419f395cdaef95b642710b255834429",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state+skip-resume-state":
         "123eb71d5052d187410dacd517bad923b621bf2544f0fa91571676c0f2ff487c",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state+skip-running-check":
-        "4f196adbbdbf8fb8f9bf4aa7d5f0a42968408f7be978964627a6b2118a5ddc8c",
+        "71f9fce3028f70c13e011ad5f4cae89a43962fa212fb9264dc998242b3cad0a6",
     "explore H,L/2 wait=on preempt=off faults=skip-resume-state+skip-running-check":
         "2b27e8c0f39a1c84380f08f091d5e1da32eac0fa065b0609731719eae8578e1e",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
         "2739db4a0547d523a7a6e5e978bebf46f1010655bce5d31e54380158f30ac952",
     "explore H,L/2 wait=off preempt=on faults=none":
-        "05c6c7d0f5f984e8e7435e4b6ff63030ffef7d4dd669a5cb990b531c545894a3",
+        "2016731c81c7cafcd3383a4cf24aee83554916070509fa765eedb561c5860af9",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state":
-        "7ec1dea4b5b753978a19333ccebe48c5cea4eae61c6caf0b9c0fc10a2c357cf9",
+        "fb22a50c3966d2e35d69771c847a8de8bf44284e4627da43236d0ebdad41c6fa",
     "explore H,L/2 wait=off preempt=on faults=skip-resume-state":
-        "04713708cfc442e865d7b3376dae967c7909d7ee33903a5b8410fb82717c7f3d",
+        "a19d9b4469ffb6ecefb2cc15ecc7a5e5429dfc96faae5388e382aa9acf65d7e6",
     "explore H,L/2 wait=off preempt=on faults=skip-running-check":
-        "c36b50fae92bde9fee7ceba9601f726b1492f2f3f5aef919bbe82945228eb3af",
+        "1b0eaa34f112eb1f275bde4520e9bbe8efdcdc8ae3faa454aba242da994416e4",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state+skip-resume-state":
-        "ce45e4f1f86dc4a0842831ed04f5bfc74093aa5e70ac4d5c005dc0e9cdf16007",
+        "92482241f3d4d60fb023264fc60e339b565e4869b6fc908edf55bee11858d0f2",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state+skip-running-check":
-        "ccaec7a7cb4cd35dfc280216dcd921d5b0b861fd1b49afab3baeea9a7bd4efe1",
+        "65d8a101a332b4bc2f172e098af320cad5c2c5aa06b873eb47a4f70ab16d9a32",
     "explore H,L/2 wait=off preempt=on faults=skip-resume-state+skip-running-check":
-        "dd279e2ee4cc37b5ae887952d9893d52ee78e24bd2d0dd41c3ec0197c0654e36",
+        "0f903b37eacaee88a0de4bb56a18996ee98dbc6f6af4939fac0d77b1739978c5",
     "explore H,L/2 wait=off preempt=on faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "ddf805e7577c5580bbe8410a42e7ef7391e1c59d3a85697d3dc8372cd23d1c31",
+        "258ff6054448cd30100ef8b74c68ca7ec9dfbecbbe9455e2a37aab9f7e70bf9b",
     "explore H,L/2 wait=off preempt=off faults=none":
         "0f44f87e4bb86af51542d9983179c43a6d58e197a5b3e8bc88e5975e26361d95",
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state":
@@ -151,13 +151,13 @@ GOLDEN = {
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
         "7a34507d12b50188180c38b5010650a1b284186c1f6f5b1b150a063e879d2e10",
     "explore H,H/2 wait=on preempt=on faults=none":
-        "0c62721c10ffaafd06db8177322b37a418a636c99e4a088fff0a30e9e6779e52",
+        "584d88eda912df985bf2b8c34c9aa56c3f19d6d43902e03e01dea7ac5c33fe90",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state":
-        "ce8d803b3bb897adca871568e7cb14388b4a64722aebe2733fc587a9b53a5b55",
+        "2867718739b0bbd27d79396024242389eae154821ccc808bc2bf3c854e018594",
     "explore H,H/2 wait=on preempt=on faults=skip-running-check":
-        "c539abd5ac63326e79ff3d3b0277f8316429e715aece3ba9efd4a7516b269103",
+        "4778e027af101c7b26f173400ff82c3379cc2729c7e20182b9955a3fe150dc79",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "10638248bed2bec7db9c3488be6b533b313205d46f247e4ba58b031ffbc27d9d",
+        "bf9a4af66bae9e09e6d2186abe1b0f7b2fdd168117ca1d1b31e64945fb465f49",
     "walk seed=1":
         "cb23a102167b41997f6d7c866841b6c418a564ba16b4cd434ac7718fbd0cd4fb",
     "walk seed=2":

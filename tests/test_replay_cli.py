@@ -15,6 +15,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schedcheck import model
 from schedcheck.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, config_to_dict, main
 from schedcheck.explorer import (
     PROCESS_KINDS,
@@ -27,7 +28,14 @@ from schedcheck.explorer import (
     explore,
     replay,
 )
-from schedcheck.model import FAULTS, KernelConfig, TaskKind
+from schedcheck.model import (
+    FAULTS,
+    T_NEED_SCHED,
+    T_PREEMPTIONS,
+    T_WAITS,
+    KernelConfig,
+    TaskKind,
+)
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -181,3 +189,35 @@ def test_replay_mode_exit_code(tmp_path, capsys, name, expected_code):
     assert [r["match"] for r in replays] == [
         reproduced == verdict for (verdict, _), (reproduced, _) in zip(violations, want)]
     assert code == expected_code
+
+
+
+def test_reports_of_the_unreduced_model_still_replay(tmp_path, capsys, monkeypatch):
+    # a report written before a finished task had its dead fields reset
+    # (model.reset_dead_fields) replays under the model that resets them:
+    # the reset moves counters, never a step. Here a heavy task finishes
+    # with one preemption left on the way to a violation.
+    argv = ["--tasks", "H,L", "--workers", "2", "--max-preemptions", "2",
+            "--fault", "skip-resume-state"]
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "reset_dead_fields", lambda buf, at: None)
+        assert main(argv + ["--out", "json"]) == EXIT_VIOLATION
+    old = capsys.readouterr().out
+    doc = json.loads(old)
+    assert doc["schema"] == 2 and len(doc["violations"]) > 1
+    path = tmp_path / "report.json"
+    path.write_text(old)
+    live = []
+    reset = model.reset_dead_fields
+
+    def watched(buf, at):
+        live.append(any(buf[at + f] for f in (T_NEED_SCHED, T_WAITS, T_PREEMPTIONS)))
+        reset(buf, at)
+
+    monkeypatch.setattr(model, "reset_dead_fields", watched)
+    code = main(["--mode", "replay", "--trace-in", str(path), "--out", "json"])
+    replays = json.loads(capsys.readouterr().out)["replays"]
+    assert [(r["expected"], r["match"]) for r in replays] == [
+        (v["verdict"], True) for v in doc["violations"]]
+    assert code == EXIT_VIOLATION
+    assert any(live)
