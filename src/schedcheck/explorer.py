@@ -10,9 +10,9 @@ monitor violations, deadlocks and invariant failures by class
 is rebuilt along the parent map, so every trace is a real path.
 `random_walk` steps one state in place along a seeded schedule, standing
 in for live runtime verification, and counts exact states (`snapshot`);
-`replay` steps one state in place along a recorded schedule and rebuilds
-its trace. All of them end a path by one rule (`_settle`) and build
-traces one way (`_trace`).
+`replay` re-runs a recorded schedule the same way and rebuilds its trace,
+also for a walk that ends in a verdict. All of them end a path by one
+rule (`_settle`) and build traces one way (`_trace`).
 
 Only `explore` steps state buffers through the two per-search memos:
 `_settler` keys each ending rule by the cells it reads, and `_transition`
@@ -45,6 +45,7 @@ from .model import (
     T_NEED_SCHED,
     T_PREEMPTIONS,
     T_STATE,
+    T_TIMER,
     T_WAITS,
     TASK_WIDTH,
     TERMINATED,
@@ -149,56 +150,54 @@ def _step_of(kind: str, core: int | None, variant: int) -> ScheduleStep:
     return kind, core, variant
 
 
+@cache
+def _step_table(layout: Layout) -> tuple:
+    """The steps `enabled` hands out under `layout`, one table per kind."""
+    return (tuple(_step_of("PrimaryTimer", None, i) for i in range(layout.task_count)),
+            tuple(_step_of("PrimaryPreempter", None, i) for i in range(layout.core_count)),
+            _step_of("Spawner", None, 0),
+            tuple(_step_of("Worker", core, 0) for core in range(1, layout.core_count)))
+
+
 def enabled(state: KernelState) -> list[ScheduleStep]:
     """All enabled steps, deterministically ordered: timer variants first,
-    then preempter, spawner, and workers ascending. Reads only the cells of
-    `Layout.settle_offsets` and the config, since `_settle` memoizes on them."""
+    then preempter, spawner, and workers ascending, from one pass over the
+    worker cores. Reads only the cells of `Layout.settle_offsets` and the
+    config, since `_settle` memoizes on them."""
     buf, layout = state.buf, state.layout
-    steps = [_step_of("PrimaryTimer", None, i) for i in range(len(state.fireable_timers()))]
+    timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
+    tasks, cores = layout.tasks, layout.cores
+    heavy, resume = layout.heavy, "skip-resume-state" in state.config.faults
+    queued = buf[QUEUE_LEN] > 0
+    candidates, workers, at = 0, [], cores
+    for step in worker_steps:
+        at += CORE_WIDTH
+        can_step = queued  # an idle core fetches
+        if (task := buf[at + C_CURRENT]) >= 0:
+            record = tasks + task * TASK_WIDTH
+            task_state = buf[record + T_STATE]
+            if task_state == RUNNING and heavy[task]:
+                candidates += buf[record + T_PREEMPTIONS] > 0
+            can_step = task_state == RUNNING or (task_state == PREEMPTED and resume)
+        if can_step or buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
+            workers.append(step)
+    timers = buf[tasks + T_TIMER:cores:TASK_WIDTH]
+    steps = list(timer_steps[:len(timers) - timers.count(0)])
     if not buf[IN_FLIGHT]:
-        for i in range(len(state.preempt_candidates())):
-            steps.append(_step_of("PrimaryPreempter", None, i))
+        steps += preempt_steps[:candidates]
     elif (decision := state.decision) is not None:
-        if buf[layout.cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
-            steps.append(_step_of("PrimaryPreempter", None, 0))
-    if _spawner_enabled(state):
-        steps.append(_step_of("Spawner", None, 0))
-    for core_id in range(1, layout.core_count):
-        if _worker_action(state, core_id) is not None:
-            steps.append(_step_of("Worker", core_id, 0))
-    return steps
-
-
-def _spawner_enabled(state: KernelState) -> bool:
+        if buf[cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
+            steps.append(preempt_steps[0])
     # The plan always finishes spawning: enabled while something runs
     # (any running task may spawn) and again once everything spawned so
     # far has terminated, so no maximal path strands unspawned entries.
-    buf, tasks = state.buf, state.layout.tasks
     spawned = buf[SPAWN_CURSOR]
-    if spawned >= state.layout.task_count:
-        return False
-    if RUNNING in buf[tasks + T_STATE:tasks + spawned * TASK_WIDTH:TASK_WIDTH]:
-        return True
-    return state.all_tasks_terminal()
-
-
-def _worker_action(state: KernelState, core_id: int) -> str | None:
-    """Which step the worker core would take: an IPI masks everything else."""
-    buf, layout = state.buf, state.layout
-    at = layout.cores + core_id * CORE_WIDTH
-    if buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
-        return "ipi"
-    task = buf[at + C_CURRENT]
-    if task >= 0:
-        task_state = buf[layout.tasks + task * TASK_WIDTH + T_STATE]
-        if task_state == RUNNING or (
-            task_state == PREEMPTED and "skip-resume-state" in state.config.faults
-        ):
-            return "poll"
-        return None
-    if buf[QUEUE_LEN] > 0:
-        return "fetch"
-    return None
+    if spawned < layout.task_count:
+        live = buf[tasks + T_STATE:tasks + spawned * TASK_WIDTH:TASK_WIDTH]
+        if RUNNING in live or live.count(TERMINATED) == spawned:
+            steps.append(spawner_step)
+    steps += workers
+    return steps
 
 
 def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
@@ -222,10 +221,11 @@ def _run(state: KernelState, choice: ScheduleStep) -> None:
     elif kind == "Spawner":
         state.spawn_next()
     else:
-        action = _worker_action(state, core)
-        if action == "ipi":
+        # an IPI masks everything else; then a core polls its task, if any
+        buf, at = state.buf, state.layout.cores + core * CORE_WIDTH
+        if buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
             state.handle_ipi_step(core)
-        elif action == "poll":
+        elif buf[at + C_CURRENT] >= 0:
             state.poll_step(core)
         else:
             state.get_next_task(core)
@@ -308,34 +308,39 @@ def check_invariants(state: KernelState) -> str | None:
     queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
     if len(set(queue)) != len(queue):
         return f"duplicate task ids in run queue {queue}"
-    spawned = range(buf[SPAWN_CURSOR])
-    for t in spawned:
-        at = tasks + t * TASK_WIDTH
-        in_queue = buf[at + T_IN_QUEUE] == 1
-        if in_queue != (t in queue):
-            return f"task {t} in_queue={in_queue} but queue={queue}"
+    # One pass per record kind; a task-state failure waits for the core checks.
+    currents, decided, outstanding, handling = [], [], 0, False
+    for at in range(cores, end, CORE_WIDTH):
+        if (task := buf[at + C_CURRENT]) >= 0:
+            currents.append(task)
+        if (task := buf[at + C_DECISION]) >= 0:
+            decided.append(task)
+        outstanding += buf[at + C_PENDING_IPI] >= 0
+        handling = handling or buf[at + C_IPI_PHASE] >= 0
+    late, at = None, tasks
+    for t in range(buf[SPAWN_CURSOR]):
+        in_queue = buf[at + T_IN_QUEUE]
+        if (in_queue == 1) != (t in queue):
+            return f"task {t} in_queue={in_queue == 1} but queue={queue}"
         if buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
             return f"task {t} counter below zero"
-    currents = [t for t in buf[cores + C_CURRENT:end:CORE_WIDTH] if t >= 0]
+        if late is None:
+            task_state = buf[at + T_STATE]
+            if task_state == RUNNING and t not in currents:
+                late = f"running task {t} is not current on any core"
+            elif task_state == TERMINATED and (in_queue or t in currents):
+                late = f"terminal task {t} is queued or current"
+        at += TASK_WIDTH
     if len(set(currents)) != len(currents):
         return f"cores share a current task: {currents}"
     if buf[cores + C_CURRENT] >= 0:
         return "primary core has a current task"
-    for t in spawned:
-        at = tasks + t * TASK_WIDTH
-        task_state = buf[at + T_STATE]
-        if task_state == RUNNING and t not in currents:
-            return f"running task {t} is not current on any core"
-        if task_state == TERMINATED and (buf[at + T_IN_QUEUE] or t in currents):
-            return f"terminal task {t} is queued or current"
-    decided = [t for t in buf[cores + C_DECISION:end:CORE_WIDTH] if t >= 0]
-    decisions = len(decided) + sum(
-        1 for ipi in buf[cores + C_PENDING_IPI:end:CORE_WIDTH] if ipi >= 0
-    )
-    if decisions > 1:
+    if late is not None:
+        return late
+    outstanding += len(decided)
+    if outstanding > 1:
         return "more than one preemption decision outstanding"
-    handling = any(p >= 0 for p in buf[cores + C_IPI_PHASE:end:CORE_WIDTH])
-    if (buf[IN_FLIGHT] == 1) != (decisions > 0 or handling):
+    if (buf[IN_FLIGHT] == 1) != (outstanding > 0 or handling):
         return "preempt_in_flight flag out of sync"
     if decided and not layout.heavy[decided[0]]:
         return f"light task {decided[0]} observed by a preemption decision"
@@ -377,17 +382,19 @@ def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ..
 
 def _settler(config: KernelConfig):
     """`settle(buf, violation)`: `_settle`'s answer for a buffer reached by a
-    step with that monitor violation, kept per search by `Layout.settle_key`
-    (a state is built on a miss)."""
+    step with that monitor violation, kept per search by `Layout.settle_key`;
+    a miss settles the search's one `KernelState`, pointed at the buffer."""
     layout = layout_for(config)
     memo: dict = {}
+    state = KernelState(config, layout, layout.boot[:])
 
     def settle(buf: array, violation: MonitorViolation | None) -> tuple:
         if violation is not None:
             return VERDICT_MONITOR, "", ()
         key = layout.settle_key(buf)
         if (settled := memo.get(key)) is None:
-            settled = memo[key] = _settle(KernelState(config, layout, buf))
+            state.buf = buf
+            settled = memo[key] = _settle(state)
         return settled
 
     return settle
@@ -576,8 +583,7 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
     state = initial_state(config)
     seen = {snapshot(state)}
     steps: list[ScheduleStep] = []
-    annotations: list[StepAnnotation] = []
-    verdict, detail, options = _settle(state)
+    verdict, _, options = _settle(state)
     while verdict is None and options:
         if len(steps) == max_steps:
             report.incomplete = True
@@ -585,26 +591,22 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
             break
         choice = options[rng.randrange(len(options))]
         _run(state, choice)
-        report.transitions_taken += 1
         steps.append(choice)
-        annotations.append(StepAnnotation(state.step_label, tuple(state.step_lines)))
         seen.add(snapshot(state))
-        verdict, detail, options = _settle(state)
+        verdict, _, options = _settle(state)
     if verdict is not None:
-        report.violations.append(_trace(
-            steps, annotations, state.violation, state.buf, state.layout, verdict, detail,
-        ))
+        report.violations.append(replay(config, tuple(steps)))
         report.violating_states.append(1)
     elif not options:
         report.quiescent_ok += 1
     report.states_visited = len(seen)
-    report.max_depth = len(steps)
+    report.transitions_taken = report.max_depth = len(steps)
     return report
 
 
 def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
     """Re-execute a recorded schedule under `config`, stepping one state in
-    place as `random_walk` does, and rebuild its trace.
+    place as `random_walk` does, and rebuild its trace (a walk's trace too).
 
     Raises ReplayError naming the first step that is not enabled, or the
     step whose verdict comes before the schedule ends. A schedule that

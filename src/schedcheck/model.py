@@ -131,7 +131,7 @@ IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
  T_PENDING_WAIT, T_WAITS, T_PREEMPTIONS, T_TIMER, TASK_WIDTH) = range(11)
 # Fields of a core record; C_DECISION is the task observed by a preemption
 # decision aimed at the core. No field names a core.
-C_CURRENT, C_INTERRUPT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(6)
+C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(5)
 
 # Codes of task states, and the phases of a core's preemption handler, as
 # the array stores them.
@@ -178,7 +178,7 @@ class Layout:
                 array(typecode, [-1]) * self.core_count)
         self.boot = boot
         # The cells that explorer._settle reads: all but need_sched, the saved
-        # context, pc, the pending wait, the interrupt flag and the monitors.
+        # context, pc, the pending wait and the monitors.
         self.settle_offsets = (
             *range(self.tasks),  # the global fields and the run queue
             *(at + f for at in range(self.tasks, self.cores, TASK_WIDTH)
@@ -345,7 +345,7 @@ class KernelState:
         buf = self.buf
         if buf[core + C_CURRENT] >= 0:
             raise UsageError(f"core {core_id} already runs task {buf[core + C_CURRENT]}")
-        assert not buf[core + C_INTERRUPT], "fetch with interrupt flag set"
+        assert buf[core + C_PENDING_IPI] < 0, "fetch with an IPI pending"
         task = self._dequeue()
         at = self.layout.tasks + task * TASK_WIDTH
         if buf[at + T_STATE] == RUNNING and "skip-running-check" not in self.config.faults:
@@ -481,7 +481,6 @@ class KernelState:
             raise UsageError(f"core {target} already has a pending IPI")
         self.begin_step(f"send IPI to core {target} (observed task {observed})")
         buf[core + C_PENDING_IPI] = observed
-        buf[core + C_INTERRUPT] = 1
         buf[core + C_DECISION] = -1
 
     def handle_ipi_step(self, core_id: int) -> None:
@@ -502,7 +501,6 @@ class KernelState:
             if buf[core + C_PENDING_IPI] < 0:
                 raise UsageError(f"core {core_id} has no pending IPI")
             buf[core + C_PENDING_IPI] = -1
-            buf[core + C_INTERRUPT] = 0
             if task < 0:
                 self.begin_step(f"core {core_id}: IPI canceled (idle core)")
                 buf[IN_FLIGHT] = 0

@@ -11,7 +11,6 @@ from cells import core_cell, run_queue, task_cell
 from schedcheck.monitor import Event
 from schedcheck.model import (
     C_CURRENT,
-    C_INTERRUPT,
     C_PENDING_IPI,
     IN_FLIGHT,
     PREEMPTED,
@@ -256,6 +255,13 @@ class TestGetNextTask:
         with pytest.raises(UsageError):
             state.get_next_task(1)
 
+    def test_a_core_with_an_ipi_pending_cannot_fetch(self):
+        # an IPI masks a core's other steps, so a fetch under one is a bug
+        state = initial_state(config())
+        state.buf[core_cell(state, 1, C_PENDING_IPI)] = 0
+        with pytest.raises(AssertionError, match="fetch with an IPI pending"):
+            state.get_next_task(1)
+
     def test_running_head_is_requeued_and_skipped(self):
         state = initial_state(config(task_plan=(H, L)))
         run_until_running(state, 1)
@@ -399,7 +405,6 @@ class TestPreemption:
         state.preempt_decide(1)
         state.send_ipi()
         assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == 0
-        assert state.buf[core_cell(state, 1, C_INTERRUPT)] == 1
         assert state.decision is None
 
     def test_send_without_decision_rejected(self):
