@@ -12,12 +12,16 @@ is rebuilt along the parent map, so every trace is a real path.
 in for live runtime verification, and counts exact states (`snapshot`);
 `replay` re-runs a recorded schedule the same way and rebuilds its trace,
 also for a walk that ends in a verdict. All of them end a path by one
-rule (`_settle`) and build traces one way (`_trace`).
+rule (`_settle`) and build traces one way (`_trace`). The rule makes one
+pass over a state's cores and spawned tasks (`_examine`), which gives the
+invariant failure, the enabled steps and the deadlock test;
+`check_invariants` and `enabled` are views of that pass.
 
 Only `explore` steps state buffers through the two per-search memos:
-`_settler` keys each ending rule by the cells it reads, and `_transition`
-keeps one trie per step, keyed by the cells the step read, so an operation
-runs only on a miss. Its traces are read off those same memos.
+`_settler` keys each ending rule by the bytes of the cells it reads, cut
+from the state's bytes (`Layout.settle_cut`), and `_transition` keeps one
+trie per step, keyed by the cells the step read, so an operation runs
+only on a miss. Its traces are read off those same memos.
 """
 
 from __future__ import annotations
@@ -152,52 +156,11 @@ def _step_of(kind: str, core: int | None, variant: int) -> ScheduleStep:
 
 @cache
 def _step_table(layout: Layout) -> tuple:
-    """The steps `enabled` hands out under `layout`, one table per kind."""
+    """The steps `_examine` hands out under `layout`, one table per kind."""
     return (tuple(_step_of("PrimaryTimer", None, i) for i in range(layout.task_count)),
             tuple(_step_of("PrimaryPreempter", None, i) for i in range(layout.core_count)),
             _step_of("Spawner", None, 0),
             tuple(_step_of("Worker", core, 0) for core in range(1, layout.core_count)))
-
-
-def enabled(state: KernelState) -> list[ScheduleStep]:
-    """All enabled steps, deterministically ordered: timer variants first,
-    then preempter, spawner, and workers ascending, from one pass over the
-    worker cores. Reads only the cells of `Layout.settle_offsets` and the
-    config, since `_settle` memoizes on them."""
-    buf, layout = state.buf, state.layout
-    timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
-    tasks, cores = layout.tasks, layout.cores
-    heavy, resume = layout.heavy, "skip-resume-state" in state.config.faults
-    queued = buf[QUEUE_LEN] > 0
-    candidates, workers, at = 0, [], cores
-    for step in worker_steps:
-        at += CORE_WIDTH
-        can_step = queued  # an idle core fetches
-        if (task := buf[at + C_CURRENT]) >= 0:
-            record = tasks + task * TASK_WIDTH
-            task_state = buf[record + T_STATE]
-            if task_state == RUNNING and heavy[task]:
-                candidates += buf[record + T_PREEMPTIONS] > 0
-            can_step = task_state == RUNNING or (task_state == PREEMPTED and resume)
-        if can_step or buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
-            workers.append(step)
-    timers = buf[tasks + T_TIMER:cores:TASK_WIDTH]
-    steps = list(timer_steps[:len(timers) - timers.count(0)])
-    if not buf[IN_FLIGHT]:
-        steps += preempt_steps[:candidates]
-    elif (decision := state.decision) is not None:
-        if buf[cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
-            steps.append(preempt_steps[0])
-    # The plan always finishes spawning: enabled while something runs
-    # (any running task may spawn) and again once everything spawned so
-    # far has terminated, so no maximal path strands unspawned entries.
-    spawned = buf[SPAWN_CURSOR]
-    if spawned < layout.task_count:
-        live = buf[tasks + T_STATE:tasks + spawned * TASK_WIDTH:TASK_WIDTH]
-        if RUNNING in live or live.count(TERMINATED) == spawned:
-            steps.append(spawner_step)
-    steps += workers
-    return steps
 
 
 def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
@@ -236,23 +199,30 @@ class _Recorder:
     miss: notes, in order, each cell read before the step wrote it, slices
     cell by cell, and each cell written."""
 
+    __slots__ = ("buf", "reads", "written")
+
     def __init__(self, buf: array) -> None:
         self.buf = buf
         self.reads: dict[int, int] = {}
         self.written: dict[int, None] = {}
 
-    def _cells(self, key: int | slice) -> Iterable[int]:
-        return range(*key.indices(len(self.buf))) if type(key) is slice else (key,)
-
     def __getitem__(self, key: int | slice):
-        for at in self._cells(key):
-            if at not in self.written and at not in self.reads:
-                self.reads[at] = self.buf[at]
-        return self.buf[key]
+        value = self.buf[key]
+        if type(key) is int:
+            if key not in self.written and key not in self.reads:
+                self.reads[key] = value
+        else:
+            for at in range(*key.indices(len(self.buf))):
+                if at not in self.written and at not in self.reads:
+                    self.reads[at] = self.buf[at]
+        return value
 
     def __setitem__(self, key: int | slice, value) -> None:
         self.buf[key] = value
-        self.written.update(dict.fromkeys(self._cells(key)))
+        if type(key) is int:
+            self.written[key] = None
+        else:
+            self.written.update(dict.fromkeys(range(*key.indices(len(self.buf)))))
 
 
 def _transition(
@@ -297,54 +267,120 @@ def _learn(config: KernelConfig, buf: array, choice: ScheduleStep, root: list) -
     return leaf
 
 
-def check_invariants(state: KernelState) -> str | None:
-    """Structural invariants every reachable state must satisfy; returns a
-    description of the first failure, or None. Reads only the cells of
-    `Layout.settle_offsets` and the config, since `_settle` memoizes on them."""
+def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], bool]:
+    """The one pass that settles a state, over its cores and then its spawned
+    tasks: (the first failing invariant or None, the enabled steps, whether
+    every spawned task is terminal). Reads only the cells of
+    `Layout.settle_offsets` and the config, since `explore` memoizes
+    `_settle` on them.
+
+    The invariants every reachable state must satisfy, in the order a
+    failure is reported: the run queue within capacity and without
+    duplicates; per spawned task in id order, `in_queue` matching the queue
+    and both budgets at least zero; no task current on two cores; none on
+    the primary core; a running task current, a terminal one neither queued
+    nor current; at most one preemption decision or IPI outstanding, and
+    the in-flight flag set exactly while one is or a core handles one; a
+    decision observing a heavy task. The steps are ordered: timer variants
+    first, then preempter, spawner, and workers ascending."""
     buf, layout = state.buf, state.layout
-    tasks, cores, end = layout.tasks, layout.cores, layout.monitors
-    if buf[QUEUE_LEN] > layout.task_count:
-        return f"run queue over capacity: {buf[QUEUE_LEN]} entries for {layout.task_count} tasks"
-    queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
-    if len(set(queue)) != len(queue):
-        return f"duplicate task ids in run queue {queue}"
-    # One pass per record kind; a task-state failure waits for the core checks.
-    currents, decided, outstanding, handling = [], [], 0, False
-    for at in range(cores, end, CORE_WIDTH):
+    timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
+    n, tasks, cores, heavy = layout.task_count, layout.tasks, layout.cores, layout.heavy
+    resume = "skip-resume-state" in state.config.faults
+    length = buf[QUEUE_LEN]
+    queue = tuple(buf[QUEUE:QUEUE + length])
+    # The primary core runs no worker step, but its cells count for the
+    # invariants. `outstanding` counts decisions and pending IPIs; `target`
+    # is the first core with a decision, which observed task `observed`.
+    primary = buf[cores + C_CURRENT]
+    currents = [primary] if primary >= 0 else []
+    outstanding = buf[cores + C_PENDING_IPI] >= 0
+    handling = buf[cores + C_IPI_PHASE] >= 0
+    target = observed = None
+    if (task := buf[cores + C_DECISION]) >= 0:
+        outstanding, target, observed = outstanding + 1, cores, task
+    candidates, workers, at = 0, [], cores
+    for step in worker_steps:
+        at += CORE_WIDTH
+        ipi = buf[at + C_PENDING_IPI] >= 0  # an IPI masks everything else
+        outstanding += ipi
+        if buf[at + C_IPI_PHASE] >= 0:
+            ipi = handling = True
+        if (task := buf[at + C_DECISION]) >= 0:
+            outstanding += 1
+            if target is None:
+                target, observed = at, task
         if (task := buf[at + C_CURRENT]) >= 0:
             currents.append(task)
-        if (task := buf[at + C_DECISION]) >= 0:
-            decided.append(task)
-        outstanding += buf[at + C_PENDING_IPI] >= 0
-        handling = handling or buf[at + C_IPI_PHASE] >= 0
-    late, at = None, tasks
-    for t in range(buf[SPAWN_CURSOR]):
+            record = tasks + task * TASK_WIDTH
+            if (task_state := buf[record + T_STATE]) == RUNNING:
+                if heavy[task]:
+                    candidates += buf[record + T_PREEMPTIONS] > 0
+                workers.append(step)
+            elif ipi or (task_state == PREEMPTED and resume):
+                workers.append(step)
+        elif ipi or length > 0:  # an idle core fetches
+            workers.append(step)
+    # The first failure of a task's queue flag or budgets comes before the
+    # core checks; `late`, a task-state failure, comes after some of them.
+    failure = late = None
+    spawned, running, done, at = buf[SPAWN_CURSOR], False, 0, tasks
+    for t in range(spawned):
         in_queue = buf[at + T_IN_QUEUE]
         if (in_queue == 1) != (t in queue):
-            return f"task {t} in_queue={in_queue == 1} but queue={queue}"
-        if buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
-            return f"task {t} counter below zero"
-        if late is None:
-            task_state = buf[at + T_STATE]
-            if task_state == RUNNING and t not in currents:
+            failure = failure or f"task {t} in_queue={in_queue == 1} but queue={queue}"
+        elif buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
+            failure = failure or f"task {t} counter below zero"
+        if (task_state := buf[at + T_STATE]) == RUNNING:
+            running = True
+            if late is None and t not in currents:
                 late = f"running task {t} is not current on any core"
-            elif task_state == TERMINATED and (in_queue or t in currents):
+        elif task_state == TERMINATED:
+            done += 1
+            if late is None and (in_queue or t in currents):
                 late = f"terminal task {t} is queued or current"
         at += TASK_WIDTH
-    if len(set(currents)) != len(currents):
-        return f"cores share a current task: {currents}"
-    if buf[cores + C_CURRENT] >= 0:
-        return "primary core has a current task"
-    if late is not None:
-        return late
-    outstanding += len(decided)
-    if outstanding > 1:
-        return "more than one preemption decision outstanding"
-    if (buf[IN_FLIGHT] == 1) != (outstanding > 0 or handling):
-        return "preempt_in_flight flag out of sync"
-    if decided and not layout.heavy[decided[0]]:
-        return f"light task {decided[0]} observed by a preemption decision"
-    return None
+    if length > n:
+        failure = f"run queue over capacity: {length} entries for {n} tasks"
+    elif len(set(queue)) != len(queue):
+        failure = f"duplicate task ids in run queue {queue}"
+    elif failure is None:
+        if len(set(currents)) != len(currents):
+            failure = f"cores share a current task: {currents}"
+        elif primary >= 0:
+            failure = "primary core has a current task"
+        elif late is not None:
+            failure = late
+        elif outstanding > 1:
+            failure = "more than one preemption decision outstanding"
+        elif (buf[IN_FLIGHT] == 1) != (outstanding > 0 or handling):
+            failure = "preempt_in_flight flag out of sync"
+        elif target is not None and not heavy[observed]:
+            failure = f"light task {observed} observed by a preemption decision"
+    steps = list(timer_steps[:n - buf[tasks + T_TIMER:cores:TASK_WIDTH].count(0)])
+    if not buf[IN_FLIGHT]:
+        steps += preempt_steps[:candidates]
+    elif target is not None and buf[target + C_PENDING_IPI] < 0:
+        steps.append(preempt_steps[0])
+    # The plan always finishes spawning: enabled while something runs
+    # (any running task may spawn) and again once everything spawned so
+    # far has terminated, so no maximal path strands unspawned entries.
+    if spawned < n and (running or done == spawned):
+        steps.append(spawner_step)
+    steps += workers
+    return failure, tuple(steps), done == spawned
+
+
+def check_invariants(state: KernelState) -> str | None:
+    """The first structural invariant that `state` fails, or None: the
+    invariants of `_examine`'s pass."""
+    return _examine(state)[0]
+
+
+def enabled(state: KernelState) -> list[ScheduleStep]:
+    """All enabled steps of `state`, deterministically ordered: those of
+    `_examine`'s pass."""
+    return list(_examine(state)[1])
 
 
 @dataclass(frozen=True)
@@ -369,29 +405,32 @@ def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ..
     """The one ending rule for a state just reached, as (verdict, detail,
     enabled steps): a monitor violation, then an invariant failure, end the
     path there; otherwise the path goes on by the enabled steps, and none
-    enabled while some task is not terminal is a deadlock."""
+    enabled while some task is not terminal is a deadlock. All but the
+    monitor violation come from one pass over the state (`_examine`)."""
     if state.violation is not None:
         return VERDICT_MONITOR, "", ()
-    if (failure := check_invariants(state)) is not None:
+    failure, options, terminal = _examine(state)
+    if failure is not None:
         return VERDICT_ASSERTION, failure, ()
-    options = tuple(enabled(state))
-    if not options and not state.all_tasks_terminal():
-        return VERDICT_DEADLOCK, "no step enabled, tasks not terminal", options
+    if not options and not terminal:
+        return VERDICT_DEADLOCK, "no step enabled, tasks not terminal", ()
     return None, "", options
 
 
 def _settler(config: KernelConfig):
-    """`settle(buf, violation)`: `_settle`'s answer for a buffer reached by a
-    step with that monitor violation, kept per search by `Layout.settle_key`;
-    a miss settles the search's one `KernelState`, pointed at the buffer."""
+    """`settle(buf, raw, violation)`: `_settle`'s answer for a buffer, whose
+    bytes are `raw`, reached by a step with that monitor violation. It is
+    kept per search by the join of `Layout.settle_cut(raw)`, the bytes of
+    the settle cells; a miss settles the search's one `KernelState`,
+    pointed at the buffer."""
     layout = layout_for(config)
-    memo: dict = {}
+    cut, memo = layout.settle_cut, {}
     state = KernelState(config, layout, layout.boot[:])
 
-    def settle(buf: array, violation: MonitorViolation | None) -> tuple:
+    def settle(buf: array, raw: bytes, violation: MonitorViolation | None) -> tuple:
         if violation is not None:
             return VERDICT_MONITOR, "", ()
-        key = layout.settle_key(buf)
+        key = b"".join(cut(raw))
         if (settled := memo.get(key)) is None:
             state.buf = buf
             settled = memo[key] = _settle(state)
@@ -458,7 +497,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     settle = _settler(config)
     roots: dict[ScheduleStep, list] = {}
     init = initial_state(config).buf
-    init_key = symmetric_key(bytes(init), layout)
+    init_raw = bytes(init)
+    init_key = symmetric_key(init_raw, layout)
     parents: dict[bytes, bytes | None] = {init_key: None}
     # violation class -> violating states of it; `firsts` keeps each one's first key
     counts: dict[tuple, int] = {}
@@ -474,9 +514,11 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         report.incomplete = True
         report.incomplete_reason = report.incomplete_reason or reason
 
-    def visit(buf: array, violation: MonitorViolation | None, key: bytes, depth: int) -> bool:
+    def visit(
+        buf: array, raw: bytes, violation: MonitorViolation | None, key: bytes, depth: int,
+    ) -> bool:
         """Settle a newly visited state; True when the search must stop."""
-        verdict, detail, options = settle(buf, violation)
+        verdict, detail, options = settle(buf, raw, violation)
         if verdict is not None:
             kind = violation_class(verdict, violation, detail)
             if kind in counts:
@@ -499,7 +541,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     states = 1
     transitions = depth = deepest = 0
-    stop = visit(init, None, init_key, 0)
+    stop = visit(init, init_raw, None, init_key, 0)
     while bufs and not stop:
         depth += 1
         level = zip(bufs, opts, keys)
@@ -517,7 +559,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 parents[key] = parent
                 states += 1
                 deepest = depth
-                if stop := visit(succ, leaf[2], key, depth):
+                if stop := visit(succ, raw, leaf[2], key, depth):
                     break
             if stop:
                 break
@@ -555,15 +597,15 @@ def _trace_to(
         key = parents[key]
     layout = layout_for(config)
     buf, violation = initial_state(config).buf, None
-    verdict, detail, options = settle(buf, None)
+    verdict, detail, options = settle(buf, bytes(buf), None)
     steps, annotations = [], []
     for depth, want in enumerate(reversed(chain[:-1]), 1):
         goal = kind if depth == len(chain) - 1 else None
         for choice in options:
             succ, leaf = _transition(config, buf, choice, roots)
-            if symmetric_key(bytes(succ), layout) != want:
+            if symmetric_key(raw := bytes(succ), layout) != want:
                 continue
-            verdict, detail, succ_options = settle(succ, leaf[2])
+            verdict, detail, succ_options = settle(succ, raw, leaf[2])
             if (verdict and violation_class(verdict, leaf[2], detail)) == goal:
                 break
         else:

@@ -123,12 +123,13 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 
 # Global fields, then the run queue: its length, then its task ids.
 IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
-# Fields of a task record. T_SAVED_PC and T_SAVED_MID_WAIT hold the context
-# a preemption saved (-1: none), apart from T_PC and T_PENDING_WAIT because
-# a resume rolls those back to the saved values. T_TIMER flags the task's
-# pending timer entry.
-(T_STATE, T_NEED_SCHED, T_IN_QUEUE, T_SAVED_PC, T_SAVED_MID_WAIT, T_PC,
- T_PENDING_WAIT, T_WAITS, T_PREEMPTIONS, T_TIMER, TASK_WIDTH) = range(11)
+# Fields of a task record. The first five are the ones settling a state
+# reads (see Layout.settle_offsets), so they lie in one run of cells. T_TIMER
+# flags the task's pending timer entry. T_SAVED_PC and T_SAVED_MID_WAIT hold
+# the context a preemption saved (-1: none), apart from T_PC and
+# T_PENDING_WAIT because a resume rolls those back to the saved values.
+(T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER, T_NEED_SCHED, T_SAVED_PC,
+ T_SAVED_MID_WAIT, T_PC, T_PENDING_WAIT, TASK_WIDTH) = range(11)
 # Fields of a core record; C_DECISION is the task observed by a preemption
 # decision aimed at the core. No field names a core.
 C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(5)
@@ -186,10 +187,20 @@ class Layout:
             *(at + f for at in range(self.cores, self.monitors, CORE_WIDTH)
               for f in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION)),
         )
-        self.settle_key = itemgetter(*self.settle_offsets)
+        # The settle memo's cut of a state's bytes: one slice per run of
+        # consecutive settle offsets (the globals with task 0's first five
+        # cells, those of each later task, and the cores), whose join is the
+        # memo key. Offsets in bytes, so 'h' cells stay whole.
+        size, runs = boot.itemsize, []
+        for at in self.settle_offsets:
+            if runs and runs[-1][1] == at:
+                runs[-1][1] = at + 1
+            else:
+                runs.append([at, at + 1])
+        self.settle_cut = itemgetter(*(slice(a * size, b * size) for a, b in runs))
         # symmetric_key's cut of a state's bytes into the head, the records
-        # of workers 1..w and the tail; offsets in bytes, so 'h' cells stay whole.
-        size, record = boot.itemsize, CORE_WIDTH * boot.itemsize
+        # of workers 1..w and the tail.
+        record = CORE_WIDTH * size
         cuts = (0, *range(self.cores * size + record, self.monitors * size + 1, record), None)
         self.worker_cut = itemgetter(*map(slice, cuts, cuts[1:]))
 
@@ -239,11 +250,6 @@ class KernelState:
             if task >= 0:
                 return core, task
         return None
-
-    def all_tasks_terminal(self) -> bool:
-        tasks = self.layout.tasks
-        states = self.buf[tasks + T_STATE:tasks + self.buf[SPAWN_CURSOR] * TASK_WIDTH:TASK_WIDTH]
-        return all(s == TERMINATED for s in states)
 
     def fireable_timers(self) -> list[int]:
         """Pending timer entries, lowest task id first; time is
@@ -557,9 +563,9 @@ def reset_dead_fields(buf: array, at: int) -> None:
     """Zero the need_sched flag and the wait and preemption budgets of the
     task record at `at`, which has just finished.
 
-    No step reads them again: no operation and no part of `enabled` reads a
-    terminated task's flag or budgets, and `check_invariants` reads only the
-    budgets, to check they are >= 0, which held before the task finished.
+    No step reads them again: no operation and no part of the enabled steps
+    reads a terminated task's flag or budgets, and the invariants read only
+    the budgets, to check they are >= 0, which held before the task finished.
     So states that differ only in these dead values are equivalent, and the
     reset gives them one buffer (Bozga et al., SAS 1999)."""
     buf[at + T_NEED_SCHED] = 0

@@ -1,14 +1,17 @@
-"""`enabled` and `check_invariants` against their earlier, plainer forms.
+"""`_settle`'s one pass against the two passes it replaced.
 
-Both functions make one pass per record kind: `enabled` over the worker
-cores, `check_invariants` over the cores and then the spawned tasks. The
-oracle below is the form they had before: one helper call per question
-(`fireable_timers`, `preempt_candidates`, `decision`, a per-core
-`_worker_action`) and two passes over the tasks. Every state
-that `explore` settles on the 64 fix/fault combos of H,L,L/2 and H,H/2,
-every state of seeded walks of the benchmark's walk configuration, and
-single-cell mutations of a sample of those must get the same answer from
-both, and the mutations must reach every `check_invariants` message."""
+`_settle` makes one pass over the cores and one over the spawned tasks,
+which gives the invariant failure, the enabled steps and the deadlock
+test; `enabled` and `check_invariants` are views of that pass. The oracle
+below is the form they had before: `enabled` with one pass over the worker
+cores, `check_invariants` with one pass over the cores and one over the
+tasks, composed as `_settle` composed them (a monitor violation, then the
+invariants, then the steps and the deadlock test). Every state that
+`explore` settles on the 64 fix/fault combos of H,L,L/2 and H,H/2, every
+state of 40 seeded walks of the benchmark's walk configuration, and every
+in-domain single-cell mutation of a sample of those must get the same
+answer from all three, raised exceptions included, and the mutations must
+reach every invariant message and a deadlock."""
 
 from __future__ import annotations
 
@@ -17,8 +20,19 @@ import random
 
 import pytest
 
+from cells import all_tasks_terminal
 from schedcheck import explorer
-from schedcheck.explorer import _run, _settle, _step_of, check_invariants, enabled, explore
+from schedcheck.explorer import (
+    VERDICT_ASSERTION,
+    VERDICT_DEADLOCK,
+    VERDICT_MONITOR,
+    _run,
+    _settle,
+    _step_table,
+    check_invariants,
+    enabled,
+    explore,
+)
 from schedcheck.model import (
     C_CURRENT,
     C_DECISION,
@@ -55,47 +69,36 @@ L = TaskKind.LIGHT
 
 def oracle_enabled(state: KernelState) -> list:
     buf, layout = state.buf, state.layout
-    steps = [_step_of("PrimaryTimer", None, i) for i in range(len(state.fireable_timers()))]
+    timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
+    tasks, cores = layout.tasks, layout.cores
+    heavy, resume = layout.heavy, "skip-resume-state" in state.config.faults
+    queued = buf[QUEUE_LEN] > 0
+    candidates, workers, at = 0, [], cores
+    for step in worker_steps:
+        at += CORE_WIDTH
+        can_step = queued  # an idle core fetches
+        if (task := buf[at + C_CURRENT]) >= 0:
+            record = tasks + task * TASK_WIDTH
+            task_state = buf[record + T_STATE]
+            if task_state == RUNNING and heavy[task]:
+                candidates += buf[record + T_PREEMPTIONS] > 0
+            can_step = task_state == RUNNING or (task_state == PREEMPTED and resume)
+        if can_step or buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
+            workers.append(step)
+    timers = buf[tasks + T_TIMER:cores:TASK_WIDTH]
+    steps = list(timer_steps[:len(timers) - timers.count(0)])
     if not buf[IN_FLIGHT]:
-        for i in range(len(state.preempt_candidates())):
-            steps.append(_step_of("PrimaryPreempter", None, i))
+        steps += preempt_steps[:candidates]
     elif (decision := state.decision) is not None:
-        if buf[layout.cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
-            steps.append(_step_of("PrimaryPreempter", None, 0))
-    if oracle_spawner_enabled(state):
-        steps.append(_step_of("Spawner", None, 0))
-    for core_id in range(1, layout.core_count):
-        if oracle_worker_action(state, core_id) is not None:
-            steps.append(_step_of("Worker", core_id, 0))
-    return steps
-
-
-def oracle_spawner_enabled(state: KernelState) -> bool:
-    buf, tasks = state.buf, state.layout.tasks
+        if buf[cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
+            steps.append(preempt_steps[0])
     spawned = buf[SPAWN_CURSOR]
-    if spawned >= state.layout.task_count:
-        return False
-    if RUNNING in buf[tasks + T_STATE:tasks + spawned * TASK_WIDTH:TASK_WIDTH]:
-        return True
-    return state.all_tasks_terminal()
-
-
-def oracle_worker_action(state: KernelState, core_id: int) -> str | None:
-    buf, layout = state.buf, state.layout
-    at = layout.cores + core_id * CORE_WIDTH
-    if buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
-        return "ipi"
-    task = buf[at + C_CURRENT]
-    if task >= 0:
-        task_state = buf[layout.tasks + task * TASK_WIDTH + T_STATE]
-        if task_state == RUNNING or (
-            task_state == PREEMPTED and "skip-resume-state" in state.config.faults
-        ):
-            return "poll"
-        return None
-    if buf[QUEUE_LEN] > 0:
-        return "fetch"
-    return None
+    if spawned < layout.task_count:
+        live = buf[tasks + T_STATE:tasks + spawned * TASK_WIDTH:TASK_WIDTH]
+        if RUNNING in live or live.count(TERMINATED) == spawned:
+            steps.append(spawner_step)
+    steps += workers
+    return steps
 
 
 def oracle_check_invariants(state: KernelState) -> str | None:
@@ -106,38 +109,53 @@ def oracle_check_invariants(state: KernelState) -> str | None:
     queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
     if len(set(queue)) != len(queue):
         return f"duplicate task ids in run queue {queue}"
-    spawned = range(buf[SPAWN_CURSOR])
-    for t in spawned:
-        at = tasks + t * TASK_WIDTH
-        in_queue = buf[at + T_IN_QUEUE] == 1
-        if in_queue != (t in queue):
-            return f"task {t} in_queue={in_queue} but queue={queue}"
+    currents, decided, outstanding, handling = [], [], 0, False
+    for at in range(cores, end, CORE_WIDTH):
+        if (task := buf[at + C_CURRENT]) >= 0:
+            currents.append(task)
+        if (task := buf[at + C_DECISION]) >= 0:
+            decided.append(task)
+        outstanding += buf[at + C_PENDING_IPI] >= 0
+        handling = handling or buf[at + C_IPI_PHASE] >= 0
+    late, at = None, tasks
+    for t in range(buf[SPAWN_CURSOR]):
+        in_queue = buf[at + T_IN_QUEUE]
+        if (in_queue == 1) != (t in queue):
+            return f"task {t} in_queue={in_queue == 1} but queue={queue}"
         if buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
             return f"task {t} counter below zero"
-    currents = [t for t in buf[cores + C_CURRENT:end:CORE_WIDTH] if t >= 0]
+        if late is None:
+            task_state = buf[at + T_STATE]
+            if task_state == RUNNING and t not in currents:
+                late = f"running task {t} is not current on any core"
+            elif task_state == TERMINATED and (in_queue or t in currents):
+                late = f"terminal task {t} is queued or current"
+        at += TASK_WIDTH
     if len(set(currents)) != len(currents):
         return f"cores share a current task: {currents}"
     if buf[cores + C_CURRENT] >= 0:
         return "primary core has a current task"
-    for t in spawned:
-        at = tasks + t * TASK_WIDTH
-        task_state = buf[at + T_STATE]
-        if task_state == RUNNING and t not in currents:
-            return f"running task {t} is not current on any core"
-        if task_state == TERMINATED and (buf[at + T_IN_QUEUE] or t in currents):
-            return f"terminal task {t} is queued or current"
-    decided = [t for t in buf[cores + C_DECISION:end:CORE_WIDTH] if t >= 0]
-    decisions = len(decided) + sum(
-        1 for ipi in buf[cores + C_PENDING_IPI:end:CORE_WIDTH] if ipi >= 0
-    )
-    if decisions > 1:
+    if late is not None:
+        return late
+    outstanding += len(decided)
+    if outstanding > 1:
         return "more than one preemption decision outstanding"
-    handling = any(p >= 0 for p in buf[cores + C_IPI_PHASE:end:CORE_WIDTH])
-    if (buf[IN_FLIGHT] == 1) != (decisions > 0 or handling):
+    if (buf[IN_FLIGHT] == 1) != (outstanding > 0 or handling):
         return "preempt_in_flight flag out of sync"
     if decided and not layout.heavy[decided[0]]:
         return f"light task {decided[0]} observed by a preemption decision"
     return None
+
+
+def oracle_settle(state: KernelState) -> tuple:
+    if state.violation is not None:
+        return VERDICT_MONITOR, "", ()
+    if (failure := oracle_check_invariants(state)) is not None:
+        return VERDICT_ASSERTION, failure, ()
+    options = tuple(oracle_enabled(state))
+    if not options and not all_tasks_terminal(state):
+        return VERDICT_DEADLOCK, "no step enabled, tasks not terminal", options
+    return None, "", options
 
 
 # The message of each check, without its numbers, in check order.
@@ -157,12 +175,15 @@ def outcome(fn, state: KernelState) -> tuple:
         return "raises", type(exc).__name__, str(exc)
 
 
-def assert_same(state: KernelState) -> str | None:
-    """Both forms of both functions agree on `state`; returns the failure."""
-    failure = outcome(check_invariants, state)
-    assert failure == outcome(oracle_check_invariants, state), list(state.buf)
+def assert_same(state: KernelState) -> tuple:
+    """`_settle` and its views `check_invariants` and `enabled` agree with
+    the oracle on `state`; returns the oracle's settle outcome."""
+    expected = outcome(oracle_settle, state)
+    assert outcome(_settle, state) == expected, list(state.buf)
+    assert (outcome(check_invariants, state)
+            == outcome(oracle_check_invariants, state)), list(state.buf)
     assert outcome(enabled, state) == outcome(oracle_enabled, state), list(state.buf)
-    return failure[1] if failure[0] == "returns" else None
+    return expected
 
 
 # -- the states -----------------------------------------------------------
@@ -202,12 +223,15 @@ def settled_states(config: KernelConfig, monkeypatch) -> list[KernelState]:
 
 
 def walk_states(config: KernelConfig, seed: int) -> list[KernelState]:
-    """The states of one seeded walk, as `random_walk` steps them."""
+    """The states of one seeded walk, as `random_walk` steps them, each with
+    the monitor violation of the step that reached it."""
     rng = random.Random(seed)
     state = initial_state(config)
     out = []
     while True:
-        out.append(KernelState(config, state.layout, state.buf[:]))
+        copy = KernelState(config, state.layout, state.buf[:])
+        copy.violation = state.violation
+        out.append(copy)
         verdict, _, options = _settle(state)
         if verdict is not None or not options:
             return out
@@ -236,8 +260,8 @@ def walked() -> list[KernelState]:
 
 def test_every_walk_state_agrees(walked):
     assert len(walked) > 2000
-    failures = {assert_same(state) for state in walked}
-    assert failures == {None}
+    verdicts = {assert_same(state)[1][0] for state in walked}
+    assert verdicts == {None, VERDICT_MONITOR}
 
 
 def domains(config: KernelConfig) -> dict[int, range]:
@@ -272,9 +296,11 @@ def test_single_cell_mutations_agree_and_reach_every_message(walked):
                     continue
                 mutant = KernelState(state.config, state.layout, state.buf[:])
                 mutant.buf[at] = value
-                failure = assert_same(mutant)
+                answer = assert_same(mutant)
                 mutants += 1
-                if failure is not None:
-                    reached.add(next(m for m in MESSAGES if m in failure))
+                if answer[0] == "returns" and answer[1][0] == VERDICT_ASSERTION:
+                    reached.add(next(m for m in MESSAGES if m in answer[1][1]))
+                elif answer[0] == "returns" and answer[1][0] == VERDICT_DEADLOCK:
+                    reached.add(VERDICT_DEADLOCK)
     assert mutants > 10_000
-    assert reached == set(MESSAGES)
+    assert reached == {*MESSAGES, VERDICT_DEADLOCK}

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from cells import all_tasks_terminal
 from schedcheck import explorer
 from schedcheck.explorer import (
     VERDICT_ASSERTION,
@@ -68,7 +69,7 @@ def oracle(config: KernelConfig) -> tuple[dict[tuple, int], dict[tuple, int]]:
                     found = class_of(VERDICT_MONITOR, succ.violation, "")
                 elif (failure := check_invariants(succ)) is not None:
                     found = class_of(VERDICT_ASSERTION, None, failure)
-                elif not enabled(succ) and not succ.all_tasks_terminal():
+                elif not enabled(succ) and not all_tasks_terminal(succ):
                     found = class_of(VERDICT_DEADLOCK, None, "no step enabled, tasks not terminal")
                 else:
                     if new:

@@ -33,14 +33,15 @@ def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
     label, whether it is a self-loop), and the states whose steps all loop."""
     settle, roots = _settler(config), {}
 
-    def successors(buf, violation) -> list[tuple]:
-        verdict, _, options = settle(buf, violation)
+    def successors(buf, key, violation) -> list[tuple]:
+        verdict, _, options = settle(buf, key, violation)
         if verdict is not None:
             return []
         return [(step, *_transition(config, buf, step, roots)) for step in options]
 
     def push(buf, violation) -> None:
-        key, succs = bytes(buf), successors(buf, violation)
+        key = bytes(buf)
+        succs = successors(buf, key, violation)
         if succs and all(bytes(succ) == key for _, succ, _ in succs):
             stuck.append(key)
         on_stack.add(key)
