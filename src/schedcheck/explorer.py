@@ -281,8 +281,11 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     the primary core; a running task current, a terminal one neither queued
     nor current; at most one preemption decision or IPI outstanding, and
     the in-flight flag set exactly while one is or a core handles one; a
-    decision observing a heavy task. The steps are ordered: timer variants
-    first, then preempter, spawner, and workers ascending."""
+    decision observing a heavy task. Two more checks come last, for task
+    ids that no operation writes: a decision or a worker's current task
+    naming a task outside the plan fails an invariant rather than index
+    past the plan. The steps are ordered: timer variants first, then
+    preempter, spawner, and workers ascending."""
     buf, layout = state.buf, state.layout
     timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
     n, tasks, cores, heavy = layout.task_count, layout.tasks, layout.cores, layout.heavy
@@ -299,7 +302,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     target = observed = None
     if (task := buf[cores + C_DECISION]) >= 0:
         outstanding, target, observed = outstanding + 1, cores, task
-    candidates, workers, at = 0, [], cores
+    candidates, workers, at, stray = 0, [], cores, None
     for step in worker_steps:
         at += CORE_WIDTH
         ipi = buf[at + C_PENDING_IPI] >= 0  # an IPI masks everything else
@@ -310,7 +313,10 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
             outstanding += 1
             if target is None:
                 target, observed = at, task
-        if (task := buf[at + C_CURRENT]) >= 0:
+        if (task := buf[at + C_CURRENT]) >= n:  # outside the plan: no record
+            currents.append(task)
+            stray = stray or task
+        elif task >= 0:
             currents.append(task)
             record = tasks + task * TASK_WIDTH
             if (task_state := buf[record + T_STATE]) == RUNNING:
@@ -355,8 +361,12 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
             failure = "more than one preemption decision outstanding"
         elif (buf[IN_FLIGHT] == 1) != (outstanding > 0 or handling):
             failure = "preempt_in_flight flag out of sync"
+        elif target is not None and observed >= n:
+            failure = f"task {observed} outside the plan observed by a preemption decision"
         elif target is not None and not heavy[observed]:
             failure = f"light task {observed} observed by a preemption decision"
+        elif stray is not None:
+            failure = f"task {stray} outside the plan is current on a core"
     steps = list(timer_steps[:n - buf[tasks + T_TIMER:cores:TASK_WIDTH].count(0)])
     if not buf[IN_FLIGHT]:
         steps += preempt_steps[:candidates]

@@ -11,7 +11,8 @@ invariants, then the steps and the deadlock test). Every state that
 state of 40 seeded walks of the benchmark's walk configuration, and every
 in-domain single-cell mutation of a sample of those must get the same
 answer from all three, raised exceptions included, and the mutations must
-reach every invariant message and a deadlock."""
+reach every invariant message and a deadlock. Task ids past the plan,
+outside that domain, must give an invariant failure, never an exception."""
 
 from __future__ import annotations
 
@@ -186,6 +187,17 @@ def assert_same(state: KernelState) -> tuple:
     return expected
 
 
+def assert_variants_index_the_lists(state: KernelState) -> None:
+    """The timer and preempter variants that settling hands out are the
+    indices `_run` looks up in `fireable_timers()` and
+    `preempt_candidates()`, so there are as many as those lists hold."""
+    kinds = [kind for kind, _, _ in enabled(state)]
+    assert kinds.count("PrimaryTimer") == len(state.fireable_timers()), list(state.buf)
+    if not state.buf[IN_FLIGHT]:
+        assert (kinds.count("PrimaryPreempter")
+                == len(state.preempt_candidates())), list(state.buf)
+
+
 # -- the states -----------------------------------------------------------
 
 COMBOS = [
@@ -248,6 +260,7 @@ def test_every_settled_state_of_every_combo_agrees(plan, monkeypatch):
                               fix_preempt_need_sched=fix_preempt)
         for state in settled_states(config, monkeypatch):
             assert_same(state)
+            assert_variants_index_the_lists(state)
             count += 1
     assert count > 32 * 100
 
@@ -262,6 +275,11 @@ def test_every_walk_state_agrees(walked):
     assert len(walked) > 2000
     verdicts = {assert_same(state)[1][0] for state in walked}
     assert verdicts == {None, VERDICT_MONITOR}
+    # A walk ends at a monitor violation, but its last state must still
+    # satisfy the invariants, which `_settle` skips on a monitor verdict.
+    assert {outcome(check_invariants, state) for state in walked} == {("returns", None)}
+    for state in walked:
+        assert_variants_index_the_lists(state)
 
 
 def domains(config: KernelConfig) -> dict[int, range]:
@@ -304,3 +322,32 @@ def test_single_cell_mutations_agree_and_reach_every_message(walked):
                     reached.add(VERDICT_DEADLOCK)
     assert mutants > 10_000
     assert reached == {*MESSAGES, VERDICT_DEADLOCK}
+
+
+def test_task_ids_outside_the_plan_fail_an_invariant(walked):
+    """A worker's current task or a decision naming a task past the plan,
+    which no operation writes, gives an invariant failure and never an
+    exception: the oracle's failure where it has one, else a last check of
+    its own."""
+    sample = random.Random(20).sample(walked, 60)
+    checked = set()
+    for state in sample:
+        n, cores = state.layout.task_count, state.layout.cores
+        for core in range(state.layout.core_count):
+            at = cores + core * CORE_WIDTH
+            cells = [(C_DECISION, "observed by a preemption decision")]
+            if core:  # the primary core's current task fails its own check
+                cells.append((C_CURRENT, "is current on a core"))
+            for field, message in cells:
+                for value in (n, n + 1):
+                    mutant = KernelState(state.config, state.layout, state.buf[:])
+                    mutant.buf[at + field] = value
+                    expected = outcome(oracle_check_invariants, mutant)
+                    verdict, detail, options = _settle(mutant)
+                    assert verdict == VERDICT_ASSERTION and options == (), list(mutant.buf)
+                    if expected[0] == "returns" and expected[1] is not None:
+                        assert detail == expected[1], list(mutant.buf)
+                    else:
+                        assert detail == f"task {value} outside the plan {message}"
+                        checked.add(field)
+    assert checked == {C_CURRENT, C_DECISION}
