@@ -186,7 +186,7 @@ def _run(state: KernelState, choice: ScheduleStep) -> None:
     else:
         # an IPI masks everything else; then a core polls its task, if any
         buf, at = state.buf, state.layout.cores + core * CORE_WIDTH
-        if buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
+        if buf[at + C_PENDING_IPI] != -1 or buf[at + C_IPI_PHASE] >= 0:
             state.handle_ipi_step(core)
         elif buf[at + C_CURRENT] >= 0:
             state.poll_step(core)
@@ -297,7 +297,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     # is the first core with a decision, which observed task `observed`.
     primary = buf[cores + C_CURRENT]
     currents = [primary] if primary >= 0 else []
-    outstanding = buf[cores + C_PENDING_IPI] >= 0
+    outstanding = buf[cores + C_PENDING_IPI] != -1
     handling = buf[cores + C_IPI_PHASE] >= 0
     target = observed = None
     if (task := buf[cores + C_DECISION]) >= 0:
@@ -305,7 +305,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     candidates, workers, at, stray = 0, [], cores, None
     for step in worker_steps:
         at += CORE_WIDTH
-        ipi = buf[at + C_PENDING_IPI] >= 0  # an IPI masks everything else
+        ipi = buf[at + C_PENDING_IPI] != -1  # an IPI masks everything else
         outstanding += ipi
         if buf[at + C_IPI_PHASE] >= 0:
             ipi = handling = True
@@ -370,7 +370,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     steps = list(timer_steps[:n - buf[tasks + T_TIMER:cores:TASK_WIDTH].count(0)])
     if not buf[IN_FLIGHT]:
         steps += preempt_steps[:candidates]
-    elif target is not None and buf[target + C_PENDING_IPI] < 0:
+    elif target is not None and buf[target + C_PENDING_IPI] == -1:
         steps.append(preempt_steps[0])
     # The plan always finishes spawning: enabled while something runs
     # (any running task may spawn) and again once everything spawned so

@@ -135,9 +135,12 @@ IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
 C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(5)
 
 # Codes of task states, and the phases of a core's preemption handler, as
-# the array stores them.
+# the array stores them. C_PENDING_IPI is a flag: PENDING from send_ipi
+# until receipt, else -1. No step reads the task the decision observed
+# once the IPI is sent, so the flag does not keep it.
 RUNNABLE, RUNNING, WAITING, PREEMPTED, TERMINATED = (s.code for s in TaskState)
 CTX_SAVED, STATED, ENQUEUED = range(3)
+PENDING = -2
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
 # a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
@@ -351,7 +354,7 @@ class KernelState:
         buf = self.buf
         if buf[core + C_CURRENT] >= 0:
             raise UsageError(f"core {core_id} already runs task {buf[core + C_CURRENT]}")
-        assert buf[core + C_PENDING_IPI] < 0, "fetch with an IPI pending"
+        assert buf[core + C_PENDING_IPI] == -1, "fetch with an IPI pending"
         task = self._dequeue()
         at = self.layout.tasks + task * TASK_WIDTH
         if buf[at + T_STATE] == RUNNING and "skip-running-check" not in self.config.faults:
@@ -483,10 +486,10 @@ class KernelState:
         target, observed = decision
         buf = self.buf
         core = self.layout.cores + target * CORE_WIDTH
-        if buf[core + C_PENDING_IPI] >= 0:
+        if buf[core + C_PENDING_IPI] != -1:
             raise UsageError(f"core {target} already has a pending IPI")
         self.begin_step(f"send IPI to core {target} (observed task {observed})")
-        buf[core + C_PENDING_IPI] = observed
+        buf[core + C_PENDING_IPI] = PENDING
         buf[core + C_DECISION] = -1
 
     def handle_ipi_step(self, core_id: int) -> None:
@@ -504,7 +507,7 @@ class KernelState:
         task = buf[core + C_CURRENT]
         phase = buf[core + C_IPI_PHASE]
         if phase < 0:
-            if buf[core + C_PENDING_IPI] < 0:
+            if buf[core + C_PENDING_IPI] == -1:
                 raise UsageError(f"core {core_id} has no pending IPI")
             buf[core + C_PENDING_IPI] = -1
             if task < 0:

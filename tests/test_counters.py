@@ -24,20 +24,20 @@ L = TaskKind.LIGHT
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
     ("H,L,L", 2): (2116, 5968, 26, 1),
-    ("H,H", 2): (5842, 17448, 33, 1),
+    ("H,H", 2): (5668, 17012, 33, 1),
     ("H,L,L", 3): (3157, 10862, 26, 1),
-    ("H,H,L", 3): (41535, 164885, 38, 1),
+    ("H,H,L", 3): (40077, 159834, 38, 1),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
     ("H,L,L", 2): (4130, 11706, 26, 1),
-    ("H,H", 2): (11307, 33868, 33, 1),
+    ("H,H", 2): (10959, 32996, 33, 1),
     ("H,L,L", 3): (16215, 56273, 26, 1),
 }
 # Rungs with two preemptions per heavy task: complete and clean.
 TWO_PREEMPTIONS = {
     ("H,L,L", 2): (3807, 10882, 32, 1),
-    ("H,H", 2): (16842, 51432, 45, 1),
+    ("H,H", 2): (16256, 49949, 45, 1),
     ("H,L,L", 3): (5703, 19951, 32, 1),
 }
 

@@ -1,10 +1,16 @@
-"""A finished task's need_sched flag and its wait and preemption budgets are
-dead: `model.reset_dead_fields` zeroes them at Finish, so states that differ
-only in them share one buffer and one visited key. The reduction must keep
-what the unreduced search finds, which these tests get by patching the
-reset out: on all 32 fix/fault combos of H,L,L/2 and H,H/2, the same
-violation classes, (verdict, state, symbol) pairs, quiescent outcome and
-trace length per class, and every trace replays."""
+"""Dead values that the model does not keep, so that states differing only in
+them share one buffer and one visited key.
+
+A finished task's need_sched flag and its wait and preemption budgets are
+dead: `model.reset_dead_fields` zeroes them at Finish. So is the task a
+preemption decision observed, once its IPI is sent: `send_ipi` stores only
+the PENDING flag in the core's `C_PENDING_IPI` cell. Each reduction must
+keep what the unreduced search finds, which these tests get by patching
+it out: the same violation classes, (verdict, state, symbol) pairs,
+quiescent outcome and trace length per class, and every trace replays.
+The reset is checked on all 32 fix/fault combos of H,L,L/2 and H,H/2, the
+flag on those of H,H/2 (with one heavy task, the observed task is always
+task 0, so the flag changes nothing on H,L,L/2)."""
 
 from __future__ import annotations
 
@@ -12,17 +18,20 @@ import itertools
 
 import pytest
 
-from cells import task_cell
+from cells import core_cell, task_cell
 from schedcheck import model
 from schedcheck.explorer import Limits, explore, replay, violation_class
 from schedcheck.model import (
+    C_PENDING_IPI,
     FAULTS,
     T_NEED_SCHED,
     T_PREEMPTIONS,
     T_STATE,
     T_WAITS,
     TERMINATED,
+    PENDING,
     KernelConfig,
+    KernelState,
     TaskKind,
     initial_state,
     snapshot,
@@ -92,6 +101,30 @@ def outcome(config: KernelConfig) -> tuple:
     return classes, report.quiescent_ok > 0, report
 
 
+def config_for(plan: str, fix_wait: bool, fix_preempt: bool, faults) -> KernelConfig:
+    tasks, workers = PLANS[plan]
+    return KernelConfig(worker_count=workers, task_plan=tasks,
+                        fix_wait_need_sched=fix_wait, fix_preempt_need_sched=fix_preempt,
+                        faults=frozenset(faults))
+
+
+def assert_keeps_the_unreduced_verdicts(config: KernelConfig, patch, name, value) -> tuple:
+    """The reduced search finds what the search with the attribute `name`
+    patched to `value` finds, in no more states, and the unreduced search's
+    traces also replay under the reduced model. Returns both state counts."""
+    *reduced, reduced_report = outcome(config)
+    with patch.context() as unreduced:
+        unreduced.setattr(*name, value)
+        *full, full_report = outcome(config)
+    assert reduced == full
+    assert reduced_report.states_visited <= full_report.states_visited
+    for trace in full_report.violations:
+        again = replay(config, trace.steps)
+        assert violation_class(again.verdict, again.monitor_error, again.detail) == \
+            violation_class(trace.verdict, trace.monitor_error, trace.detail)
+    return reduced_report.states_visited, full_report.states_visited
+
+
 def case_id(case) -> str:
     plan, (fix_wait, fix_preempt, faults) = case
     return (f"{plan}-{'W' if fix_wait else 'w'}{'P' if fix_preempt else 'p'}"
@@ -100,19 +133,36 @@ def case_id(case) -> str:
 
 @pytest.mark.parametrize("case", list(itertools.product(PLANS, COMBOS)), ids=case_id)
 def test_reset_keeps_the_unreduced_verdicts(case, monkeypatch):
-    plan, (fix_wait, fix_preempt, faults) = case
-    tasks, workers = PLANS[plan]
-    config = KernelConfig(worker_count=workers, task_plan=tasks,
-                          fix_wait_need_sched=fix_wait, fix_preempt_need_sched=fix_preempt,
-                          faults=frozenset(faults))
-    *reduced, reduced_report = outcome(config)
-    with monkeypatch.context() as patch:
-        patch.setattr(model, "reset_dead_fields", lambda buf, at: None)
-        *full, full_report = outcome(config)
-    assert reduced == full
-    assert reduced_report.states_visited <= full_report.states_visited
-    # the unreduced search's traces also replay under the reduced model
-    for trace in full_report.violations:
-        again = replay(config, trace.steps)
-        assert violation_class(again.verdict, again.monitor_error, again.detail) == \
-            violation_class(trace.verdict, trace.monitor_error, trace.detail)
+    plan, combo = case
+    assert_keeps_the_unreduced_verdicts(config_for(plan, *combo), monkeypatch,
+                                        (model, "reset_dead_fields"), lambda buf, at: None)
+
+
+def test_send_ipi_keeps_only_the_flag():
+    config = KernelConfig(worker_count=1, task_plan=(H,), max_waits_per_task=0)
+    state = initial_state(config)
+    state.get_next_task(1)
+    state.preempt_decide(1)
+    state.send_ipi()
+    assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == PENDING
+    assert state.decision is None
+
+
+send_ipi = KernelState.send_ipi
+
+
+def send_ipi_keeping_the_task(state: KernelState) -> None:
+    """`send_ipi` as it was before the flag: the core's cell keeps the task
+    the decision observed."""
+    target, observed = state.decision
+    send_ipi(state)
+    state.buf[core_cell(state, target, C_PENDING_IPI)] = observed
+
+
+@pytest.mark.parametrize("case", [("H,H/2", combo) for combo in COMBOS], ids=case_id)
+def test_ipi_flag_keeps_the_unreduced_verdicts(case, monkeypatch):
+    plan, combo = case
+    reduced, full = assert_keeps_the_unreduced_verdicts(
+        config_for(plan, *combo), monkeypatch, (KernelState, "send_ipi"),
+        send_ipi_keeping_the_task)
+    assert reduced < full  # with two heavy tasks, every combo merges some states

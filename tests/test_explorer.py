@@ -29,6 +29,7 @@ from schedcheck.model import (
     C_PENDING_IPI,
     FAULTS,
     IN_FLIGHT,
+    PENDING,
     PREEMPTED,
     QUEUE,
     QUEUE_LEN,
@@ -252,7 +253,7 @@ class TestExplore:
     @pytest.mark.parametrize("max_states,pinned", [
         (1, (1, 2, 0, True)),
         (100, (100, 291, 0, True)),
-        (1000, (1000, 3017, 0, True)),
+        (1000, (1000, 3019, 0, True)),
     ])
     def test_state_budget_counters_are_pinned(self, max_states, pinned):
         # (states, transitions, violations, incomplete) of H,H/2 under a
@@ -615,7 +616,7 @@ def _flag_in_flight(state):
 
 def _two_decisions(state):
     state.buf[core_cell(state, 1, C_DECISION)] = 0
-    state.buf[core_cell(state, 2, C_PENDING_IPI)] = 0
+    state.buf[core_cell(state, 2, C_PENDING_IPI)] = PENDING
     state.buf[IN_FLIGHT] = 1
 
 

@@ -151,13 +151,13 @@ GOLDEN = {
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
         "7a34507d12b50188180c38b5010650a1b284186c1f6f5b1b150a063e879d2e10",
     "explore H,H/2 wait=on preempt=on faults=none":
-        "584d88eda912df985bf2b8c34c9aa56c3f19d6d43902e03e01dea7ac5c33fe90",
+        "13d030c0df0ded1e0318996a2327f34a44a93cbe971e872a1bcb90637197a375",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state":
-        "2867718739b0bbd27d79396024242389eae154821ccc808bc2bf3c854e018594",
+        "09dfa0e6590b0f03bf2aca9523d62cee44fd64c49fcf426564cf4cad8eb62fe9",
     "explore H,H/2 wait=on preempt=on faults=skip-running-check":
-        "4778e027af101c7b26f173400ff82c3379cc2729c7e20182b9955a3fe150dc79",
+        "335871e95076d4e94536a33dd5a6615c294c7768423c1e4331544480b214ac40",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "bf9a4af66bae9e09e6d2186abe1b0f7b2fdd168117ca1d1b31e64945fb465f49",
+        "b27b70a338fd77a546dc0f6f42a5066cb6a83923cd1d937a6030e615bf517897",
     "walk seed=1":
         "cb23a102167b41997f6d7c866841b6c418a564ba16b4cd434ac7718fbd0cd4fb",
     "walk seed=2":

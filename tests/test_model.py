@@ -13,6 +13,7 @@ from schedcheck.model import (
     C_CURRENT,
     C_PENDING_IPI,
     IN_FLIGHT,
+    PENDING,
     PREEMPTED,
     RUNNABLE,
     RUNNING,
@@ -258,7 +259,7 @@ class TestGetNextTask:
     def test_a_core_with_an_ipi_pending_cannot_fetch(self):
         # an IPI masks a core's other steps, so a fetch under one is a bug
         state = initial_state(config())
-        state.buf[core_cell(state, 1, C_PENDING_IPI)] = 0
+        state.buf[core_cell(state, 1, C_PENDING_IPI)] = PENDING
         with pytest.raises(AssertionError, match="fetch with an IPI pending"):
             state.get_next_task(1)
 
@@ -404,7 +405,7 @@ class TestPreemption:
         state = self.make_running_heavy()
         state.preempt_decide(1)
         state.send_ipi()
-        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == 0
+        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == PENDING
         assert state.decision is None
 
     def test_send_without_decision_rejected(self):
@@ -419,7 +420,7 @@ class TestPreemption:
         state.poll_step(1)  # finish: observed task terminated
         assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
         state.send_ipi()
-        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == 0  # stale observation delivered
+        assert state.buf[core_cell(state, 1, C_PENDING_IPI)] == PENDING  # stale decision delivered
 
     def test_handle_cancels_on_idle_core(self):
         state = self.make_running_heavy()

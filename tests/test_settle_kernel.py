@@ -42,6 +42,7 @@ from schedcheck.model import (
     CORE_WIDTH,
     FAULTS,
     IN_FLIGHT,
+    PENDING,
     PREEMPTED,
     QUEUE,
     QUEUE_LEN,
@@ -84,14 +85,14 @@ def oracle_enabled(state: KernelState) -> list:
             if task_state == RUNNING and heavy[task]:
                 candidates += buf[record + T_PREEMPTIONS] > 0
             can_step = task_state == RUNNING or (task_state == PREEMPTED and resume)
-        if can_step or buf[at + C_PENDING_IPI] >= 0 or buf[at + C_IPI_PHASE] >= 0:
+        if can_step or buf[at + C_PENDING_IPI] != -1 or buf[at + C_IPI_PHASE] >= 0:
             workers.append(step)
     timers = buf[tasks + T_TIMER:cores:TASK_WIDTH]
     steps = list(timer_steps[:len(timers) - timers.count(0)])
     if not buf[IN_FLIGHT]:
         steps += preempt_steps[:candidates]
     elif (decision := state.decision) is not None:
-        if buf[cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] < 0:
+        if buf[cores + decision[0] * CORE_WIDTH + C_PENDING_IPI] == -1:
             steps.append(preempt_steps[0])
     spawned = buf[SPAWN_CURSOR]
     if spawned < layout.task_count:
@@ -116,7 +117,7 @@ def oracle_check_invariants(state: KernelState) -> str | None:
             currents.append(task)
         if (task := buf[at + C_DECISION]) >= 0:
             decided.append(task)
-        outstanding += buf[at + C_PENDING_IPI] >= 0
+        outstanding += buf[at + C_PENDING_IPI] != -1
         handling = handling or buf[at + C_IPI_PHASE] >= 0
     late, at = None, tasks
     for t in range(buf[SPAWN_CURSOR]):
@@ -285,8 +286,8 @@ def test_every_walk_state_agrees(walked):
 def domains(config: KernelConfig) -> dict[int, range]:
     """Per cell that settling reads, the values of its field's domain:
     flags 0 or 1, task ids (-1 for none), state codes, budgets down to an
-    overrun of -1, handler phases (-1 for none), the cursor and the queue
-    length up to one past capacity."""
+    overrun of -1, the pending-IPI flag and handler phases (-1 for none),
+    the cursor and the queue length up to one past capacity."""
     layout = layout_for(config)
     n = layout.task_count
     ids, flags = range(-1, n), range(2)
@@ -297,7 +298,7 @@ def domains(config: KernelConfig) -> dict[int, range]:
         out.update({at + T_STATE: range(5), at + T_IN_QUEUE: flags, at + T_WAITS: budget,
                     at + T_PREEMPTIONS: budget, at + T_TIMER: flags})
     for at in range(layout.cores, layout.monitors, CORE_WIDTH):
-        out.update({at + C_CURRENT: ids, at + C_PENDING_IPI: ids, at + C_IPI_PHASE: range(-1, 3),
+        out.update({at + C_CURRENT: ids, at + C_PENDING_IPI: (-1, PENDING), at + C_IPI_PHASE: range(-1, 3),
                     at + C_DECISION: ids})
     assert sorted(out) == sorted(layout.settle_offsets)
     return out
