@@ -186,7 +186,7 @@ def _run(state: KernelState, choice: ScheduleStep) -> None:
     else:
         # an IPI masks everything else; then a core polls its task, if any
         buf, at = state.buf, state.layout.cores + core * CORE_WIDTH
-        if buf[at + C_PENDING_IPI] != -1 or buf[at + C_IPI_PHASE] >= 0:
+        if buf[at + C_PENDING_IPI] != -1 or buf[at + C_IPI_PHASE] != -1:
             state.handle_ipi_step(core)
         elif buf[at + C_CURRENT] >= 0:
             state.poll_step(core)
@@ -298,7 +298,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     primary = buf[cores + C_CURRENT]
     currents = [primary] if primary >= 0 else []
     outstanding = buf[cores + C_PENDING_IPI] != -1
-    handling = buf[cores + C_IPI_PHASE] >= 0
+    handling = buf[cores + C_IPI_PHASE] != -1
     target = observed = None
     if (task := buf[cores + C_DECISION]) >= 0:
         outstanding, target, observed = outstanding + 1, cores, task
@@ -307,7 +307,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
         at += CORE_WIDTH
         ipi = buf[at + C_PENDING_IPI] != -1  # an IPI masks everything else
         outstanding += ipi
-        if buf[at + C_IPI_PHASE] >= 0:
+        if buf[at + C_IPI_PHASE] != -1:
             ipi = handling = True
         if (task := buf[at + C_DECISION]) >= 0:
             outstanding += 1

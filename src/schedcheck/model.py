@@ -117,30 +117,36 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 #
 # The whole value of a KernelState is one array of small signed ints, laid
 # out by a Layout computed once per config; -1 stands for "none" (no task,
-# saved pc, phase or decision). Only the step bookkeeping is kept beside
-# the array, so copying the array copies the state and its bytes are the
-# state's visited-set key.
+# saved pc, IPI, phase or decision). Only the step bookkeeping is kept
+# beside the array, so copying the array copies the state and its bytes are
+# the state's visited-set key.
 
 # Global fields, then the run queue: its length, then its task ids.
 IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
 # Fields of a task record. The first five are the ones settling a state
 # reads (see Layout.settle_offsets), so they lie in one run of cells. T_TIMER
-# flags the task's pending timer entry. T_SAVED_PC and T_SAVED_MID_WAIT hold
-# the context a preemption saved (-1: none), apart from T_PC and
-# T_PENDING_WAIT because a resume rolls those back to the saved values.
-(T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER, T_NEED_SCHED, T_SAVED_PC,
- T_SAVED_MID_WAIT, T_PC, T_PENDING_WAIT, TASK_WIDTH) = range(11)
+# flags the task's pending timer entry. T_MONITOR is the code of the task's
+# monitor state (0 before the task registers). T_SAVED_PC and
+# T_SAVED_MID_WAIT hold the context a preemption saved (-1: none), apart
+# from T_PC and T_PENDING_WAIT because a resume rolls those back to the
+# saved values. A record holds no task id, so it moves whole when tasks
+# are renamed (symmetric_key).
+(T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER, T_MONITOR, T_NEED_SCHED,
+ T_SAVED_PC, T_SAVED_MID_WAIT, T_PC, T_PENDING_WAIT, TASK_WIDTH) = range(12)
 # Fields of a core record; C_DECISION is the task observed by a preemption
 # decision aimed at the core. No field names a core.
 C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(5)
 
-# Codes of task states, and the phases of a core's preemption handler, as
-# the array stores them. C_PENDING_IPI is a flag: PENDING from send_ipi
-# until receipt, else -1. No step reads the task the decision observed
-# once the IPI is sent, so the flag does not keep it.
+# Codes of task states, and of the core cells that hold no task id, as the
+# array stores them. The latter are negative, with -1 for none, so that no
+# core cell but C_CURRENT and C_DECISION holds a value in the range of
+# task ids. C_PENDING_IPI is a flag: PENDING from send_ipi until receipt.
+# No step reads the task the decision observed once the IPI is sent, so
+# the flag does not keep it. C_IPI_PHASE is the phase of the core's
+# preemption handler.
 RUNNABLE, RUNNING, WAITING, PREEMPTED, TERMINATED = (s.code for s in TaskState)
-CTX_SAVED, STATED, ENQUEUED = range(3)
 PENDING = -2
+CTX_SAVED, STATED, ENQUEUED = -2, -3, -4
 
 # Array typecodes by the largest value they hold. None is wider than 2 bytes:
 # a heavy script holds 2 + 2 x max_waits actions, so a wider bound would
@@ -174,21 +180,18 @@ class Layout:
         self.scripts = tuple(script_for(k, config) for k in config.task_plan)
         self.tasks = QUEUE + n
         self.cores = self.tasks + n * TASK_WIDTH
-        self.monitors = self.cores + self.core_count * CORE_WIDTH
-        boot = array(typecode, [0]) * (self.monitors + n)
+        end = self.cores + self.core_count * CORE_WIDTH
+        boot = array(typecode, [0]) * end
         boot[self.tasks + T_SAVED_PC:self.cores:TASK_WIDTH] = array(typecode, [-1]) * n
-        for field in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION):
-            boot[self.cores + field:self.monitors:CORE_WIDTH] = (
-                array(typecode, [-1]) * self.core_count)
+        boot[self.cores:] = array(typecode, [-1]) * (end - self.cores)
         self.boot = boot
-        # The cells that explorer._settle reads: all but need_sched, the saved
-        # context, pc, the pending wait and the monitors.
+        # The cells that explorer._settle reads: all but the monitors,
+        # need_sched, the saved context, pc and the pending wait.
         self.settle_offsets = (
             *range(self.tasks),  # the global fields and the run queue
             *(at + f for at in range(self.tasks, self.cores, TASK_WIDTH)
               for f in (T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER)),
-            *(at + f for at in range(self.cores, self.monitors, CORE_WIDTH)
-              for f in (C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION)),
+            *range(self.cores, end),
         )
         # The settle memo's cut of a state's bytes: one slice per run of
         # consecutive settle offsets (the globals with task 0's first five
@@ -201,10 +204,10 @@ class Layout:
             else:
                 runs.append([at, at + 1])
         self.settle_cut = itemgetter(*(slice(a * size, b * size) for a, b in runs))
-        # symmetric_key's cut of a state's bytes into the head, the records
-        # of workers 1..w and the tail.
+        # symmetric_key's cut of a state's bytes into the head, up to the
+        # primary core's record, and the records of workers 1..w.
         record = CORE_WIDTH * size
-        cuts = (0, *range(self.cores * size + record, self.monitors * size + 1, record), None)
+        cuts = (0, *range(self.cores * size + record, end * size + 1, record))
         self.worker_cut = itemgetter(*map(slice, cuts, cuts[1:]))
 
 
@@ -230,7 +233,8 @@ class KernelState:
         self.config = config
         self.layout = layout
         self.buf = buf
-        self.monitors = MonitorRegistry(default_table(), buf, layout.monitors)
+        self.monitors = MonitorRegistry(
+            default_table(), buf, layout.tasks + T_MONITOR, TASK_WIDTH)
         self.violation: MonitorViolation | None = None
         self.step_label = ""
         self.step_lines: list[str] = []
@@ -249,7 +253,7 @@ class KernelState:
     def decision(self) -> tuple[int, int] | None:
         """(target core, observed task) of the recorded preemption decision."""
         at = self.layout.cores + C_DECISION
-        for core, task in enumerate(self.buf[at:self.layout.monitors:CORE_WIDTH]):
+        for core, task in enumerate(self.buf[at::CORE_WIDTH]):
             if task >= 0:
                 return core, task
         return None
@@ -506,7 +510,7 @@ class KernelState:
         buf, config = self.buf, self.config
         task = buf[core + C_CURRENT]
         phase = buf[core + C_IPI_PHASE]
-        if phase < 0:
+        if phase == -1:
             if buf[core + C_PENDING_IPI] == -1:
                 raise UsageError(f"core {core_id} has no pending IPI")
             buf[core + C_PENDING_IPI] = -1
@@ -613,8 +617,8 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
     invariant and deadlock predicates name no fixed worker. A failure's
     detail names the ids of the real state on the trace.
     """
-    head, *records, tail = layout.worker_cut(raw)
+    head, *records = layout.worker_cut(raw)
     ordered = sorted(records)
     if ordered == records:
         return raw
-    return b"".join((head, *ordered, tail))
+    return b"".join((head, *ordered))

@@ -166,28 +166,30 @@ def default_table() -> TransitionTable:
 
 class MonitorRegistry:
     """task id -> current monitor state, as one code per task in a kernel
-    state's buffer `buf` from `base` on (code 0: not registered)."""
+    state's buffer `buf`, task t's at `base + t * stride` (code 0: not
+    registered)."""
 
-    __slots__ = ("table", "buf", "base")
+    __slots__ = ("table", "buf", "base", "stride")
 
-    def __init__(self, table: TransitionTable, buf: array, base: int) -> None:
+    def __init__(self, table: TransitionTable, buf: array, base: int, stride: int = 1) -> None:
         self.table = table
         self.buf = buf
         self.base = base
+        self.stride = stride
 
     def register(self, task: int) -> None:
-        at = self.base + task
+        at = self.base + task * self.stride
         if self.buf[at]:
             raise ValueError(f"task {task} already registered")
         self.buf[at] = STATE_CODES[INIT]
 
     def current(self, task: int) -> MonitorState | None:
         """The task's monitor state; None before it is registered."""
-        return STATES[self.buf[self.base + task]]
+        return STATES[self.buf[self.base + task * self.stride]]
 
     def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, str]:
         """Feed one event; return (violation-or-None, formatted line)."""
-        at = self.base + task
+        at = self.base + task * self.stride
         src = self.buf[at]
         if not src:
             raise KeyError(task)

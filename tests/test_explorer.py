@@ -548,7 +548,7 @@ class TestReachableStateProperties:
             # briefly holds a saved context while still Running; the
             # equivalence is claimed only once the handler has finished
             cores = range(state.layout.core_count)
-            if any(state.buf[core_cell(state, c, C_IPI_PHASE)] >= 0 for c in cores):
+            if any(state.buf[core_cell(state, c, C_IPI_PHASE)] != -1 for c in cores):
                 return
             for t in range(state.buf[SPAWN_CURSOR]):
                 task_state = state.buf[task_cell(state, t, T_STATE)]

@@ -40,6 +40,8 @@ from schedcheck.model import (
     C_IPI_PHASE,
     C_PENDING_IPI,
     CORE_WIDTH,
+    CTX_SAVED,
+    ENQUEUED,
     FAULTS,
     IN_FLIGHT,
     PENDING,
@@ -48,6 +50,7 @@ from schedcheck.model import (
     QUEUE_LEN,
     RUNNING,
     SPAWN_CURSOR,
+    STATED,
     T_IN_QUEUE,
     T_PREEMPTIONS,
     T_STATE,
@@ -85,7 +88,7 @@ def oracle_enabled(state: KernelState) -> list:
             if task_state == RUNNING and heavy[task]:
                 candidates += buf[record + T_PREEMPTIONS] > 0
             can_step = task_state == RUNNING or (task_state == PREEMPTED and resume)
-        if can_step or buf[at + C_PENDING_IPI] != -1 or buf[at + C_IPI_PHASE] >= 0:
+        if can_step or buf[at + C_PENDING_IPI] != -1 or buf[at + C_IPI_PHASE] != -1:
             workers.append(step)
     timers = buf[tasks + T_TIMER:cores:TASK_WIDTH]
     steps = list(timer_steps[:len(timers) - timers.count(0)])
@@ -105,7 +108,7 @@ def oracle_enabled(state: KernelState) -> list:
 
 def oracle_check_invariants(state: KernelState) -> str | None:
     buf, layout = state.buf, state.layout
-    tasks, cores, end = layout.tasks, layout.cores, layout.monitors
+    tasks, cores, end = layout.tasks, layout.cores, len(buf)
     if buf[QUEUE_LEN] > layout.task_count:
         return f"run queue over capacity: {buf[QUEUE_LEN]} entries for {layout.task_count} tasks"
     queue = tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]])
@@ -118,7 +121,7 @@ def oracle_check_invariants(state: KernelState) -> str | None:
         if (task := buf[at + C_DECISION]) >= 0:
             decided.append(task)
         outstanding += buf[at + C_PENDING_IPI] != -1
-        handling = handling or buf[at + C_IPI_PHASE] >= 0
+        handling = handling or buf[at + C_IPI_PHASE] != -1
     late, at = None, tasks
     for t in range(buf[SPAWN_CURSOR]):
         in_queue = buf[at + T_IN_QUEUE]
@@ -297,8 +300,8 @@ def domains(config: KernelConfig) -> dict[int, range]:
     for at in range(layout.tasks, layout.cores, TASK_WIDTH):
         out.update({at + T_STATE: range(5), at + T_IN_QUEUE: flags, at + T_WAITS: budget,
                     at + T_PREEMPTIONS: budget, at + T_TIMER: flags})
-    for at in range(layout.cores, layout.monitors, CORE_WIDTH):
-        out.update({at + C_CURRENT: ids, at + C_PENDING_IPI: (-1, PENDING), at + C_IPI_PHASE: range(-1, 3),
+    for at in range(layout.cores, len(layout.boot), CORE_WIDTH):
+        out.update({at + C_CURRENT: ids, at + C_PENDING_IPI: (-1, PENDING), at + C_IPI_PHASE: (-1, CTX_SAVED, STATED, ENQUEUED),
                     at + C_DECISION: ids})
     assert sorted(out) == sorted(layout.settle_offsets)
     return out
