@@ -466,12 +466,18 @@ def _trace(
     )
 
 
-def violation_class(verdict: str, violation: MonitorViolation | None, detail: str) -> tuple:
+def violation_class(
+    config: KernelConfig, verdict: str, violation: MonitorViolation | None, detail: str,
+) -> tuple:
     """What `explore` records one trace of: a monitor violation's verdict,
-    task, monitor state and symbol; any other verdict with its detail, its
-    numbers masked, so that the same failure on other ids is one class."""
+    the kind of its task (`H` or `L`), monitor state and symbol; any other
+    verdict with its detail, its numbers masked. So the same failure on
+    other ids is one class, as it must be: `explore` keeps one state of
+    those that differ by a renaming of same-kind tasks, and a task id does
+    not survive the renaming."""
     if violation is not None:
-        return verdict, violation.task, violation.current_state, violation.symbol
+        return (verdict, config.task_plan[violation.task].value, violation.current_state,
+                violation.symbol)
     return verdict, re.sub(r"\d+", "#", detail)
 
 
@@ -530,7 +536,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         """Settle a newly visited state; True when the search must stop."""
         verdict, detail, options = settle(buf, raw, violation)
         if verdict is not None:
-            kind = violation_class(verdict, violation, detail)
+            kind = violation_class(config, verdict, violation, detail)
             if kind in counts:
                 counts[kind] += 1
                 return False
@@ -616,7 +622,7 @@ def _trace_to(
             if symmetric_key(raw := bytes(succ), layout) != want:
                 continue
             verdict, detail, succ_options = settle(succ, raw, leaf[2])
-            if (verdict and violation_class(verdict, leaf[2], detail)) == goal:
+            if (verdict and violation_class(config, verdict, leaf[2], detail)) == goal:
                 break
         else:
             raise AssertionError(f"no step reaches the state at depth {depth} of its chain")

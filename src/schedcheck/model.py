@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from operator import itemgetter
+from operator import ge, itemgetter
 
 from .monitor import (
     STATES,
@@ -209,6 +209,29 @@ class Layout:
         record = CORE_WIDTH * size
         cuts = (0, *range(self.cores * size + record, end * size + 1, record))
         self.worker_cut = itemgetter(*map(slice, cuts, cuts[1:]))
+        # symmetric_key's renaming of the spawned tasks of each kind, in 'b'
+        # layouts only, where a byte is a cell, so a byte `translate` renames
+        # task ids. Per spawn cursor, `renames` holds None when no kind has
+        # two spawned tasks, else (pairs, groups, renamings): `groups` holds
+        # the ids of each kind with two or more spawned tasks, `pairs(raw)`
+        # the records of each two neighbours in a group, one pair after
+        # another, and `renamings` caches `_renaming` by the groups' new order.
+        self.renames = None
+        if typecode == "b":
+            self.record_slices = tuple(slice(at, at + TASK_WIDTH)
+                                       for at in range(self.tasks, self.cores, TASK_WIDTH))
+            self.record_cut = itemgetter(*self.record_slices)
+            self.core_cut = itemgetter(*(slice(at, at + CORE_WIDTH)
+                                         for at in range(self.cores, end, CORE_WIDTH)))
+            renames = []
+            for spawned in range(n + 1):
+                groups = tuple(ids for kind in (True, False)
+                               if len(ids := tuple(t for t in range(spawned)
+                                                   if self.heavy[t] is kind)) > 1)
+                pairs = [self.record_slices[t] for ids in groups
+                         for k in range(len(ids) - 1) for t in ids[k:k + 2]]
+                renames.append(groups and (itemgetter(*pairs), groups, {}) or None)
+            self.renames = tuple(renames)
 
 
 @cache
@@ -604,10 +627,71 @@ def snapshot(state: KernelState) -> bytes:
 
 
 def symmetric_key(raw: bytes, layout: Layout) -> bytes:
-    """Visited-set key of `explore` for a state's bytes `raw`: `raw` with the
-    records of workers 1..w sorted as byte strings, so every renaming of the
-    identical worker cores gets the same key. When they are already in order,
-    as with one worker, the key is `raw` itself, so a key is its own key.
+    """Visited-set key of `explore` for a state's bytes `raw`: the bytes of
+    `raw` renamed, so that every renaming of the spawned tasks of one kind
+    and of the identical worker cores gets the same key, up to ties.
+
+    First the tasks: when the records of the spawned tasks of each kind
+    are in descending byte order, no task is renamed. Otherwise each kind's
+    ids are stable-sorted by record, descending, and the k-th id of the
+    kind takes the record of the k-th id in that order: the records move,
+    and one `translate` table renames the ids in the live queue slots and
+    the core records, the only cells that hold task ids. Unspawned tasks
+    keep their ids, because tasks spawn in id order. Then the workers, as
+    in `worker_key`. A key is its own key, and a state already in order
+    keeps its bytes object. Tied records are left in place, so two
+    renamings of a state can get two keys; each is still a renaming.
+
+    Searching one state per key is sound because a renaming of same-kind
+    tasks is a symmetry of the model. A task's script and bounds depend
+    only on its kind. No operation, enabled step, invariant or deadlock
+    predicate names a fixed task: each reads the task ids that the state
+    holds, and monitors are per task. A renaming reorders
+    `fireable_timers`, so the timer variants of a state and its renaming
+    are numbered differently, but their successor sets are renamings of
+    each other. A monitor violation's class names the task's kind, not its
+    id (`explorer.violation_class`), and a trace is the real path `explore`
+    rebuilds by key, so it names the ids of the states it passes.
+
+    In 'h' layouts, whose cells are two bytes, the key is `worker_key`.
+    """
+    rename = layout.renames and layout.renames[raw[SPAWN_CURSOR]]
+    if rename:
+        pairs, groups, renamings = rename
+        neighbours = iter(pairs(raw))
+        if not all(map(ge, neighbours, neighbours)):
+            records, order = layout.record_cut(raw), []
+            for ids in groups:
+                order += sorted(ids, key=records.__getitem__, reverse=True)
+            order = tuple(order)
+            if (renaming := renamings.get(order)) is None:
+                renaming = renamings[order] = _renaming(layout, groups, order)
+            table, reorder = renaming
+            renamed = raw.translate(table)
+            live = QUEUE + raw[QUEUE_LEN]
+            primary, *workers = layout.core_cut(renamed)
+            workers.sort()
+            return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
+                             *reorder(raw), primary, *workers))
+    return worker_key(raw, layout)
+
+
+def _renaming(layout: Layout, groups: tuple, order: tuple[int, ...]) -> tuple:
+    """The renaming that gives the k-th id of `groups`, read in order, the
+    record of task order[k]: its `translate` table from old ids to new ones,
+    and a getter of every task's record in new id order."""
+    new_id = dict(zip(order, (t for ids in groups for t in ids)))
+    old_id = {new: old for old, new in new_id.items()}
+    return (bytes(new_id.get(byte, byte) for byte in range(256)),
+            itemgetter(*(layout.record_slices[old_id.get(t, t)]
+                         for t in range(layout.task_count))))
+
+
+def worker_key(raw: bytes, layout: Layout) -> bytes:
+    """A state's bytes `raw` with the records of workers 1..w sorted as byte
+    strings, so every renaming of the identical worker cores gets the same
+    key. When they are already in order, as with one worker, the key is
+    `raw` itself, so a key is its own key.
 
     No field of the state names a worker, so sorting the records is a
     renaming, and two states get equal keys exactly when one is a renaming

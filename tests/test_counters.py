@@ -2,9 +2,9 @@
 every counter of every pinned search exactly as it was. A state-space
 reduction is expected to move them, and must re-pin them deliberately.
 
-`explore` counts states up to a renaming of worker cores
-(`model.symmetric_key`); EXACT_LADDER pins the same rungs searched with
-the exact `snapshot` key, and the walk pins hold `random_walk` to it."""
+`explore` counts states up to a renaming of same-kind tasks and of worker
+cores (`model.symmetric_key`); EXACT_LADDER pins the same rungs searched
+with the exact `snapshot` key, and the walk pins hold `random_walk` to it."""
 
 from __future__ import annotations
 
@@ -23,10 +23,10 @@ L = TaskKind.LIGHT
 
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
-    ("H,L,L", 2): (2116, 5968, 26, 1),
-    ("H,H", 2): (5668, 17012, 33, 1),
-    ("H,L,L", 3): (3157, 10862, 26, 1),
-    ("H,H,L", 3): (40077, 159834, 38, 1),
+    ("H,L,L", 2): (1755, 4999, 26, 1),
+    ("H,H", 2): (2994, 8950, 33, 1),
+    ("H,L,L", 3): (2397, 8353, 26, 1),
+    ("H,H,L", 3): (20607, 82067, 38, 1),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
@@ -36,9 +36,9 @@ EXACT_LADDER = {
 }
 # Rungs with two preemptions per heavy task: complete and clean.
 TWO_PREEMPTIONS = {
-    ("H,L,L", 2): (3807, 10882, 32, 1),
-    ("H,H", 2): (16256, 49949, 45, 1),
-    ("H,L,L", 3): (5703, 19951, 32, 1),
+    ("H,L,L", 2): (3135, 9052, 32, 1),
+    ("H,H", 2): (8415, 25788, 45, 1),
+    ("H,L,L", 3): (4343, 15368, 32, 1),
 }
 
 # Seeded walks of H,H,L/2 under the CLI's step budget, keyed by seed.
@@ -51,38 +51,38 @@ FAULTS = (EBS, SRS, SRC)
 # keyed by (fix_wait, fix_preempt, faults). No combo has 16 violation
 # classes, so each of these searches is complete.
 FAULT_MATRIX = {
-    (True, True, ()): (2116, 5968, 26, 1),
-    (True, True, (EBS,)): (2196, 6214, 26, 1),
-    (True, True, (SRS,)): (2052, 5655, 26, 1),
-    (True, True, (SRC,)): (2116, 5968, 26, 1),
-    (True, True, (EBS, SRS)): (2156, 5939, 26, 1),
-    (True, True, (EBS, SRC)): (2244, 6214, 26, 1),
-    (True, True, (SRS, SRC)): (2052, 5655, 26, 1),
-    (True, True, (EBS, SRS, SRC)): (2204, 5939, 26, 1),
-    (True, False, ()): (1290, 2827, 23, 1),
-    (True, False, (EBS,)): (1670, 3530, 23, 1),
-    (True, False, (SRS,)): (1237, 2677, 21, 1),
-    (True, False, (SRC,)): (1290, 2827, 23, 1),
-    (True, False, (EBS, SRS)): (1621, 3384, 22, 1),
-    (True, False, (EBS, SRC)): (1745, 3530, 23, 1),
-    (True, False, (SRS, SRC)): (1237, 2677, 21, 1),
-    (True, False, (EBS, SRS, SRC)): (1696, 3384, 22, 1),
-    (False, True, ()): (1437, 3229, 23, 1),
-    (False, True, (EBS,)): (1497, 3401, 23, 1),
-    (False, True, (SRS,)): (1388, 3009, 24, 1),
-    (False, True, (SRC,)): (1437, 3229, 23, 1),
-    (False, True, (EBS, SRS)): (1466, 3207, 24, 1),
-    (False, True, (EBS, SRC)): (1533, 3401, 23, 1),
-    (False, True, (SRS, SRC)): (1388, 3009, 24, 1),
-    (False, True, (EBS, SRS, SRC)): (1502, 3207, 24, 1),
-    (False, False, ()): (1357, 2862, 21, 1),
-    (False, False, (EBS,)): (1792, 3658, 22, 1),
-    (False, False, (SRS,)): (1357, 2862, 21, 1),
-    (False, False, (SRC,)): (1357, 2862, 21, 1),
-    (False, False, (EBS, SRS)): (1792, 3658, 22, 1),
-    (False, False, (EBS, SRC)): (1879, 3658, 22, 1),
-    (False, False, (SRS, SRC)): (1357, 2862, 21, 1),
-    (False, False, (EBS, SRS, SRC)): (1879, 3658, 22, 1),
+    (True, True, ()): (1755, 4999, 26, 1),
+    (True, True, (EBS,)): (1835, 5245, 26, 1),
+    (True, True, (SRS,)): (1700, 4731, 26, 1),
+    (True, True, (SRC,)): (1755, 4999, 26, 1),
+    (True, True, (EBS, SRS)): (1804, 5015, 26, 1),
+    (True, True, (EBS, SRC)): (1883, 5245, 26, 1),
+    (True, True, (SRS, SRC)): (1700, 4731, 26, 1),
+    (True, True, (EBS, SRS, SRC)): (1852, 5015, 26, 1),
+    (True, False, ()): (1041, 2349, 23, 1),
+    (True, False, (EBS,)): (1349, 2920, 23, 1),
+    (True, False, (SRS,)): (997, 2223, 21, 1),
+    (True, False, (SRC,)): (1041, 2349, 23, 1),
+    (True, False, (EBS, SRS)): (1309, 2798, 22, 1),
+    (True, False, (EBS, SRC)): (1415, 2920, 23, 1),
+    (True, False, (SRS, SRC)): (997, 2223, 21, 1),
+    (True, False, (EBS, SRS, SRC)): (1375, 2798, 22, 1),
+    (False, True, ()): (1181, 2724, 23, 1),
+    (False, True, (EBS,)): (1241, 2896, 23, 1),
+    (False, True, (SRS,)): (1141, 2540, 24, 1),
+    (False, True, (SRC,)): (1181, 2724, 23, 1),
+    (False, True, (EBS, SRS)): (1219, 2738, 24, 1),
+    (False, True, (EBS, SRC)): (1277, 2896, 23, 1),
+    (False, True, (SRS, SRC)): (1141, 2540, 24, 1),
+    (False, True, (EBS, SRS, SRC)): (1255, 2738, 24, 1),
+    (False, False, ()): (1071, 2335, 21, 1),
+    (False, False, (EBS,)): (1422, 2975, 22, 1),
+    (False, False, (SRS,)): (1071, 2335, 21, 1),
+    (False, False, (SRC,)): (1071, 2335, 21, 1),
+    (False, False, (EBS, SRS)): (1422, 2975, 22, 1),
+    (False, False, (EBS, SRC)): (1497, 2975, 22, 1),
+    (False, False, (SRS, SRC)): (1071, 2335, 21, 1),
+    (False, False, (EBS, SRS, SRC)): (1497, 2975, 22, 1),
 }
 
 

@@ -96,7 +96,7 @@ def outcome(config: KernelConfig) -> tuple:
     for trace in report.violations:
         err = trace.monitor_error
         pair = (trace.verdict, err and str(err.current_state), err and str(err.symbol))
-        classes[violation_class(trace.verdict, err, trace.detail)] = (len(trace.steps), pair)
+        classes[violation_class(config, trace.verdict, err, trace.detail)] = (len(trace.steps), pair)
         assert replay(config, trace.steps) == trace
     return classes, report.quiescent_ok > 0, report
 
@@ -120,8 +120,8 @@ def assert_keeps_the_unreduced_verdicts(config: KernelConfig, patch, name, value
     assert reduced_report.states_visited <= full_report.states_visited
     for trace in full_report.violations:
         again = replay(config, trace.steps)
-        assert violation_class(again.verdict, again.monitor_error, again.detail) == \
-            violation_class(trace.verdict, trace.monitor_error, trace.detail)
+        assert violation_class(config, again.verdict, again.monitor_error, again.detail) == \
+            violation_class(config, trace.verdict, trace.monitor_error, trace.detail)
     return reduced_report.states_visited, full_report.states_visited
 
 

@@ -151,13 +151,13 @@ GOLDEN = {
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
         "7a34507d12b50188180c38b5010650a1b284186c1f6f5b1b150a063e879d2e10",
     "explore H,H/2 wait=on preempt=on faults=none":
-        "13d030c0df0ded1e0318996a2327f34a44a93cbe971e872a1bcb90637197a375",
+        "c40a385489bc6442203cdd0d2e481c5402416ffb75175ffe38c12075169a2c6c",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state":
-        "09dfa0e6590b0f03bf2aca9523d62cee44fd64c49fcf426564cf4cad8eb62fe9",
+        "e63ae855d1da2dd431bac2b44ce0abce7572f09646cc2a7faee176395c573e11",
     "explore H,H/2 wait=on preempt=on faults=skip-running-check":
-        "335871e95076d4e94536a33dd5a6615c294c7768423c1e4331544480b214ac40",
+        "8f5174a0b224744002b77e4f9cb828a1bb67e61ce8d5f69a1785e1c0d63c972e",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "b27b70a338fd77a546dc0f6f42a5066cb6a83923cd1d937a6030e615bf517897",
+        "6b880a5feabfd41a5e17891915e0fd2f6ae7c2292bc6da883a00bbfb6681405f",
     "walk seed=1":
         "cb23a102167b41997f6d7c866841b6c418a564ba16b4cd434ac7718fbd0cd4fb",
     "walk seed=2":

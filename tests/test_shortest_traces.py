@@ -40,11 +40,13 @@ COMBOS = [
 ]
 
 
-def class_of(verdict: str, violation, detail: str) -> tuple:
+def class_of(config: KernelConfig, verdict: str, violation, detail: str) -> tuple:
     """The class of a violation, written out apart from `explorer`: the
-    monitor's (task, state, symbol), or the detail with its numbers masked."""
+    monitor's (task kind, state, symbol), or the detail with its numbers
+    masked."""
     if violation is not None:
-        return verdict, violation.task, str(violation.current_state), str(violation.symbol)
+        return (verdict, config.task_plan[violation.task].value,
+                str(violation.current_state), str(violation.symbol))
     return verdict, re.sub(r"[0-9]+", "#", detail)
 
 
@@ -66,11 +68,11 @@ def oracle(config: KernelConfig) -> tuple[dict[tuple, int], dict[tuple, int]]:
                 new = key not in seen
                 seen.add(key)
                 if succ.violation is not None:
-                    found = class_of(VERDICT_MONITOR, succ.violation, "")
+                    found = class_of(config, VERDICT_MONITOR, succ.violation, "")
                 elif (failure := check_invariants(succ)) is not None:
-                    found = class_of(VERDICT_ASSERTION, None, failure)
+                    found = class_of(config, VERDICT_ASSERTION, None, failure)
                 elif not enabled(succ) and not all_tasks_terminal(succ):
-                    found = class_of(VERDICT_DEADLOCK, None, "no step enabled, tasks not terminal")
+                    found = class_of(config, VERDICT_DEADLOCK, None, "no step enabled, tasks not terminal")
                 else:
                     if new:
                         frontier.append(succ)
@@ -97,7 +99,7 @@ def test_one_shortest_replayable_trace_per_class(case, monkeypatch):
                           faults=frozenset(faults))
     report = explore(config, Limits(max_violations=10**9))
     assert not report.incomplete
-    found = [class_of(t.verdict, t.monitor_error, t.detail) for t in report.violations]
+    found = [class_of(config, t.verdict, t.monitor_error, t.detail) for t in report.violations]
     assert len(found) == len(set(found)), "a class was recorded twice"
     least, states = oracle(config)
     assert {kind: len(t.steps) for kind, t in zip(found, report.violations)} == least
@@ -106,5 +108,5 @@ def test_one_shortest_replayable_trace_per_class(case, monkeypatch):
 
     monkeypatch.setattr(explorer, "symmetric_key", lambda raw, layout: raw)
     exact = explore(config, Limits(max_violations=10**9))
-    assert {class_of(t.verdict, t.monitor_error, t.detail): count for t, count
+    assert {class_of(config, t.verdict, t.monitor_error, t.detail): count for t, count
             in zip(exact.violations, exact.violating_states)} == states

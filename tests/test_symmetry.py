@@ -1,25 +1,38 @@
-"""Worker-core symmetry: `explore` keys its visited set by
-`model.symmetric_key`, and must reach the same verdicts as the search
-keyed by the exact `snapshot`, which these tests restore as the reference
-by monkeypatching `explorer.symmetric_key`."""
+"""Task and worker symmetry: `explore` keys its visited set by
+`model.symmetric_key`, which renames the spawned tasks of each kind and
+the identical worker cores. It must reach the same verdicts as the search
+keyed by a reference key, which these tests restore by monkeypatching
+`explorer.symmetric_key`: the worker-only key (`model.worker_key`), and
+the exact `snapshot`. The key itself is checked against a renaming written
+out cell by cell."""
 
 from __future__ import annotations
 
 import itertools
+import random
+import re
 
 import pytest
 
-from cells import core_cell
+from cells import core_cell, task_cell
 from schedcheck import explorer
-from schedcheck.explorer import Limits, enabled, explore, random_walk
+from schedcheck.explorer import Limits, _run, _settle, enabled, explore, random_walk, replay
 from schedcheck.model import (
+    C_CURRENT,
+    C_DECISION,
     CORE_WIDTH,
+    QUEUE,
+    QUEUE_LEN,
+    SPAWN_CURSOR,
+    TASK_WIDTH,
     KernelConfig,
     KernelState,
     TaskKind,
     initial_state,
+    layout_for,
     snapshot,
     symmetric_key,
+    worker_key,
 )
 
 H = TaskKind.HEAVY
@@ -56,6 +69,13 @@ PLANS = (
 )
 CASES = [(plan, workers, waits, preemptions, combo)
          for plan, workers, waits, preemptions, combos in PLANS for combo in combos]
+# The plans on which task renaming is guarded against the worker-only key.
+TASK_PLANS = (((H, H), 2, 1, 1, ALL_COMBOS), ((H, H, L), 2, 1, 1, BENCH_COMBOS))
+TASK_CASES = [(plan, workers, waits, preemptions, combo)
+              for plan, workers, waits, preemptions, combos in TASK_PLANS for combo in combos]
+
+WALK_CONFIG = KernelConfig(worker_count=4, task_plan=(H, H, H, H, L, L, L, L),
+                           max_waits_per_task=3, max_preemptions_per_task=3)
 
 
 def config_for(plan, workers, waits, preemptions, combo) -> KernelConfig:
@@ -73,14 +93,19 @@ def config_for(plan, workers, waits, preemptions, combo) -> KernelConfig:
 
 def outcome(report: explorer.ExplorationReport):
     """What a reduction must keep: the (verdict, monitor current state,
-    symbol, task) set, deadlock presence, and the completeness flags."""
-    found = set()
+    symbol, detail with its numbers masked) set, the offending (monitor
+    state, symbol) pairs, whether some path ends quiescent, and the
+    completeness flags."""
+    found, pairs = set(), set()
     for trace in report.violations:
         err = trace.monitor_error
-        found.add((trace.verdict, None, None, None) if err is None else
-                  (trace.verdict, str(err.current_state), err.symbol.value, err.task))
-    deadlock = any(t.verdict == explorer.VERDICT_DEADLOCK for t in report.violations)
-    return found, deadlock, report.incomplete, report.all_paths_terminal_ok
+        if err is None:
+            found.add((trace.verdict, None, None, re.sub(r"\d+", "#", trace.detail)))
+        else:
+            found.add((trace.verdict, str(err.current_state), err.symbol.value, ""))
+            pairs.add((str(err.current_state), err.symbol.value))
+    return (found, pairs, report.quiescent_ok > 0, report.incomplete,
+            report.all_paths_terminal_ok)
 
 
 def case_id(case) -> str:
@@ -90,71 +115,222 @@ def case_id(case) -> str:
             f"-{'+'.join(faults) or 'none'}")
 
 
-@pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_reduced_search_reaches_the_full_search_verdicts(case, monkeypatch):
-    config = config_for(*case)
+def reduced_and_reference(config: KernelConfig, monkeypatch, reference):
+    """The search under `symmetric_key`, every trace of which replays, and
+    the search with `reference` patched in as the key."""
     limits = Limits(max_violations=10**9)
     reduced = explore(config, limits)
+    for trace in reduced.violations:
+        assert replay(config, trace.steps) == trace
     keys = 0
 
-    def exact_key(buf, layout):
+    def counted(raw, layout):
         nonlocal keys
         keys += 1
-        return bytes(buf)  # snapshot's key
+        return reference(raw, layout)
 
-    monkeypatch.setattr(explorer, "symmetric_key", exact_key)
+    monkeypatch.setattr(explorer, "symmetric_key", counted)
     full = explore(config, limits)
     assert keys > 0, "explore did not key its visited set by explorer.symmetric_key"
+    return reduced, full
+
+
+@pytest.mark.parametrize("case", TASK_CASES, ids=case_id)
+def test_task_renaming_reaches_the_worker_only_verdicts(case, monkeypatch):
+    reduced, full = reduced_and_reference(config_for(*case), monkeypatch, worker_key)
+    assert outcome(reduced) == outcome(full)
+    # every plan here has two heavy tasks, whose renamings the key merges
+    assert reduced.states_visited < full.states_visited
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_reduced_search_reaches_the_exact_search_verdicts(case, monkeypatch):
+    reduced, full = reduced_and_reference(
+        config_for(*case), monkeypatch, lambda raw, layout: raw)  # snapshot's key
     assert outcome(reduced) == outcome(full)
     assert reduced.states_visited <= full.states_visited
 
 
-def renamed(state: KernelState, order: tuple[int, ...]) -> KernelState:
-    """Reference renaming, one core record at a time: worker order[k]
-    becomes worker k + 1. No other field names a worker."""
-    image = state.clone()
-    for new, old in enumerate(order, 1):
-        src, dst = core_cell(state, old, 0), core_cell(image, new, 0)
-        image.buf[dst:dst + CORE_WIDTH] = state.buf[src:src + CORE_WIDTH]
+# -- the key ----------------------------------------------------------------
+
+
+def renamed(state: KernelState, tasks: dict[int, int], workers: tuple[int, ...]) -> KernelState:
+    """Reference renaming, one cell at a time: task tasks[t] becomes task t
+    (ids missing from `tasks` stay), and worker workers[k] becomes worker
+    k + 1. A task record moves whole; the ids in the live queue slots and
+    in each core's current task and decision are renamed; no other cell
+    holds a task id, and none holds a worker id."""
+    image = KernelState(state.config, state.layout, state.buf[:])
+    src, buf = state.buf, image.buf
+    new_id = {old: new for new, old in tasks.items()}
+
+    def rename(task: int) -> int:
+        return new_id.get(task, task) if task >= 0 else task
+
+    for new, old in tasks.items():
+        at, src_at = task_cell(image, new, 0), task_cell(state, old, 0)
+        buf[at:at + TASK_WIDTH] = src[src_at:src_at + TASK_WIDTH]
+    for at in range(QUEUE, QUEUE + src[QUEUE_LEN]):
+        buf[at] = rename(src[at])
+    for core, old_core in enumerate((0, *workers)):
+        for field in range(CORE_WIDTH):
+            value = src[core_cell(state, old_core, field)]
+            buf[core_cell(image, core, field)] = (
+                rename(value) if field in (C_CURRENT, C_DECISION) else value)
     return image
 
 
-@pytest.mark.parametrize("config,typecode", [
-    (KernelConfig(worker_count=3, task_plan=(H, L), max_waits_per_task=0), "b"),
-    (KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0,
-                  faults=frozenset({EBS})), "b"),
-    # 2 + 2 x 70 script positions need two-byte cells; with no preemption
-    # the search stays at a few thousand states
-    (KernelConfig(worker_count=2, task_plan=(H, L), max_waits_per_task=70,
-                  max_preemptions_per_task=0), "h"),
-], ids=["H,L/3-w0", "H,H/2-w0-ebs", "H,L/2-w70p0-h"])
-def test_key_is_one_renaming_of_the_state(config, typecode):
-    # over every reachable state, the key is the bytes of the state renamed
-    # by some permutation of its workers, every renaming gets that same
-    # key, a key is its own key (explore looks the bytes up first), and
-    # states already in order keep their bytes object
-    orders = list(itertools.permutations(range(1, config.worker_count + 1)))
+def kind_permutations(state: KernelState):
+    """Every renaming of the spawned tasks of each kind, as new id -> old id."""
+    spawned = range(state.buf[SPAWN_CURSOR])
+    groups = [[t for t in spawned if state.layout.heavy[t] is kind] for kind in (True, False)]
+    for orders in itertools.product(*map(itertools.permutations, groups)):
+        yield {new: old for group, order in zip(groups, orders) for new, old in zip(group, order)}
+
+
+def records_tie(state: KernelState) -> bool:
+    """Whether two spawned tasks of one kind have equal records, whose
+    order the key leaves as it finds it."""
+    raw, seen = bytes(state.buf), set()
+    for t in range(state.buf[SPAWN_CURSOR]):
+        at = task_cell(state, t, 0) * state.buf.itemsize
+        record = (state.layout.heavy[t], raw[at:at + TASK_WIDTH * state.buf.itemsize])
+        if record in seen:
+            return True
+        seen.add(record)
+    return False
+
+
+def key_of(state: KernelState) -> bytes:
+    return symmetric_key(bytes(state.buf), state.layout)
+
+
+def assert_key_is_a_renaming(state: KernelState) -> bytes:
+    """The key of `state` is the bytes of one of its renamings, is its own
+    key, and is `raw` itself when `raw` is in order. Every renaming of a
+    state without tied records gets that same key; with ties, a renaming's
+    key is still a renaming of the state. Returns the key."""
+    raw = bytes(state.buf)
+    key = symmetric_key(raw, state.layout)
+    workers = list(itertools.permutations(range(1, state.layout.core_count)))
+    images = {snapshot(renamed(state, tasks, order))
+              for tasks in kind_permutations(state) for order in workers}
+    assert key in images
+    assert symmetric_key(key, state.layout) == key
+    assert key is raw or key != raw
+    keys = {key_of(renamed(state, tasks, order))
+            for tasks in kind_permutations(state) for order in workers}
+    if records_tie(state):
+        assert keys <= images
+    else:
+        assert keys == {key}
+    return key
+
+
+@pytest.mark.parametrize("config", [
+    KernelConfig(worker_count=3, task_plan=(H, L), max_waits_per_task=0),
+    KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0, faults=frozenset({EBS})),
+    KernelConfig(worker_count=2, task_plan=(H, L, L), max_waits_per_task=0),
+], ids=["H,L/3-w0", "H,H/2-w0-ebs", "H,L,L/2-w0"])
+def test_key_is_one_renaming_of_every_reachable_state(config):
+    # over every reachable state, and for each state over every renaming of
+    # its same-kind tasks and its workers
     init = initial_state(config)
-    assert init.layout.boot.typecode == typecode
-    seen, frontier, renamings = {snapshot(init)}, [init], 0
+    assert init.layout.boot.typecode == "b"
+    seen, frontier, renamings = {snapshot(init)}, [init], set()
     while frontier:
         state = frontier.pop()
         raw = bytes(state.buf)
-        key = symmetric_key(raw, state.layout)
-        images = [renamed(state, order) for order in orders]
-        assert key in {snapshot(image) for image in images}
-        assert {symmetric_key(bytes(image.buf), image.layout) for image in images} == {key}
-        assert symmetric_key(key, state.layout) == key
-        assert key is raw or key != raw
-        renamings += key != snapshot(state)
+        key = assert_key_is_a_renaming(state)
+        if key != raw:
+            renamings.add("tasks" if key != worker_key(raw, state.layout) else "workers")
         for choice in enabled(state):
             succ = explorer._apply(state, choice)
             exact = snapshot(succ)
             if exact not in seen and succ.violation is None:
                 seen.add(exact)
                 frontier.append(succ)
-    assert renamings > 0
-    assert snapshot(renamed(init, orders[0])) == snapshot(init)
+    same_kind = len(set(config.task_plan)) < len(config.task_plan)
+    assert renamings == ({"tasks", "workers"} if same_kind else {"workers"})
+
+
+def walk_sample(config: KernelConfig, seeds: range, per_walk: int) -> list[KernelState]:
+    """`per_walk` states of each seeded walk, spread along it."""
+    out = []
+    for seed in seeds:
+        rng, state, states = random.Random(seed), initial_state(config), []
+        verdict, _, options = _settle(state)
+        while verdict is None and options:
+            _run(state, options[rng.randrange(len(options))])
+            states.append(KernelState(config, state.layout, state.buf[:]))
+            verdict, _, options = _settle(state)
+        out += states[::max(1, len(states) // per_walk)][:per_walk]
+    return out
+
+
+def test_key_merges_the_renamings_of_walk_states():
+    # The benchmark's walk configuration: four tasks of each kind and four
+    # workers. A random sample of renamings per state, since a state with
+    # every task spawned has 4! x 4! x 4! of them.
+    rng = random.Random(21)
+    states = walk_sample(WALK_CONFIG, range(12), 10)
+    renamed_keys = tie_free = 0
+    for state in states:
+        raw = bytes(state.buf)
+        key = symmetric_key(raw, state.layout)
+        assert symmetric_key(key, state.layout) == key
+        tasks, workers = list(kind_permutations(state)), list(itertools.permutations(range(1, 5)))
+        images = [renamed(state, rng.choice(tasks), rng.choice(workers)) for _ in range(12)]
+        if records_tie(state):  # the reachable-state test covers ties
+            assert all(symmetric_key(k, state.layout) == k for k in map(key_of, images))
+        else:
+            tie_free += 1
+            assert {key_of(image) for image in images} == {key}
+        renamed_keys += key[:state.layout.cores] != raw[:state.layout.cores]
+    assert len(states) == 120
+    assert tie_free >= 30 and renamed_keys >= 10
+
+
+def test_an_ordered_state_is_its_own_key():
+    state = initial_state(KernelConfig(worker_count=2, task_plan=(H, H)))
+    state.get_next_task(1)
+    state.spawn_next()  # running task 0 ranks above runnable task 1
+    raw = bytes(state.buf)
+    assert symmetric_key(raw, state.layout) is raw
+    state.get_next_task(2)  # both run from pc 0: tied records
+    raw = bytes(state.buf)
+    assert symmetric_key(raw, state.layout) is raw
+    state.poll_step(2)  # task 1 computes ahead of task 0
+    raw = bytes(state.buf)
+    key = symmetric_key(raw, state.layout)
+    assert key != raw and symmetric_key(key, state.layout) is key
+    # task 1 becomes task 0, and its worker 2 sorts first
+    assert key == snapshot(renamed(state, {0: 1, 1: 0}, (2, 1)))
+
+
+def test_h_layouts_get_the_worker_only_key(monkeypatch):
+    # 2 + 2 x 70 script positions need two-byte cells, which byte
+    # `translate` cannot rename: the key leaves the tasks alone
+    for plan, workers in (((H, L), 1), ((H, H), 2)):
+        config = KernelConfig(worker_count=workers, task_plan=plan, max_waits_per_task=70,
+                              max_preemptions_per_task=0)
+        layout = layout_for(config)
+        assert layout.boot.typecode == "h" and layout.renames is None
+        limits = Limits(max_states=3000)
+        report = explore(config, limits)
+        calls = 0
+
+        def checked(raw, layout):
+            nonlocal calls
+            calls += 1
+            key = worker_key(raw, layout)
+            assert symmetric_key(raw, layout) == key
+            return key
+
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "symmetric_key", checked)
+            assert explore(config, limits) == report
+        assert calls > 1000
 
 
 def test_one_worker_key_is_the_snapshot():
@@ -164,6 +340,15 @@ def test_one_worker_key_is_the_snapshot():
         assert symmetric_key(bytes(state.buf), state.layout) == snapshot(state)
         steps += 1
     assert steps > 5
+
+
+def test_monitor_violation_class_names_the_task_kind():
+    config = KernelConfig(worker_count=2, task_plan=(H, L, L), fix_preempt_need_sched=False)
+    report = explore(config, Limits(max_violations=10**9))
+    classes = [explorer.violation_class(config, t.verdict, t.monitor_error, t.detail)
+               for t in report.violations if t.monitor_error is not None]
+    assert classes and all(kind in ("H", "L") for _, kind, _, _ in classes)
+    assert len(set(classes)) == len(classes)
 
 
 def test_walks_count_exact_states(monkeypatch):
