@@ -27,6 +27,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import combinations
 from operator import ge, itemgetter
 
 from .monitor import (
@@ -214,13 +215,13 @@ class Layout:
         # task ids. Per spawn cursor, `renames` holds None when no kind has
         # two spawned tasks, else (pairs, groups, renamings): `groups` holds
         # the ids of each kind with two or more spawned tasks, `pairs(raw)`
-        # the records of each two neighbours in a group, one pair after
-        # another, and `renamings` caches `_renaming` by the groups' new order.
+        # the records of each two ids i < j of a group (`_id_pairs`), one
+        # pair after another, and `renamings` caches `_renaming` by the
+        # pairs' comparisons.
         self.renames = None
         if typecode == "b":
             self.record_slices = tuple(slice(at, at + TASK_WIDTH)
                                        for at in range(self.tasks, self.cores, TASK_WIDTH))
-            self.record_cut = itemgetter(*self.record_slices)
             self.core_cut = itemgetter(*(slice(at, at + CORE_WIDTH)
                                          for at in range(self.cores, end, CORE_WIDTH)))
             renames = []
@@ -228,8 +229,7 @@ class Layout:
                 groups = tuple(ids for kind in (True, False)
                                if len(ids := tuple(t for t in range(spawned)
                                                    if self.heavy[t] is kind)) > 1)
-                pairs = [self.record_slices[t] for ids in groups
-                         for k in range(len(ids) - 1) for t in ids[k:k + 2]]
+                pairs = [self.record_slices[t] for pair in _id_pairs(groups) for t in pair]
                 renames.append(groups and (itemgetter(*pairs), groups, {}) or None)
             self.renames = tuple(renames)
 
@@ -627,82 +627,85 @@ def snapshot(state: KernelState) -> bytes:
 
 
 def symmetric_key(raw: bytes, layout: Layout) -> bytes:
-    """Visited-set key of `explore` for a state's bytes `raw`: the bytes of
-    `raw` renamed, so that every renaming of the spawned tasks of one kind
-    and of the identical worker cores gets the same key, up to ties.
+    """Visited-set key of `explore` for a state's bytes `raw`: the bytes of a
+    renaming of the state, so that its renamings by the spawned tasks of
+    each kind and by the identical worker cores get one key, up to ties.
 
-    First the tasks: when the records of the spawned tasks of each kind
-    are in descending byte order, no task is renamed. Otherwise each kind's
-    ids are stable-sorted by record, descending, and the k-th id of the
-    kind takes the record of the k-th id in that order: the records move,
-    and one `translate` table renames the ids in the live queue slots and
-    the core records, the only cells that hold task ids. Unspawned tasks
-    keep their ids, because tasks spawn in id order. Then the workers, as
-    in `worker_key`. A key is its own key, and a state already in order
-    keeps its bytes object. Tied records are left in place, so two
-    renamings of a state can get two keys; each is still a renaming.
+    First the tasks. When the records of the spawned tasks of each kind are
+    in descending byte order, no task is renamed. Otherwise each kind's ids
+    are stable-sorted by record, descending, and the k-th id of the kind
+    takes the k-th record in that order: the records move, and one
+    `translate` table renames the ids in the live queue slots and in the
+    core records, the only cells that hold task ids. Unspawned tasks keep
+    their ids, because tasks spawn in id order. Then the workers: the
+    records of workers 1..w are sorted as byte strings. A key is its own
+    key, and a state already in order keeps its bytes object, so `explore`
+    looks a successor's bytes up before it computes their key. Tied task
+    records stay in place, so two renamings of one state can get two keys,
+    each of them a renaming.
 
-    Searching one state per key is sound because a renaming of same-kind
-    tasks is a symmetry of the model. A task's script and bounds depend
-    only on its kind. No operation, enabled step, invariant or deadlock
-    predicate names a fixed task: each reads the task ids that the state
-    holds, and monitors are per task. A renaming reorders
-    `fireable_timers`, so the timer variants of a state and its renaming
-    are numbered differently, but their successor sets are renamings of
-    each other. A monitor violation's class names the task's kind, not its
-    id (`explorer.violation_class`), and a trace is the real path `explore`
-    rebuilds by key, so it names the ids of the states it passes.
+    Searching one state per key is sound because both renamings are
+    symmetries of the model. A task's script and bounds depend only on its
+    kind, and no field of the state names a worker. No operation, enabled
+    step, invariant or deadlock predicate names a fixed task or worker:
+    each reads the ids that the state holds, and monitors are per task. A
+    renaming reorders `fireable_timers`, so the timer variants of a state
+    and of its renaming are numbered differently, but their successor sets
+    are renamings of each other. A monitor violation's class names its
+    task's kind, not its id (`explorer.violation_class`), and a trace is the
+    real path that `explore` rebuilds by key, so it names the ids of the
+    states it passes through.
 
-    In 'h' layouts, whose cells are two bytes, the key is `worker_key`.
+    'h' layouts, whose cells are two bytes, get the worker-only key: their
+    tasks are never renamed, because byte `translate` cannot rename a
+    two-byte id.
     """
     rename = layout.renames and layout.renames[raw[SPAWN_CURSOR]]
     if rename:
-        pairs, groups, renamings = rename
-        neighbours = iter(pairs(raw))
-        if not all(map(ge, neighbours, neighbours)):
-            records, order = layout.record_cut(raw), []
-            for ids in groups:
-                order += sorted(ids, key=records.__getitem__, reverse=True)
-            order = tuple(order)
-            if (renaming := renamings.get(order)) is None:
-                renaming = renamings[order] = _renaming(layout, groups, order)
-            table, reorder = renaming
-            renamed = raw.translate(table)
-            live = QUEUE + raw[QUEUE_LEN]
-            primary, *workers = layout.core_cut(renamed)
-            workers.sort()
-            return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
-                             *reorder(raw), primary, *workers))
-    return worker_key(raw, layout)
+        records = rename[0](raw)
+        pairs = iter(records)
+        if not (ge(*records) if len(records) == 2 else all(map(ge, pairs, pairs))):
+            return _renamed_key(raw, layout, rename, records)
+    head, *workers = layout.worker_cut(raw)
+    ordered = sorted(workers)
+    if ordered == workers:
+        return raw
+    return b"".join((head, *ordered))
 
 
-def _renaming(layout: Layout, groups: tuple, order: tuple[int, ...]) -> tuple:
-    """The renaming that gives the k-th id of `groups`, read in order, the
-    record of task order[k]: its `translate` table from old ids to new ones,
-    and a getter of every task's record in new id order."""
-    new_id = dict(zip(order, (t for ids in groups for t in ids)))
+def _renamed_key(raw: bytes, layout: Layout, rename: tuple, records: tuple[bytes, ...]) -> bytes:
+    """symmetric_key of `raw`, whose same-kind records `records`, cut by the
+    getter of `rename`, are out of order."""
+    _, groups, renamings = rename
+    pairs = iter(records)
+    ranks = tuple(map(ge, pairs, pairs))
+    if (renaming := renamings.get(ranks)) is None:
+        renaming = renamings[ranks] = _renaming(layout, groups, ranks)
+    table, reorder = renaming
+    renamed = raw.translate(table)
+    live = QUEUE + raw[QUEUE_LEN]
+    primary, *workers = layout.core_cut(renamed)
+    workers.sort()
+    return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
+                     *reorder(raw), primary, *workers))
+
+
+def _id_pairs(groups: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """Every two ids i < j of each group, group by group."""
+    return [pair for ids in groups for pair in combinations(ids, 2)]
+
+
+def _renaming(layout: Layout, groups: tuple, ranks: tuple[bool, ...]) -> tuple:
+    """The renaming of a stable sort of each group, descending, where
+    ranks[k] tells whether the k-th pair (i, j) of `_id_pairs(groups)` has
+    record i >= record j, so that i stays before j. A task's new id is the
+    id at its place in the sorted group: the place is the count of ids
+    sorted before it. Returns the `translate` table from old ids to new
+    ones, and a getter of every task's record in new id order."""
+    first = dict(zip(_id_pairs(groups), ranks))
+    new_id = {t: ids[sum(first[i, t] if i < t else not first[t, i] for i in ids if i != t)]
+              for ids in groups for t in ids}
     old_id = {new: old for old, new in new_id.items()}
     return (bytes(new_id.get(byte, byte) for byte in range(256)),
             itemgetter(*(layout.record_slices[old_id.get(t, t)]
                          for t in range(layout.task_count))))
-
-
-def worker_key(raw: bytes, layout: Layout) -> bytes:
-    """A state's bytes `raw` with the records of workers 1..w sorted as byte
-    strings, so every renaming of the identical worker cores gets the same
-    key. When they are already in order, as with one worker, the key is
-    `raw` itself, so a key is its own key.
-
-    No field of the state names a worker, so sorting the records is a
-    renaming, and two states get equal keys exactly when one is a renaming
-    of the other. Searching one of them is sound because no operation and
-    no part of `enabled` treats a worker differently by its id, and every
-    verdict is the same under a renaming: monitors are per task, and the
-    invariant and deadlock predicates name no fixed worker. A failure's
-    detail names the ids of the real state on the trace.
-    """
-    head, *records = layout.worker_cut(raw)
-    ordered = sorted(records)
-    if ordered == records:
-        return raw
-    return b"".join((head, *ordered))

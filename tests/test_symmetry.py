@@ -2,9 +2,9 @@
 `model.symmetric_key`, which renames the spawned tasks of each kind and
 the identical worker cores. It must reach the same verdicts as the search
 keyed by a reference key, which these tests restore by monkeypatching
-`explorer.symmetric_key`: the worker-only key (`model.worker_key`), and
-the exact `snapshot`. The key itself is checked against a renaming written
-out cell by cell."""
+`explorer.symmetric_key`: the worker-only key (`worker_key` below, the key
+before tasks were renamed), and the exact `snapshot`. The key itself is
+checked against a renaming written out cell by cell."""
 
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from schedcheck.model import (
     layout_for,
     snapshot,
     symmetric_key,
-    worker_key,
 )
 
 H = TaskKind.HEAVY
@@ -76,6 +75,14 @@ TASK_CASES = [(plan, workers, waits, preemptions, combo)
 
 WALK_CONFIG = KernelConfig(worker_count=4, task_plan=(H, H, H, H, L, L, L, L),
                            max_waits_per_task=3, max_preemptions_per_task=3)
+
+
+def worker_key(raw: bytes, layout) -> bytes:
+    """The reference key that renames only the workers: `raw` with the
+    records of workers 1..w sorted as byte strings."""
+    head, *records = layout.worker_cut(raw)
+    ordered = sorted(records)
+    return raw if ordered == records else b"".join((head, *ordered))
 
 
 def config_for(plan, workers, waits, preemptions, combo) -> KernelConfig:
