@@ -665,29 +665,23 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
         records = rename[0](raw)
         pairs = iter(records)
         if not (ge(*records) if len(records) == 2 else all(map(ge, pairs, pairs))):
-            return _renamed_key(raw, layout, rename, records)
+            _, groups, renamings = rename
+            pairs = iter(records)
+            ranks = tuple(map(ge, pairs, pairs))
+            if (renaming := renamings.get(ranks)) is None:
+                renaming = renamings[ranks] = _renaming(layout, groups, ranks)
+            table, reorder = renaming
+            renamed = raw.translate(table)
+            live = QUEUE + raw[QUEUE_LEN]
+            primary, *workers = layout.core_cut(renamed)
+            workers.sort()
+            return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
+                             *reorder(raw), primary, *workers))
     head, *workers = layout.worker_cut(raw)
     ordered = sorted(workers)
     if ordered == workers:
         return raw
     return b"".join((head, *ordered))
-
-
-def _renamed_key(raw: bytes, layout: Layout, rename: tuple, records: tuple[bytes, ...]) -> bytes:
-    """symmetric_key of `raw`, whose same-kind records `records`, cut by the
-    getter of `rename`, are out of order."""
-    _, groups, renamings = rename
-    pairs = iter(records)
-    ranks = tuple(map(ge, pairs, pairs))
-    if (renaming := renamings.get(ranks)) is None:
-        renaming = renamings[ranks] = _renaming(layout, groups, ranks)
-    table, reorder = renaming
-    renamed = raw.translate(table)
-    live = QUEUE + raw[QUEUE_LEN]
-    primary, *workers = layout.core_cut(renamed)
-    workers.sort()
-    return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
-                     *reorder(raw), primary, *workers))
 
 
 def _id_pairs(groups: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:

@@ -171,7 +171,7 @@ class MonitorRegistry:
 
     __slots__ = ("table", "buf", "base", "stride")
 
-    def __init__(self, table: TransitionTable, buf: array, base: int, stride: int = 1) -> None:
+    def __init__(self, table: TransitionTable, buf: array, base: int, stride: int) -> None:
         self.table = table
         self.buf = buf
         self.base = base
