@@ -2,9 +2,9 @@
 """Tabulate state-space sizes across workload bounds.
 
 Shows how the wait and preemption bounds drive the reachable graph. The
-counts are `explore`'s: states up to a renaming of worker cores, each
-checked against the structural invariants. Each configuration must
-stay clean; one that does not is named on stderr and the script exits 1.
+counts are `explore`'s: states up to a renaming of same-kind tasks and
+of worker cores, each checked against the structural invariants. Each
+configuration must stay clean; one that does not is named on stderr and the script exits 1.
 Useful when picking bounds small enough to explore exhaustively but large
 enough to express a bug.
 

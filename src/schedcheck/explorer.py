@@ -3,8 +3,9 @@
 A fixed set of virtual processes (the primary core's timer and
 preempter, a spawner, and one worker per core) each contribute guarded
 atomic steps. `explore` runs a breadth-first search that prunes states
-already visited up to a renaming of the identical worker cores
-(`model.symmetric_key`), and keeps a parent map, as TLC does. It records
+already visited up to a renaming of same-kind tasks and of the identical
+worker cores (`model.symmetric_key`), and keeps a parent map, as TLC
+does. It records
 monitor violations, deadlocks and invariant failures by class
 (`violation_class`): one shortest counterexample per class, whose trace
 is rebuilt along the parent map, so every trace is a real path.
@@ -487,9 +488,18 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     The visited set is a dict from each state's `symmetric_key` to its
     parent's key (None at the root). So of the states that differ only by
-    a renaming of worker cores, the first one reached is searched and the
-    others are pruned; the counters count states up to that renaming, and
-    a successor's bytes are looked up first (a key is its own key).
+    a renaming of the spawned tasks of a kind or of the worker cores, the
+    first one reached is searched and the others are pruned (up to ties of
+    task records, see `symmetric_key`); the counters count states up to
+    that renaming, and a successor's bytes are looked up first (a key is
+    its own key). This is symmetry reduction (Ip and Dill, 1996; Emerson
+    and Sistla, 1996), and it is sound because each renaming is a
+    symmetry of the model: scripts and bounds depend only on a task's
+    kind; no operation, enabled step or predicate names a fixed task or
+    worker; and a renaming reorders the timer variants of a state, but
+    maps its successor set onto that of the renamed state. So a renamed
+    state reaches the renamed violations, and `violation_class` names a
+    monitor violation's task by its kind.
 
     Violating states are leaves. The first violating state of each class
     (`violation_class`) lies, in BFS order, at the least depth of its
@@ -603,10 +613,10 @@ def _trace_to(
     a violation of class `kind`: from the initial state, at each depth the
     first enabled step whose successor has the next key on the parent chain,
     with no verdict until the last, which must be of `kind`. Steps are
-    matched by key because, under worker symmetry, the state the search kept
-    may be a renaming of the one reached here, and its step may name another
-    core. `settle` and `roots` are the search's memos, whose leaves give the
-    annotations."""
+    matched by key because, under symmetry, the state the search kept may
+    be a renaming of the one reached here, and its step may name another
+    core or timer variant. `settle` and `roots` are the search's memos,
+    whose leaves give the annotations."""
     chain = []
     while key is not None:
         chain.append(key)

@@ -186,6 +186,7 @@ class Layout:
         boot[self.tasks + T_SAVED_PC:self.cores:TASK_WIDTH] = array(typecode, [-1]) * n
         boot[self.cores:] = array(typecode, [-1]) * (end - self.cores)
         self.boot = boot
+        self.monitor_cells = tuple(range(self.tasks + T_MONITOR, self.cores, TASK_WIDTH))
         # The cells that explorer._settle reads: all but the monitors,
         # need_sched, the saved context, pc and the pending wait.
         self.settle_offsets = (
@@ -256,8 +257,7 @@ class KernelState:
         self.config = config
         self.layout = layout
         self.buf = buf
-        self.monitors = MonitorRegistry(
-            default_table(), buf, layout.tasks + T_MONITOR, TASK_WIDTH)
+        self.monitors = MonitorRegistry(default_table(), buf, layout.monitor_cells)
         self.violation: MonitorViolation | None = None
         self.step_label = ""
         self.step_lines: list[str] = []

@@ -13,6 +13,7 @@ original's.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -166,30 +167,29 @@ def default_table() -> TransitionTable:
 
 class MonitorRegistry:
     """task id -> current monitor state, as one code per task in a kernel
-    state's buffer `buf`, task t's at `base + t * stride` (code 0: not
+    state's buffer `buf`, task t's at offset cells[t] (code 0: not
     registered)."""
 
-    __slots__ = ("table", "buf", "base", "stride")
+    __slots__ = ("table", "buf", "cells")
 
-    def __init__(self, table: TransitionTable, buf: array, base: int, stride: int) -> None:
+    def __init__(self, table: TransitionTable, buf: array, cells: Sequence[int]) -> None:
         self.table = table
         self.buf = buf
-        self.base = base
-        self.stride = stride
+        self.cells = cells
 
     def register(self, task: int) -> None:
-        at = self.base + task * self.stride
+        at = self.cells[task]
         if self.buf[at]:
             raise ValueError(f"task {task} already registered")
         self.buf[at] = STATE_CODES[INIT]
 
     def current(self, task: int) -> MonitorState | None:
         """The task's monitor state; None before it is registered."""
-        return STATES[self.buf[self.base + task * self.stride]]
+        return STATES[self.buf[self.cells[task]]]
 
     def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, str]:
         """Feed one event; return (violation-or-None, formatted line)."""
-        at = self.base + task * self.stride
+        at = self.cells[task]
         src = self.buf[at]
         if not src:
             raise KeyError(task)

@@ -376,7 +376,7 @@ def test_criterion_7_monitor_oracle_equivalence():
                 break
             current = hits[0]
         # step-by-step monitor, in the registry a kernel state uses
-        mon = MonitorRegistry(table, array("b", [0]), 0, 1)
+        mon = MonitorRegistry(table, array("b", [0]), (0,))
         mon.register(0)
         mon_result = ("ok", None)
         for i, event in enumerate(sequence):

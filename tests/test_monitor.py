@@ -27,7 +27,7 @@ EVENTS = list(Event)
 def registry(tasks: int = 1) -> MonitorRegistry:
     """A registry over a buffer of its own, laid out as a kernel state's
     monitor cells: one code per task, none registered."""
-    return MonitorRegistry(default_table(), array("b", [0]) * tasks, 0, 1)
+    return MonitorRegistry(default_table(), array("b", [0]) * tasks, range(tasks))
 
 
 def monitor() -> MonitorRegistry:
@@ -55,7 +55,7 @@ def fold_events(table: TransitionTable, events: list[Event]):
 
 def run_monitor(table: TransitionTable, events: list[Event]):
     """Same sequence through the registry's own stepper."""
-    reg = MonitorRegistry(table, array("b", [0]), 0, 1)
+    reg = MonitorRegistry(table, array("b", [0]), (0,))
     reg.register(0)
     for i, event in enumerate(events):
         violation, _ = reg.fire(0, event)

@@ -280,6 +280,7 @@ def test_key_merges_the_renamings_of_walk_states():
     # workers. A random sample of renamings per state, since a state with
     # every task spawned has 4! x 4! x 4! of them.
     rng = random.Random(21)
+    assert layout_for(WALK_CONFIG).boot.typecode == "b"
     states = walk_sample(WALK_CONFIG, range(12), 10)
     renamed_keys = tie_free = 0
     for state in states:
@@ -293,6 +294,15 @@ def test_key_merges_the_renamings_of_walk_states():
         else:
             tie_free += 1
             assert {key_of(image) for image in images} == {key}
+            # the key is a renaming: each new id holds the one old record
+            # of its kind that equals its record in the key
+            size = TASK_WIDTH  # one byte a cell
+            record = [raw[task_cell(state, t, 0):][:size] for t in range(state.layout.task_count)]
+            moved = {new: next(old for old, rec in enumerate(record)
+                               if rec == key[task_cell(state, new, 0):][:size]
+                               and state.layout.heavy[old] is state.layout.heavy[new])
+                     for new in range(state.buf[SPAWN_CURSOR])}
+            assert key in {snapshot(renamed(state, moved, order)) for order in workers}
         renamed_keys += key[:state.layout.cores] != raw[:state.layout.cores]
     assert len(states) == 120
     assert tie_free >= 30 and renamed_keys >= 10
