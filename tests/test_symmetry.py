@@ -151,7 +151,7 @@ def test_task_renaming_reaches_the_worker_only_verdicts(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_reduced_search_reaches_the_exact_search_verdicts(case, monkeypatch):
+def test_reduced_search_reaches_the_full_search_verdicts(case, monkeypatch):
     reduced, full = reduced_and_reference(
         config_for(*case), monkeypatch, lambda raw, layout: raw)  # snapshot's key
     assert outcome(reduced) == outcome(full)
@@ -239,7 +239,7 @@ def assert_key_is_a_renaming(state: KernelState) -> bytes:
     KernelConfig(worker_count=2, task_plan=(H, H), max_waits_per_task=0, faults=frozenset({EBS})),
     KernelConfig(worker_count=2, task_plan=(H, L, L), max_waits_per_task=0),
 ], ids=["H,L/3-w0", "H,H/2-w0-ebs", "H,L,L/2-w0"])
-def test_key_is_one_renaming_of_every_reachable_state(config):
+def test_key_is_one_renaming_of_the_state(config):
     # over every reachable state, and for each state over every renaming of
     # its same-kind tasks and its workers
     init = initial_state(config)
