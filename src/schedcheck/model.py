@@ -27,7 +27,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations
 from operator import ge, itemgetter
 
 from .monitor import (
@@ -216,21 +215,19 @@ class Layout:
         # task ids. Per spawn cursor, `renames` holds None when no kind has
         # two spawned tasks, else (pairs, groups, renamings): `groups` holds
         # the ids of each kind with two or more spawned tasks, `pairs(raw)`
-        # the records of each two ids i < j of a group (`_id_pairs`), one
-        # pair after another, and `renamings` caches `_renaming` by the
-        # pairs' comparisons.
+        # the records of each two consecutive ids of a group, one pair after
+        # another, and `renamings` is `_renamed`'s cache.
         self.renames = None
         if typecode == "b":
             self.record_slices = tuple(slice(at, at + TASK_WIDTH)
                                        for at in range(self.tasks, self.cores, TASK_WIDTH))
-            self.core_cut = itemgetter(*(slice(at, at + CORE_WIDTH)
-                                         for at in range(self.cores, end, CORE_WIDTH)))
             renames = []
             for spawned in range(n + 1):
                 groups = tuple(ids for kind in (True, False)
                                if len(ids := tuple(t for t in range(spawned)
                                                    if self.heavy[t] is kind)) > 1)
-                pairs = [self.record_slices[t] for pair in _id_pairs(groups) for t in pair]
+                pairs = [self.record_slices[t] for ids in groups
+                         for pair in zip(ids, ids[1:]) for t in pair]
                 renames.append(groups and (itemgetter(*pairs), groups, {}) or None)
             self.renames = tuple(renames)
 
@@ -665,18 +662,7 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
         records = rename[0](raw)
         pairs = iter(records)
         if not (ge(*records) if len(records) == 2 else all(map(ge, pairs, pairs))):
-            _, groups, renamings = rename
-            pairs = iter(records)
-            ranks = tuple(map(ge, pairs, pairs))
-            if (renaming := renamings.get(ranks)) is None:
-                renaming = renamings[ranks] = _renaming(layout, groups, ranks)
-            table, reorder = renaming
-            renamed = raw.translate(table)
-            live = QUEUE + raw[QUEUE_LEN]
-            primary, *workers = layout.core_cut(renamed)
-            workers.sort()
-            return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
-                             *reorder(raw), primary, *workers))
+            raw = _renamed(raw, layout, *rename[1:])
     head, *workers = layout.worker_cut(raw)
     ordered = sorted(workers)
     if ordered == workers:
@@ -684,22 +670,25 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
     return b"".join((head, *ordered))
 
 
-def _id_pairs(groups: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
-    """Every two ids i < j of each group, group by group."""
-    return [pair for ids in groups for pair in combinations(ids, 2)]
-
-
-def _renaming(layout: Layout, groups: tuple, ranks: tuple[bool, ...]) -> tuple:
-    """The renaming of a stable sort of each group, descending, where
-    ranks[k] tells whether the k-th pair (i, j) of `_id_pairs(groups)` has
-    record i >= record j, so that i stays before j. A task's new id is the
-    id at its place in the sorted group: the place is the count of ids
-    sorted before it. Returns the `translate` table from old ids to new
-    ones, and a getter of every task's record in new id order."""
-    first = dict(zip(_id_pairs(groups), ranks))
-    new_id = {t: ids[sum(first[i, t] if i < t else not first[t, i] for i in ids if i != t)]
-              for ids in groups for t in ids}
-    old_id = {new: old for old, new in new_id.items()}
-    return (bytes(new_id.get(byte, byte) for byte in range(256)),
-            itemgetter(*(layout.record_slices[old_id.get(t, t)]
-                         for t in range(layout.task_count))))
+def _renamed(raw: bytes, layout: Layout, groups: tuple, renamings: dict) -> bytes:
+    """`raw` with each group of same-kind ids stable-sorted by record,
+    descending: the k-th id of a group takes the k-th record in that order.
+    `renamings` caches, by that order, the `translate` table from old ids
+    to new ones and a getter of every task's record in new id order. Kept
+    apart from `symmetric_key` so that the sort key's closure over `raw`
+    does not slow the calls that rename nothing."""
+    record, order = layout.record_slices, []
+    for ids in groups:
+        order += sorted(ids, key=lambda t: raw[record[t]], reverse=True)
+    order = tuple(order)
+    if (renaming := renamings.get(order)) is None:
+        new_id = dict(zip(order, (t for ids in groups for t in ids)))
+        old_id = {new: old for old, new in new_id.items()}
+        renaming = renamings[order] = (
+            bytes(new_id.get(byte, byte) for byte in range(256)),
+            itemgetter(*(record[old_id.get(t, t)] for t in range(layout.task_count))))
+    table, reorder = renaming
+    renamed = raw.translate(table)
+    live = QUEUE + raw[QUEUE_LEN]
+    return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
+                     *reorder(raw), renamed[layout.cores:]))
