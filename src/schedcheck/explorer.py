@@ -5,16 +5,16 @@ preempter, a spawner, and one worker per core) each contribute guarded
 atomic steps. `explore` runs a breadth-first search that prunes states
 already visited up to a renaming of same-kind tasks and of the identical
 worker cores (`model.symmetric_key`), and keeps a parent map, as TLC
-does. It records
-monitor violations, deadlocks and invariant failures by class
-(`violation_class`): one shortest counterexample per class, whose trace
-is rebuilt along the parent map, so every trace is a real path.
-`random_walk` steps one state in place along a seeded schedule, standing
-in for live runtime verification, and counts exact states (`snapshot`);
-`replay` re-runs a recorded schedule the same way and rebuilds its trace,
-also for a walk that ends in a verdict. All of them end a path by one
-rule (`_settle`) and build traces one way (`_trace`). The rule makes one
-pass over a state's cores and spawned tasks (`_examine`), which gives the
+does. It records monitor violations, deadlocks and invariant failures by
+class (`violation_class`): one shortest counterexample per class, whose
+steps are found again along the parent map, so every trace is a real
+path. `random_walk` steps one state in place along a seeded schedule,
+standing in for live runtime verification, and counts exact states
+(`snapshot`); `replay` re-runs a recorded schedule the same way and
+builds its trace. Every trace is built by `replay`: an `explore`
+counterexample's, a walk's that ends in a verdict, and a recorded one's.
+All of them end a path by one rule (`_settle`). The rule makes one pass
+over a state's cores and spawned tasks (`_examine`), which gives the
 invariant failure, the enabled steps and the deadlock test;
 `check_invariants` and `enabled` are views of that pass.
 
@@ -22,7 +22,8 @@ Only `explore` steps state buffers through the two per-search memos:
 `_settler` keys each ending rule by the bytes of the cells it reads, cut
 from the state's bytes (`Layout.settle_cut`), and `_transition` keeps one
 trie per step, keyed by the cells the step read, so an operation runs
-only on a miss. Its traces are read off those same memos.
+only on a miss. The steps of its traces are found through those same
+memos.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -230,10 +230,10 @@ def _transition(
     config: KernelConfig, buf: array, choice: ScheduleStep, roots: dict[ScheduleStep, list],
 ) -> tuple[array, tuple]:
     """The successor of `buf` by the enabled step `choice`, and the step's
-    effect: a leaf (writes, StepAnnotation, MonitorViolation or None) of the
-    step's trie in `roots`, the search's tries keyed by step. A node is
-    [offset, {value: child}], and a state walks it by its value at the
-    offset; the step runs only on a miss."""
+    effect: a leaf (writes, MonitorViolation or None) of the step's trie in
+    `roots`, the search's tries keyed by step. A node is [offset, {value:
+    child}], and a state walks it by its value at the offset; the step runs
+    only on a miss."""
     leaf = root = roots.get(choice) or roots.setdefault(choice, [0, {}])
     while type(leaf) is list:
         leaf = leaf[1].get(buf[leaf[0]])
@@ -254,8 +254,7 @@ def _learn(config: KernelConfig, buf: array, choice: ScheduleStep, root: list) -
     recorder = _Recorder(buf[:])
     state = KernelState(config, layout_for(config), recorder)
     _run(state, choice)
-    leaf = (tuple((at, recorder.buf[at]) for at in recorder.written),
-            StepAnnotation(state.step_label, tuple(state.step_lines)), state.violation)
+    leaf = (tuple((at, recorder.buf[at]) for at in recorder.written), state.violation)
     path = list(recorder.reads.items())
     if not root[1]:
         root[0] = path[0][0]
@@ -450,23 +449,6 @@ def _settler(config: KernelConfig):
     return settle
 
 
-def _trace(
-    steps: Iterable[ScheduleStep], annotations: Iterable[StepAnnotation],
-    violation: MonitorViolation | None, buf: array, layout: Layout, verdict: str | None, detail: str,
-) -> Trace:
-    """Build a Trace from the steps' annotations, the last step's monitor
-    violation and the final state's buffer."""
-    return Trace(
-        steps=tuple(steps),
-        annotations=tuple(annotations),
-        verdict=verdict,
-        monitor_error=violation,
-        final_task_states=_task_state_summary(buf, layout),
-        final_queue=tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]]),
-        detail=detail,
-    )
-
-
 def violation_class(
     config: KernelConfig, verdict: str, violation: MonitorViolation | None, detail: str,
 ) -> tuple:
@@ -503,8 +485,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     Violating states are leaves. The first violating state of each class
     (`violation_class`) lies, in BFS order, at the least depth of its
-    class; its trace is rebuilt along the parent map (`_trace_to`) from the
-    search's own memos, and replays under `config`. Later states of
+    class; its steps are found along the parent map (`_steps_to`) through
+    the search's own memos, and its trace is their `replay`. Later states of
     a known class are only counted, in `violating_states`, and
     `max_violations` counts classes. Hitting a limit flags the report
     incomplete, names the first limit that cut it in `incomplete_reason`,
@@ -585,7 +567,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 parents[key] = parent
                 states += 1
                 deepest = depth
-                if stop := visit(succ, raw, leaf[2], key, depth):
+                if stop := visit(succ, raw, leaf[1], key, depth):
                     break
             if stop:
                 break
@@ -600,46 +582,37 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     report.states_visited, report.transitions_taken = states, transitions
     report.max_depth = deepest
     for kind, key in firsts.items():
-        report.violations.append(_trace_to(config, key, kind, parents, settle, roots))
+        steps = _steps_to(config, init, key, parents, settle, roots)
+        report.violations.append(replay(config, steps))
         report.violating_states.append(counts[kind])
     return report
 
 
-def _trace_to(
-    config: KernelConfig, key: bytes, kind: tuple, parents: dict[bytes, bytes | None],
+def _steps_to(
+    config: KernelConfig, init: array, key: bytes, parents: dict[bytes, bytes | None],
     settle, roots: dict[ScheduleStep, list],
-) -> Trace:
-    """The trace of a shortest real path to the state `explore` keyed `key`,
-    a violation of class `kind`: from the initial state, at each depth the
-    first enabled step whose successor has the next key on the parent chain,
-    with no verdict until the last, which must be of `kind`. Steps are
-    matched by key because, under symmetry, the state the search kept may
-    be a renaming of the one reached here, and its step may name another
-    core or timer variant. `settle` and `roots` are the search's memos,
-    whose leaves give the annotations."""
+) -> tuple[ScheduleStep, ...]:
+    """The steps by which `explore` first reached the state it keyed `key`:
+    from its initial buffer `init`, at each depth the first enabled step
+    whose successor has the next key on the parent chain. The search tries
+    steps in this order and keys a state at the first step that reaches
+    it, so these are its steps and buffers. `settle` and `roots` are its
+    memos."""
     chain = []
     while key is not None:
         chain.append(key)
         key = parents[key]
-    layout = layout_for(config)
-    buf, violation = initial_state(config).buf, None
-    verdict, detail, options = settle(buf, bytes(buf), None)
-    steps, annotations = [], []
-    for depth, want in enumerate(reversed(chain[:-1]), 1):
-        goal = kind if depth == len(chain) - 1 else None
-        for choice in options:
-            succ, leaf = _transition(config, buf, choice, roots)
-            if symmetric_key(raw := bytes(succ), layout) != want:
-                continue
-            verdict, detail, succ_options = settle(succ, raw, leaf[2])
-            if (verdict and violation_class(config, verdict, leaf[2], detail)) == goal:
+    layout, buf, steps = layout_for(config), init, []
+    for want in reversed(chain[:-1]):
+        for choice in settle(buf, bytes(buf), None)[2]:
+            succ = _transition(config, buf, choice, roots)[0]
+            if symmetric_key(bytes(succ), layout) == want:
                 break
         else:
-            raise AssertionError(f"no step reaches the state at depth {depth} of its chain")
+            raise AssertionError(f"no step reaches the state at depth {len(steps) + 1}")
         steps.append(choice)
-        annotations.append(leaf[1])
-        buf, options, violation = succ, succ_options, leaf[2]
-    return _trace(steps, annotations, violation, buf, layout, verdict, detail)
+        buf = succ
+    return tuple(steps)
 
 
 def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationReport:
@@ -673,8 +646,9 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
 
 
 def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
-    """Re-execute a recorded schedule under `config`, stepping one state in
-    place as `random_walk` does, and rebuild its trace (a walk's trace too).
+    """Re-execute a schedule under `config`, stepping one state in place as
+    `random_walk` does, and build its trace: the one builder of every
+    trace, `explore`'s, a walk's and a recorded one's.
 
     Raises ReplayError naming the first step that is not enabled, or the
     step whose verdict comes before the schedule ends. A schedule that
@@ -693,4 +667,7 @@ def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
         _run(state, choice)
         annotations.append(StepAnnotation(state.step_label, tuple(state.step_lines)))
         verdict, detail, options = _settle(state)
-    return _trace(steps, annotations, state.violation, state.buf, state.layout, verdict, detail)
+    buf = state.buf
+    return Trace(tuple(steps), tuple(annotations), verdict, state.violation,
+                 _task_state_summary(buf, state.layout), tuple(buf[QUEUE:QUEUE + buf[QUEUE_LEN]]),
+                 detail)

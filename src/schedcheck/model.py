@@ -650,8 +650,8 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
     and of its renaming are numbered differently, but their successor sets
     are renamings of each other. A monitor violation's class names its
     task's kind, not its id (`explorer.violation_class`), and a trace is the
-    real path that `explore` rebuilds by key, so it names the ids of the
-    states it passes through.
+    replay of the steps by which `explore` first reached each key on its
+    parent chain, so it names the ids of the states that the search kept.
 
     'h' layouts, whose cells are two bytes, get the worker-only key: their
     tasks are never renamed, because byte `translate` cannot rename a

@@ -2,9 +2,11 @@
 fixed set of runs.
 
 The runs are every fix/fault combination on H,L/2, the H,H/2 combinations
-whose searches cancel an IPI for a spent preemption budget, three seeded
-walks on the benchmark's walk configuration (H,H,H,H,L,L,L,L/4, 3 waits,
-3 preemptions), and the replay of one fault report. A changed step label,
+whose searches cancel an IPI for a spent preemption budget, two searches
+that a limit (max-states, max-depth) cuts short after they found traces,
+three seeded walks on the benchmark's walk configuration
+(H,H,H,H,L,L,L,L/4, 3 waits, 3 preemptions), and the replay of one fault
+report. A changed step label,
 a reordered monitor event or a moved counter changes a digest.
 
 After a deliberate change to the output, print the current digests in the
@@ -37,16 +39,24 @@ BUDGET_SPENT_FAULTS = ((), ("enqueue-before-state",), ("skip-running-check",),
                        ("enqueue-before-state", "skip-running-check"))
 WALK = ("--tasks", "H,H,H,H,L,L,L,L", "--workers", "4",
         "--max-waits", "3", "--max-preemptions", "3")
+# Searches that a limit cuts short, each still with traces.
+CUT_SEARCHES = (("H,L", "off", "on", (), ("max-states", 200)),
+                ("H,H", "on", "off", ("enqueue-before-state",), ("max-depth", 6)))
 REPLAYED = "explore H,L/2 wait=off preempt=on faults=enqueue-before-state"
 
 
-def _explore(plan: str, fix_wait: str, fix_preempt: str, faults) -> tuple[str, list[str]]:
+def _explore(
+    plan: str, fix_wait: str, fix_preempt: str, faults, limit: tuple[str, int] | None = None,
+) -> tuple[str, list[str]]:
     run_id = (f"explore {plan}/2 wait={fix_wait} preempt={fix_preempt} "
               f"faults={'+'.join(faults) or 'none'}")
     argv = ["--tasks", plan, "--workers", "2", "--fix-wait", fix_wait,
             "--fix-preempt", fix_preempt, "--max-violations", str(10**9)]
     for fault in faults:
         argv += ["--fault", fault]
+    if limit is not None:
+        run_id += f" {limit[0]}={limit[1]}"
+        argv += [f"--{limit[0]}", str(limit[1])]
     return run_id, argv
 
 
@@ -59,6 +69,7 @@ def runs() -> dict[str, list[str]]:
         for faults in combinations(FAULTS, n)
     )
     out.update(_explore("H,H", "on", "on", faults) for faults in BUDGET_SPENT_FAULTS)
+    out.update(_explore(*cut) for cut in CUT_SEARCHES)
     for seed in (1, 2, 3):
         out[f"walk seed={seed}"] = ["--mode", "walk", "--seed", str(seed), *WALK]
     out[f"replay of {REPLAYED}"] = ["--mode", "replay"]
@@ -158,6 +169,10 @@ GOLDEN = {
         "8f5174a0b224744002b77e4f9cb828a1bb67e61ce8d5f69a1785e1c0d63c972e",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
         "6b880a5feabfd41a5e17891915e0fd2f6ae7c2292bc6da883a00bbfb6681405f",
+    "explore H,L/2 wait=off preempt=on faults=none max-states=200":
+        "6b107105adc44d7b48988dc935afea8576c7eafb1972dae588a51771a2448424",
+    "explore H,H/2 wait=on preempt=off faults=enqueue-before-state max-depth=6":
+        "ae1b5d61b2244524a41304a37ca808fc242540f06a21a8ea0ce64834d9c21f4e",
     "walk seed=1":
         "cb23a102167b41997f6d7c866841b6c418a564ba16b4cd434ac7718fbd0cd4fb",
     "walk seed=2":

@@ -12,8 +12,8 @@ import itertools
 
 import pytest
 
-from schedcheck.explorer import _settler, _transition
-from schedcheck.model import FAULTS, KernelConfig, TaskKind, initial_state
+from schedcheck.explorer import _apply, _settler, _transition
+from schedcheck.model import FAULTS, KernelConfig, KernelState, TaskKind, initial_state, layout_for
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -31,7 +31,7 @@ COMBOS = [
 def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
     """Exact DFS, violating states as leaves: each back edge as (step,
     label, whether it is a self-loop), and the states whose steps all loop."""
-    settle, roots = _settler(config), {}
+    settle, roots, layout = _settler(config), {}, layout_for(config)
 
     def successors(buf, key, violation) -> list[tuple]:
         verdict, _, options = settle(buf, key, violation)
@@ -45,7 +45,7 @@ def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
         if succs and all(bytes(succ) == key for _, succ, _ in succs):
             stuck.append(key)
         on_stack.add(key)
-        stack.append((key, iter(succs)))
+        stack.append((key, buf, iter(succs)))
 
     back_edges: list[tuple] = []
     stuck: list[bytes] = []
@@ -55,14 +55,15 @@ def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
     seen = {bytes(init)}
     push(init, None)
     while stack:
-        key, succs = stack[-1]
+        key, buf, succs = stack[-1]
         for step, succ, leaf in succs:
             raw = bytes(succ)
             if raw in on_stack:
-                back_edges.append((step, leaf[1].label, raw == key))
+                label = _apply(KernelState(config, layout, buf), step).step_label
+                back_edges.append((step, label, raw == key))
             elif raw not in seen:
                 seen.add(raw)
-                push(succ, leaf[2])
+                push(succ, leaf[1])
                 break
         else:
             on_stack.discard(key)

@@ -1,13 +1,13 @@
 """`explore` takes each successor from the transition memo
 (`explorer._transition`): a dict from each step to its trie, keyed by the
-cells that the step's runs read, whose leaves hold the step's writes,
-annotation and monitor violation. Over every reachable (state, enabled step) of the
+cells that the step's runs read, whose leaves hold the step's writes and
+monitor violation. Over every reachable (state, enabled step) of the
 settle-projection configs, the memo must agree with running the operation
 (`_apply`), on misses and on hits. And a leaf may depend on no cell off its
 path: with every other cell scrambled, the trie must return the same leaf,
-and the operation must make the same writes, annotation and violation.
-`explore` also rebuilds its traces through the search's own tries, so it
-learns each step into one trie."""
+and the operation must make the same writes and violation. `explore` also
+finds its traces' steps through the search's own tries, so it learns each
+step into one trie, and finding them runs no operation."""
 
 from __future__ import annotations
 
@@ -17,15 +17,14 @@ from array import array
 import pytest
 
 from schedcheck import explorer
-from schedcheck.explorer import Limits, StepAnnotation, _apply, _transition, explore
+from schedcheck.explorer import Limits, _apply, _transition, explore
 from schedcheck.model import FAULTS, KernelConfig, KernelState, TaskKind
 from test_settle_projection import CONFIGS, _reachable
 
 
 def _effect(succ: KernelState) -> tuple:
-    """The successor's bytes, annotation and violation of one `_apply`."""
-    return (bytes(succ.buf), StepAnnotation(succ.step_label, tuple(succ.step_lines)),
-            succ.violation)
+    """The successor's bytes and violation of one `_apply`."""
+    return bytes(succ.buf), succ.violation
 
 
 def _walk(root: list, buf) -> tuple[list[int], object]:
@@ -50,7 +49,7 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
     for _ in range(2):  # the first pass fills the memo, the second only hits it
         for state, choice, effect in cases:
             succ, leaf = _transition(config, state.buf, choice, roots)
-            assert (bytes(succ), leaf[1], leaf[2]) == effect
+            assert (bytes(succ), leaf[1]) == effect
 
     rng = random.Random(11)
     typecode, size = cases[0][0].buf.typecode, len(cases[0][0].buf)
@@ -66,20 +65,31 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
         for at, value in leaf[0]:
             expected[at] = value
         succ = _apply(KernelState(config, state.layout, scrambled), choice)
-        assert (bytes(expected), leaf[1], leaf[2]) == _effect(succ), (choice, list(state.buf))
+        assert (bytes(expected), leaf[1]) == _effect(succ), (choice, list(state.buf))
 
 
 def test_explore_learns_each_step_into_one_trie(monkeypatch):
     # a trace that learned into tries of its own would re-run operations
-    # that the search has already run
+    # that the search has already run; and each step on a parent chain is
+    # one the search took, so finding a trace's steps runs none at all
     tries: dict = {}
-    learn = explorer._learn
+    finding = []
+    learn, steps_to = explorer._learn, explorer._steps_to
 
     def spying(config, buf, choice, root):
+        assert not finding, "finding a trace's steps ran an operation"
         tries.setdefault(choice, []).append(root)  # kept, so no id is reused
         return learn(config, buf, choice, root)
 
+    def tracing(*args):
+        finding.append(True)
+        try:
+            return steps_to(*args)
+        finally:
+            finding.pop()
+
     monkeypatch.setattr(explorer, "_learn", spying)
+    monkeypatch.setattr(explorer, "_steps_to", tracing)
     config = KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT),
                           fix_wait_need_sched=False, fix_preempt_need_sched=False)
     report = explore(config, Limits(max_violations=10**9))
@@ -99,8 +109,8 @@ def test_explore_learns_each_step_into_one_trie(monkeypatch):
                  fix_wait_need_sched=False, faults=frozenset({"skip-resume-state"})),
 ], ids=["HLL-wait", "HLL-preempt", "HLL-skip-resume", "HH-wait-skip-resume"])
 def test_replay_steps_without_the_memos(monkeypatch, config):
-    # replay executes each operation directly, so it checks explore's
-    # memo-built traces rather than reading the same memos again
+    # replay executes each operation directly: the steps that explore
+    # found through its memos reproduce each trace without them
     report = explore(config, Limits(max_violations=10**9))
     assert len(report.violations) > 1
 
