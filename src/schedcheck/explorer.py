@@ -2,20 +2,20 @@
 
 A fixed set of virtual processes (the primary core's timer and
 preempter, a spawner, and one worker per core) each contribute guarded
-atomic steps. `explore` runs a breadth-first search that prunes states
-already visited up to a renaming of same-kind tasks and of the identical
+atomic steps. `explore` runs a breadth-first search over the canonical
+forms of states under renamings of same-kind tasks and of the identical
 worker cores (`model.symmetric_key`), and keeps a parent map, as TLC
 does. It records monitor violations, deadlocks and invariant failures by
 class (`violation_class`): one shortest counterexample per class, whose
-steps are found again along the parent map, so every trace is a real
-path. `random_walk` steps one state in place along a seeded schedule,
-standing in for live runtime verification, and counts exact states
-(`snapshot`); `replay` re-runs a recorded schedule the same way and
-builds its trace. Every trace is built by `replay`: an `explore`
-counterexample's, a walk's that ends in a verdict, and a recorded one's.
-All of them end a path by one rule (`_settle`). The rule makes one pass
-over a state's cores and spawned tasks (`_examine`), which gives the
-invariant failure, the enabled steps and the deadlock test;
+steps are found again along the parent map from the real initial state,
+so every trace is a real path. `random_walk` steps one state in place
+along a seeded schedule, standing in for live runtime verification, and
+counts exact states (`snapshot`); `replay` re-runs a recorded schedule
+the same way and builds its trace. Every trace is built by `replay`: an
+`explore` counterexample's, a walk's that ends in a verdict, and a
+recorded one's. All of them end a path by one rule (`_settle`). The rule
+makes one pass over a state's cores and spawned tasks (`_examine`), which
+gives the invariant failure, the enabled steps and the deadlock test;
 `check_invariants` and `enabled` are views of that pass.
 
 Only `explore` steps state buffers through the two per-search memos:
@@ -470,11 +470,12 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     The visited set is a dict from each state's `symmetric_key` to its
     parent's key (None at the root). So of the states that differ only by
-    a renaming of the spawned tasks of a kind or of the worker cores, the
-    first one reached is searched and the others are pruned (up to ties of
-    task records, see `symmetric_key`); the counters count states up to
-    that renaming, and a successor's bytes are looked up first (a key is
-    its own key). This is symmetry reduction (Ip and Dill, 1996; Emerson
+    a renaming of the spawned tasks of a kind or of the worker cores, one
+    is searched, in the form of its key: the search settles and expands a
+    buffer of the key's bytes, not the successor it reached. The counters
+    count states up to that renaming. A key is its own key, so a
+    successor's bytes are looked up first; a successor of a key is mostly
+    a key already. This is symmetry reduction (Ip and Dill, 1996; Emerson
     and Sistla, 1996), and it is sound because each renaming is a
     symmetry of the model: scripts and bounds depend only on a task's
     kind; no operation, enabled step or predicate names a fixed task or
@@ -486,7 +487,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     Violating states are leaves. The first violating state of each class
     (`violation_class`) lies, in BFS order, at the least depth of its
     class; its steps are found along the parent map (`_steps_to`) through
-    the search's own memos, and its trace is their `replay`. Later states of
+    the search's memos, and its trace is their `replay`. Later states of
     a known class are only counted, in `violating_states`, and
     `max_violations` counts classes. Hitting a limit flags the report
     incomplete, names the first limit that cut it in `incomplete_reason`,
@@ -495,18 +496,18 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     states left unexpanded at depth d are probed after the search, and the
     cut holds only if one of their successors is a state it never visited.
     Probes are not counted.
-    Each level of the frontier is three parallel lists: state buffers,
-    their enabled steps and their keys. Successors come from
+    Each level of the frontier is three parallel lists: the buffers of
+    the keys, their enabled steps and the keys. Successors come from
     `_transition`, so an operation runs only on a transition-memo miss.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
     layout = layout_for(config)
+    typecode = layout.boot.typecode
     settle = _settler(config)
     roots: dict[ScheduleStep, list] = {}
     init = initial_state(config).buf
-    init_raw = bytes(init)
-    init_key = symmetric_key(init_raw, layout)
+    init_key = symmetric_key(bytes(init), layout)
     parents: dict[bytes, bytes | None] = {init_key: None}
     # violation class -> violating states of it; `firsts` keeps each one's first key
     counts: dict[tuple, int] = {}
@@ -522,11 +523,10 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         report.incomplete = True
         report.incomplete_reason = report.incomplete_reason or reason
 
-    def visit(
-        buf: array, raw: bytes, violation: MonitorViolation | None, key: bytes, depth: int,
-    ) -> bool:
-        """Settle a newly visited state; True when the search must stop."""
-        verdict, detail, options = settle(buf, raw, violation)
+    def visit(buf: array, key: bytes, violation: MonitorViolation | None, depth: int) -> bool:
+        """Settle a newly visited state, whose buffer `buf` holds its key;
+        True when the search must stop."""
+        verdict, detail, options = settle(buf, key, violation)
         if verdict is not None:
             kind = violation_class(config, verdict, violation, detail)
             if kind in counts:
@@ -549,7 +549,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
     states = 1
     transitions = depth = deepest = 0
-    stop = visit(init, init_raw, None, init_key, 0)
+    stop = visit(array(typecode, init_key), init_key, None, 0)
     while bufs and not stop:
         depth += 1
         level = zip(bufs, opts, keys)
@@ -567,7 +567,9 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 parents[key] = parent
                 states += 1
                 deepest = depth
-                if stop := visit(succ, raw, leaf[1], key, depth):
+                if key is not raw:
+                    succ = array(typecode, key)
+                if stop := visit(succ, key, leaf[1], depth):
                     break
             if stop:
                 break
@@ -592,12 +594,16 @@ def _steps_to(
     config: KernelConfig, init: array, key: bytes, parents: dict[bytes, bytes | None],
     settle, roots: dict[ScheduleStep, list],
 ) -> tuple[ScheduleStep, ...]:
-    """The steps by which `explore` first reached the state it keyed `key`:
-    from its initial buffer `init`, at each depth the first enabled step
-    whose successor has the next key on the parent chain. The search tries
-    steps in this order and keys a state at the first step that reaches
-    it, so these are its steps and buffers. `settle` and `roots` are its
-    memos."""
+    """A shortest real path from the initial buffer `init` to a state that
+    `explore` keyed `key`: at each depth the first enabled step whose
+    successor has the next key on the parent chain. The search expanded
+    keys, so the path's buffers are not those it expanded, but each is a
+    renaming of one: the first is the root, whose key the search expanded,
+    and a renaming's successors are renamings of the successors of the
+    state it renames. Every renaming of a state has the same key, so some
+    step reaches the next key at every depth. `settle` and `roots` are the
+    search's memos, which a buffer that the search never expanded can miss
+    and fill."""
     chain = []
     while key is not None:
         chain.append(key)

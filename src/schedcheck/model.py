@@ -27,7 +27,8 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from operator import ge, itemgetter
+from itertools import chain, islice, permutations, product
+from operator import eq, ge, gt, itemgetter
 
 from .monitor import (
     STATES,
@@ -213,10 +214,11 @@ class Layout:
         # symmetric_key's renaming of the spawned tasks of each kind, in 'b'
         # layouts only, where a byte is a cell, so a byte `translate` renames
         # task ids. Per spawn cursor, `renames` holds None when no kind has
-        # two spawned tasks, else (pairs, groups, renamings): `groups` holds
-        # the ids of each kind with two or more spawned tasks, `pairs(raw)`
-        # the records of each two consecutive ids of a group, one pair after
-        # another, and `renamings` is `_renamed`'s cache.
+        # two spawned tasks, else (pairs, groups, renamings, swaps): `groups`
+        # holds the ids of each kind with two or more spawned tasks,
+        # `pairs(raw)` the records of each two consecutive ids of a group, one
+        # pair after another, and `renamings` and `swaps` are the caches of
+        # `_renamed` and `_least`.
         self.renames = None
         if typecode == "b":
             self.record_slices = tuple(slice(at, at + TASK_WIDTH)
@@ -228,7 +230,7 @@ class Layout:
                                                    if self.heavy[t] is kind)) > 1)
                 pairs = [self.record_slices[t] for ids in groups
                          for pair in zip(ids, ids[1:]) for t in pair]
-                renames.append(groups and (itemgetter(*pairs), groups, {}) or None)
+                renames.append(groups and (itemgetter(*pairs), groups, {}, {}) or None)
             self.renames = tuple(renames)
 
 
@@ -624,22 +626,22 @@ def snapshot(state: KernelState) -> bytes:
 
 
 def symmetric_key(raw: bytes, layout: Layout) -> bytes:
-    """Visited-set key of `explore` for a state's bytes `raw`: the bytes of a
-    renaming of the state, so that its renamings by the spawned tasks of
-    each kind and by the identical worker cores get one key, up to ties.
+    """Visited-set key of `explore` for a state's bytes `raw`: its canonical
+    form under the renamings of the spawned tasks of each kind and of the
+    identical worker cores. Every renaming of a state gets one key, and the
+    key is the bytes of one of them.
 
-    First the tasks. When the records of the spawned tasks of each kind are
-    in descending byte order, no task is renamed. Otherwise each kind's ids
-    are stable-sorted by record, descending, and the k-th id of the kind
-    takes the k-th record in that order: the records move, and one
-    `translate` table renames the ids in the live queue slots and in the
-    core records, the only cells that hold task ids. Unspawned tasks keep
-    their ids, because tasks spawn in id order. Then the workers: the
-    records of workers 1..w are sorted as byte strings. A key is its own
-    key, and a state already in order keeps its bytes object, so `explore`
-    looks a successor's bytes up before it computes their key. Tied task
-    records stay in place, so two renamings of one state can get two keys,
-    each of them a renaming.
+    A labeling of the tasks gives each kind's ids to that kind's spawned
+    records: the records move whole, and one `translate` table renames the
+    ids in the live queue slots and in the core records, the only cells
+    that hold task ids. Unspawned tasks keep their ids, because tasks spawn
+    in id order. The workers are renamed by sorting the records of workers
+    1..w as byte strings. Of the labelings that put each kind's records in
+    descending byte order, the key is the one whose worker-sorted bytes are
+    least (`_least`). Records that all differ admit one such labeling; when
+    they are already in order and the workers sorted, the key is `raw`
+    itself, the same object. A key is its own key, so `explore` looks a
+    successor's bytes up before it computes their key, and expands the key.
 
     Searching one state per key is sound because both renamings are
     symmetries of the model. A task's script and bounds depend only on its
@@ -649,9 +651,7 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
     renaming reorders `fireable_timers`, so the timer variants of a state
     and of its renaming are numbered differently, but their successor sets
     are renamings of each other. A monitor violation's class names its
-    task's kind, not its id (`explorer.violation_class`), and a trace is the
-    replay of the steps by which `explore` first reached each key on its
-    parent chain, so it names the ids of the states that the search kept.
+    task's kind, not its id (`explorer.violation_class`).
 
     'h' layouts, whose cells are two bytes, get the worker-only key: their
     tasks are never renamed, because byte `translate` cannot rename a
@@ -661,13 +661,81 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
     if rename:
         records = rename[0](raw)
         pairs = iter(records)
-        if not (ge(*records) if len(records) == 2 else all(map(ge, pairs, pairs))):
-            raw = _renamed(raw, layout, *rename[1:])
+        if not (gt(*records) if len(records) == 2 else all(map(gt, pairs, pairs))):
+            return _least(raw, layout, records, *rename)
+    return _sorted_workers(raw, layout)
+
+
+def _sorted_workers(raw: bytes, layout: Layout) -> bytes:
+    """`raw` with the records of workers 1..w sorted as byte strings; `raw`
+    itself when they are in order."""
     head, *workers = layout.worker_cut(raw)
     ordered = sorted(workers)
     if ordered == workers:
         return raw
     return b"".join((head, *ordered))
+
+
+def _least(raw: bytes, layout: Layout, records: tuple, pairs_of, groups: tuple,
+           renamings: dict, swaps: dict) -> bytes:
+    """The key of `raw`, some of whose same-kind records are out of order or
+    tie. Records out of order are sorted first (`_renamed`). Then each run of
+    tied records of a kind can take its ids in any order, and since the
+    records are equal, none moves: those labelings differ only by a
+    `translate` of the queue and core cells that permutes the ids of each
+    run (`_swap_tables`). The key is the least worker-sorted image over
+    them, and so it differs from `raw` only in the cells from the queue
+    length to the last queue slot and in the core records. `swaps` keeps,
+    per pattern of ties (a flag per pair of `pairs_of`), the tables and a
+    memo from those cells of `raw` to those of its key. A state in order
+    whose cells are least keeps its bytes object."""
+    if len(records) == 2:  # one pair: records in order tie, out of order they differ
+        ties = (records[0] == records[1],)
+        if not ties[0]:
+            return _sorted_workers(_renamed(raw, layout, groups, renamings), layout)
+    else:
+        pairs = iter(records)
+        if not all(map(ge, pairs, pairs)):
+            raw = _renamed(raw, layout, groups, renamings)
+            records = pairs_of(raw)
+        pairs = iter(records)
+        ties = tuple(map(eq, pairs, pairs))
+        if True not in ties:
+            return _sorted_workers(raw, layout)
+    if (swap := swaps.get(ties)) is None:
+        swap = swaps[ties] = (_swap_tables(groups, ties), {})
+    tables, leasts = swap
+    tasks, cores = layout.tasks, layout.cores
+    cells = raw[QUEUE_LEN:tasks] + raw[cores:]
+    if (least := leasts.get(cells)) is None:
+        live = QUEUE + raw[QUEUE_LEN]
+        key = min(_sorted_workers(raw, layout), *(_sorted_workers(b"".join(
+            (raw[:QUEUE], (renamed := raw.translate(table))[QUEUE:live], raw[live:cores],
+             renamed[cores:])), layout) for table in tables))
+        least = leasts[cells] = key[QUEUE_LEN:tasks] + key[cores:]
+    if least == cells:
+        return raw
+    queue = tasks - QUEUE_LEN
+    return b"".join((raw[:QUEUE_LEN], least[:queue], raw[tasks:cores], least[queue:]))
+
+
+def _swap_tables(groups: tuple, ties: tuple[bool, ...]) -> tuple[bytes, ...]:
+    """The `translate` tables that permute the ids of each run of tied
+    records, one per permutation but the identity: one for a tied pair, 3! - 1
+    for three tied records. `ties` flags each two consecutive ids of a
+    group, as `symmetric_key` pairs them, whose records are equal."""
+    flags, runs = iter(ties), []
+    for ids in groups:
+        runs.append([ids[0]])
+        for t in ids[1:]:
+            if next(flags):
+                runs[-1].append(t)
+            else:
+                runs.append([t])
+    ids = tuple(chain.from_iterable(runs))
+    # the first order of the product leaves every run as it is
+    return tuple(_table(dict(zip(chain.from_iterable(order), ids)))
+                 for order in islice(product(*map(permutations, runs)), 1, None))
 
 
 def _renamed(raw: bytes, layout: Layout, groups: tuple, renamings: dict) -> bytes:
@@ -685,10 +753,16 @@ def _renamed(raw: bytes, layout: Layout, groups: tuple, renamings: dict) -> byte
         new_id = dict(zip(order, (t for ids in groups for t in ids)))
         old_id = {new: old for old, new in new_id.items()}
         renaming = renamings[order] = (
-            bytes(new_id.get(byte, byte) for byte in range(256)),
+            _table(new_id),
             itemgetter(*(record[old_id.get(t, t)] for t in range(layout.task_count))))
     table, reorder = renaming
     renamed = raw.translate(table)
     live = QUEUE + raw[QUEUE_LEN]
     return b"".join((raw[:QUEUE], renamed[QUEUE:live], raw[live:layout.tasks],
                      *reorder(raw), renamed[layout.cores:]))
+
+
+def _table(new_id: dict[int, int]) -> bytes:
+    """The `translate` table that renames each task id to `new_id`'s value
+    and keeps every other byte."""
+    return bytes(new_id.get(byte, byte) for byte in range(256))

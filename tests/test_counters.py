@@ -23,10 +23,10 @@ L = TaskKind.LIGHT
 
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
-    ("H,L,L", 2): (1755, 4999, 26, 1),
-    ("H,H", 2): (2994, 8950, 33, 1),
-    ("H,L,L", 3): (2397, 8353, 26, 1),
-    ("H,H,L", 3): (20607, 82067, 38, 1),
+    ("H,L,L", 2): (1747, 4975, 26, 1),
+    ("H,H", 2): (2979, 8912, 33, 1),
+    ("H,L,L", 3): (2377, 8279, 26, 1),
+    ("H,H,L", 3): (20502, 81708, 38, 1),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
@@ -36,9 +36,9 @@ EXACT_LADDER = {
 }
 # Rungs with two preemptions per heavy task: complete and clean.
 TWO_PREEMPTIONS = {
-    ("H,L,L", 2): (3135, 9052, 32, 1),
-    ("H,H", 2): (8415, 25788, 45, 1),
-    ("H,L,L", 3): (4343, 15368, 32, 1),
+    ("H,L,L", 2): (3123, 9016, 32, 1),
+    ("H,H", 2): (8385, 25712, 45, 1),
+    ("H,L,L", 3): (4299, 15208, 32, 1),
 }
 
 # Seeded walks of H,H,L/2 under the CLI's step budget, keyed by seed.
@@ -51,38 +51,38 @@ FAULTS = (EBS, SRS, SRC)
 # keyed by (fix_wait, fix_preempt, faults). No combo has 16 violation
 # classes, so each of these searches is complete.
 FAULT_MATRIX = {
-    (True, True, ()): (1755, 4999, 26, 1),
-    (True, True, (EBS,)): (1835, 5245, 26, 1),
-    (True, True, (SRS,)): (1700, 4731, 26, 1),
-    (True, True, (SRC,)): (1755, 4999, 26, 1),
-    (True, True, (EBS, SRS)): (1804, 5015, 26, 1),
-    (True, True, (EBS, SRC)): (1883, 5245, 26, 1),
-    (True, True, (SRS, SRC)): (1700, 4731, 26, 1),
-    (True, True, (EBS, SRS, SRC)): (1852, 5015, 26, 1),
-    (True, False, ()): (1041, 2349, 23, 1),
-    (True, False, (EBS,)): (1349, 2920, 23, 1),
-    (True, False, (SRS,)): (997, 2223, 21, 1),
-    (True, False, (SRC,)): (1041, 2349, 23, 1),
-    (True, False, (EBS, SRS)): (1309, 2798, 22, 1),
-    (True, False, (EBS, SRC)): (1415, 2920, 23, 1),
-    (True, False, (SRS, SRC)): (997, 2223, 21, 1),
-    (True, False, (EBS, SRS, SRC)): (1375, 2798, 22, 1),
-    (False, True, ()): (1181, 2724, 23, 1),
-    (False, True, (EBS,)): (1241, 2896, 23, 1),
-    (False, True, (SRS,)): (1141, 2540, 24, 1),
-    (False, True, (SRC,)): (1181, 2724, 23, 1),
-    (False, True, (EBS, SRS)): (1219, 2738, 24, 1),
-    (False, True, (EBS, SRC)): (1277, 2896, 23, 1),
-    (False, True, (SRS, SRC)): (1141, 2540, 24, 1),
-    (False, True, (EBS, SRS, SRC)): (1255, 2738, 24, 1),
-    (False, False, ()): (1071, 2335, 21, 1),
-    (False, False, (EBS,)): (1422, 2975, 22, 1),
-    (False, False, (SRS,)): (1071, 2335, 21, 1),
-    (False, False, (SRC,)): (1071, 2335, 21, 1),
-    (False, False, (EBS, SRS)): (1422, 2975, 22, 1),
-    (False, False, (EBS, SRC)): (1497, 2975, 22, 1),
-    (False, False, (SRS, SRC)): (1071, 2335, 21, 1),
-    (False, False, (EBS, SRS, SRC)): (1497, 2975, 22, 1),
+    (True, True, ()): (1747, 4975, 26, 1),
+    (True, True, (EBS,)): (1827, 5221, 26, 1),
+    (True, True, (SRS,)): (1692, 4707, 26, 1),
+    (True, True, (SRC,)): (1747, 4975, 26, 1),
+    (True, True, (EBS, SRS)): (1796, 4991, 26, 1),
+    (True, True, (EBS, SRC)): (1875, 5221, 26, 1),
+    (True, True, (SRS, SRC)): (1692, 4707, 26, 1),
+    (True, True, (EBS, SRS, SRC)): (1844, 4991, 26, 1),
+    (True, False, ()): (1035, 2332, 23, 1),
+    (True, False, (EBS,)): (1343, 2903, 23, 1),
+    (True, False, (SRS,)): (991, 2206, 21, 1),
+    (True, False, (SRC,)): (1035, 2332, 23, 1),
+    (True, False, (EBS, SRS)): (1303, 2781, 22, 1),
+    (True, False, (EBS, SRC)): (1409, 2903, 23, 1),
+    (True, False, (SRS, SRC)): (991, 2206, 21, 1),
+    (True, False, (EBS, SRS, SRC)): (1369, 2781, 22, 1),
+    (False, True, ()): (1173, 2707, 23, 1),
+    (False, True, (EBS,)): (1233, 2879, 23, 1),
+    (False, True, (SRS,)): (1133, 2523, 24, 1),
+    (False, True, (SRC,)): (1173, 2707, 23, 1),
+    (False, True, (EBS, SRS)): (1211, 2721, 24, 1),
+    (False, True, (EBS, SRC)): (1269, 2879, 23, 1),
+    (False, True, (SRS, SRC)): (1133, 2523, 24, 1),
+    (False, True, (EBS, SRS, SRC)): (1247, 2721, 24, 1),
+    (False, False, ()): (1063, 2313, 21, 1),
+    (False, False, (EBS,)): (1414, 2953, 22, 1),
+    (False, False, (SRS,)): (1063, 2313, 21, 1),
+    (False, False, (SRC,)): (1063, 2313, 21, 1),
+    (False, False, (EBS, SRS)): (1414, 2953, 22, 1),
+    (False, False, (EBS, SRC)): (1489, 2953, 22, 1),
+    (False, False, (SRS, SRC)): (1063, 2313, 21, 1),
+    (False, False, (EBS, SRS, SRC)): (1489, 2953, 22, 1),
 }
 
 

@@ -162,17 +162,17 @@ GOLDEN = {
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
         "7a34507d12b50188180c38b5010650a1b284186c1f6f5b1b150a063e879d2e10",
     "explore H,H/2 wait=on preempt=on faults=none":
-        "c40a385489bc6442203cdd0d2e481c5402416ffb75175ffe38c12075169a2c6c",
+        "2c5e595073a85a0316b29b25bb199e48ce3b854da6d79c5c61bddbca4d665e7e",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state":
-        "e63ae855d1da2dd431bac2b44ce0abce7572f09646cc2a7faee176395c573e11",
+        "d276b9a6e0bd99dd0b6606f3d0ef6a1abd49b3031c572cd4d20e1ef42f1ddfdc",
     "explore H,H/2 wait=on preempt=on faults=skip-running-check":
-        "8f5174a0b224744002b77e4f9cb828a1bb67e61ce8d5f69a1785e1c0d63c972e",
+        "bc169b907d56af7c466af44d92f23b8f27b1119990e0e699107e653bc06b04b8",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "6b880a5feabfd41a5e17891915e0fd2f6ae7c2292bc6da883a00bbfb6681405f",
+        "d9ce8c708eb4e28bf6d06cf8f5f80c15e424e37025f2aee6c3bf4e3e389266ca",
     "explore H,L/2 wait=off preempt=on faults=none max-states=200":
         "6b107105adc44d7b48988dc935afea8576c7eafb1972dae588a51771a2448424",
     "explore H,H/2 wait=on preempt=off faults=enqueue-before-state max-depth=6":
-        "ae1b5d61b2244524a41304a37ca808fc242540f06a21a8ea0ce64834d9c21f4e",
+        "a74bd9284ae96e60d0201ae07f43e3988760664b516dabb24c2464fa815c1150",
     "walk seed=1":
         "cb23a102167b41997f6d7c866841b6c418a564ba16b4cd434ac7718fbd0cd4fb",
     "walk seed=2":

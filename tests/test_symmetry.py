@@ -4,7 +4,8 @@ the identical worker cores. It must reach the same verdicts as the search
 keyed by a reference key, which these tests restore by monkeypatching
 `explorer.symmetric_key`: the worker-only key (`worker_key` below, the key
 before tasks were renamed), and the exact `snapshot`. The key itself is
-checked against a renaming written out cell by cell."""
+checked against a canonical form written out cell by cell (`least_key`),
+and `explore` must settle and expand only keys."""
 
 from __future__ import annotations
 
@@ -160,6 +161,45 @@ def test_reduced_search_reaches_the_full_search_verdicts(case, monkeypatch):
     assert reduced.states_visited <= full.states_visited
 
 
+@pytest.mark.parametrize("config", [
+    KernelConfig(worker_count=2, task_plan=(H, H)),
+    KernelConfig(worker_count=3, task_plan=(H, L, L), fix_preempt_need_sched=False),
+    KernelConfig(worker_count=2, task_plan=(H, H, L), fix_wait_need_sched=False,
+                 faults=frozenset({EBS, SRC})),
+], ids=["H,H/2", "H,L,L/3-p", "H,H,L/2-w-ebs+src"])
+def test_explore_settles_and_expands_only_keys(config, monkeypatch):
+    # every buffer that the search settles, and so every one it expands,
+    # is its own key; finding a trace's steps settles the buffers of the
+    # real path, which need not be
+    settler, steps_to = explorer._settler, explorer._steps_to
+    settled, finding = [], []
+
+    def spying(config):
+        settle = settler(config)
+
+        def spy(buf, raw, violation):
+            if not finding:
+                settled.append((bytes(buf), raw))
+            return settle(buf, raw, violation)
+
+        return spy
+
+    def tracing(*args):
+        finding.append(True)
+        try:
+            return steps_to(*args)
+        finally:
+            finding.pop()
+
+    monkeypatch.setattr(explorer, "_settler", spying)
+    monkeypatch.setattr(explorer, "_steps_to", tracing)
+    report = explore(config, Limits(max_violations=10**9))
+    assert len(settled) == report.states_visited
+    layout = layout_for(config)
+    for buf, raw in settled:
+        assert buf == raw and symmetric_key(raw, layout) is raw
+
+
 # -- the key ----------------------------------------------------------------
 
 
@@ -197,42 +237,49 @@ def kind_permutations(state: KernelState):
         yield {new: old for group, order in zip(groups, orders) for new, old in zip(group, order)}
 
 
+def records_of(state: KernelState) -> list[tuple[bool, bytes]]:
+    """The kind and record bytes of each spawned task, by id."""
+    raw, size = bytes(state.buf), TASK_WIDTH * state.buf.itemsize
+    return [(state.layout.heavy[t], raw[task_cell(state, t, 0) * state.buf.itemsize:][:size])
+            for t in range(state.buf[SPAWN_CURSOR])]
+
+
 def records_tie(state: KernelState) -> bool:
-    """Whether two spawned tasks of one kind have equal records, whose
-    order the key leaves as it finds it."""
-    raw, seen = bytes(state.buf), set()
-    for t in range(state.buf[SPAWN_CURSOR]):
-        at = task_cell(state, t, 0) * state.buf.itemsize
-        record = (state.layout.heavy[t], raw[at:at + TASK_WIDTH * state.buf.itemsize])
-        if record in seen:
-            return True
-        seen.add(record)
-    return False
+    """Whether two spawned tasks of one kind have equal records."""
+    records = records_of(state)
+    return len(set(records)) < len(records)
+
+
+def least_key(state: KernelState) -> bytes:
+    """The reference key: of the labelings that put the spawned records of
+    each kind in descending byte order, the one whose bytes, with the
+    workers sorted, are least."""
+    records = records_of(state)
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(records)), 2)
+             if records[a][0] is records[b][0]]
+    workers = tuple(range(1, state.layout.core_count))
+    return min(worker_key(snapshot(renamed(state, tasks, workers)), state.layout)
+               for tasks in kind_permutations(state)  # new id -> old id
+               if all(records[tasks[a]] >= records[tasks[b]] for a, b in pairs))
 
 
 def key_of(state: KernelState) -> bytes:
     return symmetric_key(bytes(state.buf), state.layout)
 
 
-def assert_key_is_a_renaming(state: KernelState) -> bytes:
-    """The key of `state` is the bytes of one of its renamings, is its own
-    key, and is `raw` itself when `raw` is in order. Every renaming of a
-    state without tied records gets that same key; with ties, a renaming's
-    key is still a renaming of the state. Returns the key."""
+def assert_key_is_canonical(state: KernelState) -> bytes:
+    """Every renaming of `state`, of its same-kind tasks and of its
+    workers, gets one key, which is `least_key(state)`; the key is its own
+    key, and is `raw` itself when `raw` is already the key. Returns the
+    key."""
     raw = bytes(state.buf)
     key = symmetric_key(raw, state.layout)
-    workers = list(itertools.permutations(range(1, state.layout.core_count)))
-    images = {snapshot(renamed(state, tasks, order))
-              for tasks in kind_permutations(state) for order in workers}
-    assert key in images
+    assert key == least_key(state)
     assert symmetric_key(key, state.layout) == key
     assert key is raw or key != raw
-    keys = {key_of(renamed(state, tasks, order))
-            for tasks in kind_permutations(state) for order in workers}
-    if records_tie(state):
-        assert keys <= images
-    else:
-        assert keys == {key}
+    workers = list(itertools.permutations(range(1, state.layout.core_count)))
+    assert {key_of(renamed(state, tasks, order))
+            for tasks in kind_permutations(state) for order in workers} == {key}
     return key
 
 
@@ -255,7 +302,7 @@ def test_key_is_one_renaming_of_the_state(config, typecode):
     while frontier:
         state = frontier.pop()
         raw = bytes(state.buf)
-        key = assert_key_is_a_renaming(state)
+        key = assert_key_is_canonical(state)
         if key != raw:
             renamings.add("tasks" if key != worker_key(raw, state.layout) else "workers")
         for choice in enabled(state):
@@ -289,30 +336,19 @@ def test_key_merges_the_renamings_of_walk_states():
     rng = random.Random(21)
     assert layout_for(WALK_CONFIG).boot.typecode == "b"
     states = walk_sample(WALK_CONFIG, range(12), 10)
-    renamed_keys = tie_free = 0
+    renamed_keys = tied = 0
     for state in states:
         raw = bytes(state.buf)
         key = symmetric_key(raw, state.layout)
+        assert key == least_key(state)
         assert symmetric_key(key, state.layout) == key
         tasks, workers = list(kind_permutations(state)), list(itertools.permutations(range(1, 5)))
         images = [renamed(state, rng.choice(tasks), rng.choice(workers)) for _ in range(12)]
-        if records_tie(state):  # the reachable-state test covers ties
-            assert all(symmetric_key(k, state.layout) == k for k in map(key_of, images))
-        else:
-            tie_free += 1
-            assert {key_of(image) for image in images} == {key}
-            # the key is a renaming: each new id holds the one old record
-            # of its kind that equals its record in the key
-            size = TASK_WIDTH  # one byte a cell
-            record = [raw[task_cell(state, t, 0):][:size] for t in range(state.layout.task_count)]
-            moved = {new: next(old for old, rec in enumerate(record)
-                               if rec == key[task_cell(state, new, 0):][:size]
-                               and state.layout.heavy[old] is state.layout.heavy[new])
-                     for new in range(state.buf[SPAWN_CURSOR])}
-            assert key in {snapshot(renamed(state, moved, order)) for order in workers}
+        assert {key_of(image) for image in images} == {key}
+        tied += records_tie(state)
         renamed_keys += key[:state.layout.cores] != raw[:state.layout.cores]
     assert len(states) == 120
-    assert tie_free >= 30 and renamed_keys >= 10
+    assert tied >= 30 and renamed_keys >= 30
 
 
 def test_an_ordered_state_is_its_own_key():

@@ -7,7 +7,7 @@ settle-projection configs, the memo must agree with running the operation
 path: with every other cell scrambled, the trie must return the same leaf,
 and the operation must make the same writes and violation. `explore` also
 finds its traces' steps through the search's own tries, so it learns each
-step into one trie, and finding them runs no operation."""
+step into one trie, and `replay` uses no memo."""
 
 from __future__ import annotations
 
@@ -70,8 +70,9 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
 
 def test_explore_learns_each_step_into_one_trie(monkeypatch):
     # a trace that learned into tries of its own would re-run operations
-    # that the search has already run; and each step on a parent chain is
-    # one the search took, so finding a trace's steps runs none at all
+    # that the search has already run. Finding a trace's steps walks the
+    # real path, a renaming of the search's at each depth, so it could miss
+    # a trie; on this config it runs no operation at all
     tries: dict = {}
     finding = []
     learn, steps_to = explorer._learn, explorer._steps_to
@@ -98,26 +99,32 @@ def test_explore_learns_each_step_into_one_trie(monkeypatch):
     assert set(distinct.values()) == {1}, distinct
 
 
-@pytest.mark.parametrize("config", [
-    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
-                 fix_wait_need_sched=False),
-    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
-                 fix_preempt_need_sched=False),
-    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
-                 faults=frozenset({"skip-resume-state"})),
-    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.HEAVY),
-                 fix_wait_need_sched=False, faults=frozenset({"skip-resume-state"})),
-], ids=["HLL-wait", "HLL-preempt", "HLL-skip-resume", "HH-wait-skip-resume"])
-def test_replay_steps_without_the_memos(monkeypatch, config):
-    # replay executes each operation directly: the steps that explore
-    # found through its memos reproduce each trace without them
+def test_replay_steps_without_the_memos(monkeypatch):
+    # replay executes each operation directly, and settles without the
+    # memo: with the memos refused, each trace's steps reach the class that
+    # the search recorded through its memos
+    config = KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.HEAVY),
+                          fix_wait_need_sched=False, fix_preempt_need_sched=False,
+                          faults=frozenset({"enqueue-before-state", "skip-running-check"}))
+    recorded = []
+    classify = explorer.violation_class
+
+    def recording(*args):
+        recorded.append(kind := classify(*args))
+        return kind
+
+    monkeypatch.setattr(explorer, "violation_class", recording)
     report = explore(config, Limits(max_violations=10**9))
-    assert len(report.violations) > 1
+    monkeypatch.undo()
+    classes = list(dict.fromkeys(recorded))  # in the order the search met them
+    assert len(classes) == len(report.violations) > 1
 
     def refused(*args):
         raise AssertionError("replay used a memo")
 
     for name in ("_learn", "_transition", "_settler"):
         monkeypatch.setattr(explorer, name, refused)
-    for trace in report.violations:
-        assert explorer.replay(config, trace.steps) == trace
+    for trace, kind in zip(report.violations, classes):
+        replayed = explorer.replay(config, trace.steps)
+        assert classify(config, replayed.verdict, replayed.monitor_error,
+                        replayed.detail) == kind
