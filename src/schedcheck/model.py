@@ -213,25 +213,33 @@ class Layout:
         self.worker_cut = itemgetter(*map(slice, cuts, cuts[1:]))
         # symmetric_key's renaming of the spawned tasks of each kind, in 'b'
         # layouts only, where a byte is a cell, so a byte `translate` renames
-        # task ids. Per spawn cursor, `renames` holds None when no kind has
-        # two spawned tasks, else (pairs, groups, renamings, swaps): `groups`
-        # holds the ids of each kind with two or more spawned tasks,
-        # `pairs(raw)` the records of each two consecutive ids of a group, one
-        # pair after another, and `renamings` and `swaps` are the caches of
-        # `_renamed` and `_least`.
+        # task ids.
         self.renames = None
         if typecode == "b":
-            self.record_slices = tuple(slice(at, at + TASK_WIDTH)
-                                       for at in range(self.tasks, self.cores, TASK_WIDTH))
-            renames = []
-            for spawned in range(n + 1):
-                groups = tuple(ids for kind in (True, False)
-                               if len(ids := tuple(t for t in range(spawned)
-                                                   if self.heavy[t] is kind)) > 1)
-                pairs = [self.record_slices[t] for ids in groups
-                         for pair in zip(ids, ids[1:]) for t in pair]
-                renames.append(groups and (itemgetter(*pairs), groups, {}, {}) or None)
-            self.renames = tuple(renames)
+            self.record_slices, self.renames = _task_renames(self.heavy)
+
+
+@cache
+def _task_renames(heavy: tuple[bool, ...]) -> tuple[tuple[slice, ...], tuple]:
+    """The record slices of a 'b' layout of the plan whose kinds are
+    `heavy`, and per spawn cursor, None when no kind has two spawned tasks,
+    else (pairs, groups, renamings, swaps): `groups` holds the ids of each
+    kind with two or more spawned tasks, `pairs(raw)` the records of each
+    two consecutive ids of a group, one pair after another, and `renamings`
+    and `swaps` are the caches of `_renamed` and `_least`. The fix and fault
+    toggles and the bounds change none of this, and a key of `_least`'s memo
+    fixes the worker count by its length, so every config with the plan
+    shares these caches."""
+    tasks = QUEUE + len(heavy)
+    record_slices = tuple(slice(at, at + TASK_WIDTH)
+                          for at in range(tasks, tasks + len(heavy) * TASK_WIDTH, TASK_WIDTH))
+    renames = []
+    for spawned in range(len(heavy) + 1):
+        groups = tuple(ids for kind in (True, False)
+                       if len(ids := tuple(t for t in range(spawned) if heavy[t] is kind)) > 1)
+        pairs = [record_slices[t] for ids in groups for pair in zip(ids, ids[1:]) for t in pair]
+        renames.append(groups and (itemgetter(*pairs), groups, {}, {}) or None)
+    return record_slices, tuple(renames)
 
 
 @cache

@@ -16,7 +16,7 @@ import re
 import pytest
 
 from cells import core_cell, task_cell
-from schedcheck import explorer
+from schedcheck import explorer, model
 from schedcheck.explorer import Limits, _run, _settle, enabled, explore, random_walk, replay
 from schedcheck.model import (
     C_CURRENT,
@@ -366,6 +366,24 @@ def test_an_ordered_state_is_its_own_key():
     assert key != raw and symmetric_key(key, state.layout) is key
     # task 1 becomes task 0, and its worker 2 sorts first
     assert key == snapshot(renamed(state, {0: 1, 1: 0}, (2, 1)))
+
+
+def test_configs_of_a_plan_share_the_key_caches():
+    # symmetric_key's caches belong to the plan, whatever the worker count,
+    # toggles and bounds: a search must not depend on which configs filled
+    # them first
+    configs = [KernelConfig(worker_count=workers, task_plan=(H, H, L), faults=faults,
+                            max_waits_per_task=0, max_preemptions_per_task=preemptions)
+               for workers, faults, preemptions in ((2, frozenset(), 1), (3, frozenset(), 1),
+                                                    (2, frozenset({EBS, SRC}), 2))]
+    assert len({id(layout_for(config).renames) for config in configs}) == 1
+    searches = []
+    for order in (configs, configs[::-1]):
+        model._task_renames.cache_clear()
+        layout_for.cache_clear()
+        searches.append({config: explore(config, Limits(max_violations=10**9))
+                         for config in order})
+    assert searches[0] == searches[1]
 
 
 def test_h_layouts_get_the_worker_only_key(monkeypatch):
