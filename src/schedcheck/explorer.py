@@ -18,12 +18,14 @@ makes one pass over a state's cores and spawned tasks (`_examine`), which
 gives the invariant failure, the enabled steps and the deadlock test;
 `check_invariants` and `enabled` are views of that pass.
 
-Only `explore` steps state buffers through the two per-search memos:
+Only `explore` steps state buffers through the two per-plan memos:
 `_settler` keys each ending rule by the bytes of the cells it reads, cut
 from the state's bytes (`Layout.settle_cut`), and `_transition` keeps one
 trie per step, keyed by the cells the step read, so an operation runs
-only on a miss. The steps of its traces are found through those same
-memos.
+only on a miss. The fix and fault toggles are cells of the state, so what
+either memo learns under one config holds under every config of the
+plan, and every search of a plan shares them (`_plan_memos`). The steps
+of its traces are found through those same memos.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .model import (
     QUEUE,
     QUEUE_LEN,
     RUNNING,
+    SKIP_RESUME_STATE,
     SPAWN_CURSOR,
     T_IN_QUEUE,
     T_NEED_SCHED,
@@ -231,7 +234,7 @@ def _transition(
 ) -> tuple[array, tuple]:
     """The successor of `buf` by the enabled step `choice`, and the step's
     effect: a leaf (writes, MonitorViolation or None) of the step's trie in
-    `roots`, the search's tries keyed by step. A node is [offset, {value:
+    `roots`, the plan's tries keyed by step. A node is [offset, {value:
     child}], and a state walks it by its value at the offset; the step runs
     only on a miss."""
     leaf = root = roots.get(choice) or roots.setdefault(choice, [0, {}])
@@ -248,9 +251,10 @@ def _transition(
 def _learn(config: KernelConfig, buf: array, choice: ScheduleStep, root: list) -> tuple:
     """Run `choice` once on a recorder over a copy of `buf`, and add its leaf
     to the trie `root` along the cells it read, in order (an empty root
-    takes the first of them as its cell). For a fixed config an operation
-    is a deterministic function of the cells it reads, so every state that
-    walks this path would take the same path and have the same effect."""
+    takes the first of them as its cell). For a fixed plan an operation is
+    a deterministic function of the cells it reads, toggles included, so
+    every state that walks this path would take the same path and have the
+    same effect."""
     recorder = _Recorder(buf[:])
     state = KernelState(config, layout_for(config), recorder)
     _run(state, choice)
@@ -271,8 +275,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     """The one pass that settles a state, over its cores and then its spawned
     tasks: (the first failing invariant or None, the enabled steps, whether
     every spawned task is terminal). Reads only the cells of
-    `Layout.settle_offsets` and the config, since `explore` memoizes
-    `_settle` on them.
+    `Layout.settle_offsets`, since `explore` memoizes `_settle` on them.
 
     The invariants every reachable state must satisfy, in the order a
     failure is reported: the run queue within capacity and without
@@ -289,7 +292,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     buf, layout = state.buf, state.layout
     timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
     n, tasks, cores, heavy = layout.task_count, layout.tasks, layout.cores, layout.heavy
-    resume = "skip-resume-state" in state.config.faults
+    resume = buf[SKIP_RESUME_STATE]
     length = buf[QUEUE_LEN]
     queue = tuple(buf[QUEUE:QUEUE + length])
     # The primary core runs no worker step, but its cells count for the
@@ -427,14 +430,27 @@ def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ..
     return None, "", options
 
 
+@cache
+def _plan_memos(plan: tuple) -> tuple[dict, dict, dict]:
+    """The memos that every search of the plan `plan` (`Layout.plan`)
+    shares, for the life of the process: the tries by step (`_transition`),
+    the settle memo (`_settler`), and one copy of each distinct settle
+    answer, which the memo's entries share. The toggles are cells of the
+    state, so every trie path and settle key that depends on a toggle holds
+    its value, and what one config learns holds for every config of the
+    plan. `model._task_renames` shares the key's caches the same way."""
+    return {}, {}, {}
+
+
 def _settler(config: KernelConfig):
     """`settle(buf, raw, violation)`: `_settle`'s answer for a buffer, whose
     bytes are `raw`, reached by a step with that monitor violation. It is
-    kept per search by the join of `Layout.settle_cut(raw)`, the bytes of
-    the settle cells; a miss settles the search's one `KernelState`,
-    pointed at the buffer."""
+    kept per plan by the join of `Layout.settle_cut(raw)`, the bytes of the
+    settle cells; a miss settles the search's one `KernelState`, pointed at
+    the buffer."""
     layout = layout_for(config)
-    cut, memo = layout.settle_cut, {}
+    cut = layout.settle_cut
+    _, memo, answers = _plan_memos(layout.plan)
     state = KernelState(config, layout, layout.boot[:])
 
     def settle(buf: array, raw: bytes, violation: MonitorViolation | None) -> tuple:
@@ -443,7 +459,8 @@ def _settler(config: KernelConfig):
         key = b"".join(cut(raw))
         if (settled := memo.get(key)) is None:
             state.buf = buf
-            settled = memo[key] = _settle(state)
+            answer = _settle(state)
+            settled = memo[key] = answers.setdefault(answer, answer)
         return settled
 
     return settle
@@ -487,7 +504,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     Violating states are leaves. The first violating state of each class
     (`violation_class`) lies, in BFS order, at the least depth of its
     class; its steps are found along the parent map (`_steps_to`) through
-    the search's memos, and its trace is their `replay`. Later states of
+    the plan's memos, and its trace is their `replay`. Later states of
     a known class are only counted, in `violating_states`, and
     `max_violations` counts classes. Hitting a limit flags the report
     incomplete, names the first limit that cut it in `incomplete_reason`,
@@ -505,7 +522,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     layout = layout_for(config)
     typecode = layout.boot.typecode
     settle = _settler(config)
-    roots: dict[ScheduleStep, list] = {}
+    roots: dict[ScheduleStep, list] = _plan_memos(layout.plan)[0]
     init = initial_state(config).buf
     init_key = symmetric_key(bytes(init), layout)
     parents: dict[bytes, bytes | None] = {init_key: None}
@@ -602,7 +619,7 @@ def _steps_to(
     and a renaming's successors are renamings of the successors of the
     state it renames. Every renaming of a state has the same key, so some
     step reaches the next key at every depth. `settle` and `roots` are the
-    search's memos, which a buffer that the search never expanded can miss
+    plan's memos, which a buffer that the search never expanded can miss
     and fill."""
     chain = []
     while key is not None:

@@ -12,8 +12,10 @@ external driver can interleave steps from different virtual processes.
 Compound queue/optional operations are atomic; the deliberate splits are
 (register timer / become waiting), (decide / send IPI), and
 (set state / enqueue) inside IPI handling, because the interesting races
-live in exactly those windows. Fix and fault toggles in the config
-select buggy or fixed variants of the wake and preemption protocols.
+live in exactly those windows. Fix and fault toggles select buggy or
+fixed variants of the wake and preemption protocols. They live in the
+state's buffer, as cells that boot sets from the config and no step
+writes, so an operation reads its toggles as it reads any other cell.
 
 There is no real concurrency: instances are plain values, safe to run in
 parallel OS processes with nothing shared. A state's whole value is one
@@ -122,8 +124,12 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 # beside the array, so copying the array copies the state and its bytes are
 # the state's visited-set key.
 
-# Global fields, then the run queue: its length, then its task ids.
-IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE = range(4)
+# Global fields, then the run queue: its length, then its task ids. The
+# first five are the fix and fault toggles, set at boot and never written.
+# Settling reads SKIP_RESUME_STATE alone of them, so it comes last and joins
+# the run of settle cells that the other globals start (Layout.settle_cut).
+(FIX_WAIT, FIX_PREEMPT, ENQUEUE_BEFORE_STATE, SKIP_RUNNING_CHECK, SKIP_RESUME_STATE,
+ IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE) = range(9)
 # Fields of a task record. The first five are the ones settling a state
 # reads (see Layout.settle_offsets), so they lie in one run of cells. T_TIMER
 # flags the task's pending timer entry. T_MONITOR is the code of the task's
@@ -183,22 +189,26 @@ class Layout:
         self.cores = self.tasks + n * TASK_WIDTH
         end = self.cores + self.core_count * CORE_WIDTH
         boot = array(typecode, [0]) * end
+        boot[FIX_WAIT:IN_FLIGHT] = array(typecode, (
+            config.fix_wait_need_sched, config.fix_preempt_need_sched,
+            *(fault in config.faults
+              for fault in ("enqueue-before-state", "skip-running-check", "skip-resume-state"))))
         boot[self.tasks + T_SAVED_PC:self.cores:TASK_WIDTH] = array(typecode, [-1]) * n
         boot[self.cores:] = array(typecode, [-1]) * (end - self.cores)
         self.boot = boot
         self.monitor_cells = tuple(range(self.tasks + T_MONITOR, self.cores, TASK_WIDTH))
-        # The cells that explorer._settle reads: all but the monitors,
-        # need_sched, the saved context, pc and the pending wait.
+        # The cells that explorer._settle reads: all but four toggles, the
+        # monitors, need_sched, the saved context, pc and the pending wait.
         self.settle_offsets = (
-            *range(self.tasks),  # the global fields and the run queue
+            *range(SKIP_RESUME_STATE, self.tasks),  # one toggle, the globals, the queue
             *(at + f for at in range(self.tasks, self.cores, TASK_WIDTH)
               for f in (T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER)),
             *range(self.cores, end),
         )
         # The settle memo's cut of a state's bytes: one slice per run of
-        # consecutive settle offsets (the globals with task 0's first five
-        # cells, those of each later task, and the cores), whose join is the
-        # memo key. Offsets in bytes, so 'h' cells stay whole.
+        # consecutive settle offsets (the settled globals with task 0's first
+        # five cells, those of each later task, and the cores), whose join is
+        # the memo key. Offsets in bytes, so 'h' cells stay whole.
         size, runs = boot.itemsize, []
         for at in self.settle_offsets:
             if runs and runs[-1][1] == at:
@@ -217,6 +227,10 @@ class Layout:
         self.renames = None
         if typecode == "b":
             self.record_slices, self.renames = _task_renames(self.heavy)
+        # What fixes every cell but the toggles: the key of explore's step
+        # memos, which all configs of the plan share (explorer._plan_memos).
+        self.plan = (config.task_plan, config.worker_count,
+                     config.max_waits_per_task, config.max_preemptions_per_task)
 
 
 @cache
@@ -229,7 +243,8 @@ def _task_renames(heavy: tuple[bool, ...]) -> tuple[tuple[slice, ...], tuple]:
     and `swaps` are the caches of `_renamed` and `_least`. The fix and fault
     toggles and the bounds change none of this, and a key of `_least`'s memo
     fixes the worker count by its length, so every config with the plan
-    shares these caches."""
+    shares these caches. They have company: `explorer._plan_memos` keeps
+    `explore`'s step memos per plan too, for the life of the process."""
     tasks = QUEUE + len(heavy)
     record_slices = tuple(slice(at, at + TASK_WIDTH)
                           for at in range(tasks, tasks + len(heavy) * TASK_WIDTH, TASK_WIDTH))
@@ -370,7 +385,7 @@ class KernelState:
             self._enqueue(task)
             self._fire_event(task, Event.WAKE)
         elif buf[at + T_STATE] == RUNNING:
-            if self.config.fix_wait_need_sched:
+            if buf[FIX_WAIT]:
                 buf[at + T_NEED_SCHED] = 1
                 self._fire_event(task, Event.SET_NEED_SCHED)
             # without the fix the call is silently dropped
@@ -391,7 +406,7 @@ class KernelState:
         assert buf[core + C_PENDING_IPI] == -1, "fetch with an IPI pending"
         task = self._dequeue()
         at = self.layout.tasks + task * TASK_WIDTH
-        if buf[at + T_STATE] == RUNNING and "skip-running-check" not in self.config.faults:
+        if buf[at + T_STATE] == RUNNING and not buf[SKIP_RUNNING_CHECK]:
             self.begin_step(f"worker {core_id}: task {task} still running, requeued")
             self._enqueue(task)
             return
@@ -404,7 +419,7 @@ class KernelState:
             buf[at + T_SAVED_MID_WAIT] = 0
             buf[at + T_NEED_SCHED] = 0
             buf[core + C_CURRENT] = task
-            if "skip-resume-state" not in self.config.faults:
+            if not buf[SKIP_RESUME_STATE]:
                 buf[at + T_STATE] = RUNNING
                 self._fire_event(task, Event.GET_NEXT)
             return
@@ -421,13 +436,13 @@ class KernelState:
         immediately instead when need_sched was set in between.
         """
         core = self._worker(core_id)
-        buf, config = self.buf, self.config
+        buf = self.buf
         task = buf[core + C_CURRENT]
         if task < 0:
             raise UsageError(f"core {core_id} has no current task")
         at = self.layout.tasks + task * TASK_WIDTH
         state = buf[at + T_STATE]
-        if not (state == RUNNING or (state == PREEMPTED and "skip-resume-state" in config.faults)):
+        if not (state == RUNNING or (state == PREEMPTED and buf[SKIP_RESUME_STATE])):
             raise UsageError(f"task {task} is not running (state {tuple(TaskState)[state].value})")
 
         if buf[at + T_PENDING_WAIT]:
@@ -435,7 +450,7 @@ class KernelState:
             buf[at + T_PENDING_WAIT] = 0
             buf[at + T_WAITS] -= 1
             buf[core + C_CURRENT] = -1
-            fix = config.fix_wait_need_sched
+            fix = buf[FIX_WAIT]
             if fix and buf[at + T_NEED_SCHED]:
                 self.begin_step(f"worker {core_id}: task {task} requeued (need_sched)")
                 buf[at + T_NEED_SCHED] = 0
@@ -507,7 +522,7 @@ class KernelState:
         self.begin_step(f"preempt decide: core {core_id} task {task}")
         buf[core + C_DECISION] = task
         buf[IN_FLIGHT] = 1
-        if self.config.fix_preempt_need_sched:
+        if buf[FIX_PREEMPT]:
             buf[at + T_NEED_SCHED] = 1
             self._fire_event(task, Event.SET_NEED_SCHED)
 
@@ -537,7 +552,7 @@ class KernelState:
         here; it is cleared when the task resumes.
         """
         core = self._worker(core_id)
-        buf, config = self.buf, self.config
+        buf = self.buf
         task = buf[core + C_CURRENT]
         phase = buf[core + C_IPI_PHASE]
         if phase == -1:
@@ -549,13 +564,14 @@ class KernelState:
                 buf[IN_FLIGHT] = 0
                 return
             at = self.layout.tasks + task * TASK_WIDTH
-            if config.fix_preempt_need_sched and not buf[at + T_NEED_SCHED]:
+            fix = buf[FIX_PREEMPT]
+            if fix and not buf[at + T_NEED_SCHED]:
                 self.begin_step(
                     f"core {core_id}: IPI canceled (task {task} need_sched clear)"
                 )
                 buf[IN_FLIGHT] = 0
                 return
-            if config.fix_preempt_need_sched and buf[at + T_PREEMPTIONS] <= 0:
+            if fix and buf[at + T_PREEMPTIONS] <= 0:
                 # A stale decision can land on a flagged task whose preemption
                 # budget is spent (the flag came from a wake); completing it
                 # would overrun the bound, so the fixed protocol backs off.
@@ -573,7 +589,7 @@ class KernelState:
         assert task >= 0
         at = self.layout.tasks + task * TASK_WIDTH
         if phase == CTX_SAVED:
-            if "enqueue-before-state" in config.faults:
+            if buf[ENQUEUE_BEFORE_STATE]:
                 self.begin_step(f"core {core_id}: enqueue task {task} (before state)")
                 self._enqueue(task)
                 buf[core + C_IPI_PHASE] = ENQUEUED

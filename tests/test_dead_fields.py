@@ -131,6 +131,7 @@ def case_id(case) -> str:
             f"-{'+'.join(faults) or 'none'}")
 
 
+@pytest.mark.usefixtures("cold_memos")  # else the patched search reuses the reset's leaves
 @pytest.mark.parametrize("case", list(itertools.product(PLANS, COMBOS)), ids=case_id)
 def test_reset_keeps_the_unreduced_verdicts(case, monkeypatch):
     plan, combo = case
@@ -159,6 +160,7 @@ def send_ipi_keeping_the_task(state: KernelState) -> None:
     state.buf[core_cell(state, target, C_PENDING_IPI)] = observed
 
 
+@pytest.mark.usefixtures("cold_memos")  # else the patched search reuses send_ipi's leaves
 @pytest.mark.parametrize("case", [("H,H/2", combo) for combo in COMBOS], ids=case_id)
 def test_ipi_flag_keeps_the_unreduced_verdicts(case, monkeypatch):
     plan, combo = case

@@ -192,6 +192,7 @@ def test_replay_mode_exit_code(tmp_path, capsys, name, expected_code):
 
 
 
+@pytest.mark.usefixtures("cold_memos")  # the patched search must not share leaves
 def test_reports_of_the_unreduced_model_still_replay(tmp_path, capsys, monkeypatch):
     # a report written before a finished task had its dead fields reset
     # (model.reset_dead_fields) replays under the model that resets them:

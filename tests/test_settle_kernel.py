@@ -49,6 +49,7 @@ from schedcheck.model import (
     QUEUE,
     QUEUE_LEN,
     RUNNING,
+    SKIP_RESUME_STATE,
     SPAWN_CURSOR,
     STATED,
     T_IN_QUEUE,
@@ -76,7 +77,7 @@ def oracle_enabled(state: KernelState) -> list:
     buf, layout = state.buf, state.layout
     timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
     tasks, cores = layout.tasks, layout.cores
-    heavy, resume = layout.heavy, "skip-resume-state" in state.config.faults
+    heavy, resume = layout.heavy, buf[SKIP_RESUME_STATE]
     queued = buf[QUEUE_LEN] > 0
     candidates, workers, at = 0, [], cores
     for step in worker_steps:
@@ -254,6 +255,7 @@ def walk_states(config: KernelConfig, seed: int) -> list[KernelState]:
         _run(state, options[rng.randrange(len(options))])
 
 
+@pytest.mark.usefixtures("cold_memos")  # every combo's misses, not the plan's
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_every_settled_state_of_every_combo_agrees(plan, monkeypatch):
     tasks, workers = PLANS[plan]
@@ -288,14 +290,16 @@ def test_every_walk_state_agrees(walked):
 
 def domains(config: KernelConfig) -> dict[int, range]:
     """Per cell that settling reads, the values of its field's domain:
-    flags 0 or 1, task ids (-1 for none), state codes, budgets down to an
-    overrun of -1, the pending-IPI flag and handler phases (-1 for none),
-    the cursor and the queue length up to one past capacity."""
+    flags 0 or 1 (the skip-resume-state toggle among them), task ids (-1
+    for none), state codes, budgets down to an overrun of -1, the
+    pending-IPI flag and handler phases (-1 for none), the cursor and the
+    queue length up to one past capacity."""
     layout = layout_for(config)
     n = layout.task_count
     ids, flags = range(-1, n), range(2)
     budget = range(-1, max(config.max_waits_per_task, config.max_preemptions_per_task) + 1)
-    out = {IN_FLIGHT: flags, SPAWN_CURSOR: range(n + 1), QUEUE_LEN: range(n + 2)}
+    out = {SKIP_RESUME_STATE: flags, IN_FLIGHT: flags, SPAWN_CURSOR: range(n + 1),
+           QUEUE_LEN: range(n + 2)}
     out.update(dict.fromkeys(range(QUEUE, layout.tasks), range(n)))
     for at in range(layout.tasks, layout.cores, TASK_WIDTH):
         out.update({at + T_STATE: range(5), at + T_IN_QUEUE: flags, at + T_WAITS: budget,

@@ -7,18 +7,25 @@ settle-projection configs, the memo must agree with running the operation
 path: with every other cell scrambled, the trie must return the same leaf,
 and the operation must make the same writes and violation. `explore` also
 finds its traces' steps through the search's own tries, so it learns each
-step into one trie, and `replay` uses no memo."""
+step into one trie, and `replay` uses no memo. The fix and fault toggles
+are cells of the state, so the searches of every combo of a plan share the
+memos: in either order, each must print the report that a search from empty
+memos prints, and no leaf may write a toggle."""
 
 from __future__ import annotations
 
 import random
 from array import array
+from itertools import combinations, product
 
 import pytest
 
 from schedcheck import explorer
+from schedcheck.cli import emit_json, report_to_doc
 from schedcheck.explorer import Limits, _apply, _transition, explore
-from schedcheck.model import FAULTS, KernelConfig, KernelState, TaskKind
+from schedcheck.model import (
+    FAULTS, FIX_WAIT, IN_FLIGHT, KernelConfig, KernelState, TaskKind, layout_for,
+)
 from test_settle_projection import CONFIGS, _reachable
 
 
@@ -68,6 +75,7 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
         assert (bytes(expected), leaf[1]) == _effect(succ), (choice, list(state.buf))
 
 
+@pytest.mark.usefixtures("cold_memos")  # a warm plan's search may learn nothing
 def test_explore_learns_each_step_into_one_trie(monkeypatch):
     # a trace that learned into tries of its own would re-run operations
     # that the search has already run. Finding a trace's steps walks the
@@ -128,3 +136,41 @@ def test_replay_steps_without_the_memos(monkeypatch):
         replayed = explorer.replay(config, trace.steps)
         assert classify(config, replayed.verdict, replayed.monitor_error,
                         replayed.detail) == kind
+
+
+H, L = TaskKind.HEAVY, TaskKind.LIGHT
+SHARING_PLANS = {"H,L,L/2": ((H, L, L), 2), "H,H/2": ((H, H), 2)}
+
+
+def _json(config: KernelConfig) -> str:
+    """The JSON report of a complete search under `config`."""
+    return emit_json(report_to_doc(explore(config, Limits(max_violations=10**9)), "explore"))
+
+
+@pytest.mark.parametrize("plan", sorted(SHARING_PLANS))
+def test_every_combo_of_a_plan_shares_the_memos_soundly(plan, monkeypatch):
+    tasks, workers = SHARING_PLANS[plan]
+    configs = [KernelConfig(worker_count=workers, task_plan=tasks, fix_wait_need_sched=fix_wait,
+                            fix_preempt_need_sched=fix_preempt, faults=frozenset(faults))
+               for fix_wait, fix_preempt in product((True, False), repeat=2)
+               for n in range(len(FAULTS) + 1)
+               for faults in combinations(sorted(FAULTS), n)]
+    fresh = explorer._plan_memos.__wrapped__
+    monkeypatch.setattr(explorer, "_plan_memos", fresh)
+    cold = {config: _json(config) for config in configs}
+    shared = fresh(layout_for(configs[0]).plan)
+    monkeypatch.setattr(explorer, "_plan_memos", lambda plan: shared)
+    for order in (configs, configs[::-1]):  # learning, then served what the others learned
+        for config in order:
+            assert _json(config) == cold[config], config
+
+    toggles, read = set(range(FIX_WAIT, IN_FLIGHT)), set()
+    nodes = list(shared[0].values())
+    while nodes:
+        node = nodes.pop()
+        if type(node) is list:
+            read.add(node[0])
+            nodes.extend(node[1].values())
+        else:
+            assert not toggles & {at for at, _ in node[0]}, node
+    assert toggles <= read  # the tries tell the combos apart by their cells
