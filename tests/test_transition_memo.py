@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import combinations, product
 
 import pytest
 
@@ -26,6 +25,7 @@ from schedcheck.explorer import Limits, _apply, _transition, explore
 from schedcheck.model import (
     FAULTS, FIX_WAIT, IN_FLIGHT, KernelConfig, KernelState, TaskKind, layout_for,
 )
+from test_dead_fields import COMBOS, PLANS, config_for
 from test_settle_projection import CONFIGS, _reachable
 
 
@@ -138,23 +138,14 @@ def test_replay_steps_without_the_memos(monkeypatch):
                         replayed.detail) == kind
 
 
-H, L = TaskKind.HEAVY, TaskKind.LIGHT
-SHARING_PLANS = {"H,L,L/2": ((H, L, L), 2), "H,H/2": ((H, H), 2)}
-
-
 def _json(config: KernelConfig) -> str:
     """The JSON report of a complete search under `config`."""
     return emit_json(report_to_doc(explore(config, Limits(max_violations=10**9)), "explore"))
 
 
-@pytest.mark.parametrize("plan", sorted(SHARING_PLANS))
+@pytest.mark.parametrize("plan", sorted(PLANS))
 def test_every_combo_of_a_plan_shares_the_memos_soundly(plan, monkeypatch):
-    tasks, workers = SHARING_PLANS[plan]
-    configs = [KernelConfig(worker_count=workers, task_plan=tasks, fix_wait_need_sched=fix_wait,
-                            fix_preempt_need_sched=fix_preempt, faults=frozenset(faults))
-               for fix_wait, fix_preempt in product((True, False), repeat=2)
-               for n in range(len(FAULTS) + 1)
-               for faults in combinations(sorted(FAULTS), n)]
+    configs = [config_for(plan, *combo) for combo in COMBOS]
     fresh = explorer._plan_memos.__wrapped__
     monkeypatch.setattr(explorer, "_plan_memos", fresh)
     cold = {config: _json(config) for config in configs}
