@@ -1,5 +1,7 @@
 """Batch front-end: parse a configuration, run explore/walk/replay, and emit
-human-readable traces or a machine-readable JSON report.
+human-readable traces or a machine-readable JSON report; or explore a batch
+of configurations, one summary line each: the task plans of a sweep file,
+each in a pool process, or the fault matrix of one plan, in this process.
 
 Exit codes: 0 no violation and complete; 1 violation(s) found; 2 usage or
 configuration error; 3 bounded-incomplete without a violation.
@@ -8,6 +10,8 @@ configuration error; 3 bounded-incomplete without a violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import sys
 from functools import cache
@@ -22,6 +26,7 @@ from .explorer import (
     Trace,
     explore,
     random_walk,
+    release_plan_memos,
     replay,
 )
 from .model import FAULTS, ConfigurationError, KernelConfig, TaskKind
@@ -87,18 +92,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress per-step trace lines")
     p.add_argument("--sweep", default=None, metavar="FILE",
                    help="file with one task plan per line; explore each in its own process")
+    p.add_argument("--matrix", action="store_true",
+                   help="explore the plan under every fix/fault combination, in one process")
     return p
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sweep is not None:
-        # a sweep explores every plan and prints one summary line per plan
+    if args.matrix:
+        # the matrix sets the fixes and faults of each of its searches
+        for flag, given in (("--sweep", args.sweep is not None),
+                            ("--fix-wait", args.fix_wait is not None),
+                            ("--fix-preempt", args.fix_preempt is not None),
+                            ("--fault", bool(args.fault))):
+            if given:
+                raise usage_error(f"--matrix cannot be combined with {flag}")
+    batch = "--sweep" if args.sweep is not None else "--matrix" if args.matrix else None
+    if batch is not None:
+        # a batch explores several configs and prints one summary line each
         if args.mode != "explore":
-            raise usage_error(f"--sweep cannot be combined with --mode {args.mode}")
+            raise usage_error(f"{batch} cannot be combined with --mode {args.mode}")
         if args.out != "text":
-            raise usage_error(f"--sweep cannot be combined with --out {args.out}")
+            raise usage_error(f"{batch} cannot be combined with --out {args.out}")
     if args.mode == "walk" and args.seed is None:
         parser.error("--mode walk requires --seed")
     if args.mode == "replay" and args.trace_in is None:
@@ -395,6 +411,16 @@ def _render_replay_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _explore_plan(config: KernelConfig, limits: Limits) -> dict:
+    """One plan of a sweep, in a pool worker. A sweep's plans differ, so
+    no later search in the worker can use this plan's step memos, and they
+    are released rather than kept for the life of the worker."""
+    try:
+        return _run_explore(config, limits)
+    finally:
+        release_plan_memos()
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     # only a sweep needs the pool, and importing it loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -411,7 +437,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     limits = _limits(args)
     worst = EXIT_OK
     with ProcessPoolExecutor() as pool:
-        docs = pool.map(_run_explore, configs, [limits] * len(configs))
+        docs = pool.map(_explore_plan, configs, [limits] * len(configs))
         for plan, doc in zip(plans, docs):
             code = exit_code_for(doc)
             worst = max(worst, code)
@@ -424,6 +450,46 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return worst
 
 
+def matrix_configs(config: KernelConfig) -> list[KernelConfig]:
+    """`config` under each of the 32 fix/fault combinations: both fixes
+    on, the preemption fix off, the wait fix off, both off; under each,
+    the fault sets by size, then by name."""
+    faults = sorted(FAULTS)
+    return [
+        dataclasses.replace(config, fix_wait_need_sched=fix_wait,
+                            fix_preempt_need_sched=fix_preempt, faults=frozenset(chosen))
+        for fix_wait in (True, False)
+        for fix_preempt in (True, False)
+        for size in range(len(faults) + 1)
+        for chosen in itertools.combinations(faults, size)
+    ]
+
+
+def _run_matrix(args: argparse.Namespace) -> int:
+    """Explore the plan under every fix/fault combination, one search after
+    another in this process, print one summary line per combination, and
+    return the worst exit code. The toggles are state cells, so each search
+    after the first starts from the step memos that the plan's earlier
+    searches learned."""
+    limits = _limits(args)
+    worst = EXIT_OK
+    for config in matrix_configs(config_from_args(args)):
+        doc = _run_explore(config, limits)
+        code = exit_code_for(doc)
+        worst = max(worst, code)
+        cfg, c = doc["config"], doc["counters"]
+        verdicts = sorted({v["verdict"] for v in doc["violations"]})
+        print(
+            f"fix_wait={'on' if cfg['fix_wait'] else 'off'} "
+            f"fix_preempt={'on' if cfg['fix_preempt'] else 'off'} "
+            f"faults={','.join(cfg['faults']) or 'none'}: "
+            f"states={c['states_visited']} violations={len(doc['violations'])}"
+            + (f" ({', '.join(verdicts)})" if verdicts else "")
+            + f" {'INCOMPLETE' if doc['incomplete'] else 'complete'} exit={code}"
+        )
+    return worst
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv if argv is not None else sys.argv[1:])
@@ -433,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.sweep is not None:
             return _run_sweep(args)
+        if args.matrix:
+            return _run_matrix(args)
         if args.mode == "replay":
             doc, code = _run_replay(args)
         else:

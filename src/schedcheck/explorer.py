@@ -433,13 +433,21 @@ def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ..
 @cache
 def _plan_memos(plan: tuple) -> tuple[dict, dict, dict]:
     """The memos that every search of the plan `plan` (`Layout.plan`)
-    shares, for the life of the process: the tries by step (`_transition`),
-    the settle memo (`_settler`), and one copy of each distinct settle
-    answer, which the memo's entries share. The toggles are cells of the
+    shares until `release_plan_memos`, or else for the life of the
+    process: the tries by step (`_transition`), the settle memo
+    (`_settler`), and one copy of each distinct settle answer, which the
+    memo's entries share. `schedcheck --matrix` runs the 32 fix/fault
+    searches of one plan on them. The toggles are cells of the
     state, so every trie path and settle key that depends on a toggle holds
     its value, and what one config learns holds for every config of the
     plan. `model._task_renames` shares the key's caches the same way."""
     return {}, {}, {}
+
+
+def release_plan_memos() -> None:
+    """Drop every plan's step memos (`_plan_memos`), for a process whose
+    later searches are of other plans."""
+    _plan_memos.cache_clear()
 
 
 def _settler(config: KernelConfig):

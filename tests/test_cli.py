@@ -21,6 +21,7 @@ from schedcheck.cli import (
     emit_json,
     exit_code_for,
     main,
+    matrix_configs,
     parse_args,
     parse_task_plan,
     report_to_doc,
@@ -29,7 +30,7 @@ from schedcheck.cli import (
     violations_from_doc,
 )
 from schedcheck import explorer
-from schedcheck.explorer import ReplayError, explore, process_name, replay
+from schedcheck.explorer import Limits, ReplayError, explore, process_name, replay
 from schedcheck.model import FAULTS, ConfigurationError, KernelConfig, TaskKind
 from test_settle_projection import CONFIGS, _reachable
 
@@ -540,3 +541,57 @@ class TestSweep:
         code = main(["--sweep", str(plans), "--workers", "1",
                      "--max-preemptions", "0", "--fix-wait", "off"])
         assert code == EXIT_VIOLATION
+
+
+class TestMatrix:
+    ARGV = ["--tasks", "H,L", "--max-waits", "0"]
+
+    def test_matrix_lists_every_combination_once(self):
+        configs = matrix_configs(KernelConfig())
+        combos = {(c.fix_wait_need_sched, c.fix_preempt_need_sched, c.faults) for c in configs}
+        assert len(configs) == len(combos) == 4 * 2 ** len(FAULTS)
+        assert configs[0] == KernelConfig()
+
+    def test_matrix_lines_match_searches_from_empty_memos(self, capsys):
+        code = main(["--matrix"] + self.ARGV)
+        lines = capsys.readouterr().out.splitlines()
+        configs = matrix_configs(config_from_args(parse_args(self.ARGV)))
+        assert len(lines) == len(configs)
+        worst = EXIT_OK
+        for line, config in zip(lines, configs):
+            explorer.release_plan_memos()
+            doc = report_to_doc(explore(config, Limits(max_violations=16)), "explore")
+            worst = max(worst, exit_code_for(doc))
+            c = doc["config"]
+            assert line.startswith(
+                f"fix_wait={'on' if c['fix_wait'] else 'off'} "
+                f"fix_preempt={'on' if c['fix_preempt'] else 'off'} "
+                f"faults={','.join(c['faults']) or 'none'}: "
+                f"states={doc['counters']['states_visited']} "
+                f"violations={len(doc['violations'])}"
+            )
+            assert line.endswith(f"complete exit={exit_code_for(doc)}")
+            for verdict in {v["verdict"] for v in doc["violations"]}:
+                assert verdict in line
+        assert code == worst == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--fix-wait", "off"], "--fix-wait"), (["--fix-preempt", "on"], "--fix-preempt"),
+        (["--fault", "skip-resume-state"], "--fault"), (["--sweep", "plans.txt"], "--sweep"),
+        (["--out", "json"], "--out json"), (["--mode", "walk", "--seed", "1"], "--mode walk"),
+    ])
+    def test_matrix_rejects_flags_it_would_ignore(self, capsys, flags, named):
+        code = main(["--matrix"] + flags)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"schedcheck: error: --matrix cannot be combined with {named}\n"
+
+
+def test_a_sweep_plan_releases_its_memos():
+    from schedcheck.cli import _explore_plan
+
+    explorer.release_plan_memos()
+    doc = _explore_plan(KernelConfig(task_plan=(H,), worker_count=1), Limits())
+    assert doc["counters"]["states_visited"] > 0
+    assert explorer._plan_memos.cache_info().currsize == 0

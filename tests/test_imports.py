@@ -30,8 +30,8 @@ def test_every_imported_name_is_loaded(path):
     assert sorted(imported - loaded) == []
 
 
-# Runs explore, walk and a replay of the explore's report through cli.main in
-# one fresh interpreter, then prints the pool modules that got loaded.
+# Runs explore, walk, a replay of the explore's report and a matrix through
+# cli.main in one fresh interpreter, then prints the pool modules that got loaded.
 _RUN_EVERY_MODE_BUT_SWEEP = """
 import contextlib, io, sys
 from schedcheck.cli import main
@@ -45,6 +45,7 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["--mode", "walk", "--seed", "1", "--max-steps", "200"]) in (0, 3)
     assert main(["--mode", "replay", "--trace-in", sys.argv[1]]) == 1
+    assert main(["--matrix", "--tasks", "H", "--workers", "1", "--max-preemptions", "0"]) == 1
 print(sorted(m for m in sys.modules
              if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent.futures")))
 """
