@@ -18,11 +18,13 @@ makes one pass over a state's cores and spawned tasks (`_examine`), which
 gives the invariant failure, the enabled steps and the deadlock test;
 `check_invariants` and `enabled` are views of that pass.
 
-Only `explore` steps state buffers through the two per-plan memos:
-`_settler` keys each ending rule by the bytes of the cells it reads, cut
-from the state's bytes (`Layout.settle_cut`), and `_transition` keeps one
-trie per step, keyed by the cells the step read, so an operation runs
-only on a miss. The fix and fault toggles are cells of the state, so what
+Only `explore` steps states through the two per-plan memos, and it holds
+them as bytes: `_settler` keys each ending rule by the bytes of the cells
+it reads, cut from the state's bytes (`Layout.settle_cut`), and
+`_transition` keeps one trie per step, keyed by the bytes of the cells
+the step read, whose leaves mask and set the bytes it wrote, so an
+operation runs only on a miss, and an array is built only on a miss of
+either memo. The fix and fault toggles are cells of the state, so what
 either memo learns under one config holds under every config of the
 plan, and every search of a plan shares them (`_plan_memos`). The steps
 of its traces are found through those same memos.
@@ -35,6 +37,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
+from sys import byteorder
 
 from .model import (
     C_CURRENT,
@@ -207,19 +210,18 @@ class _Recorder:
 
     def __init__(self, buf: array) -> None:
         self.buf = buf
-        self.reads: dict[int, int] = {}
+        self.reads: dict[int, None] = {}
         self.written: dict[int, None] = {}
 
     def __getitem__(self, key: int | slice):
-        value = self.buf[key]
         if type(key) is int:
-            if key not in self.written and key not in self.reads:
-                self.reads[key] = value
+            if key not in self.written:
+                self.reads.setdefault(key)
         else:
             for at in range(*key.indices(len(self.buf))):
-                if at not in self.written and at not in self.reads:
-                    self.reads[at] = self.buf[at]
-        return value
+                if at not in self.written:
+                    self.reads.setdefault(at)
+        return self.buf[key]
 
     def __setitem__(self, key: int | slice, value) -> None:
         self.buf[key] = value
@@ -230,44 +232,51 @@ class _Recorder:
 
 
 def _transition(
-    config: KernelConfig, buf: array, choice: ScheduleStep, roots: dict[ScheduleStep, list],
-) -> tuple[array, tuple]:
-    """The successor of `buf` by the enabled step `choice`, and the step's
-    effect: a leaf (writes, MonitorViolation or None) of the step's trie in
-    `roots`, the plan's tries keyed by step. A node is [offset, {value:
-    child}], and a state walks it by its value at the offset; the step runs
-    only on a miss."""
+    config: KernelConfig, raw: bytes, number: int, choice: ScheduleStep,
+    roots: dict[ScheduleStep, list],
+) -> tuple[bytes, tuple]:
+    """The bytes of the successor of the state `raw`, whose number
+    (`int.from_bytes` in native order) is `number`, by the enabled step
+    `choice`, and the step's effect: a leaf (keep mask, put bits,
+    MonitorViolation or None) of the step's trie in `roots`, the plan's
+    tries keyed by step. A node is [byte offset, {byte: child}], and a state
+    walks it by its byte at the offset; the successor is the state's number
+    with the written bytes masked out and set. The step runs only on a
+    miss."""
     leaf = root = roots.get(choice) or roots.setdefault(choice, [0, {}])
     while type(leaf) is list:
-        leaf = leaf[1].get(buf[leaf[0]])
+        leaf = leaf[1].get(raw[leaf[0]])
     if leaf is None:
-        leaf = _learn(config, buf, choice, root)
-    succ = buf[:]
-    for at, value in leaf[0]:
-        succ[at] = value
-    return succ, leaf
+        leaf = _learn(config, raw, choice, root)
+    return (number & leaf[0] | leaf[1]).to_bytes(len(raw), byteorder), leaf
 
 
-def _learn(config: KernelConfig, buf: array, choice: ScheduleStep, root: list) -> tuple:
-    """Run `choice` once on a recorder over a copy of `buf`, and add its leaf
-    to the trie `root` along the cells it read, in order (an empty root
-    takes the first of them as its cell). For a fixed plan an operation is
-    a deterministic function of the cells it reads, toggles included, so
-    every state that walks this path would take the same path and have the
-    same effect."""
-    recorder = _Recorder(buf[:])
-    state = KernelState(config, layout_for(config), recorder)
+def _learn(config: KernelConfig, raw: bytes, choice: ScheduleStep, root: list) -> tuple:
+    """Run `choice` once on a recorder over an array of `raw`, and add its
+    leaf to the trie `root` along the bytes of the cells it read, in order
+    (an empty root takes the first of them as its offset), so a two-byte
+    cell is two nodes. For a fixed plan an operation is a deterministic
+    function of the cells it reads, toggles included, so every state that
+    walks this path would take the same path and have the same effect: the
+    bytes of the cells it wrote, which the leaf's mask clears and its bits
+    set."""
+    layout = layout_for(config)
+    recorder = _Recorder(array(layout.boot.typecode, raw))
+    state = KernelState(config, layout, recorder)
     _run(state, choice)
-    leaf = (tuple((at, recorder.buf[at]) for at in recorder.written), state.violation)
-    path = list(recorder.reads.items())
+    size = recorder.buf.itemsize
+    mask = bytearray(b"\xff") * len(raw)
+    for at in recorder.written:
+        mask[at * size:at * size + size] = bytes(size)
+    keep = int.from_bytes(mask, byteorder)
+    leaf = (keep, int.from_bytes(recorder.buf.tobytes(), byteorder) & ~keep, state.violation)
+    path = [at for cell in recorder.reads for at in range(cell * size, cell * size + size)]
     if not root[1]:
-        root[0] = path[0][0]
+        root[0] = path[0]
     node = root
-    for k, (at, value) in enumerate(path):
+    for k, at in enumerate(path):
         assert node[0] == at, "a step read different cells after equal values"
-        if value not in node[1]:
-            node[1][value] = [path[k + 1][0], {}] if k + 1 < len(path) else leaf
-        node = node[1][value]
+        node = node[1].setdefault(raw[at], [path[k + 1], {}] if k + 1 < len(path) else leaf)
     return leaf
 
 
@@ -451,22 +460,22 @@ def release_plan_memos() -> None:
 
 
 def _settler(config: KernelConfig):
-    """`settle(buf, raw, violation)`: `_settle`'s answer for a buffer, whose
-    bytes are `raw`, reached by a step with that monitor violation. It is
-    kept per plan by the join of `Layout.settle_cut(raw)`, the bytes of the
-    settle cells; a miss settles the search's one `KernelState`, pointed at
-    the buffer."""
+    """`settle(raw, violation)`: `_settle`'s answer for the state whose bytes
+    are `raw`, reached by a step with that monitor violation. It is kept per
+    plan by the join of `Layout.settle_cut(raw)`, the bytes of the settle
+    cells; a miss settles the search's one `KernelState`, pointed at an
+    array of `raw`."""
     layout = layout_for(config)
-    cut = layout.settle_cut
+    cut, typecode = layout.settle_cut, layout.boot.typecode
     _, memo, answers = _plan_memos(layout.plan)
     state = KernelState(config, layout, layout.boot[:])
 
-    def settle(buf: array, raw: bytes, violation: MonitorViolation | None) -> tuple:
+    def settle(raw: bytes, violation: MonitorViolation | None) -> tuple:
         if violation is not None:
             return VERDICT_MONITOR, "", ()
         key = b"".join(cut(raw))
         if (settled := memo.get(key)) is None:
-            state.buf = buf
+            state.buf = array(typecode, raw)
             answer = _settle(state)
             settled = memo[key] = answers.setdefault(answer, answer)
         return settled
@@ -496,8 +505,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     The visited set is a dict from each state's `symmetric_key` to its
     parent's key (None at the root). So of the states that differ only by
     a renaming of the spawned tasks of a kind or of the worker cores, one
-    is searched, in the form of its key: the search settles and expands a
-    buffer of the key's bytes, not the successor it reached. The counters
+    is searched, in the form of its key: the search settles and expands
+    the key's bytes, not the successor it reached. The counters
     count states up to that renaming. A key is its own key, so a
     successor's bytes are looked up first; a successor of a key is mostly
     a key already. This is symmetry reduction (Ip and Dill, 1996; Emerson
@@ -521,37 +530,36 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     states left unexpanded at depth d are probed after the search, and the
     cut holds only if one of their successors is a state it never visited.
     Probes are not counted.
-    Each level of the frontier is three parallel lists: the buffers of
-    the keys, their enabled steps and the keys. Successors come from
-    `_transition`, so an operation runs only on a transition-memo miss.
+    Each level of the frontier is two parallel lists: the keys and their
+    enabled steps. Successors come from `_transition` as bytes, one
+    mask-and-set of the key's number each, so an operation runs only on a
+    transition-memo miss.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
     layout = layout_for(config)
-    typecode = layout.boot.typecode
     settle = _settler(config)
     roots: dict[ScheduleStep, list] = _plan_memos(layout.plan)[0]
-    init = initial_state(config).buf
-    init_key = symmetric_key(bytes(init), layout)
+    init = bytes(initial_state(config).buf)
+    init_key = symmetric_key(init, layout)
     parents: dict[bytes, bytes | None] = {init_key: None}
     # violation class -> violating states of it; `firsts` keeps each one's first key
     counts: dict[tuple, int] = {}
     firsts: dict[tuple, bytes] = {}
-    bufs: list[array] = []
-    opts: list[tuple[ScheduleStep, ...]] = []
     keys: list[bytes] = []
+    opts: list[tuple[ScheduleStep, ...]] = []
     # the states left unexpanded at the depth limit; no state is visited
     # after another limit cuts, so their cut, if real, is the first
-    edge: list[tuple[array, tuple[ScheduleStep, ...]]] = []
+    edge: list[tuple[bytes, tuple[ScheduleStep, ...]]] = []
 
     def cut(reason: str) -> None:
         report.incomplete = True
         report.incomplete_reason = report.incomplete_reason or reason
 
-    def visit(buf: array, key: bytes, violation: MonitorViolation | None, depth: int) -> bool:
-        """Settle a newly visited state, whose buffer `buf` holds its key;
-        True when the search must stop."""
-        verdict, detail, options = settle(buf, key, violation)
+    def visit(key: bytes, violation: MonitorViolation | None, depth: int) -> bool:
+        """Settle a newly visited state, whose bytes are its key `key`; True
+        when the search must stop."""
+        verdict, detail, options = settle(key, violation)
         if verdict is not None:
             kind = violation_class(config, verdict, violation, detail)
             if kind in counts:
@@ -565,25 +573,24 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         elif not options:
             report.quiescent_ok += 1
         elif limits.max_depth is not None and depth >= limits.max_depth:
-            edge.append((buf, options))
+            edge.append((key, options))
         else:
-            bufs.append(buf)
-            opts.append(options)
             keys.append(key)
+            opts.append(options)
         return False
 
     states = 1
     transitions = depth = deepest = 0
-    stop = visit(array(typecode, init_key), init_key, None, 0)
-    while bufs and not stop:
+    stop = visit(init_key, None, 0)
+    while keys and not stop:
         depth += 1
-        level = zip(bufs, opts, keys)
-        bufs, opts, keys = [], [], []
-        for buf, options, parent in level:
+        level = zip(keys, opts)
+        keys, opts = [], []
+        for parent, options in level:
+            number = int.from_bytes(parent, byteorder)
             for choice in options:
-                succ, leaf = _transition(config, buf, choice, roots)
+                raw, leaf = _transition(config, parent, number, choice, roots)
                 transitions += 1
-                raw = bytes(succ)
                 if raw in parents or (key := symmetric_key(raw, layout)) in parents:
                     continue
                 if limits.max_states is not None and states >= limits.max_states:
@@ -592,16 +599,14 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 parents[key] = parent
                 states += 1
                 deepest = depth
-                if key is not raw:
-                    succ = array(typecode, key)
-                if stop := visit(succ, key, leaf[1], depth):
+                if stop := visit(key, leaf[2], depth):
                     break
             if stop:
                 break
     if any(
-        (raw := bytes(_transition(config, buf, choice, roots)[0])) not in parents
-        and symmetric_key(raw, layout) not in parents
-        for buf, options in edge for choice in options
+        (raw := _transition(config, key, int.from_bytes(key, byteorder), choice, roots)[0])
+        not in parents and symmetric_key(raw, layout) not in parents
+        for key, options in edge for choice in options
     ):
         report.incomplete = True
         report.incomplete_reason = "max_depth"
@@ -616,33 +621,34 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
 
 
 def _steps_to(
-    config: KernelConfig, init: array, key: bytes, parents: dict[bytes, bytes | None],
+    config: KernelConfig, init: bytes, key: bytes, parents: dict[bytes, bytes | None],
     settle, roots: dict[ScheduleStep, list],
 ) -> tuple[ScheduleStep, ...]:
-    """A shortest real path from the initial buffer `init` to a state that
-    `explore` keyed `key`: at each depth the first enabled step whose
+    """A shortest real path from the initial state's bytes `init` to a state
+    that `explore` keyed `key`: at each depth the first enabled step whose
     successor has the next key on the parent chain. The search expanded
-    keys, so the path's buffers are not those it expanded, but each is a
+    keys, so the path's states are not those it expanded, but each is a
     renaming of one: the first is the root, whose key the search expanded,
     and a renaming's successors are renamings of the successors of the
     state it renames. Every renaming of a state has the same key, so some
     step reaches the next key at every depth. `settle` and `roots` are the
-    plan's memos, which a buffer that the search never expanded can miss
+    plan's memos, which a state that the search never expanded can miss
     and fill."""
     chain = []
     while key is not None:
         chain.append(key)
         key = parents[key]
-    layout, buf, steps = layout_for(config), init, []
+    layout, raw, steps = layout_for(config), init, []
     for want in reversed(chain[:-1]):
-        for choice in settle(buf, bytes(buf), None)[2]:
-            succ = _transition(config, buf, choice, roots)[0]
-            if symmetric_key(bytes(succ), layout) == want:
+        number = int.from_bytes(raw, byteorder)
+        for choice in settle(raw, None)[2]:
+            succ = _transition(config, raw, number, choice, roots)[0]
+            if symmetric_key(succ, layout) == want:
                 break
         else:
             raise AssertionError(f"no step reaches the state at depth {len(steps) + 1}")
         steps.append(choice)
-        buf = succ
+        raw = succ
     return tuple(steps)
 
 

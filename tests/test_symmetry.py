@@ -168,8 +168,8 @@ def test_reduced_search_reaches_the_full_search_verdicts(case, monkeypatch):
                  faults=frozenset({EBS, SRC})),
 ], ids=["H,H/2", "H,L,L/3-p", "H,H,L/2-w-ebs+src"])
 def test_explore_settles_and_expands_only_keys(config, monkeypatch):
-    # every buffer that the search settles, and so every one it expands,
-    # is its own key; finding a trace's steps settles the buffers of the
+    # every state that the search settles, and so every one it expands,
+    # is its own key; finding a trace's steps settles the states of the
     # real path, which need not be
     settler, steps_to = explorer._settler, explorer._steps_to
     settled, finding = [], []
@@ -177,10 +177,10 @@ def test_explore_settles_and_expands_only_keys(config, monkeypatch):
     def spying(config):
         settle = settler(config)
 
-        def spy(buf, raw, violation):
+        def spy(raw, violation):
             if not finding:
-                settled.append((bytes(buf), raw))
-            return settle(buf, raw, violation)
+                settled.append(raw)
+            return settle(raw, violation)
 
         return spy
 
@@ -196,8 +196,8 @@ def test_explore_settles_and_expands_only_keys(config, monkeypatch):
     report = explore(config, Limits(max_violations=10**9))
     assert len(settled) == report.states_visited
     layout = layout_for(config)
-    for buf, raw in settled:
-        assert buf == raw and symmetric_key(raw, layout) is raw
+    for raw in settled:
+        assert symmetric_key(raw, layout) is raw
 
 
 # -- the key ----------------------------------------------------------------

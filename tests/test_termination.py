@@ -9,6 +9,8 @@ state has only self-loop steps."""
 from __future__ import annotations
 
 import itertools
+from array import array
+from sys import byteorder
 
 import pytest
 
@@ -33,37 +35,36 @@ def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
     label, whether it is a self-loop), and the states whose steps all loop."""
     settle, roots, layout = _settler(config), {}, layout_for(config)
 
-    def successors(buf, key, violation) -> list[tuple]:
-        verdict, _, options = settle(buf, key, violation)
+    def successors(key, violation) -> list[tuple]:
+        verdict, _, options = settle(key, violation)
         if verdict is not None:
             return []
-        return [(step, *_transition(config, buf, step, roots)) for step in options]
+        number = int.from_bytes(key, byteorder)
+        return [(step, *_transition(config, key, number, step, roots)) for step in options]
 
-    def push(buf, violation) -> None:
-        key = bytes(buf)
-        succs = successors(buf, key, violation)
-        if succs and all(bytes(succ) == key for _, succ, _ in succs):
+    def push(key, violation) -> None:
+        succs = successors(key, violation)
+        if succs and all(succ == key for _, succ, _ in succs):
             stuck.append(key)
         on_stack.add(key)
-        stack.append((key, buf, iter(succs)))
+        stack.append((key, iter(succs)))
 
     back_edges: list[tuple] = []
     stuck: list[bytes] = []
     stack: list[tuple] = []
     on_stack: set[bytes] = set()
-    init = initial_state(config).buf
-    seen = {bytes(init)}
+    init = bytes(initial_state(config).buf)
+    seen = {init}
     push(init, None)
     while stack:
-        key, buf, succs = stack[-1]
+        key, succs = stack[-1]
         for step, succ, leaf in succs:
-            raw = bytes(succ)
-            if raw in on_stack:
-                label = _apply(KernelState(config, layout, buf), step).step_label
-                back_edges.append((step, label, raw == key))
-            elif raw not in seen:
-                seen.add(raw)
-                push(succ, leaf[1])
+            if succ in on_stack:
+                state = KernelState(config, layout, array(layout.boot.typecode, key))
+                back_edges.append((step, _apply(state, step).step_label, succ == key))
+            elif succ not in seen:
+                seen.add(succ)
+                push(succ, leaf[2])
                 break
         else:
             on_stack.discard(key)

@@ -1,11 +1,12 @@
 """`explore` takes each successor from the transition memo
 (`explorer._transition`): a dict from each step to its trie, keyed by the
-cells that the step's runs read, whose leaves hold the step's writes and
-monitor violation. Over every reachable (state, enabled step) of the
-settle-projection configs, the memo must agree with running the operation
-(`_apply`), on misses and on hits. And a leaf may depend on no cell off its
-path: with every other cell scrambled, the trie must return the same leaf,
-and the operation must make the same writes and violation. `explore` also
+bytes of the cells that the step's runs read, whose leaves hold the step's
+writes as a keep mask and put bits, and its monitor violation. Over every
+reachable (state, enabled step) of the settle-projection configs, the memo
+must agree with running the operation (`_apply`), on misses and on hits.
+And a leaf may depend on no byte off its path: with every other byte
+scrambled, the trie must return the same leaf, and the operation must make
+the writes that the leaf's mask and bits make, and its violation. `explore` also
 finds its traces' steps through the search's own tries, so it learns each
 step into one trie, and `replay` uses no memo. The fix and fault toggles
 are cells of the state, so the searches of every combo of a plan share the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from sys import byteorder
 
 import pytest
 
@@ -34,12 +36,13 @@ def _effect(succ: KernelState) -> tuple:
     return bytes(succ.buf), succ.violation
 
 
-def _walk(root: list, buf) -> tuple[list[int], object]:
-    """The offsets that `buf` reads on its way down the trie, and where it ends."""
+def _walk(root: list, raw: bytes) -> tuple[list[int], object]:
+    """The byte offsets that `raw` reads on its way down the trie, and where
+    it ends."""
     node, path = root, []
     while type(node) is list:
         path.append(node[0])
-        node = node[1].get(buf[node[0]])
+        node = node[1].get(raw[node[0]])
     return path, node
 
 
@@ -55,24 +58,27 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
              for state, (_, _, options) in _reachable(config) for choice in options]
     for _ in range(2):  # the first pass fills the memo, the second only hits it
         for state, choice, effect in cases:
-            succ, leaf = _transition(config, state.buf, choice, roots)
-            assert (bytes(succ), leaf[1]) == effect
+            raw = bytes(state.buf)
+            succ, leaf = _transition(config, raw, int.from_bytes(raw, byteorder), choice, roots)
+            assert (succ, leaf[2]) == effect
 
+    # whole bytes, so a trie that skipped a byte of a two-byte cell would
+    # hand its leaf to a state whose cell differs
     rng = random.Random(11)
-    typecode, size = cases[0][0].buf.typecode, len(cases[0][0].buf)
-    noise = [array(typecode, rng.choices(range(-1, 5), k=size)) for _ in range(97)]
+    typecode, size = cases[0][0].buf.typecode, len(bytes(cases[0][0].buf))
+    noise = [bytes(rng.choices(range(256), k=size)) for _ in range(97)]
     for k, (state, choice, _) in enumerate(cases):
+        raw = bytes(state.buf)
         root = roots[choice]
-        path, leaf = _walk(root, state.buf)
-        scrambled = noise[k % len(noise)][:]
+        path, leaf = _walk(root, raw)
+        scrambled = bytearray(noise[k % len(noise)])
         for at in path:
-            scrambled[at] = state.buf[at]
+            scrambled[at] = raw[at]
         assert _walk(root, scrambled)[1] is leaf
-        expected = scrambled[:]
-        for at, value in leaf[0]:
-            expected[at] = value
-        succ = _apply(KernelState(config, state.layout, scrambled), choice)
-        assert (bytes(expected), leaf[1]) == _effect(succ), (choice, list(state.buf))
+        keep, put, violation = leaf
+        expected = (int.from_bytes(scrambled, byteorder) & keep | put).to_bytes(size, byteorder)
+        succ = _apply(KernelState(config, state.layout, array(typecode, scrambled)), choice)
+        assert (expected, violation) == _effect(succ), (choice, list(state.buf))
 
 
 @pytest.mark.usefixtures("cold_memos")  # a warm plan's search may learn nothing
@@ -85,10 +91,10 @@ def test_explore_learns_each_step_into_one_trie(monkeypatch):
     finding = []
     learn, steps_to = explorer._learn, explorer._steps_to
 
-    def spying(config, buf, choice, root):
+    def spying(config, raw, choice, root):
         assert not finding, "finding a trace's steps ran an operation"
         tries.setdefault(choice, []).append(root)  # kept, so no id is reused
-        return learn(config, buf, choice, root)
+        return learn(config, raw, choice, root)
 
     def tracing(*args):
         finding.append(True)
@@ -155,7 +161,10 @@ def test_every_combo_of_a_plan_shares_the_memos_soundly(plan, monkeypatch):
         for config in order:
             assert _json(config) == cold[config], config
 
-    toggles, read = set(range(FIX_WAIT, IN_FLIGHT)), set()
+    # the toggles' byte offsets, and those the tries read
+    boot = layout_for(configs[0]).boot
+    toggles = set(range(FIX_WAIT * boot.itemsize, IN_FLIGHT * boot.itemsize))
+    read, size = set(), len(bytes(boot))
     nodes = list(shared[0].values())
     while nodes:
         node = nodes.pop()
@@ -163,5 +172,6 @@ def test_every_combo_of_a_plan_shares_the_memos_soundly(plan, monkeypatch):
             read.add(node[0])
             nodes.extend(node[1].values())
         else:
-            assert not toggles & {at for at, _ in node[0]}, node
+            kept = node[0].to_bytes(size, byteorder)
+            assert all(kept[at] == 0xFF for at in toggles), node  # no toggle written
     assert toggles <= read  # the tries tell the combos apart by their cells
