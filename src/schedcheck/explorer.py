@@ -667,7 +667,7 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
             report.incomplete = True
             report.incomplete_reason = "max_steps"
             break
-        choice = options[rng.randrange(len(options))]
+        choice = rng.choice(options)
         _run(state, choice)
         steps.append(choice)
         seen.add(snapshot(state))
@@ -685,7 +685,8 @@ def random_walk(config: KernelConfig, seed: int, max_steps: int) -> ExplorationR
 def replay(config: KernelConfig, steps: tuple[ScheduleStep, ...]) -> Trace:
     """Re-execute a schedule under `config`, stepping one state in place as
     `random_walk` does, and build its trace: the one builder of every
-    trace, `explore`'s, a walk's and a recorded one's.
+    trace, `explore`'s, a walk's and a recorded one's, and so the one
+    caller that renders step labels and monitor lines.
 
     Raises ReplayError naming the first step that is not enabled, or the
     step whose verdict comes before the schedule ends. A schedule that

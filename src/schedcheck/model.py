@@ -266,14 +266,15 @@ class KernelState:
     """The complete shared world, including the monitors observing it.
 
     `buf` holds the state's value (see Layout), and the operations read
-    and write it by record offset. Beside `buf` is the step bookkeeping:
-    mutating operations record a human-readable label and any monitor
-    lines for the step just executed in step_label / step_lines; the first
-    monitor violation of a step lands in `violation`.
+    and write it by record offset. Beside `buf` is the step bookkeeping of
+    the step just executed, kept unformatted: its label's template and
+    arguments, and the (task, code) of each monitor event it fired, which
+    only `step_label` and `step_lines` render. The first monitor violation
+    of a step lands in `violation`.
     """
 
     __slots__ = ("config", "layout", "buf", "monitors",
-                 "violation", "step_label", "step_lines")
+                 "violation", "template", "args", "events")
 
     def __init__(self, config: KernelConfig, layout: Layout, buf: array) -> None:
         self.config = config
@@ -281,18 +282,27 @@ class KernelState:
         self.buf = buf
         self.monitors = MonitorRegistry(default_table(), buf, layout.monitor_cells)
         self.violation: MonitorViolation | None = None
-        self.step_label = ""
-        self.step_lines: list[str] = []
+        self.template, self.args = "", ()
+        self.events: list[tuple[int, int]] = []
 
     # -- bookkeeping -------------------------------------------------
 
     def clone(self) -> KernelState:
         return KernelState(self.config, self.layout, self.buf[:])
 
-    def begin_step(self, label: str) -> None:
-        self.step_label = label
-        self.step_lines = []
+    def begin_step(self, template: str, *args) -> None:
+        self.template, self.args = template, args
+        self.events = []
         self.violation = None
+
+    @property
+    def step_label(self) -> str:
+        return self.template.format(*self.args)
+
+    @property
+    def step_lines(self) -> list[str]:
+        line = self.monitors.table.line
+        return [line(task, code) for task, code in self.events]
 
     @property
     def decision(self) -> tuple[int, int] | None:
@@ -311,8 +321,8 @@ class KernelState:
         return [task for task, flag in enumerate(flags) if flag]
 
     def _fire_event(self, task: int, event: Event) -> None:
-        violation, line = self.monitors.fire(task, event)
-        self.step_lines.append(line)
+        violation, code = self.monitors.fire(task, event)
+        self.events.append((task, code))
         if violation is not None and self.violation is None:
             self.violation = violation
 
@@ -355,7 +365,7 @@ class KernelState:
         task = buf[SPAWN_CURSOR]
         if task >= layout.task_count:
             raise UsageError("every planned task is spawned")
-        self.begin_step(f"spawn task {task} ({self.config.task_plan[task].value})")
+        self.begin_step("spawn task {} ({})", task, self.config.task_plan[task].value)
         buf[SPAWN_CURSOR] = task + 1
         at = layout.tasks + task * TASK_WIDTH
         buf[at + T_STATE] = RUNNABLE
@@ -378,7 +388,7 @@ class KernelState:
             if not self.fireable_timers():
                 raise UsageError("no fireable timer entry")
             raise UsageError(f"timer entry for task {task} not fireable")
-        self.begin_step(f"timer fire: wake task {task}")
+        self.begin_step("timer fire: wake task {}", task)
         buf[at + T_TIMER] = 0
         if buf[at + T_STATE] == WAITING:
             buf[at + T_STATE] = RUNNABLE
@@ -407,12 +417,12 @@ class KernelState:
         task = self._dequeue()
         at = self.layout.tasks + task * TASK_WIDTH
         if buf[at + T_STATE] == RUNNING and not buf[SKIP_RUNNING_CHECK]:
-            self.begin_step(f"worker {core_id}: task {task} still running, requeued")
+            self.begin_step("worker {}: task {} still running, requeued", core_id, task)
             self._enqueue(task)
             return
         saved_pc = buf[at + T_SAVED_PC]
         if saved_pc >= 0:
-            self.begin_step(f"worker {core_id}: resume task {task} at pc {saved_pc}")
+            self.begin_step("worker {}: resume task {} at pc {}", core_id, task, saved_pc)
             buf[at + T_PC] = saved_pc
             buf[at + T_PENDING_WAIT] = buf[at + T_SAVED_MID_WAIT]
             buf[at + T_SAVED_PC] = -1
@@ -423,7 +433,7 @@ class KernelState:
                 buf[at + T_STATE] = RUNNING
                 self._fire_event(task, Event.GET_NEXT)
             return
-        self.begin_step(f"worker {core_id}: start task {task}")
+        self.begin_step("worker {}: start task {}", core_id, task)
         buf[at + T_STATE] = RUNNING
         buf[core + C_CURRENT] = task
         self._fire_event(task, Event.GET_NEXT)
@@ -452,7 +462,7 @@ class KernelState:
             buf[core + C_CURRENT] = -1
             fix = buf[FIX_WAIT]
             if fix and buf[at + T_NEED_SCHED]:
-                self.begin_step(f"worker {core_id}: task {task} requeued (need_sched)")
+                self.begin_step("worker {}: task {} requeued (need_sched)", core_id, task)
                 buf[at + T_NEED_SCHED] = 0
                 buf[at + T_STATE] = RUNNABLE
                 self._enqueue(task)
@@ -463,15 +473,14 @@ class KernelState:
                 # resume). Complete the wait and re-deliver the wake at once,
                 # or the task would sleep on a timer that is gone.
                 self.begin_step(
-                    f"worker {core_id}: task {task} wait over (wake already delivered)"
-                )
+                    "worker {}: task {} wait over (wake already delivered)", core_id, task)
                 buf[at + T_STATE] = WAITING
                 self._fire_event(task, Event.POLL_PENDING)
                 buf[at + T_STATE] = RUNNABLE
                 self._enqueue(task)
                 self._fire_event(task, Event.WAKE)
             else:
-                self.begin_step(f"worker {core_id}: task {task} enters waiting")
+                self.begin_step("worker {}: task {} enters waiting", core_id, task)
                 buf[at + T_STATE] = WAITING
                 self._fire_event(task, Event.POLL_PENDING)
             return
@@ -479,15 +488,15 @@ class KernelState:
         pc = buf[at + T_PC]
         action = self.layout.scripts[task][pc]
         if action is Action.COMPUTE:
-            self.begin_step(f"worker {core_id}: task {task} compute (pc {pc})")
+            self.begin_step("worker {}: task {} compute (pc {})", core_id, task, pc)
             buf[at + T_PC] = pc + 1
         elif action is Action.REGISTER_TIMER_AND_PEND:
-            self.begin_step(f"worker {core_id}: task {task} registers timer")
+            self.begin_step("worker {}: task {} registers timer", core_id, task)
             buf[at + T_TIMER] = 1
             buf[at + T_PC] = pc + 1
             buf[at + T_PENDING_WAIT] = 1
         else:  # Action.FINISH
-            self.begin_step(f"worker {core_id}: task {task} finishes")
+            self.begin_step("worker {}: task {} finishes", core_id, task)
             buf[at + T_STATE] = TERMINATED
             reset_dead_fields(buf, at)
             buf[core + C_CURRENT] = -1
@@ -519,7 +528,7 @@ class KernelState:
             layout.heavy[task] and buf[at + T_STATE] == RUNNING and buf[at + T_PREEMPTIONS] > 0
         ):
             raise UsageError(f"core {core_id} is not a preemption candidate")
-        self.begin_step(f"preempt decide: core {core_id} task {task}")
+        self.begin_step("preempt decide: core {} task {}", core_id, task)
         buf[core + C_DECISION] = task
         buf[IN_FLIGHT] = 1
         if buf[FIX_PREEMPT]:
@@ -537,7 +546,7 @@ class KernelState:
         core = self.layout.cores + target * CORE_WIDTH
         if buf[core + C_PENDING_IPI] != -1:
             raise UsageError(f"core {target} already has a pending IPI")
-        self.begin_step(f"send IPI to core {target} (observed task {observed})")
+        self.begin_step("send IPI to core {} (observed task {})", target, observed)
         buf[core + C_PENDING_IPI] = PENDING
         buf[core + C_DECISION] = -1
 
@@ -560,27 +569,23 @@ class KernelState:
                 raise UsageError(f"core {core_id} has no pending IPI")
             buf[core + C_PENDING_IPI] = -1
             if task < 0:
-                self.begin_step(f"core {core_id}: IPI canceled (idle core)")
+                self.begin_step("core {}: IPI canceled (idle core)", core_id)
                 buf[IN_FLIGHT] = 0
                 return
             at = self.layout.tasks + task * TASK_WIDTH
             fix = buf[FIX_PREEMPT]
             if fix and not buf[at + T_NEED_SCHED]:
-                self.begin_step(
-                    f"core {core_id}: IPI canceled (task {task} need_sched clear)"
-                )
+                self.begin_step("core {}: IPI canceled (task {} need_sched clear)", core_id, task)
                 buf[IN_FLIGHT] = 0
                 return
             if fix and buf[at + T_PREEMPTIONS] <= 0:
                 # A stale decision can land on a flagged task whose preemption
                 # budget is spent (the flag came from a wake); completing it
                 # would overrun the bound, so the fixed protocol backs off.
-                self.begin_step(
-                    f"core {core_id}: IPI canceled (task {task} budget spent)"
-                )
+                self.begin_step("core {}: IPI canceled (task {} budget spent)", core_id, task)
                 buf[IN_FLIGHT] = 0
                 return
-            self.begin_step(f"core {core_id}: save context of task {task}")
+            self.begin_step("core {}: save context of task {}", core_id, task)
             buf[at + T_SAVED_PC] = buf[at + T_PC]
             buf[at + T_SAVED_MID_WAIT] = buf[at + T_PENDING_WAIT]
             buf[core + C_IPI_PHASE] = CTX_SAVED
@@ -590,20 +595,20 @@ class KernelState:
         at = self.layout.tasks + task * TASK_WIDTH
         if phase == CTX_SAVED:
             if buf[ENQUEUE_BEFORE_STATE]:
-                self.begin_step(f"core {core_id}: enqueue task {task} (before state)")
+                self.begin_step("core {}: enqueue task {} (before state)", core_id, task)
                 self._enqueue(task)
                 buf[core + C_IPI_PHASE] = ENQUEUED
             else:
-                self.begin_step(f"core {core_id}: task {task} preempted")
+                self.begin_step("core {}: task {} preempted", core_id, task)
                 buf[at + T_STATE] = PREEMPTED
                 self._fire_event(task, Event.PREEMPT)
                 buf[core + C_IPI_PHASE] = STATED
             return
         if phase == STATED:
-            self.begin_step(f"core {core_id}: enqueue preempted task {task}")
+            self.begin_step("core {}: enqueue preempted task {}", core_id, task)
             self._enqueue(task)
         else:  # ENQUEUED: state assignment was deferred past the enqueue
-            self.begin_step(f"core {core_id}: task {task} preempted (late state)")
+            self.begin_step("core {}: task {} preempted (late state)", core_id, task)
             buf[at + T_STATE] = PREEMPTED
             self._fire_event(task, Event.PREEMPT)
         buf[at + T_PREEMPTIONS] -= 1

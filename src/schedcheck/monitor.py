@@ -3,11 +3,11 @@
 Each spawned task gets its own monitor, and all share one transition
 table. Scheduler hooks feed events; an event with no defined transition
 yields a violation report carrying the task, its current state and the
-offending symbol, and every event gives one formatted line, so a trace's
-lines list each task's transitions. A registry keeps each monitor's
-current state as a small-int code in the kernel state's buffer, beside the
-state's own fields, so a cloned state's monitors step independently of the
-original's.
+offending symbol, and every event gives its code in the table, which
+`TransitionTable.line` renders as one line, so a trace's lines list each
+task's transitions. A registry keeps each monitor's current state as a
+small-int code in the kernel state's buffer, beside the state's own fields,
+so a cloned state's monitors step independently of the original's.
 """
 
 from __future__ import annotations
@@ -128,13 +128,18 @@ class TransitionTable:
             index[key] = dst
         self.triples = triples
         # Flat transition function over codes, at src code * EVENT_COUNT
-        # + event code: the target code (0: undefined) and the rendered line.
+        # + event code: the target code (0: undefined), and the text of the
+        # code's line: its transition, or the violation of an undefined one.
         self.targets = [0] * (len(STATES) * EVENT_COUNT)
-        self.labels = [""] * len(self.targets)
         for (src, ev), dst in index.items():
-            at = STATE_CODES[src] * EVENT_COUNT + ev.code
-            self.targets[at] = STATE_CODES[dst]
-            self.labels[at] = f" {src} -- {ev} --> {dst}"
+            self.targets[STATE_CODES[src] * EVENT_COUNT + ev.code] = STATE_CODES[dst]
+        self.labels = [f" {src} -- {ev} --> {index[src, ev]}" if (src, ev) in index
+                       else f" {MonitorViolation(src, ev, -1).describe()}"
+                       for src in STATES for ev in Event]
+
+    def line(self, task: int, code: int) -> str:
+        """Task `task`'s trace line for the event at `code`."""
+        return f"task={task}{self.labels[code]}"
 
 
 @cache
@@ -187,16 +192,16 @@ class MonitorRegistry:
         """The task's monitor state; None before it is registered."""
         return STATES[self.buf[self.cells[task]]]
 
-    def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, str]:
-        """Feed one event; return (violation-or-None, formatted line)."""
+    def fire(self, task: int, event: Event) -> tuple[MonitorViolation | None, int]:
+        """Feed one event; return (violation-or-None, the event's code in the
+        table, which `TransitionTable.line` renders)."""
         at = self.cells[task]
         src = self.buf[at]
         if not src:
             raise KeyError(task)
-        key = src * EVENT_COUNT + event.code
-        dst = self.table.targets[key]
+        code = src * EVENT_COUNT + event.code
+        dst = self.table.targets[code]
         if not dst:
-            violation = MonitorViolation(STATES[src], event, task)
-            return violation, f"task={task} {violation.describe()}"
+            return MonitorViolation(STATES[src], event, task), code
         self.buf[at] = dst
-        return None, f"task={task}{self.table.labels[key]}"
+        return None, code

@@ -129,9 +129,9 @@ class TestNext:
         mon = monitor()
         for ev in (Event.SPAWN, Event.WAKE, Event.GET_NEXT):
             mon.fire(0, ev)
-        violation, line = mon.fire(0, Event.GET_NEXT)
+        violation, code = mon.fire(0, Event.GET_NEXT)
         assert violation is not None
-        assert line == "task=0 invalid transition: current state: Running(false), symbol: GetNext"
+        assert mon.table.line(0, code) == "task=0 invalid transition: current state: Running(false), symbol: GetNext"
         assert str(violation.current_state) == "Running(false)"
         assert violation.symbol is Event.GET_NEXT
         assert "current state: Running(false)" in violation.describe()
@@ -169,10 +169,10 @@ class TestOracleEquivalence:
         current = INIT
         targets = transitions(default_table())
         for event in events:
-            violation, line = mon.fire(0, event)
+            violation, code = mon.fire(0, event)
             if violation is None:
                 dst = targets[current, event]
-                assert line == f"task=0 {current} -- {event} --> {dst}"
+                assert mon.table.line(0, code) == f"task=0 {current} -- {event} --> {dst}"
                 current = dst
         assert current == mon.current(0)
 
@@ -203,10 +203,10 @@ class TestRegistry:
         expected = fold_events(default_table(), [Event.SPAWN])
         assert expected[0] == "ok"
         reg = monitor()
-        violation, line = reg.fire(0, Event.SPAWN)
+        violation, code = reg.fire(0, Event.SPAWN)
         assert violation is None
         assert reg.current(0) == expected[1]
-        assert line == "task=0 Init(*) -- Spawn --> Waiting(false)"
+        assert reg.table.line(0, code) == "task=0 Init(*) -- Spawn --> Waiting(false)"
 
     def test_duplicate_registration_rejected(self):
         reg = monitor()
@@ -229,8 +229,8 @@ class TestFormatting:
         reg = monitor()
         for event in (Event.SPAWN, Event.WAKE, Event.GET_NEXT):
             reg.fire(0, event)
-        _, line = reg.fire(0, Event.POLL_PENDING)
-        assert line == "task=0 Running(false) -- PollPending --> Waiting(false)"
+        _, code = reg.fire(0, Event.POLL_PENDING)
+        assert reg.table.line(0, code) == "task=0 Running(false) -- PollPending --> Waiting(false)"
 
     def test_dont_care_renders_star(self):
         assert str(mstate(Base.TERMINATED)) == "Terminated(*)"

@@ -34,3 +34,13 @@ def test_state_space_table():
     assert lines[0] == "plan=H,L workers=2"
     assert lines[1].split() == ["waits", "preempts", "states", "transitions", "depth", "seconds"]
     assert lines[2].split()[:5] == ["0", "0", "19", "30", "8"]
+
+
+def test_step_costs():
+    lines = run_script("step_costs.py", "--plan", "H,L,L", "--workers", "2", "--max-waits", "1",
+                       "--max-preemptions", "1", "--walks", "2", "--repeat", "1").splitlines()
+    assert lines[0] == "plan=H,L,L workers=2 waits=1 preemptions=1"
+    assert lines[1].startswith("walks=2 steps=")
+    assert [line.split()[0] for line in lines[2:]] == [
+        "part", "_settle", "_run", "snapshot", "draw", "sum", "walk", "render"]
+    assert all(float(line.split()[1]) > 0 for line in lines[3:])

@@ -1,6 +1,7 @@
 """`random_walk` keeps only its schedule and snapshots: a clean walk builds
-no step annotation, and a walk that ends in a verdict gets its trace from
-`replay`, so walks and replays build traces one way."""
+no step annotation and renders no step label or monitor line, and a walk
+that ends in a verdict gets its trace from `replay`, so walks and replays
+build traces one way, and only `replay` renders."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import random
 import pytest
 
 from schedcheck import explorer
-from schedcheck.explorer import _apply, _settle, random_walk, replay
-from schedcheck.model import KernelConfig, TaskKind, initial_state
+from schedcheck.explorer import _apply, _settle, explore, random_walk, replay
+from schedcheck.model import KernelConfig, KernelState, TaskKind, initial_state
+from schedcheck.monitor import TransitionTable
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -31,9 +33,40 @@ def test_a_clean_walk_builds_no_annotation(monkeypatch):
         assert report.transitions_taken == report.max_depth > 0
 
 
+def test_a_clean_walk_renders_no_step(monkeypatch):
+    config = KernelConfig(**WALK)
+    reports = [random_walk(config, seed, 100_000) for seed in range(5)]
+    assert all(not r.violations and r.quiescent_ok == 1 for r in reports)
+
+    def refuse(*args):
+        raise AssertionError("a clean walk rendered a step")
+
+    monkeypatch.setattr(KernelState, "step_label", property(refuse))
+    monkeypatch.setattr(TransitionTable, "line", refuse)
+    assert [random_walk(config, seed, 100_000) for seed in range(5)] == reports
+
+
+def test_explore_renders_one_label_per_trace_step(monkeypatch):
+    # from empty step memos, so the search's operations run on memo misses
+    # too; only the replays of its traces render, one label per step
+    config = KernelConfig(fix_wait_need_sched=False,
+                          faults=frozenset({"enqueue-before-state", "skip-running-check"}))
+    explorer.release_plan_memos()
+    rendered = []
+    label = KernelState.step_label.fget
+    monkeypatch.setattr(KernelState, "step_label",
+                        property(lambda state: rendered.append(state) or label(state)))
+    report = explore(config)
+    assert len(report.violations) > 1
+    assert len(rendered) == sum(len(trace.steps) for trace in report.violations)
+
+
 def reference_schedule(config: KernelConfig, seed: int) -> list:
     """The seeded schedule, stepped by clone-and-run until a verdict or the
-    end: the choice at each state is `randrange` over its enabled steps."""
+    end: the choice at each state is `randrange` over its enabled steps.
+    `random_walk` draws with `rng.choice`, which on CPython returns
+    `seq[rng._randbelow(len(seq))]`, as `randrange` indexes it, so the
+    test below pins that the two draws pick the same steps."""
     rng = random.Random(seed)
     state = initial_state(config)
     steps = []
