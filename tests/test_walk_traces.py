@@ -23,27 +23,20 @@ WALK = dict(worker_count=4, task_plan=(H, H, H, H, L, L, L, L),
 
 
 def test_a_clean_walk_builds_no_annotation(monkeypatch):
+    config = KernelConfig(**WALK)
+    reports = [random_walk(config, seed, 100_000) for seed in range(5)]
+
     def refuse(*args, **kwargs):
         raise AssertionError("a clean walk built a step annotation")
 
+    # no annotation, and none of its text: no step label, no monitor line
     monkeypatch.setattr(explorer, "StepAnnotation", refuse)
-    for seed in range(5):
-        report = random_walk(KernelConfig(**WALK), seed, 100_000)
-        assert not report.violations and report.quiescent_ok == 1
-        assert report.transitions_taken == report.max_depth > 0
-
-
-def test_a_clean_walk_renders_no_step(monkeypatch):
-    config = KernelConfig(**WALK)
-    reports = [random_walk(config, seed, 100_000) for seed in range(5)]
-    assert all(not r.violations and r.quiescent_ok == 1 for r in reports)
-
-    def refuse(*args):
-        raise AssertionError("a clean walk rendered a step")
-
     monkeypatch.setattr(KernelState, "step_label", property(refuse))
     monkeypatch.setattr(TransitionTable, "line", refuse)
-    assert [random_walk(config, seed, 100_000) for seed in range(5)] == reports
+    for seed, report in enumerate(reports):
+        assert random_walk(config, seed, 100_000) == report
+        assert not report.violations and report.quiescent_ok == 1
+        assert report.transitions_taken == report.max_depth > 0
 
 
 def test_explore_renders_one_label_per_trace_step(monkeypatch):
