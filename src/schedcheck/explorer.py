@@ -531,9 +531,9 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     cut holds only if one of their successors is a state it never visited.
     Probes are not counted.
     Each level of the frontier is two parallel lists: the keys and their
-    enabled steps. Successors come from `_transition` as bytes, one
-    mask-and-set of the key's number each, so an operation runs only on a
-    transition-memo miss.
+    enabled steps. The loop walks the step tries itself, as `_transition`
+    does, so each successor is bytes, one mask-and-set of the key's
+    number, and an operation runs only on a transition-memo miss.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
@@ -556,10 +556,10 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         report.incomplete = True
         report.incomplete_reason = report.incomplete_reason or reason
 
-    def visit(key: bytes, violation: MonitorViolation | None, depth: int) -> bool:
-        """Settle a newly visited state, whose bytes are its key `key`; True
-        when the search must stop."""
-        verdict, detail, options = settle(key, violation)
+    def visit(key: bytes, violation: MonitorViolation | None, depth: int, answer: tuple) -> bool:
+        """File a newly visited state, whose bytes are its key `key`, by its
+        settle answer `answer`; True when the search must stop."""
+        verdict, detail, options = answer
         if verdict is not None:
             kind = violation_class(config, verdict, violation, detail)
             if kind in counts:
@@ -572,16 +572,17 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 return True
         elif not options:
             report.quiescent_ok += 1
-        elif limits.max_depth is not None and depth >= limits.max_depth:
+        elif max_depth is not None and depth >= max_depth:
             edge.append((key, options))
         else:
             keys.append(key)
             opts.append(options)
         return False
 
+    max_states, max_depth, size = limits.max_states, limits.max_depth, len(init)
     states = 1
     transitions = depth = deepest = 0
-    stop = visit(init_key, None, 0)
+    stop = visit(init_key, None, 0, settle(init_key, None))
     while keys and not stop:
         depth += 1
         level = zip(keys, opts)
@@ -589,17 +590,31 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         for parent, options in level:
             number = int.from_bytes(parent, byteorder)
             for choice in options:
-                raw, leaf = _transition(config, parent, number, choice, roots)
+                # `_transition`, inline: walk the step's trie, then mask and set
+                leaf = root = roots.get(choice) or roots.setdefault(choice, [0, {}])
+                while type(leaf) is list:
+                    offset, children = leaf
+                    leaf = children.get(parent[offset])
+                if leaf is None:
+                    leaf = _learn(config, parent, choice, root)
+                keep, put, violation = leaf
+                raw = (number & keep | put).to_bytes(size, byteorder)
                 transitions += 1
-                if raw in parents or (key := symmetric_key(raw, layout)) in parents:
+                if raw in parents:
                     continue
-                if limits.max_states is not None and states >= limits.max_states:
+                if (key := symmetric_key(raw, layout)) is not raw and key in parents:
+                    continue
+                if max_states is not None and states >= max_states:
                     cut("max_states")
                     continue
                 parents[key] = parent
                 states += 1
                 deepest = depth
-                if stop := visit(key, leaf[2], depth):
+                answer = settle(key, violation)
+                if answer[2] and max_depth is None:  # the common case: expand it next level
+                    keys.append(key)
+                    opts.append(answer[2])
+                elif stop := visit(key, violation, depth, answer):
                     break
             if stop:
                 break

@@ -698,7 +698,11 @@ def symmetric_key(raw: bytes, layout: Layout) -> bytes:
 def _sorted_workers(raw: bytes, layout: Layout) -> bytes:
     """`raw` with the records of workers 1..w sorted as byte strings; `raw`
     itself when they are in order."""
-    head, *workers = layout.worker_cut(raw)
+    cut = layout.worker_cut(raw)
+    if len(cut) == 3:  # two workers: one compare
+        head, first, second = cut
+        return raw if first <= second else b"".join((head, second, first))
+    head, *workers = cut
     ordered = sorted(workers)
     if ordered == workers:
         return raw

@@ -44,3 +44,13 @@ def test_step_costs():
     assert [line.split()[0] for line in lines[2:]] == [
         "part", "_settle", "_run", "snapshot", "draw", "sum", "walk", "render"]
     assert all(float(line.split()[1]) > 0 for line in lines[3:])
+
+
+def test_transition_costs():
+    lines = run_script("transition_costs.py", "--plan", "H,L", "--workers", "2",
+                       "--fix-wait", "off", "--repeat", "1").splitlines()
+    assert lines[0] == "plan=H,L workers=2 waits=1 preemptions=1"
+    assert lines[1].startswith("states=") and " transitions=" in lines[1]
+    assert [line.split()[0] for line in lines[2:]] == [
+        "part", "_transition", "symmetric_key", "settle", "sum", "explore", "cold"]
+    assert all(float(line.split()[1]) > 0 for line in lines[3:])

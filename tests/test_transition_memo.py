@@ -1,7 +1,10 @@
-"""`explore` takes each successor from the transition memo
-(`explorer._transition`): a dict from each step to its trie, keyed by the
-bytes of the cells that the step's runs read, whose leaves hold the step's
-writes as a keep mask and put bits, and its monitor violation. Over every
+"""`explore` takes each successor from the transition memo: a dict from
+each step to its trie, keyed by the bytes of the cells that the step's
+runs read, whose leaves hold the step's writes as a keep mask and put
+bits, and its monitor violation. Its BFS loop walks the tries itself;
+`explorer._transition` is the same walk as a function, which finding a
+trace's steps and the depth-limit probe call, and so every edge of the
+search's parent map must be one step of `_transition`. Over every
 reachable (state, enabled step) of the settle-projection configs, the memo
 must agree with running the operation (`_apply`), on misses and on hits.
 And a leaf may depend on no byte off its path: with every other byte
@@ -25,7 +28,7 @@ from schedcheck import explorer
 from schedcheck.cli import emit_json, report_to_doc
 from schedcheck.explorer import Limits, _apply, _transition, explore
 from schedcheck.model import (
-    FAULTS, FIX_WAIT, IN_FLIGHT, KernelConfig, KernelState, TaskKind, layout_for,
+    FAULTS, FIX_WAIT, IN_FLIGHT, KernelConfig, KernelState, TaskKind, layout_for, symmetric_key,
 )
 from test_dead_fields import COMBOS, PLANS, config_for
 from test_settle_projection import CONFIGS, _reachable
@@ -111,6 +114,37 @@ def test_explore_learns_each_step_into_one_trie(monkeypatch):
     assert len(report.violations) > 1
     distinct = {choice: len({id(root) for root in roots}) for choice, roots in tries.items()}
     assert set(distinct.values()) == {1}, distinct
+
+
+@pytest.mark.parametrize("config", [
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.LIGHT, TaskKind.LIGHT),
+                 fix_wait_need_sched=False),
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.HEAVY),
+                 faults=frozenset({"enqueue-before-state", "skip-running-check"})),
+], ids=["H,L,L/2-w", "H,H/2-ebs+src"])
+def test_every_edge_of_the_search_is_a_step_of_transition(config, monkeypatch):
+    # the loop's inline walk, held to `_transition` from empty tries on
+    # every edge of the parent map, not only on the states of a trace
+    captured = []
+    steps_to = explorer._steps_to
+
+    def capturing(config, init, key, parents, settle, roots):
+        captured.append(parents)
+        return steps_to(config, init, key, parents, settle, roots)
+
+    monkeypatch.setattr(explorer, "_steps_to", capturing)
+    report = explore(config, Limits(max_violations=10**9))
+    assert report.violations and not report.incomplete
+    parents = captured[0]
+    assert len(parents) == report.states_visited
+    layout, settle, roots = layout_for(config), explorer._settler(config), {}
+    for key, parent in parents.items():
+        if parent is None:
+            continue
+        number = int.from_bytes(parent, byteorder)
+        assert any(
+            symmetric_key(_transition(config, parent, number, choice, roots)[0], layout) == key
+            for choice in settle(parent, None)[2]), (parent, key)
 
 
 def test_replay_steps_without_the_memos(monkeypatch):
