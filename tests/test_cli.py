@@ -502,6 +502,63 @@ class TestCrossProcessDeterminism:
         assert outs[0] == outs[1]
 
 
+# The exact stdout of two batch runs, recorded before the batch paths became
+# one driver: every line of a sweep and of a matrix keeps its bytes.
+PINNED_SWEEP = (
+    "plan L: states=5 violations=0 complete exit=0\n"
+    "plan H: states=11 violations=1 complete exit=1\n"
+)
+PINNED_MATRIX_H_L = (
+    "fix_wait=on fix_preempt=on faults=none: states=109 violations=0 complete exit=0\n"
+    "fix_wait=on fix_preempt=on faults=enqueue-before-state: states=113 violations=0 complete exit=0\n"
+    "fix_wait=on fix_preempt=on faults=skip-resume-state: states=112 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=on faults=skip-running-check: states=109 violations=0 complete exit=0\n"
+    "fix_wait=on fix_preempt=on faults=enqueue-before-state,skip-resume-state: states=119 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=on faults=enqueue-before-state,skip-running-check: states=119 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=on faults=skip-resume-state,skip-running-check: states=112 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=on faults=enqueue-before-state,skip-resume-state,skip-running-check: states=125 violations=2 (AssertionFailure, MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=none: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=enqueue-before-state: states=110 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=skip-resume-state: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=skip-running-check: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=enqueue-before-state,skip-resume-state: states=110 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=enqueue-before-state,skip-running-check: states=119 violations=4 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=skip-resume-state,skip-running-check: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=on fix_preempt=off faults=enqueue-before-state,skip-resume-state,skip-running-check: states=119 violations=3 (AssertionFailure, MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=on faults=none: states=109 violations=0 complete exit=0\n"
+    "fix_wait=off fix_preempt=on faults=enqueue-before-state: states=113 violations=0 complete exit=0\n"
+    "fix_wait=off fix_preempt=on faults=skip-resume-state: states=112 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=on faults=skip-running-check: states=109 violations=0 complete exit=0\n"
+    "fix_wait=off fix_preempt=on faults=enqueue-before-state,skip-resume-state: states=119 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=on faults=enqueue-before-state,skip-running-check: states=119 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=on faults=skip-resume-state,skip-running-check: states=112 violations=1 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=on faults=enqueue-before-state,skip-resume-state,skip-running-check: states=125 violations=2 (AssertionFailure, MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=none: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=enqueue-before-state: states=110 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=skip-resume-state: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=skip-running-check: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=enqueue-before-state,skip-resume-state: states=110 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=enqueue-before-state,skip-running-check: states=119 violations=4 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=skip-resume-state,skip-running-check: states=91 violations=2 (MonitorViolation) complete exit=1\n"
+    "fix_wait=off fix_preempt=off faults=enqueue-before-state,skip-resume-state,skip-running-check: states=119 violations=3 (AssertionFailure, MonitorViolation) complete exit=1\n"
+)
+
+
+class TestBatchOutput:
+    def test_sweep_prints_the_pinned_bytes(self, tmp_path, capsys):
+        plans = tmp_path / "plans.txt"
+        plans.write_text("L\nH\n")
+        code = main(["--sweep", str(plans), "--workers", "1",
+                     "--max-preemptions", "0", "--fix-wait", "off"])
+        assert capsys.readouterr().out == PINNED_SWEEP
+        assert code == EXIT_VIOLATION
+
+    def test_matrix_prints_the_pinned_bytes(self, capsys):
+        code = main(["--matrix", "--tasks", "H,L", "--max-waits", "0"])
+        assert capsys.readouterr().out == PINNED_MATRIX_H_L
+        assert code == EXIT_VIOLATION
+
+
 class TestSweep:
     def test_sweep_runs_each_plan(self, tmp_path, capsys):
         plans = tmp_path / "plans.txt"
