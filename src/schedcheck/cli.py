@@ -1,7 +1,9 @@
 """Batch front-end: parse a configuration, run explore/walk/replay, and emit
-human-readable traces or a machine-readable JSON report; or explore a batch
-of configurations, one summary line each: the task plans of a sweep file,
-each in a pool process, or the fault matrix of one plan, in this process.
+human-readable traces or a machine-readable JSON report; or explore a batch,
+one summary line per search. A batch's plans are the lines of a sweep file,
+or the command line's plan; each plan is searched as configured, or under
+every fix/fault combination (the fault matrix). Two or more plans run in a
+process pool, one task per plan; a single plan runs in this process.
 
 Exit codes: 0 no violation and complete; 1 violation(s) found; 2 usage or
 configuration error; 3 bounded-incomplete without a violation.
@@ -10,6 +12,7 @@ configuration error; 3 bounded-incomplete without a violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -91,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", choices=["text", "json"], default="text")
     p.add_argument("--quiet", action="store_true", help="suppress per-step trace lines")
     p.add_argument("--sweep", default=None, metavar="FILE",
-                   help="file with one task plan per line; explore each in its own process")
+                   help="file with one task plan per line; explore each, in a pool if two or more")
     p.add_argument("--matrix", action="store_true",
-                   help="explore the plan under every fix/fault combination, in one process")
+                   help="explore each plan under every fix/fault combination")
     return p
 
 
@@ -102,8 +105,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.matrix:
         # the matrix sets the fixes and faults of each of its searches
-        for flag, given in (("--sweep", args.sweep is not None),
-                            ("--fix-wait", args.fix_wait is not None),
+        for flag, given in (("--fix-wait", args.fix_wait is not None),
                             ("--fix-preempt", args.fix_preempt is not None),
                             ("--fault", bool(args.fault))):
             if given:
@@ -304,17 +306,20 @@ def exit_code_for(doc: dict) -> int:
 # -- rendering --------------------------------------------------------
 
 
+def toggles_text(cfg: dict) -> str:
+    """The fix/fault toggles of a config echo, as a header or a matrix line shows them."""
+    return (f"fix_wait={'on' if cfg['fix_wait'] else 'off'} "
+            f"fix_preempt={'on' if cfg['fix_preempt'] else 'off'} "
+            f"faults={','.join(cfg['faults']) or 'none'}")
+
+
 def render_text(doc: dict, quiet: bool) -> str:
     lines: list[str] = []
     cfg = doc["config"]
-    faults = ",".join(cfg["faults"]) or "none"
     lines.append(
         f"schedcheck {doc['tool']['version']} mode={doc['mode']} "
-        f"workers={cfg['workers']} tasks={cfg['tasks']} "
-        f"fix_wait={'on' if cfg['fix_wait'] else 'off'} "
-        f"fix_preempt={'on' if cfg['fix_preempt'] else 'off'} "
-        f"faults={faults} max_waits={cfg['max_waits']} "
-        f"max_preemptions={cfg['max_preemptions']}"
+        f"workers={cfg['workers']} tasks={cfg['tasks']} {toggles_text(cfg)} "
+        f"max_waits={cfg['max_waits']} max_preemptions={cfg['max_preemptions']}"
     )
     for i, v in enumerate(doc["violations"]):
         lines.append(f"violation {i + 1}: {v['verdict']} "
@@ -348,19 +353,12 @@ def render_text(doc: dict, quiet: bool) -> str:
 
 
 def _limits(args: argparse.Namespace) -> Limits:
-    return Limits(
-        max_states=args.max_states,
-        max_depth=args.max_depth,
-        max_violations=args.max_violations,
-    )
+    return Limits(max_states=args.max_states, max_depth=args.max_depth,
+                  max_violations=args.max_violations)
 
 
 def _run_explore(config: KernelConfig, limits: Limits) -> dict:
     return report_to_doc(explore(config, limits), "explore")
-
-
-def _run_walk(config: KernelConfig, args: argparse.Namespace) -> dict:
-    return report_to_doc(random_walk(config, args.seed, args.max_steps), "walk", seed=args.seed)
 
 
 def _run_replay(args: argparse.Namespace) -> tuple[dict, int]:
@@ -411,45 +409,6 @@ def _render_replay_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _explore_plan(config: KernelConfig, limits: Limits) -> dict:
-    """One plan of a sweep, in a pool worker. A sweep's plans differ, so
-    no later search in the worker can use this plan's step memos, and they
-    are released rather than kept for the life of the worker."""
-    try:
-        return _run_explore(config, limits)
-    finally:
-        release_plan_memos()
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    # only a sweep needs the pool, and importing it loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with open(args.sweep, "r", encoding="utf-8") as fh:
-            plans = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
-    except OSError as exc:
-        raise usage_error(f"cannot read sweep file: {exc}")
-    if not plans:
-        raise usage_error("sweep file lists no task plans")
-    configs = [config_from_args(argparse.Namespace(**{**vars(args), "tasks": plan}))
-               for plan in plans]
-    limits = _limits(args)
-    worst = EXIT_OK
-    with ProcessPoolExecutor() as pool:
-        docs = pool.map(_explore_plan, configs, [limits] * len(configs))
-        for plan, doc in zip(plans, docs):
-            code = exit_code_for(doc)
-            worst = max(worst, code)
-            c = doc["counters"]
-            print(
-                f"plan {plan}: states={c['states_visited']} "
-                f"violations={len(doc['violations'])} "
-                f"{'INCOMPLETE' if doc['incomplete'] else 'complete'} exit={code}"
-            )
-    return worst
-
-
 def matrix_configs(config: KernelConfig) -> list[KernelConfig]:
     """`config` under each of the 32 fix/fault combinations: both fixes
     on, the preemption fix off, the wait fix off, both off; under each,
@@ -465,28 +424,61 @@ def matrix_configs(config: KernelConfig) -> list[KernelConfig]:
     ]
 
 
-def _run_matrix(args: argparse.Namespace) -> int:
-    """Explore the plan under every fix/fault combination, one search after
-    another in this process, print one summary line per combination, and
-    return the worst exit code. The toggles are state cells, so each search
-    after the first starts from the step memos that the plan's earlier
-    searches learned."""
-    limits = _limits(args)
+def _explore_plan(configs: list[KernelConfig], limits: Limits) -> list[dict]:
+    """Explore one plan's configs in order over the plan's shared step memos
+    (the toggles are state cells), then release the memos: no other plan of
+    a batch can use them, and a pool worker would keep them for its life."""
+    try:
+        return [_run_explore(config, limits) for config in configs]
+    finally:
+        release_plan_memos()
+
+
+def _read_sweep(path: str) -> list[str]:
+    """The task plans of a sweep file, one a line, skipping blanks and `#` comments."""
+    plans = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for n, plan in enumerate(map(str.strip, fh), 1):
+                if plan and not plan.startswith("#"):
+                    parse_task_plan(plan)
+                    plans.append(plan)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise usage_error(f"cannot read sweep file: {exc}")
+    except ConfigurationError as exc:
+        raise usage_error(f"sweep file line {n}: {exc}")
+    if not plans:
+        raise usage_error("sweep file lists no task plans")
+    return plans
+
+
+def _run_batch(args: argparse.Namespace) -> int:
+    """Explore each plan (the sweep file's, or else the command line's), or
+    under --matrix its 32 combinations; print one summary line per search,
+    in input order, and return the worst exit code."""
+    plans = [None] if args.sweep is None else _read_sweep(args.sweep)
+    configs = [config_from_args(argparse.Namespace(**{**vars(args), "tasks": plan or args.tasks}))
+               for plan in plans]
+    searches = [matrix_configs(config) if args.matrix else [config] for config in configs]
+    pool, run = contextlib.nullcontext(), map
+    if len(plans) > 1:  # one task per plan; importing the pool loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor()
+        run = pool.map
     worst = EXIT_OK
-    for config in matrix_configs(config_from_args(args)):
-        doc = _run_explore(config, limits)
-        code = exit_code_for(doc)
-        worst = max(worst, code)
-        cfg, c = doc["config"], doc["counters"]
-        verdicts = sorted({v["verdict"] for v in doc["violations"]})
-        print(
-            f"fix_wait={'on' if cfg['fix_wait'] else 'off'} "
-            f"fix_preempt={'on' if cfg['fix_preempt'] else 'off'} "
-            f"faults={','.join(cfg['faults']) or 'none'}: "
-            f"states={c['states_visited']} violations={len(doc['violations'])}"
-            + (f" ({', '.join(verdicts)})" if verdicts else "")
-            + f" {'INCOMPLETE' if doc['incomplete'] else 'complete'} exit={code}"
-        )
+    with pool:
+        for plan, docs in zip(plans, run(_explore_plan, searches, itertools.repeat(_limits(args)))):
+            for doc in docs:
+                code = exit_code_for(doc)
+                worst = max(worst, code)
+                head = [] if plan is None else [f"plan {plan}"]
+                if args.matrix:
+                    head.append(toggles_text(doc["config"]))
+                verdicts = sorted({v["verdict"] for v in doc["violations"]})
+                listed = f" ({', '.join(verdicts)})" if args.matrix and verdicts else ""
+                print(f"{' '.join(head)}: states={doc['counters']['states_visited']} "
+                      f"violations={len(doc['violations'])}{listed} "
+                      f"{'INCOMPLETE' if doc['incomplete'] else 'complete'} exit={code}")
     return worst
 
 
@@ -497,10 +489,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     try:
-        if args.sweep is not None:
-            return _run_sweep(args)
-        if args.matrix:
-            return _run_matrix(args)
+        if args.sweep is not None or args.matrix:
+            return _run_batch(args)
         if args.mode == "replay":
             doc, code = _run_replay(args)
         else:
@@ -508,7 +498,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.mode == "explore":
                 doc = _run_explore(config, _limits(args))
             else:
-                doc = _run_walk(config, args)
+                doc = report_to_doc(random_walk(config, args.seed, args.max_steps),
+                                    "walk", seed=args.seed)
             code = exit_code_for(doc)
         if args.out == "json":
             sys.stdout.write(emit_json(doc))

@@ -599,6 +599,41 @@ class TestSweep:
                      "--max-preemptions", "0", "--fix-wait", "off"])
         assert code == EXIT_VIOLATION
 
+    def test_sweep_names_the_line_of_a_bad_plan(self, tmp_path, capsys):
+        plans = tmp_path / "plans.txt"
+        plans.write_text("H\nX\n")
+        code = main(["--sweep", str(plans)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == (
+            "schedcheck: error: sweep file line 2: bad task kind 'X' (expected H or L)\n"
+        )
+
+    def test_sweep_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        plans = tmp_path / "plans.txt"
+        plans.write_bytes(b"H\n\xff\xfe\n")
+        code = main(["--sweep", str(plans)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("schedcheck: error: cannot read sweep file: ")
+        assert captured.err.count("\n") == 1
+
+    def test_sweep_matrix_prints_each_plans_matrix_in_file_order(self, tmp_path, capsys):
+        plans = tmp_path / "plans.txt"
+        plans.write_text("H\nH,L\n")
+        argv = ["--matrix", "--max-waits", "0", "--max-preemptions", "0"]
+        code = main(["--sweep", str(plans)] + argv)
+        lines = capsys.readouterr().out.splitlines()
+        expected, worst = [], EXIT_OK
+        for plan in ("H", "H,L"):
+            worst = max(worst, main(argv + ["--tasks", plan]))
+            expected += [f"plan {plan} {line}" for line in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 64
+        assert lines == expected
+        assert code == worst
+
 
 class TestMatrix:
     ARGV = ["--tasks", "H,L", "--max-waits", "0"]
@@ -634,7 +669,7 @@ class TestMatrix:
 
     @pytest.mark.parametrize("flags,named", [
         (["--fix-wait", "off"], "--fix-wait"), (["--fix-preempt", "on"], "--fix-preempt"),
-        (["--fault", "skip-resume-state"], "--fault"), (["--sweep", "plans.txt"], "--sweep"),
+        (["--fault", "skip-resume-state"], "--fault"),
         (["--out", "json"], "--out json"), (["--mode", "walk", "--seed", "1"], "--mode walk"),
     ])
     def test_matrix_rejects_flags_it_would_ignore(self, capsys, flags, named):
@@ -649,6 +684,6 @@ def test_a_sweep_plan_releases_its_memos():
     from schedcheck.cli import _explore_plan
 
     explorer.release_plan_memos()
-    doc = _explore_plan(KernelConfig(task_plan=(H,), worker_count=1), Limits())
+    [doc] = _explore_plan([KernelConfig(task_plan=(H,), worker_count=1)], Limits())
     assert doc["counters"]["states_visited"] > 0
     assert explorer._plan_memos.cache_info().currsize == 0
