@@ -4,19 +4,23 @@
 Warms one search of a config (by default the CLI's: H,L,L on 2 workers, 1
 wait and 1 preemption per heavy task, both fixes on) with a spy on
 `explorer._settler` that keeps each state the search settles, its
-violation and its enabled steps. Then it times each part of a transition
+violation, the number the search passed with it and its enabled steps. Then it times each part of a transition
 over those inputs, with the plan's memos warm, best of `--repeat`:
 
 - `_transition`: the successor's bytes, from the step's trie, over every
   (settled state, enabled step). `explore`'s loop walks the tries itself
   and does not call it; this is the same walk behind a call;
 - `symmetric_key`: the key of every successor;
-- settle: the settle closure (`_settler`) over every settled state.
+- settle: the settle closure (`_settler`) over every settled state, with
+  its number, as the search calls it.
 
 `sum` is the sum of the three; `explore` is the search itself, end to
 end, with warm memos, and `cold` the same after `release_plan_memos()`,
-which runs outside the timer. Every figure is divided by the search's
-transitions.
+which runs outside the timer. Every figure so far is divided by the
+search's transitions. `misses` is what the cold search pays on a memo
+miss, best of `--repeat` cold searches: its learns (`_learn`) and its
+settle misses (calls of the settle closure that add an answer to the
+memo), each counted and in microseconds per miss.
 
     python scripts/transition_costs.py [--plan H,L,L] [--workers 2] [--repeat 7]
 """
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from sys import byteorder
 
 from schedcheck import explorer
 from schedcheck.cli import parse_task_plan
@@ -46,6 +49,44 @@ def best(repeat: int, part, before=None) -> float:
         part()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def cold_misses(config: KernelConfig, limits: Limits, repeat: int) -> tuple:
+    """((learns, seconds per learn), (settle misses, seconds per miss)) of a
+    search from empty memos, the least per-miss times of `repeat` searches."""
+    learn, settler = explorer._learn, explorer._settler
+    spent: dict = {}
+
+    def timed_learn(*args):
+        start = time.perf_counter()
+        leaf = learn(*args)
+        spent["learn"].append(time.perf_counter() - start)
+        return leaf
+
+    def timed_settler(config):
+        settle, memo = settler(config), _plan_memos(layout_for(config).plan)[1]
+
+        def timed(*args):
+            size, start = len(memo), time.perf_counter()
+            answer = settle(*args)
+            if len(memo) > size:
+                spent["settle"].append(time.perf_counter() - start)
+            return answer
+
+        return timed
+
+    best_learn = best_settle = float("inf")
+    explorer._learn, explorer._settler = timed_learn, timed_settler
+    try:
+        for _ in range(repeat):
+            spent.update(learn=[], settle=[])
+            release_plan_memos()  # and `_learn`'s scratch state: a cold search
+            explore(config, limits)
+            best_learn = min(best_learn, sum(spent["learn"]) / len(spent["learn"]))
+            best_settle = min(best_settle, sum(spent["settle"]) / len(spent["settle"]))
+    finally:
+        explorer._learn, explorer._settler = learn, settler
+    return (len(spent["learn"]), best_learn), (len(spent["settle"]), best_settle)
 
 
 def main() -> int:
@@ -73,9 +114,9 @@ def main() -> int:
     def spying(config):
         settle = settler(config)
 
-        def spy(raw, violation):
-            answer = settle(raw, violation)
-            settled.append((raw, violation, answer[2]))
+        def spy(raw, violation, number=None):
+            answer = settle(raw, violation, number)
+            settled.append((raw, violation, number, answer[2]))
             return answer
 
         return spy
@@ -89,8 +130,7 @@ def main() -> int:
     # the search settles its states first, then those of its traces' paths
     settled = settled[:report.states_visited]
     roots = _plan_memos(layout.plan)[0]
-    edges = [(raw, int.from_bytes(raw, byteorder), choice)
-             for raw, _, options in settled for choice in options]
+    edges = [(raw, number, choice) for raw, _, number, options in settled for choice in options]
     successors = [_transition(config, raw, number, choice, roots)[0]
                   for raw, number, choice in edges]
     settle = settler(config)
@@ -106,8 +146,8 @@ def main() -> int:
             symmetric_key(raw, layout)
 
     def settle_part() -> None:
-        for raw, violation, _ in settled:
-            settle(raw, violation)
+        for raw, violation, number, _ in settled:
+            settle(raw, violation, number)
 
     def search() -> None:
         explore(config, limits)
@@ -126,6 +166,9 @@ def main() -> int:
     print(f"{'explore':<14} {best(args.repeat, search) / transitions * 1e6:>13.3f}")
     cold = best(args.repeat, search, release_plan_memos)
     print(f"{'cold':<14} {cold / transitions * 1e6:>13.3f}")
+    (learns, learn_s), (misses, settle_s) = cold_misses(config, limits, args.repeat)
+    print(f"{'misses':<14} {learns} learns {learn_s * 1e6:.3f} us, "
+          f"{misses} settle misses {settle_s * 1e6:.3f} us")
     return 0
 
 

@@ -117,6 +117,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             raise usage_error(f"{batch} cannot be combined with --mode {args.mode}")
         if args.out != "text":
             raise usage_error(f"{batch} cannot be combined with --out {args.out}")
+    if args.sweep is not None and args.tasks is not None:  # the file names the plans
+        raise usage_error("--sweep cannot be combined with --tasks")
     if args.mode == "walk" and args.seed is None:
         parser.error("--mode walk requires --seed")
     if args.mode == "replay" and args.trace_in is None:

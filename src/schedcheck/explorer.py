@@ -19,8 +19,8 @@ gives the invariant failure, the enabled steps and the deadlock test;
 `check_invariants` and `enabled` are views of that pass.
 
 Only `explore` steps states through the two per-plan memos, and it holds
-them as bytes: `_settler` keys each ending rule by the bytes of the cells
-it reads, cut from the state's bytes (`Layout.settle_cut`), and
+them as bytes and their numbers: `_settler` keys each ending rule by the
+state's number masked to the cells it reads (`Layout.settle_mask`), and
 `_transition` keeps one trie per step, keyed by the bytes of the cells
 the step read, whose leaves mask and set the bytes it wrote, so an
 operation runs only on a miss, and an array is built only on a miss of
@@ -179,15 +179,19 @@ def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
 
 
 def _run(state: KernelState, choice: ScheduleStep) -> None:
-    """Execute one enabled step on `state` in place."""
+    """Execute one enabled step on the settled state `state` in place. A
+    variant reads the timer flags or worker cores only up to its own entry,
+    and the preempter tells a decision from an IPI by the in-flight flag:
+    set, on a settled state, exactly while a decision awaits its IPI
+    whenever the preempter is enabled (`_examine`)."""
     kind, core, variant = choice
     if kind == "PrimaryTimer":
-        state.timer_fire(state.fireable_timers()[variant])
+        state.timer_fire(state.fireable_timers(variant + 1)[variant])
     elif kind == "PrimaryPreempter":
-        if state.decision is not None:
+        if state.buf[IN_FLIGHT]:
             state.send_ipi()
         else:
-            state.preempt_decide(state.preempt_candidates()[variant])
+            state.preempt_decide(state.preempt_candidates(variant + 1)[variant])
     elif kind == "Spawner":
         state.spawn_next()
     else:
@@ -251,32 +255,43 @@ def _transition(
     return (number & leaf[0] | leaf[1]).to_bytes(len(raw), byteorder), leaf
 
 
-def _learn(config: KernelConfig, raw: bytes, choice: ScheduleStep, root: list) -> tuple:
-    """Run `choice` once on a recorder over an array of `raw`, and add its
-    leaf to the trie `root` along the bytes of the cells it read, in order
-    (an empty root takes the first of them as its offset), so a two-byte
-    cell is two nodes. For a fixed plan an operation is a deterministic
-    function of the cells it reads, toggles included, so every state that
-    walks this path would take the same path and have the same effect: the
-    bytes of the cells it wrote, which the leaf's mask clears and its bits
-    set."""
+@cache
+def _scratch(config: KernelConfig) -> KernelState:
+    """`_learn`'s one state under `config`, on a recorder, kept until
+    `release_plan_memos`."""
     layout = layout_for(config)
-    recorder = _Recorder(array(layout.boot.typecode, raw))
-    state = KernelState(config, layout, recorder)
+    return KernelState(config, layout, _Recorder(layout.boot[:]))
+
+
+def _learn(config: KernelConfig, raw: bytes, choice: ScheduleStep, root: list) -> tuple:
+    """Run `choice` once on the recorder of `_scratch(config)`, set to an
+    array of `raw`, and add its leaf to the trie `root` along the bytes of
+    the cells it read, in order (an empty root takes the first of them as
+    its offset), so a two-byte cell is two nodes. For a fixed plan an
+    operation is a deterministic function of the cells it reads, toggles
+    included, so every state that walks this path would take the same path
+    and have the same effect: the bytes of the cells it wrote, which the
+    leaf's mask clears and its bits set."""
+    state = _scratch(config)
+    recorder, layout = state.buf, state.layout
+    recorder.buf = array(layout.boot.typecode, raw)
+    recorder.reads, recorder.written = reads, written = {}, {}
     _run(state, choice)
-    size = recorder.buf.itemsize
-    mask = bytearray(b"\xff") * len(raw)
-    for at in recorder.written:
-        mask[at * size:at * size + size] = bytes(size)
-    keep = int.from_bytes(mask, byteorder)
+    masks, size = layout.cell_masks, recorder.buf.itemsize
+    keep = (1 << 8 * len(raw)) - 1
+    for at in written:
+        keep ^= masks[at]
     leaf = (keep, int.from_bytes(recorder.buf.tobytes(), byteorder) & ~keep, state.violation)
-    path = [at for cell in recorder.reads for at in range(cell * size, cell * size + size)]
+    path = list(reads) if size == 1 else [
+        at for cell in reads for at in range(cell * size, cell * size + size)]
     if not root[1]:
         root[0] = path[0]
-    node = root
+    node, last = root, len(path) - 1
     for k, at in enumerate(path):
         assert node[0] == at, "a step read different cells after equal values"
-        node = node[1].setdefault(raw[at], [path[k + 1], {}] if k + 1 < len(path) else leaf)
+        children = node[1]
+        if (node := children.get(raw[at])) is None:
+            node = children[raw[at]] = [path[k + 1], {}] if k < last else leaf
     return leaf
 
 
@@ -454,27 +469,30 @@ def _plan_memos(plan: tuple) -> tuple[dict, dict, dict]:
 
 
 def release_plan_memos() -> None:
-    """Drop every plan's step memos (`_plan_memos`), for a process whose
-    later searches are of other plans."""
+    """Drop every plan's step memos (`_plan_memos`) and `_learn`'s scratch
+    states, for a process whose later searches are of other plans."""
     _plan_memos.cache_clear()
+    _scratch.cache_clear()
 
 
 def _settler(config: KernelConfig):
-    """`settle(raw, violation)`: `_settle`'s answer for the state whose bytes
-    are `raw`, reached by a step with that monitor violation. It is kept per
-    plan by the join of `Layout.settle_cut(raw)`, the bytes of the settle
-    cells; a miss settles the search's one `KernelState`, pointed at an
-    array of `raw`."""
+    """`settle(raw, violation, number=None)`: `_settle`'s answer for the
+    state whose bytes are `raw`, reached by a step with that monitor
+    violation. It is kept per plan by the state's number (`int.from_bytes`
+    of `raw` in native order: `number`, or computed when it is None)
+    masked to the settle cells (`Layout.settle_mask`); a miss settles the
+    search's one `KernelState`, pointed at an array of `raw`."""
     layout = layout_for(config)
-    cut, typecode = layout.settle_cut, layout.boot.typecode
+    mask, typecode = layout.settle_mask, layout.boot.typecode
     _, memo, answers = _plan_memos(layout.plan)
     state = KernelState(config, layout, layout.boot[:])
 
-    def settle(raw: bytes, violation: MonitorViolation | None) -> tuple:
+    def settle(raw: bytes, violation: MonitorViolation | None, number: int | None = None) -> tuple:
         if violation is not None:
             return VERDICT_MONITOR, "", ()
-        key = b"".join(cut(raw))
-        if (settled := memo.get(key)) is None:
+        if number is None:
+            number = int.from_bytes(raw, byteorder)
+        if (settled := memo.get(key := number & mask)) is None:
             state.buf = array(typecode, raw)
             answer = _settle(state)
             settled = memo[key] = answers.setdefault(answer, answer)
@@ -530,10 +548,12 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     states left unexpanded at depth d are probed after the search, and the
     cut holds only if one of their successors is a state it never visited.
     Probes are not counted.
-    Each level of the frontier is two parallel lists: the keys and their
-    enabled steps. The loop walks the step tries itself, as `_transition`
-    does, so each successor is bytes, one mask-and-set of the key's
-    number, and an operation runs only on a transition-memo miss.
+    Each level of the frontier is three parallel lists: the keys, their
+    numbers and their enabled steps. The loop walks the step tries itself,
+    as `_transition` does, so each successor is one mask-and-set of the
+    key's number, then bytes, and an operation runs only on a
+    transition-memo miss. A successor that is its own key keeps that
+    number, which also keys its settle, for its expansion.
     """
     limits = limits or Limits()
     report = ExplorationReport(config=config)
@@ -547,6 +567,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     counts: dict[tuple, int] = {}
     firsts: dict[tuple, bytes] = {}
     keys: list[bytes] = []
+    numbers: list[int] = []
     opts: list[tuple[ScheduleStep, ...]] = []
     # the states left unexpanded at the depth limit; no state is visited
     # after another limit cuts, so their cut, if real, is the first
@@ -556,9 +577,10 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
         report.incomplete = True
         report.incomplete_reason = report.incomplete_reason or reason
 
-    def visit(key: bytes, violation: MonitorViolation | None, depth: int, answer: tuple) -> bool:
-        """File a newly visited state, whose bytes are its key `key`, by its
-        settle answer `answer`; True when the search must stop."""
+    def visit(key: bytes, number: int, violation: MonitorViolation | None, depth: int,
+              answer: tuple) -> bool:
+        """File a newly visited state, its key `key` and its number `number`,
+        by its settle answer `answer`; True when the search must stop."""
         verdict, detail, options = answer
         if verdict is not None:
             kind = violation_class(config, verdict, violation, detail)
@@ -576,19 +598,20 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
             edge.append((key, options))
         else:
             keys.append(key)
+            numbers.append(number)
             opts.append(options)
         return False
 
     max_states, max_depth, size = limits.max_states, limits.max_depth, len(init)
     states = 1
     transitions = depth = deepest = 0
-    stop = visit(init_key, None, 0, settle(init_key, None))
+    init_number = int.from_bytes(init_key, byteorder)
+    stop = visit(init_key, init_number, None, 0, settle(init_key, None, init_number))
     while keys and not stop:
         depth += 1
-        level = zip(keys, opts)
-        keys, opts = [], []
-        for parent, options in level:
-            number = int.from_bytes(parent, byteorder)
+        level = zip(keys, numbers, opts)
+        keys, numbers, opts = [], [], []
+        for parent, number, options in level:
             for choice in options:
                 # `_transition`, inline: walk the step's trie, then mask and set
                 leaf = root = roots.get(choice) or roots.setdefault(choice, [0, {}])
@@ -598,23 +621,27 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 if leaf is None:
                     leaf = _learn(config, parent, choice, root)
                 keep, put, violation = leaf
-                raw = (number & keep | put).to_bytes(size, byteorder)
+                succ = number & keep | put
+                raw = succ.to_bytes(size, byteorder)
                 transitions += 1
                 if raw in parents:
                     continue
-                if (key := symmetric_key(raw, layout)) is not raw and key in parents:
-                    continue
+                if (key := symmetric_key(raw, layout)) is not raw:
+                    if key in parents:
+                        continue
+                    succ = int.from_bytes(key, byteorder)
                 if max_states is not None and states >= max_states:
                     cut("max_states")
                     continue
                 parents[key] = parent
                 states += 1
                 deepest = depth
-                answer = settle(key, violation)
+                answer = settle(key, violation, succ)
                 if answer[2] and max_depth is None:  # the common case: expand it next level
                     keys.append(key)
+                    numbers.append(succ)
                     opts.append(answer[2])
-                elif stop := visit(key, violation, depth, answer):
+                elif stop := visit(key, succ, violation, depth, answer):
                     break
             if stop:
                 break
@@ -656,7 +683,7 @@ def _steps_to(
     layout, raw, steps = layout_for(config), init, []
     for want in reversed(chain[:-1]):
         number = int.from_bytes(raw, byteorder)
-        for choice in settle(raw, None)[2]:
+        for choice in settle(raw, None, number)[2]:
             succ = _transition(config, raw, number, choice, roots)[0]
             if symmetric_key(succ, layout) == want:
                 break

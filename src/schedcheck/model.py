@@ -31,6 +31,7 @@ from enum import Enum
 from functools import cache
 from itertools import chain, islice, permutations, product
 from operator import eq, ge, gt, itemgetter
+from sys import byteorder
 
 from .monitor import (
     STATES,
@@ -126,18 +127,16 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 
 # Global fields, then the run queue: its length, then its task ids. The
 # first five are the fix and fault toggles, set at boot and never written.
-# Settling reads SKIP_RESUME_STATE alone of them, so it comes last and joins
-# the run of settle cells that the other globals start (Layout.settle_cut).
+# Settling reads SKIP_RESUME_STATE alone of them (Layout.settle_offsets).
 (FIX_WAIT, FIX_PREEMPT, ENQUEUE_BEFORE_STATE, SKIP_RUNNING_CHECK, SKIP_RESUME_STATE,
  IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE) = range(9)
 # Fields of a task record. The first five are the ones settling a state
-# reads (see Layout.settle_offsets), so they lie in one run of cells. T_TIMER
-# flags the task's pending timer entry. T_MONITOR is the code of the task's
-# monitor state (0 before the task registers). T_SAVED_PC and
-# T_SAVED_MID_WAIT hold the context a preemption saved (-1: none), apart
-# from T_PC and T_PENDING_WAIT because a resume rolls those back to the
-# saved values. A record holds no task id, so it moves whole when tasks
-# are renamed (symmetric_key).
+# reads (see Layout.settle_offsets). T_TIMER flags the task's pending timer
+# entry. T_MONITOR is the code of the task's monitor state (0 before the
+# task registers). T_SAVED_PC and T_SAVED_MID_WAIT hold the context a
+# preemption saved (-1: none), apart from T_PC and T_PENDING_WAIT because a
+# resume rolls those back to the saved values. A record holds no task id,
+# so it moves whole when tasks are renamed (symmetric_key).
 (T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER, T_MONITOR, T_NEED_SCHED,
  T_SAVED_PC, T_SAVED_MID_WAIT, T_PC, T_PENDING_WAIT, TASK_WIDTH) = range(12)
 # Fields of a core record; C_DECISION is the task observed by a preemption
@@ -205,17 +204,13 @@ class Layout:
               for f in (T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER)),
             *range(self.cores, end),
         )
-        # The settle memo's cut of a state's bytes: one slice per run of
-        # consecutive settle offsets (the settled globals with task 0's first
-        # five cells, those of each later task, and the cores), whose join is
-        # the memo key. Offsets in bytes, so 'h' cells stay whole.
-        size, runs = boot.itemsize, []
-        for at in self.settle_offsets:
-            if runs and runs[-1][1] == at:
-                runs[-1][1] = at + 1
-            else:
-                runs.append([at, at + 1])
-        self.settle_cut = itemgetter(*(slice(a * size, b * size) for a, b in runs))
+        # Per cell, the bits of its bytes in a state's number (its bytes
+        # `int.from_bytes` in native order): a step memo's keep mask clears
+        # those of the cells the step wrote (explorer._learn), and the settle
+        # memo keys a state by its number masked to the settle cells.
+        size = boot.itemsize
+        self.cell_masks = _cell_masks(end, size)
+        self.settle_mask = sum(self.cell_masks[at] for at in self.settle_offsets)
         # symmetric_key's cut of a state's bytes into the head, up to the
         # primary core's record, and the records of workers 1..w.
         record = CORE_WIDTH * size
@@ -231,6 +226,14 @@ class Layout:
         # memos, which all configs of the plan share (explorer._plan_memos).
         self.plan = (config.task_plan, config.worker_count,
                      config.max_waits_per_task, config.max_preemptions_per_task)
+
+
+@cache
+def _cell_masks(cells: int, size: int) -> tuple[int, ...]:
+    """Per cell of a state of `cells` cells of `size` bytes, the bits of its
+    bytes in the state's number, shared by the layouts of that shape."""
+    return tuple(int.from_bytes(bytes(at * size) + b"\xff" * size + bytes((cells - at - 1) * size),
+                                byteorder) for at in range(cells))
 
 
 @cache
@@ -307,18 +310,19 @@ class KernelState:
     @property
     def decision(self) -> tuple[int, int] | None:
         """(target core, observed task) of the recorded preemption decision."""
-        at = self.layout.cores + C_DECISION
-        for core, task in enumerate(self.buf[at::CORE_WIDTH]):
-            if task >= 0:
+        buf, at = self.buf, self.layout.cores + C_DECISION
+        for core in range(self.layout.core_count):
+            if (task := buf[at + core * CORE_WIDTH]) >= 0:
                 return core, task
         return None
 
-    def fireable_timers(self) -> list[int]:
-        """Pending timer entries, lowest task id first; time is
+    def fireable_timers(self, count: int | None = None) -> list[int]:
+        """Pending timer entries, lowest task id first: the first `count` of
+        them, or all, and no flag past them is read. Time is
         over-approximated, so any of them may fire at any moment."""
-        at = self.layout.tasks + T_TIMER
-        flags = self.buf[at:at + self.layout.task_count * TASK_WIDTH:TASK_WIDTH]
-        return [task for task, flag in enumerate(flags) if flag]
+        buf, at = self.buf, self.layout.tasks + T_TIMER
+        flags = (task for task in range(self.layout.task_count) if buf[at + task * TASK_WIDTH])
+        return list(islice(flags, count))
 
     def _fire_event(self, task: int, event: Event) -> None:
         violation, code = self.monitors.fire(task, event)
@@ -333,16 +337,18 @@ class KernelState:
         return self.layout.cores + core_id * CORE_WIDTH
 
     def _enqueue(self, task: int) -> None:
-        """Append `task` to the run queue, a bounded FIFO without duplicates."""
+        """Append `task` to the run queue, a bounded FIFO without duplicates:
+        its in_queue flag, which matches the queue, guards against one."""
         buf = self.buf
         length = buf[QUEUE_LEN]
-        if task in buf[QUEUE:QUEUE + length]:
+        flag = self.layout.tasks + task * TASK_WIDTH + T_IN_QUEUE
+        if buf[flag]:
             raise UsageError(f"task {task} already queued")
         if length >= self.layout.task_count:
             raise UsageError("run queue over capacity")
         buf[QUEUE + length] = task
         buf[QUEUE_LEN] = length + 1
-        buf[self.layout.tasks + task * TASK_WIDTH + T_IN_QUEUE] = 1
+        buf[flag] = 1
 
     def _dequeue(self) -> int:
         buf = self.buf
@@ -385,7 +391,7 @@ class KernelState:
         buf = self.buf
         at = self.layout.tasks + task * TASK_WIDTH
         if not (0 <= task < self.layout.task_count and buf[at + T_TIMER]):
-            if not self.fireable_timers():
+            if not self.fireable_timers(1):
                 raise UsageError("no fireable timer entry")
             raise UsageError(f"timer entry for task {task} not fireable")
         self.begin_step("timer fire: wake task {}", task)
@@ -502,11 +508,15 @@ class KernelState:
             buf[core + C_CURRENT] = -1
             self._fire_event(task, Event.POLL_READY)
 
-    def preempt_candidates(self) -> list[int]:
-        """Worker cores currently running a preemptible heavy task."""
+    def preempt_candidates(self, count: int | None = None) -> list[int]:
+        """Worker cores currently running a preemptible heavy task, lowest
+        first: the first `count` of them, or all, and no core past them is
+        read."""
         buf, layout = self.buf, self.layout
         out = []
         for core_id in range(1, layout.core_count):
+            if len(out) == count:
+                break
             task = buf[layout.cores + core_id * CORE_WIDTH + C_CURRENT]
             if task < 0 or not layout.heavy[task]:
                 continue

@@ -581,6 +581,8 @@ class TestSweep:
     @pytest.mark.parametrize("flags", [
         ["--out", "json"], ["--mode", "walk", "--seed", "1"],
         ["--mode", "replay", "--trace-in", "report.json"],
+        # the file names the plans; valid or not, --tasks would be ignored
+        ["--tasks", "X", "--workers", "1"], ["--tasks", "H,L"],
     ])
     def test_sweep_rejects_flags_it_would_ignore(self, tmp_path, capsys, flags):
         plans = tmp_path / "plans.txt"

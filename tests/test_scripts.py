@@ -4,6 +4,7 @@ expected header lines."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,5 +53,8 @@ def test_transition_costs():
     assert lines[0] == "plan=H,L workers=2 waits=1 preemptions=1"
     assert lines[1].startswith("states=") and " transitions=" in lines[1]
     assert [line.split()[0] for line in lines[2:]] == [
-        "part", "_transition", "symmetric_key", "settle", "sum", "explore", "cold"]
-    assert all(float(line.split()[1]) > 0 for line in lines[3:])
+        "part", "_transition", "symmetric_key", "settle", "sum", "explore", "cold", "misses"]
+    assert all(float(line.split()[1]) > 0 for line in lines[3:-1])
+    misses = re.fullmatch(r"misses +(\d+) learns (\S+) us, (\d+) settle misses (\S+) us",
+                          lines[-1])
+    assert misses and all(float(group) > 0 for group in misses.groups()), lines[-1]

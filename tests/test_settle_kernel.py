@@ -194,8 +194,9 @@ def assert_same(state: KernelState) -> tuple:
 
 def assert_variants_index_the_lists(state: KernelState) -> None:
     """The timer and preempter variants that settling hands out are the
-    indices `_run` looks up in `fireable_timers()` and
-    `preempt_candidates()`, so there are as many as those lists hold."""
+    indices of `fireable_timers()` and `preempt_candidates()`, of which
+    `_run` reads only the first variant + 1 entries, so there are as many
+    as those lists hold."""
     kinds = [kind for kind, _, _ in enabled(state)]
     assert kinds.count("PrimaryTimer") == len(state.fireable_timers()), list(state.buf)
     if not state.buf[IN_FLIGHT]:

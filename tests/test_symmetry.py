@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from sys import byteorder
 
 import pytest
 
@@ -177,10 +178,12 @@ def test_explore_settles_and_expands_only_keys(config, monkeypatch):
     def spying(config):
         settle = settler(config)
 
-        def spy(raw, violation):
+        def spy(raw, violation, number=None):
             if not finding:
                 settled.append(raw)
-            return settle(raw, violation)
+                # the search hands each state's number to its settle
+                assert number == int.from_bytes(raw, byteorder), raw
+            return settle(raw, violation, number)
 
         return spy
 

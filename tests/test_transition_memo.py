@@ -9,7 +9,10 @@ reachable (state, enabled step) of the settle-projection configs, the memo
 must agree with running the operation (`_apply`), on misses and on hits.
 And a leaf may depend on no byte off its path: with every other byte
 scrambled, the trie must return the same leaf, and the operation must make
-the writes that the leaf's mask and bits make, and its violation. `explore` also
+the writes that the leaf's mask and bits make, and its violation. A step
+reads only the cells its effect needs, so that paths stay short: a timer
+variant no timer flag past its task, a preemption decision no decision
+cell and no core past its candidate, and an enqueue no queue slot. `explore` also
 finds its traces' steps through the search's own tries, so it learns each
 step into one trie, and `replay` uses no memo. The fix and fault toggles
 are cells of the state, so the searches of every combo of a plan share the
@@ -26,10 +29,12 @@ import pytest
 
 from schedcheck import explorer
 from schedcheck.cli import emit_json, report_to_doc
-from schedcheck.explorer import Limits, _apply, _transition, explore
+from schedcheck.explorer import Limits, _apply, _Recorder, _run, _transition, explore
 from schedcheck.model import (
-    FAULTS, FIX_WAIT, IN_FLIGHT, KernelConfig, KernelState, TaskKind, layout_for, symmetric_key,
+    C_CURRENT, C_DECISION, FAULTS, FIX_WAIT, IN_FLIGHT, QUEUE, QUEUE_LEN, SPAWN_CURSOR,
+    T_IN_QUEUE, T_TIMER, KernelConfig, KernelState, TaskKind, layout_for, symmetric_key,
 )
+from cells import core_cell, task_cell
 from test_dead_fields import COMBOS, PLANS, config_for
 from test_settle_projection import CONFIGS, _reachable
 
@@ -82,6 +87,54 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
         expected = (int.from_bytes(scrambled, byteorder) & keep | put).to_bytes(size, byteorder)
         succ = _apply(KernelState(config, state.layout, array(typecode, scrambled)), choice)
         assert (expected, violation) == _effect(succ), (choice, list(state.buf))
+
+
+def _recorded(state: KernelState) -> tuple[KernelState, _Recorder]:
+    """A copy of `state` on a recorder, as `_learn` runs a step."""
+    recorder = _Recorder(state.buf[:])
+    return KernelState(state.config, state.layout, recorder), recorder
+
+
+@pytest.mark.parametrize("config", [
+    KernelConfig(worker_count=2, task_plan=(TaskKind.HEAVY, TaskKind.HEAVY)),
+    KernelConfig(worker_count=3, task_plan=(TaskKind.HEAVY, TaskKind.HEAVY, TaskKind.LIGHT),
+                 fix_wait_need_sched=False, faults=frozenset({"enqueue-before-state"})),
+], ids=["H,H/2", "H,H,L/3-w-ebs"])
+def test_steps_read_only_the_cells_their_effect_needs(config):
+    # on every settled state: the k-th timer variant reads no timer flag
+    # after the k-th pending entry's task; a preemption decision reads no
+    # core's decision cell and no worker core after its candidate; an
+    # enqueue reads no queue slot
+    seen = {"timer": set(), "decide": set(), "enqueue": set()}
+    for state, (verdict, _, options) in _reachable(config):
+        if verdict is not None:
+            continue
+        timers = state.fireable_timers()
+        candidates = state.preempt_candidates()
+        for choice in options:
+            kind, _, variant = choice
+            if kind == "PrimaryTimer":
+                after = {task_cell(state, t, T_TIMER)
+                         for t in range(timers[variant] + 1, state.layout.task_count)}
+            elif kind == "PrimaryPreempter" and not state.buf[IN_FLIGHT]:
+                after = {core_cell(state, core, C_DECISION)
+                         for core in range(state.layout.core_count)}
+                after |= {core_cell(state, core, C_CURRENT)
+                          for core in range(candidates[variant] + 1, state.layout.core_count)}
+            else:
+                continue
+            recorded, recorder = _recorded(state)
+            _run(recorded, choice)
+            assert not after & set(recorder.reads), (choice, list(state.buf))
+            seen["timer" if kind == "PrimaryTimer" else "decide"].add(variant)
+        slots = set(range(QUEUE, QUEUE + state.layout.task_count))
+        for task in range(state.buf[SPAWN_CURSOR]):
+            if not state.buf[task_cell(state, task, T_IN_QUEUE)]:
+                recorded, recorder = _recorded(state)
+                recorded._enqueue(task)
+                assert not slots & set(recorder.reads), (task, list(state.buf))
+                seen["enqueue"].add(state.buf[QUEUE_LEN])
+    assert all({0, 1} <= variants for variants in seen.values()), seen
 
 
 @pytest.mark.usefixtures("cold_memos")  # a warm plan's search may learn nothing
