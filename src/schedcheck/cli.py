@@ -188,9 +188,13 @@ def _is_a(value: object, kind: type) -> bool:
 
 def check_config_dict(doc: object) -> dict:
     """Return `doc` if it is a well-typed (possibly partial) config echo;
-    raise ConfigurationError naming the first bad field otherwise."""
+    raise ConfigurationError naming the first bad or unknown field otherwise.
+    Both readable schemas echo the same seven fields."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config must be a JSON object, not {doc!r}")
+    for key in doc:
+        if key not in _CONFIG_FIELDS:
+            raise ConfigurationError(f"unknown config field {key!r}")
     for key, kind in _CONFIG_FIELDS.items():
         if key in doc and not _is_a(doc[key], kind):
             raise ConfigurationError(

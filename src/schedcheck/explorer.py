@@ -299,7 +299,9 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     """The one pass that settles a state, over its cores and then its spawned
     tasks: (the first failing invariant or None, the enabled steps, whether
     every spawned task is terminal). Reads only the cells of
-    `Layout.settle_offsets`, since `explore` memoizes `_settle` on them.
+    `Layout.settle_offsets`, and a wait budget only as `< 0`: `explore`
+    memoizes `_settle` on those cells, with each budget's sign alone
+    (`Layout.settle_mask`).
 
     The invariants every reachable state must satisfy, in the order a
     failure is reported: the run queue within capacity and without

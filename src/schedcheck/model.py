@@ -206,11 +206,19 @@ class Layout:
         )
         # Per cell, the bits of its bytes in a state's number (its bytes
         # `int.from_bytes` in native order): a step memo's keep mask clears
-        # those of the cells the step wrote (explorer._learn), and the settle
-        # memo keys a state by its number masked to the settle cells.
+        # those of the cells the step wrote (explorer._learn).
         size = boot.itemsize
         self.cell_masks = _cell_masks(end, size)
-        self.settle_mask = sum(self.cell_masks[at] for at in self.settle_offsets)
+        # The settle memo keys a state by its number masked to the settle
+        # cells, keeping of each wait budget only its sign bit: settling
+        # reads a budget only as < 0. A cell of -1 has every bit set, and the
+        # least value only the sign bit, in native order as the number has.
+        mask = array(typecode, [0]) * end
+        for at in self.settle_offsets:
+            mask[at] = -1
+        sign = -2 ** (8 * size - 1)
+        mask[self.tasks + T_WAITS:self.cores:TASK_WIDTH] = array(typecode, [sign]) * n
+        self.settle_mask = int.from_bytes(mask, byteorder)
         # symmetric_key's cut of a state's bytes into the head, up to the
         # primary core's record, and the records of workers 1..w.
         record = CORE_WIDTH * size
@@ -387,7 +395,8 @@ class KernelState:
     def timer_fire(self, task: int) -> None:
         """Deliver the pending timed event of `task`, the timer callback's
         wake: enqueue a waiting task; with the wait fix, flag a running one;
-        ignore every other state."""
+        ignore a runnable or preempted one. A terminated task holds no
+        pending timer (`reset_dead_fields`)."""
         buf = self.buf
         at = self.layout.tasks + task * TASK_WIDTH
         if not (0 <= task < self.layout.task_count and buf[at + T_TIMER]):
@@ -405,7 +414,7 @@ class KernelState:
                 buf[at + T_NEED_SCHED] = 1
                 self._fire_event(task, Event.SET_NEED_SCHED)
             # without the fix the call is silently dropped
-        # Runnable / Preempted / Terminated: ignore
+        # Runnable / Preempted: ignore
 
     def get_next_task(self, core_id: int) -> None:
         """Worker fetch: dequeue the head and start or resume it.
@@ -628,15 +637,18 @@ class KernelState:
 
 
 def reset_dead_fields(buf: array, at: int) -> None:
-    """Zero the need_sched flag and the wait and preemption budgets of the
-    task record at `at`, which has just finished.
+    """Zero the need_sched flag, the pending timer and the wait and
+    preemption budgets of the task record at `at`, which has just finished.
 
     No step reads them again: no operation and no part of the enabled steps
-    reads a terminated task's flag or budgets, and the invariants read only
-    the budgets, to check they are >= 0, which held before the task finished.
-    So states that differ only in these dead values are equivalent, and the
-    reset gives them one buffer (Bozga et al., SAS 1999)."""
+    reads a terminated task's need_sched flag or budgets, and the invariants
+    read only the budgets, to check they are >= 0, which held before the task
+    finished. A pending timer enables a timer step, but on a terminated task
+    that step only cleared the timer. So states that differ only in these
+    dead values are equivalent, and the reset gives them one buffer (Bozga
+    et al., SAS 1999)."""
     buf[at + T_NEED_SCHED] = 0
+    buf[at + T_TIMER] = 0
     buf[at + T_WAITS] = 0
     buf[at + T_PREEMPTIONS] = 0
 

@@ -502,6 +502,29 @@ class TestCrossProcessDeterminism:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tasks", "H,L", "--max-waits", "0", "--fix-preempt", "off", "--out", "json"],
+    ["--tasks", "H,L", "--quiet"],
+    ["--mode", "walk"],
+], ids=["violation", "clean", "usage"])
+def test_python_m_schedcheck_is_cli_main(argv, capsys):
+    # `python -m schedcheck` runs a checkout that is not installed
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import schedcheck
+
+    src = str(Path(schedcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "schedcheck", *argv],
+                          capture_output=True, text=True, env=env)
+    code = main(argv)
+    assert (proc.stdout, proc.returncode) == (capsys.readouterr().out, code)
+
+
 # The exact stdout of two batch runs, recorded before the batch paths became
 # one driver: every line of a sweep and of a matrix keeps its bytes.
 PINNED_SWEEP = (

@@ -23,22 +23,22 @@ L = TaskKind.LIGHT
 
 # (states_visited, transitions_taken, max_depth, quiescent_ok)
 LADDER = {
-    ("H,L,L", 2): (1747, 4975, 26, 1),
-    ("H,H", 2): (2979, 8912, 33, 1),
-    ("H,L,L", 3): (2377, 8279, 26, 1),
-    ("H,H,L", 3): (20502, 81708, 38, 1),
+    ("H,L,L", 2): (1660, 4699, 26, 1),
+    ("H,H", 2): (2781, 8307, 33, 1),
+    ("H,L,L", 3): (2278, 7931, 26, 1),
+    ("H,H,L", 3): (19063, 75864, 38, 1),
 }
 # The same rungs with the visited set keyed by the exact snapshot.
 EXACT_LADDER = {
-    ("H,L,L", 2): (4130, 11706, 26, 1),
-    ("H,H", 2): (10959, 32996, 33, 1),
-    ("H,L,L", 3): (16215, 56273, 26, 1),
+    ("H,L,L", 2): (3890, 10946, 26, 1),
+    ("H,H", 2): (10228, 30753, 33, 1),
+    ("H,L,L", 3): (15543, 53922, 26, 1),
 }
 # Rungs with two preemptions per heavy task: complete and clean.
 TWO_PREEMPTIONS = {
-    ("H,L,L", 2): (3123, 9016, 32, 1),
-    ("H,H", 2): (8385, 25712, 45, 1),
-    ("H,L,L", 3): (4299, 15208, 32, 1),
+    ("H,L,L", 2): (3036, 8740, 32, 1),
+    ("H,H", 2): (8058, 24697, 45, 1),
+    ("H,L,L", 3): (4200, 14860, 32, 1),
 }
 
 # Seeded walks of H,H,L/2 under the CLI's step budget, keyed by seed.
@@ -51,14 +51,14 @@ FAULTS = (EBS, SRS, SRC)
 # keyed by (fix_wait, fix_preempt, faults). No combo has 16 violation
 # classes, so each of these searches is complete.
 FAULT_MATRIX = {
-    (True, True, ()): (1747, 4975, 26, 1),
-    (True, True, (EBS,)): (1827, 5221, 26, 1),
-    (True, True, (SRS,)): (1692, 4707, 26, 1),
-    (True, True, (SRC,)): (1747, 4975, 26, 1),
-    (True, True, (EBS, SRS)): (1796, 4991, 26, 1),
-    (True, True, (EBS, SRC)): (1875, 5221, 26, 1),
-    (True, True, (SRS, SRC)): (1692, 4707, 26, 1),
-    (True, True, (EBS, SRS, SRC)): (1844, 4991, 26, 1),
+    (True, True, ()): (1660, 4699, 26, 1),
+    (True, True, (EBS,)): (1740, 4945, 26, 1),
+    (True, True, (SRS,)): (1592, 4431, 25, 1),
+    (True, True, (SRC,)): (1660, 4699, 26, 1),
+    (True, True, (EBS, SRS)): (1694, 4715, 25, 1),
+    (True, True, (EBS, SRC)): (1788, 4945, 26, 1),
+    (True, True, (SRS, SRC)): (1592, 4431, 25, 1),
+    (True, True, (EBS, SRS, SRC)): (1742, 4715, 25, 1),
     (True, False, ()): (1035, 2332, 23, 1),
     (True, False, (EBS,)): (1343, 2903, 23, 1),
     (True, False, (SRS,)): (991, 2206, 21, 1),

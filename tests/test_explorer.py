@@ -253,7 +253,7 @@ class TestExplore:
     @pytest.mark.parametrize("max_states,pinned", [
         (1, (1, 2, 0, True)),
         (100, (100, 295, 0, True)),
-        (1000, (1000, 2963, 0, True)),
+        (1000, (1000, 2981, 0, True)),
     ])
     def test_state_budget_counters_are_pinned(self, max_states, pinned):
         # (states, transitions, violations, incomplete) of H,H/2 under a

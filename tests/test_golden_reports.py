@@ -98,21 +98,21 @@ def digest(argv: list[str]) -> str:
 
 GOLDEN = {
     "explore H,L/2 wait=on preempt=on faults=none":
-        "0dd73b5927f5512efd8479afbd332072292807508b50b57f76e719e8c5659d1e",
+        "d0190db0d3a30effad8271ea85fca763cf8d6f423b9b1d5a1289adae69b12c3d",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state":
-        "a5d043d05cfb6ca06184d778143db5a4629f7036073338f0c75bba3704fe07b9",
+        "52a2efd60a07171605208dceb96c72a932362992527efdf37e2f7a9ee690ab98",
     "explore H,L/2 wait=on preempt=on faults=skip-resume-state":
-        "e902fad48b9179ec2128ee5b21e010543c9d26c25d2a2564174ff9d5f6d945e0",
+        "7caaa98a969f57ec45ff034c24c7c60f9055c0cfe4e345b7e2dae339098464f0",
     "explore H,L/2 wait=on preempt=on faults=skip-running-check":
-        "53a8de7b3d17c2ef0cb43d0e732ec2da280bc53c18213ad640be44f9361d079e",
+        "220748a28aa9595f1174559f83c9b3c9773dd45cd17afc4f2a4cc5a9e45bec9b",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-resume-state":
-        "3a2b4b7d8179f5338936e4f4d357e589ccfad30bc14fb495816c8da3f57ac767",
+        "eeaa30927104340aba8935f5552a68ef2c9b9e1f960361de1e5a32b2ac9f8bf2",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "6c715ce732797184de18ed08eb9bef0bb376b4e535bb662d9788e54c4c76eeca",
+        "70c1b3b6c37d92c2c597d9b523d99e564d82401cf7b2a64453771c7315991f64",
     "explore H,L/2 wait=on preempt=on faults=skip-resume-state+skip-running-check":
-        "a32fcc10f71159f1915633fb0e70c51afa6e897d52abb5e348f5ce2396178ce1",
+        "8d0533a24c3da238db77c48a6f29f9f120d95e0bcb4ddd0fbc83a31ce4e25625",
     "explore H,L/2 wait=on preempt=on faults=enqueue-before-state+skip-resume-state+skip-running-check":
-        "cf09d7c16d7c9316f73358fe0f6f460dd5efe4a986880dce77d7cb55a8d04cbe",
+        "cab5be4edc72eeff15a4683490a46edb5ed6fb54c737bdc83ebd1b2582ad3543",
     "explore H,L/2 wait=on preempt=off faults=none":
         "c88f51dc7f3fa047649f7d6feae85d0576761e5691f2c4a62db5021d2998e1c7",
     "explore H,L/2 wait=on preempt=off faults=enqueue-before-state":
@@ -162,13 +162,13 @@ GOLDEN = {
     "explore H,L/2 wait=off preempt=off faults=enqueue-before-state+skip-resume-state+skip-running-check":
         "7a34507d12b50188180c38b5010650a1b284186c1f6f5b1b150a063e879d2e10",
     "explore H,H/2 wait=on preempt=on faults=none":
-        "2c5e595073a85a0316b29b25bb199e48ce3b854da6d79c5c61bddbca4d665e7e",
+        "ae731a08812c5df57c16a0dabec823077dcef85724a73cefca3f64d0a5794894",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state":
-        "d276b9a6e0bd99dd0b6606f3d0ef6a1abd49b3031c572cd4d20e1ef42f1ddfdc",
+        "acaacf40205bfedd4501c2b765e196bfb842cbf4ebfc228346a47e5d2744bd33",
     "explore H,H/2 wait=on preempt=on faults=skip-running-check":
-        "bc169b907d56af7c466af44d92f23b8f27b1119990e0e699107e653bc06b04b8",
+        "d09c11c3f86c7315fb540ae6d0c6b4537950438d54cd8eba8d47cfad697b731c",
     "explore H,H/2 wait=on preempt=on faults=enqueue-before-state+skip-running-check":
-        "d9ce8c708eb4e28bf6d06cf8f5f80c15e424e37025f2aee6c3bf4e3e389266ca",
+        "c838e314977e7c988a6c5625e6a499ed8c24df24d31703cc8518107c567b29d0",
     "explore H,L/2 wait=off preempt=on faults=none max-states=200":
         "6b107105adc44d7b48988dc935afea8576c7eafb1972dae588a51771a2448424",
     "explore H,H/2 wait=on preempt=off faults=enqueue-before-state max-depth=6":

@@ -32,6 +32,7 @@ from schedcheck.model import (
     FAULTS,
     T_NEED_SCHED,
     T_PREEMPTIONS,
+    T_TIMER,
     T_WAITS,
     KernelConfig,
     TaskKind,
@@ -212,7 +213,7 @@ def test_reports_of_the_unreduced_model_still_replay(tmp_path, capsys, monkeypat
     reset = model.reset_dead_fields
 
     def watched(buf, at):
-        live.append(any(buf[at + f] for f in (T_NEED_SCHED, T_WAITS, T_PREEMPTIONS)))
+        live.append(any(buf[at + f] for f in (T_NEED_SCHED, T_TIMER, T_WAITS, T_PREEMPTIONS)))
         reset(buf, at)
 
     monkeypatch.setattr(model, "reset_dead_fields", watched)
@@ -222,3 +223,18 @@ def test_reports_of_the_unreduced_model_still_replay(tmp_path, capsys, monkeypat
         (v["verdict"], True) for v in doc["violations"]]
     assert code == EXIT_VIOLATION
     assert any(live)
+
+
+@pytest.mark.parametrize("schema", [1, 2])
+def test_replay_refuses_an_unknown_config_field(tmp_path, capsys, schema):
+    # a misspelt bound would otherwise replay under the default one
+    schedule = _schedules(HL_WAIT)[VERDICT_DEADLOCK]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": schema, "config": {"max_wait": 5}, "violations": [
+        {"verdict": VERDICT_DEADLOCK, "steps": [
+            {"process": kind, "core": core, "variant": variant} for kind, core, variant in schedule
+        ]}]}))
+    code = main(["--mode", "replay", "--trace-in", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "schedcheck: error: unknown config field 'max_wait'\n"

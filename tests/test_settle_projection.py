@@ -5,8 +5,12 @@ state's number masked by `Layout.settle_mask`, so any other
 cell that the invariants, the enabled steps or the deadlock test read would
 make two states share an answer that differs. Here every cell outside the
 projection is scrambled in a copy of each reachable state, and the copy
-must settle exactly as the original does; and the mask must keep exactly
-the bytes of those cells, for one- and two-byte cells."""
+must settle exactly as the original does. The mask keeps of each wait
+budget only its sign bit, so settling may read a budget only by its sign:
+each reachable state must settle as before with every budget replaced by
+another of the same sign. The mask must keep exactly the bytes of the
+settle cells and the sign bits of the budgets, for one- and two-byte
+cells."""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import pytest
 
 from schedcheck.explorer import _apply, _settle
 from schedcheck.model import (
-    FAULTS, KernelConfig, TaskKind, initial_state, layout_for, snapshot,
+    FAULTS, T_WAITS, TASK_WIDTH, KernelConfig, TaskKind, initial_state, layout_for, snapshot,
 )
 
 H = TaskKind.HEAVY
@@ -65,12 +69,17 @@ def _reachable(config: KernelConfig):
                 stack.append(succ)
 
 
-@pytest.mark.parametrize(
-    "config", CONFIGS,
-    ids=lambda c: f"{','.join(k.value for k in c.task_plan)}/{c.worker_count}"
-    f"-w{int(c.fix_wait_need_sched)}p{int(c.fix_preempt_need_sched)}"
-    f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}",
-)
+def config_id(c: KernelConfig) -> str:
+    return (f"{','.join(k.value for k in c.task_plan)}/{c.worker_count}"
+            f"-w{int(c.fix_wait_need_sched)}p{int(c.fix_preempt_need_sched)}"
+            f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}")
+
+
+def wait_cells(layout) -> range:
+    return range(layout.tasks + T_WAITS, layout.cores, TASK_WIDTH)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
 def test_cells_outside_the_projection_do_not_move_the_settle(config):
     layout = layout_for(config)
     unread = sorted(set(range(len(layout.boot))) - set(layout.settle_offsets))
@@ -86,6 +95,23 @@ def test_cells_outside_the_projection_do_not_move_the_settle(config):
     assert count > 1
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_a_wait_budget_of_the_same_sign_does_not_move_the_settle(config):
+    layout = layout_for(config)
+    top = 2 ** (8 * layout.boot.itemsize - 1)
+    rng = random.Random(11)
+    moved = 0
+    for state, settled in _reachable(config):
+        clone = state.clone()
+        clone.violation = state.violation
+        for at in wait_cells(layout):
+            budget = clone.buf[at]
+            clone.buf[at] = rng.randrange(-top, 0) if budget < 0 else rng.randrange(top)
+            moved += clone.buf[at] != budget
+        assert _settle(clone) == settled, (list(state.buf), list(clone.buf))
+    assert moved > 1
+
+
 @pytest.mark.parametrize("config, typecode", [
     (KernelConfig(), "b"), (KernelConfig(max_waits_per_task=70), "h"),
 ], ids=["b", "h"])
@@ -93,11 +119,13 @@ def test_the_settle_mask_keeps_the_bytes_of_the_settle_cells(config, typecode):
     layout = layout_for(config)
     assert layout.boot.typecode == typecode
     top = 2 ** (8 * layout.boot.itemsize - 1)
+    waits = set(wait_cells(layout))
     rng = random.Random(3)
     for _ in range(20):
         buf = array(typecode, rng.choices(range(-top, top), k=len(layout.boot)))
         kept = array(typecode, [0]) * len(buf)
         for at in layout.settle_offsets:
-            kept[at] = buf[at]
+            # the least value has the sign bit alone
+            kept[at] = (-top if buf[at] < 0 else 0) if at in waits else buf[at]
         number = int.from_bytes(bytes(buf), byteorder)
         assert number & layout.settle_mask == int.from_bytes(bytes(kept), byteorder)
