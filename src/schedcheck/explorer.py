@@ -57,9 +57,9 @@ from .model import (
     T_PREEMPTIONS,
     T_STATE,
     T_TIMER,
-    T_WAITS,
     TASK_WIDTH,
     TERMINATED,
+    WAITING,
     KernelConfig,
     KernelState,
     Layout,
@@ -299,21 +299,20 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     """The one pass that settles a state, over its cores and then its spawned
     tasks: (the first failing invariant or None, the enabled steps, whether
     every spawned task is terminal). Reads only the cells of
-    `Layout.settle_offsets`, and a wait budget only as `< 0`: `explore`
-    memoizes `_settle` on those cells, with each budget's sign alone
+    `Layout.settle_offsets`: `explore` memoizes `_settle` on those cells
     (`Layout.settle_mask`).
 
     The invariants every reachable state must satisfy, in the order a
     failure is reported: the run queue within capacity and without
     duplicates; per spawned task in id order, `in_queue` matching the queue
-    and both budgets at least zero; no task current on two cores; none on
-    the primary core; a running task current, a terminal one neither queued
-    nor current; at most one preemption decision or IPI outstanding, and
-    the in-flight flag set exactly while one is or a core handles one; a
-    decision observing a heavy task. Two more checks come last, for task
-    ids that no operation writes: a decision or a worker's current task
-    naming a task outside the plan fails an invariant rather than index
-    past the plan. The steps are ordered: timer variants first, then
+    and the preemption budget at least zero; no task current on two cores;
+    none on the primary core; a running task current, a terminal one neither
+    queued nor current, a waiting one not queued; at most one preemption
+    decision or IPI outstanding, and the in-flight flag set exactly while
+    one is or a core handles one; a decision observing a heavy task. Two
+    more checks come last, for task ids that no operation writes: a
+    decision or a worker's current task naming a task outside the plan
+    fails an invariant rather than index past the plan. The steps are ordered: timer variants first, then
     preempter, spawner, and workers ascending."""
     buf, layout = state.buf, state.layout
     timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
@@ -356,7 +355,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
                 workers.append(step)
         elif ipi or length > 0:  # an idle core fetches
             workers.append(step)
-    # The first failure of a task's queue flag or budgets comes before the
+    # The first failure of a task's queue flag or budget comes before the
     # core checks; `late`, a task-state failure, comes after some of them.
     failure = late = None
     spawned, running, done, at = buf[SPAWN_CURSOR], False, 0, tasks
@@ -364,7 +363,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
         in_queue = buf[at + T_IN_QUEUE]
         if (in_queue == 1) != (t in queue):
             failure = failure or f"task {t} in_queue={in_queue == 1} but queue={queue}"
-        elif buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
+        elif buf[at + T_PREEMPTIONS] < 0:
             failure = failure or f"task {t} counter below zero"
         if (task_state := buf[at + T_STATE]) == RUNNING:
             running = True
@@ -374,6 +373,8 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
             done += 1
             if late is None and (in_queue or t in currents):
                 late = f"terminal task {t} is queued or current"
+        elif task_state == WAITING and in_queue and late is None:
+            late = f"waiting task {t} is queued"
         at += TASK_WIDTH
     if length > n:
         failure = f"run queue over capacity: {length} entries for {n} tasks"

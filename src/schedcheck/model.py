@@ -4,8 +4,8 @@ One primary core drives timer wakeups and round-robin preemption
 decisions; worker cores fetch tasks from a shared FIFO run queue and
 poll them. Preemption is a two-phase protocol (decide, then IPI) with a
 per-task need_sched flag; a preempted task's progress, its pc and
-whether it was mid-wait, is saved in its own record and restored by
-whichever core resumes it.
+whether it was mid-wait, stays in its own record, flagged as a saved
+context until whichever core resumes it.
 
 Every shared-state mutation here is one explicitly atomic step, so an
 external driver can interleave steps from different virtual processes.
@@ -121,24 +121,27 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 #
 # The whole value of a KernelState is one array of small signed ints, laid
 # out by a Layout computed once per config; -1 stands for "none" (no task,
-# saved pc, IPI, phase or decision). Only the step bookkeeping is kept
-# beside the array, so copying the array copies the state and its bytes are
-# the state's visited-set key.
+# IPI, phase or decision). Only the step bookkeeping is kept beside the
+# array, so copying the array copies the state and its bytes are the
+# state's visited-set key.
 
 # Global fields, then the run queue: its length, then its task ids. The
 # first five are the fix and fault toggles, set at boot and never written.
 # Settling reads SKIP_RESUME_STATE alone of them (Layout.settle_offsets).
 (FIX_WAIT, FIX_PREEMPT, ENQUEUE_BEFORE_STATE, SKIP_RUNNING_CHECK, SKIP_RESUME_STATE,
  IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE) = range(9)
-# Fields of a task record. The first five are the ones settling a state
+# Fields of a task record. The first four are the ones settling a state
 # reads (see Layout.settle_offsets). T_TIMER flags the task's pending timer
 # entry. T_MONITOR is the code of the task's monitor state (0 before the
-# task registers). T_SAVED_PC and T_SAVED_MID_WAIT hold the context a
-# preemption saved (-1: none), apart from T_PC and T_PENDING_WAIT because a
-# resume rolls those back to the saved values. A record holds no task id,
-# so it moves whole when tasks are renamed (symmetric_key).
-(T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER, T_MONITOR, T_NEED_SCHED,
- T_SAVED_PC, T_SAVED_MID_WAIT, T_PC, T_PENDING_WAIT, TASK_WIDTH) = range(12)
+# task registers). T_SAVED is 1 from a preemption's save of the task's
+# context until a resume. The context is T_PC and T_PENDING_WAIT, which no
+# step changes in between: the task's core is in its IPI handler, which
+# masks the poll, and a fetch by any core is itself the resume. The flag is
+# not a task state: under enqueue-before-state a queued task with a saved
+# context can still be Running. A record holds no task id, so it moves
+# whole when tasks are renamed (symmetric_key).
+(T_STATE, T_IN_QUEUE, T_PREEMPTIONS, T_TIMER, T_MONITOR, T_NEED_SCHED,
+ T_SAVED, T_PC, T_PENDING_WAIT, TASK_WIDTH) = range(10)
 # Fields of a core record; C_DECISION is the task observed by a preemption
 # decision aimed at the core. No field names a core.
 C_CURRENT, C_PENDING_IPI, C_IPI_PHASE, C_DECISION, CORE_WIDTH = range(5)
@@ -164,9 +167,9 @@ class Layout:
     """Record offsets of one config's states, and the buffer at boot.
 
     The array's typecode is the narrowest that holds the config's largest
-    value: task and core counts, script positions, the wait and
-    preemption bounds, and monitor state codes. Signed, so that a budget
-    overrun below zero stays visible to the invariant check."""
+    value: task and core counts, script positions, the preemption bound,
+    and monitor state codes. Signed, so that a budget overrun below zero
+    stays visible to the invariant check."""
 
     def __init__(self, config: KernelConfig) -> None:
         n = len(config.task_plan)
@@ -192,16 +195,15 @@ class Layout:
             config.fix_wait_need_sched, config.fix_preempt_need_sched,
             *(fault in config.faults
               for fault in ("enqueue-before-state", "skip-running-check", "skip-resume-state"))))
-        boot[self.tasks + T_SAVED_PC:self.cores:TASK_WIDTH] = array(typecode, [-1]) * n
         boot[self.cores:] = array(typecode, [-1]) * (end - self.cores)
         self.boot = boot
         self.monitor_cells = tuple(range(self.tasks + T_MONITOR, self.cores, TASK_WIDTH))
         # The cells that explorer._settle reads: all but four toggles, the
-        # monitors, need_sched, the saved context, pc and the pending wait.
+        # monitors, need_sched, the saved flag, pc and the pending wait.
         self.settle_offsets = (
             *range(SKIP_RESUME_STATE, self.tasks),  # one toggle, the globals, the queue
             *(at + f for at in range(self.tasks, self.cores, TASK_WIDTH)
-              for f in (T_STATE, T_IN_QUEUE, T_WAITS, T_PREEMPTIONS, T_TIMER)),
+              for f in (T_STATE, T_IN_QUEUE, T_PREEMPTIONS, T_TIMER)),
             *range(self.cores, end),
         )
         # Per cell, the bits of its bytes in a state's number (its bytes
@@ -210,15 +212,8 @@ class Layout:
         size = boot.itemsize
         self.cell_masks = _cell_masks(end, size)
         # The settle memo keys a state by its number masked to the settle
-        # cells, keeping of each wait budget only its sign bit: settling
-        # reads a budget only as < 0. A cell of -1 has every bit set, and the
-        # least value only the sign bit, in native order as the number has.
-        mask = array(typecode, [0]) * end
-        for at in self.settle_offsets:
-            mask[at] = -1
-        sign = -2 ** (8 * size - 1)
-        mask[self.tasks + T_WAITS:self.cores:TASK_WIDTH] = array(typecode, [sign]) * n
-        self.settle_mask = int.from_bytes(mask, byteorder)
+        # cells; the cell masks are disjoint, so their sum is their OR.
+        self.settle_mask = sum(self.cell_masks[at] for at in self.settle_offsets)
         # symmetric_key's cut of a state's bytes into the head, up to the
         # primary core's record, and the records of workers 1..w.
         record = CORE_WIDTH * size
@@ -384,7 +379,6 @@ class KernelState:
         at = layout.tasks + task * TASK_WIDTH
         buf[at + T_STATE] = RUNNABLE
         if layout.heavy[task]:
-            buf[at + T_WAITS] = self.config.max_waits_per_task
             buf[at + T_PREEMPTIONS] = self.config.max_preemptions_per_task
         self.monitors.register(task)
         self._fire_event(task, Event.SPAWN)
@@ -421,8 +415,8 @@ class KernelState:
 
         A head still marked Running is re-enqueued at the back and
         skipped (no monitor event) unless the running check is disabled
-        by fault toggle; a head with a saved context resumes from its
-        saved progress.
+        by fault toggle; a head with a saved context resumes where its
+        preemption left it.
         """
         core = self._worker(core_id)
         buf = self.buf
@@ -435,13 +429,9 @@ class KernelState:
             self.begin_step("worker {}: task {} still running, requeued", core_id, task)
             self._enqueue(task)
             return
-        saved_pc = buf[at + T_SAVED_PC]
-        if saved_pc >= 0:
-            self.begin_step("worker {}: resume task {} at pc {}", core_id, task, saved_pc)
-            buf[at + T_PC] = saved_pc
-            buf[at + T_PENDING_WAIT] = buf[at + T_SAVED_MID_WAIT]
-            buf[at + T_SAVED_PC] = -1
-            buf[at + T_SAVED_MID_WAIT] = 0
+        if buf[at + T_SAVED]:
+            self.begin_step("worker {}: resume task {} at pc {}", core_id, task, buf[at + T_PC])
+            buf[at + T_SAVED] = 0
             buf[at + T_NEED_SCHED] = 0
             buf[core + C_CURRENT] = task
             if not buf[SKIP_RESUME_STATE]:
@@ -473,7 +463,6 @@ class KernelState:
         if buf[at + T_PENDING_WAIT]:
             # second half of RegisterTimerAndPend
             buf[at + T_PENDING_WAIT] = 0
-            buf[at + T_WAITS] -= 1
             buf[core + C_CURRENT] = -1
             fix = buf[FIX_WAIT]
             if fix and buf[at + T_NEED_SCHED]:
@@ -605,8 +594,7 @@ class KernelState:
                 buf[IN_FLIGHT] = 0
                 return
             self.begin_step("core {}: save context of task {}", core_id, task)
-            buf[at + T_SAVED_PC] = buf[at + T_PC]
-            buf[at + T_SAVED_MID_WAIT] = buf[at + T_PENDING_WAIT]
+            buf[at + T_SAVED] = 1
             buf[core + C_IPI_PHASE] = CTX_SAVED
             return
 
@@ -637,19 +625,18 @@ class KernelState:
 
 
 def reset_dead_fields(buf: array, at: int) -> None:
-    """Zero the need_sched flag, the pending timer and the wait and
-    preemption budgets of the task record at `at`, which has just finished.
+    """Zero the need_sched flag, the pending timer and the preemption budget
+    of the task record at `at`, which has just finished.
 
     No step reads them again: no operation and no part of the enabled steps
-    reads a terminated task's need_sched flag or budgets, and the invariants
-    read only the budgets, to check they are >= 0, which held before the task
+    reads a terminated task's need_sched flag or budget, and the invariants
+    read only the budget, to check it is >= 0, which held before the task
     finished. A pending timer enables a timer step, but on a terminated task
     that step only cleared the timer. So states that differ only in these
     dead values are equivalent, and the reset gives them one buffer (Bozga
     et al., SAS 1999)."""
     buf[at + T_NEED_SCHED] = 0
     buf[at + T_TIMER] = 0
-    buf[at + T_WAITS] = 0
     buf[at + T_PREEMPTIONS] = 0
 
 

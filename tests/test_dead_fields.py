@@ -1,11 +1,10 @@
 """Dead values that the model does not keep, so that states differing only in
 them share one buffer and one visited key.
 
-A finished task's need_sched flag, its pending timer and its wait and
-preemption budgets are dead: `model.reset_dead_fields` zeroes them at
-Finish. So is the task a
-preemption decision observed, once its IPI is sent: `send_ipi` stores only
-the PENDING flag in the core's `C_PENDING_IPI` cell. Each reduction must
+A finished task's need_sched flag, its pending timer and its preemption
+budget are dead: `model.reset_dead_fields` zeroes them at Finish. So is
+the task a preemption decision observed, once its IPI is sent: `send_ipi`
+stores only the PENDING flag in the core's `C_PENDING_IPI` cell. Each reduction must
 keep what the unreduced search finds, which these tests get by patching
 it out: the same violation classes, (verdict, state, symbol) pairs,
 quiescent outcome and trace length per class, and every trace replays.
@@ -32,7 +31,6 @@ from schedcheck.model import (
     T_PREEMPTIONS,
     T_STATE,
     T_TIMER,
-    T_WAITS,
     TASK_WIDTH,
     TERMINATED,
     PENDING,
@@ -47,7 +45,7 @@ from schedcheck.model import (
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
 
-DEAD = (T_NEED_SCHED, T_WAITS, T_PREEMPTIONS, T_TIMER)
+DEAD = (T_NEED_SCHED, T_PREEMPTIONS, T_TIMER)
 
 PLANS = {"H,L,L/2": ((H, L, L), 2), "H,H/2": ((H, H), 2)}
 COMBOS = [
@@ -72,10 +70,10 @@ def test_finish_zeroes_the_dead_fields():
     config = KernelConfig(worker_count=1, task_plan=(H,), max_waits_per_task=0)
     state = about_to_finish(config)
     state.preempt_decide(1)  # sets need_sched, with the preempt fix
-    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [1, 0, 1, 0]
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [1, 1, 0]
     state.poll_step(1)
     assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
-    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 0, 0]
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 0]
 
 
 def test_finish_zeroes_a_pending_timer():
@@ -92,21 +90,21 @@ def test_finish_zeroes_a_pending_timer():
     state.handle_ipi_step(1)  # canceled: the core is idle
     state.get_next_task(1)
     state.poll_step(1)  # compute
-    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 1, 1]
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 1, 1]
     state.poll_step(1)
     assert state.buf[task_cell(state, 0, T_STATE)] == TERMINATED
-    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 0, 0]
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 0]
     assert state.fireable_timers() == []
 
 
-# task 0's dead fields are (0, 0, 1, 0) before its Finish; each of these differs
+# task 0's dead fields are (0, 1, 0) before its Finish; each of these differs
 @pytest.mark.parametrize("values", [
-    (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 1),
+    (1, 1, 0), (1, 0, 0), (0, 0, 0), (0, 1, 1), (1, 0, 1),
 ])
 def test_states_differing_only_in_dead_fields_become_equal(values):
     config = KernelConfig(worker_count=1, task_plan=(H, L), max_waits_per_task=0)
     state = about_to_finish(config)
-    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 0, 1, 0]
+    assert [state.buf[task_cell(state, 0, f)] for f in DEAD] == [0, 1, 0]
     other = state.clone()
     for field, value in zip(DEAD, values):
         other.buf[task_cell(other, 0, field)] = value

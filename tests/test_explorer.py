@@ -37,11 +37,11 @@ from schedcheck.model import (
     RUNNING,
     SPAWN_CURSOR,
     T_IN_QUEUE,
+    T_MONITOR,
     T_NEED_SCHED,
-    T_SAVED_MID_WAIT,
-    T_SAVED_PC,
+    T_PREEMPTIONS,
+    T_SAVED,
     T_STATE,
-    T_WAITS,
     TERMINATED,
     WAITING,
     KernelConfig,
@@ -555,10 +555,10 @@ class TestReachableStateProperties:
                 return
             for t in range(state.buf[SPAWN_CURSOR]):
                 task_state = state.buf[task_cell(state, t, T_STATE)]
-                saved_pc = state.buf[task_cell(state, t, T_SAVED_PC)]
+                saved = state.buf[task_cell(state, t, T_SAVED)]
                 assert (task_state == PREEMPTED) == (
-                    saved_pc >= 0
-                ), f"task {t}: state {task_state} with saved pc {saved_pc}"
+                    saved == 1
+                ), f"task {t}: state {task_state} with saved flag {saved}"
 
         assert self._walk_all_states(cfg, check) > 0
 
@@ -638,7 +638,7 @@ INVARIANT_FAILURES = {
         lambda s: setitem(s.buf, task_cell(s, 0, T_IN_QUEUE), 0),
         "task 0 in_queue=False but queue=(0,)"),
     "counter below zero": (
-        lambda s: setitem(s.buf, task_cell(s, 0, T_WAITS), -1), "task 0 counter below zero"),
+        lambda s: setitem(s.buf, task_cell(s, 0, T_PREEMPTIONS), -1), "task 0 counter below zero"),
     "cores share a current task": (_current_on_two_cores, "cores share a current task: [0, 0]"),
     "primary core has a current task": (
         lambda s: setitem(s.buf, core_cell(s, 0, C_CURRENT), 0),
@@ -649,6 +649,9 @@ INVARIANT_FAILURES = {
     "terminal task queued": (
         lambda s: setitem(s.buf, task_cell(s, 0, T_STATE), TERMINATED),
         "terminal task 0 is queued or current"),
+    "waiting task queued": (
+        lambda s: setitem(s.buf, task_cell(s, 0, T_STATE), WAITING),
+        "waiting task 0 is queued"),
     "more than one decision": (_two_decisions, "more than one preemption decision outstanding"),
     "preempt_in_flight out of sync": (_flag_in_flight, "preempt_in_flight flag out of sync"),
     "light task observed": (
@@ -670,15 +673,15 @@ class TestInvariantChecker:
     @pytest.mark.parametrize("seed", range(8))
     def test_over_capacity_detail_reads_no_cell_past_the_queue(self, seed):
         # A length past the queue's slots reaches into task 0's record; its
-        # need_sched and saved context lie outside `Layout.settle_offsets`,
-        # so the detail must not depend on them.
+        # monitor, need_sched and saved flag lie outside
+        # `Layout.settle_offsets`, so the detail must not depend on them.
         state = initial_state(CLEAN_SMALL)
         _queue_over_capacity(state)
-        # the queue's slots, then task 0's cells up to its saved context
-        state.buf[QUEUE_LEN] = state.layout.tasks - QUEUE + T_SAVED_MID_WAIT + 1
+        # the queue's slots, then task 0's cells up to its saved flag
+        state.buf[QUEUE_LEN] = state.layout.tasks - QUEUE + T_SAVED + 1
         expected = check_invariants(state)
         rng = random.Random(seed)
         at = state.layout.tasks
-        for field in (T_NEED_SCHED, T_SAVED_PC, T_SAVED_MID_WAIT):
+        for field in (T_MONITOR, T_NEED_SCHED, T_SAVED):
             state.buf[at + field] = rng.choice(range(-1, 5))
         assert check_invariants(state) == expected

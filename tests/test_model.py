@@ -23,11 +23,9 @@ from schedcheck.model import (
     T_PC,
     T_PENDING_WAIT,
     T_PREEMPTIONS,
-    T_SAVED_MID_WAIT,
-    T_SAVED_PC,
+    T_SAVED,
     T_STATE,
     T_TIMER,
-    T_WAITS,
     TERMINATED,
     WAITING,
     Action,
@@ -288,12 +286,13 @@ class TestGetNextTask:
         state.handle_ipi_step(1)  # set state
         state.handle_ipi_step(1)  # enqueue + finish
         assert state.buf[task_cell(state, 0, T_STATE)] == PREEMPTED
-        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == 1
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 1
         state.get_next_task(2)
+        assert state.step_label == "worker 2: resume task 0 at pc 1"
         assert state.buf[core_cell(state, 2, C_CURRENT)] == 0
         assert state.buf[task_cell(state, 0, T_PC)] == 1
         assert state.buf[task_cell(state, 0, T_STATE)] == RUNNING
-        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == -1
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 0
         assert state.buf[task_cell(state, 0, T_NEED_SCHED)] == 0
 
 
@@ -307,7 +306,7 @@ class TestPollStep:
         assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 1
         state.poll_step(1)  # waiting transition
         assert state.buf[task_cell(state, 0, T_STATE)] == WAITING
-        assert state.buf[task_cell(state, 0, T_WAITS)] == 0
+        assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 0
         assert state.buf[core_cell(state, 1, C_CURRENT)] == -1
 
     def test_register_then_requeue_with_flag(self):
@@ -454,7 +453,7 @@ class TestPreemption:
         state.handle_ipi_step(1)
         assert state.step_label == "core 1: IPI canceled (task 0 budget spent)"
         assert state.buf[task_cell(state, 0, T_STATE)] == RUNNING
-        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == -1
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 0
         assert state.buf[IN_FLIGHT] == 0
 
     def test_handle_without_fix_preempts_the_newcomer(self):
@@ -480,19 +479,20 @@ class TestPreemption:
         state.preempt_decide(1)
         state.send_ipi()
         state.handle_ipi_step(1)
-        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == 1
-        assert state.buf[task_cell(state, 0, T_SAVED_MID_WAIT)] == 0
+        assert state.step_label == "core 1: save context of task 0"
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 1
         state.handle_ipi_step(1)
         state.handle_ipi_step(1)
         assert state.buf[core_cell(state, 1, C_CURRENT)] == -1
         assert state.buf[task_cell(state, 0, T_PREEMPTIONS)] == 0
-        # a resume restores the saved pc, not the live one
-        state.buf[task_cell(state, 0, T_PC)] = 0
+        # the saved context is the task's own pc and pending wait
+        assert state.buf[task_cell(state, 0, T_PC)] == 1
+        assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 0
         # resumed on the other worker
         state.get_next_task(2)
         assert state.buf[core_cell(state, 2, C_CURRENT)] == 0
         assert state.buf[task_cell(state, 0, T_PC)] == 1
-        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == -1
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 0
 
     def test_preemption_between_register_and_wait_resumes_mid_wait(self):
         state = self.make_running_heavy(worker_count=2, max_waits_per_task=1)
@@ -502,11 +502,13 @@ class TestPreemption:
         state.send_ipi()
         for _ in range(3):
             state.handle_ipi_step(1)
-        assert state.buf[task_cell(state, 0, T_SAVED_PC)] == 2
-        assert state.buf[task_cell(state, 0, T_SAVED_MID_WAIT)] == 1
-        state.get_next_task(2)
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 1
+        assert state.buf[task_cell(state, 0, T_PC)] == 2
         assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 1
-        assert state.buf[task_cell(state, 0, T_SAVED_MID_WAIT)] == 0
+        state.get_next_task(2)
+        assert state.step_label == "worker 2: resume task 0 at pc 2"
+        assert state.buf[task_cell(state, 0, T_PENDING_WAIT)] == 1
+        assert state.buf[task_cell(state, 0, T_SAVED)] == 0
         state.poll_step(2)  # second half of the wait
         assert state.buf[task_cell(state, 0, T_STATE)] == WAITING
 

@@ -33,7 +33,6 @@ from schedcheck.model import (
     T_NEED_SCHED,
     T_PREEMPTIONS,
     T_TIMER,
-    T_WAITS,
     KernelConfig,
     TaskKind,
 )
@@ -213,7 +212,7 @@ def test_reports_of_the_unreduced_model_still_replay(tmp_path, capsys, monkeypat
     reset = model.reset_dead_fields
 
     def watched(buf, at):
-        live.append(any(buf[at + f] for f in (T_NEED_SCHED, T_TIMER, T_WAITS, T_PREEMPTIONS)))
+        live.append(any(buf[at + f] for f in (T_NEED_SCHED, T_TIMER, T_PREEMPTIONS)))
         reset(buf, at)
 
     monkeypatch.setattr(model, "reset_dead_fields", watched)

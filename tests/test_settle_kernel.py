@@ -56,9 +56,9 @@ from schedcheck.model import (
     T_PREEMPTIONS,
     T_STATE,
     T_TIMER,
-    T_WAITS,
     TASK_WIDTH,
     TERMINATED,
+    WAITING,
     KernelConfig,
     KernelState,
     TaskKind,
@@ -128,7 +128,7 @@ def oracle_check_invariants(state: KernelState) -> str | None:
         in_queue = buf[at + T_IN_QUEUE]
         if (in_queue == 1) != (t in queue):
             return f"task {t} in_queue={in_queue == 1} but queue={queue}"
-        if buf[at + T_WAITS] < 0 or buf[at + T_PREEMPTIONS] < 0:
+        if buf[at + T_PREEMPTIONS] < 0:
             return f"task {t} counter below zero"
         if late is None:
             task_state = buf[at + T_STATE]
@@ -136,6 +136,8 @@ def oracle_check_invariants(state: KernelState) -> str | None:
                 late = f"running task {t} is not current on any core"
             elif task_state == TERMINATED and (in_queue or t in currents):
                 late = f"terminal task {t} is queued or current"
+            elif task_state == WAITING and in_queue:
+                late = f"waiting task {t} is queued"
         at += TASK_WIDTH
     if len(set(currents)) != len(currents):
         return f"cores share a current task: {currents}"
@@ -168,7 +170,7 @@ def oracle_settle(state: KernelState) -> tuple:
 MESSAGES = (
     "run queue over capacity", "duplicate task ids in run queue", "in_queue=",
     "counter below zero", "cores share a current task", "primary core has a current task",
-    "is not current on any core", "is queued or current",
+    "is not current on any core", "is queued or current", "waiting task",
     "more than one preemption decision outstanding", "preempt_in_flight flag out of sync",
     "observed by a preemption decision",
 )
@@ -292,18 +294,18 @@ def test_every_walk_state_agrees(walked):
 def domains(config: KernelConfig) -> dict[int, range]:
     """Per cell that settling reads, the values of its field's domain:
     flags 0 or 1 (the skip-resume-state toggle among them), task ids (-1
-    for none), state codes, budgets down to an overrun of -1, the
+    for none), state codes, the budget down to an overrun of -1, the
     pending-IPI flag and handler phases (-1 for none), the cursor and the
     queue length up to one past capacity."""
     layout = layout_for(config)
     n = layout.task_count
     ids, flags = range(-1, n), range(2)
-    budget = range(-1, max(config.max_waits_per_task, config.max_preemptions_per_task) + 1)
+    budget = range(-1, config.max_preemptions_per_task + 1)
     out = {SKIP_RESUME_STATE: flags, IN_FLIGHT: flags, SPAWN_CURSOR: range(n + 1),
            QUEUE_LEN: range(n + 2)}
     out.update(dict.fromkeys(range(QUEUE, layout.tasks), range(n)))
     for at in range(layout.tasks, layout.cores, TASK_WIDTH):
-        out.update({at + T_STATE: range(5), at + T_IN_QUEUE: flags, at + T_WAITS: budget,
+        out.update({at + T_STATE: range(5), at + T_IN_QUEUE: flags,
                     at + T_PREEMPTIONS: budget, at + T_TIMER: flags})
     for at in range(layout.cores, len(layout.boot), CORE_WIDTH):
         out.update({at + C_CURRENT: ids, at + C_PENDING_IPI: (-1, PENDING), at + C_IPI_PHASE: (-1, CTX_SAVED, STATED, ENQUEUED),

@@ -5,12 +5,8 @@ state's number masked by `Layout.settle_mask`, so any other
 cell that the invariants, the enabled steps or the deadlock test read would
 make two states share an answer that differs. Here every cell outside the
 projection is scrambled in a copy of each reachable state, and the copy
-must settle exactly as the original does. The mask keeps of each wait
-budget only its sign bit, so settling may read a budget only by its sign:
-each reachable state must settle as before with every budget replaced by
-another of the same sign. The mask must keep exactly the bytes of the
-settle cells and the sign bits of the budgets, for one- and two-byte
-cells."""
+must settle exactly as the original does. The mask must keep exactly the
+bytes of the settle cells, for one- and two-byte cells."""
 
 from __future__ import annotations
 
@@ -22,9 +18,7 @@ from sys import byteorder
 import pytest
 
 from schedcheck.explorer import _apply, _settle
-from schedcheck.model import (
-    FAULTS, T_WAITS, TASK_WIDTH, KernelConfig, TaskKind, initial_state, layout_for, snapshot,
-)
+from schedcheck.model import FAULTS, KernelConfig, TaskKind, initial_state, layout_for, snapshot
 
 H = TaskKind.HEAVY
 L = TaskKind.LIGHT
@@ -75,10 +69,6 @@ def config_id(c: KernelConfig) -> str:
             f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}")
 
 
-def wait_cells(layout) -> range:
-    return range(layout.tasks + T_WAITS, layout.cores, TASK_WIDTH)
-
-
 @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
 def test_cells_outside_the_projection_do_not_move_the_settle(config):
     layout = layout_for(config)
@@ -95,23 +85,6 @@ def test_cells_outside_the_projection_do_not_move_the_settle(config):
     assert count > 1
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
-def test_a_wait_budget_of_the_same_sign_does_not_move_the_settle(config):
-    layout = layout_for(config)
-    top = 2 ** (8 * layout.boot.itemsize - 1)
-    rng = random.Random(11)
-    moved = 0
-    for state, settled in _reachable(config):
-        clone = state.clone()
-        clone.violation = state.violation
-        for at in wait_cells(layout):
-            budget = clone.buf[at]
-            clone.buf[at] = rng.randrange(-top, 0) if budget < 0 else rng.randrange(top)
-            moved += clone.buf[at] != budget
-        assert _settle(clone) == settled, (list(state.buf), list(clone.buf))
-    assert moved > 1
-
-
 @pytest.mark.parametrize("config, typecode", [
     (KernelConfig(), "b"), (KernelConfig(max_waits_per_task=70), "h"),
 ], ids=["b", "h"])
@@ -119,13 +92,11 @@ def test_the_settle_mask_keeps_the_bytes_of_the_settle_cells(config, typecode):
     layout = layout_for(config)
     assert layout.boot.typecode == typecode
     top = 2 ** (8 * layout.boot.itemsize - 1)
-    waits = set(wait_cells(layout))
     rng = random.Random(3)
     for _ in range(20):
         buf = array(typecode, rng.choices(range(-top, top), k=len(layout.boot)))
         kept = array(typecode, [0]) * len(buf)
         for at in layout.settle_offsets:
-            # the least value has the sign bit alone
-            kept[at] = (-top if buf[at] < 0 else 0) if at in waits else buf[at]
+            kept[at] = buf[at]
         number = int.from_bytes(bytes(buf), byteorder)
         assert number & layout.settle_mask == int.from_bytes(bytes(kept), byteorder)
