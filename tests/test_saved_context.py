@@ -6,8 +6,8 @@ keeps the context only if no step but the task's own resume changes those
 two cells while the flag is set: the task's core is in its IPI handler,
 which masks the poll, and a fetch by any core is the resume. Every
 reachable state (exact bytes, no symmetry) of the 32 fix/fault combos of
-H,L/2 and H,H/2 is checked, for every enabled step and every task whose
-flag is set."""
+H,L/2, H,H/2 and the default H,L,L/2, and of H,L,L/3 and H,H,L/2, is
+checked, for every enabled step and every task whose flag is set."""
 
 from __future__ import annotations
 
@@ -74,3 +74,21 @@ def test_no_step_but_the_resume_moves_a_saved_context(plan):
             task_plan=PLANS[plan], fix_wait_need_sched=fix_wait,
             fix_preempt_need_sched=fix_preempt, faults=frozenset(faults)))
     assert flagged > 32
+
+
+THREE_TASKS = [
+    KernelConfig(fix_wait_need_sched=fix_wait, fix_preempt_need_sched=fix_preempt,
+                 faults=frozenset(faults))
+    for fix_wait, fix_preempt, faults in COMBOS
+] + [KernelConfig(worker_count=3), KernelConfig(task_plan=(H, H, L))]
+
+
+def config_id(c: KernelConfig) -> str:
+    return (f"{','.join(k.value for k in c.task_plan)}/{c.worker_count}"
+            f"-w{int(c.fix_wait_need_sched)}p{int(c.fix_preempt_need_sched)}"
+            f"-{''.join(str(int(f in c.faults)) for f in sorted(FAULTS))}")
+
+
+@pytest.mark.parametrize("config", THREE_TASKS, ids=config_id)
+def test_no_step_but_the_resume_moves_a_saved_context_of_three_tasks(config):
+    assert flagged_states(config) > 0
