@@ -63,8 +63,8 @@ def cold_misses(config: KernelConfig, limits: Limits, repeat: int) -> tuple:
         spent["learn"].append(time.perf_counter() - start)
         return leaf
 
-    def timed_settler(config):
-        settle, memo = settler(config), _plan_memos(layout_for(config).plan)[1]
+    def timed_settler(layout):
+        settle, memo = settler(layout), _plan_memos(layout)[1]
 
         def timed(*args):
             size, start = len(memo), time.perf_counter()
@@ -80,7 +80,7 @@ def cold_misses(config: KernelConfig, limits: Limits, repeat: int) -> tuple:
     try:
         for _ in range(repeat):
             spent.update(learn=[], settle=[])
-            release_plan_memos()  # and `_learn`'s scratch state: a cold search
+            release_plan_memos()  # a cold search
             explore(config, limits)
             best_learn = min(best_learn, sum(spent["learn"]) / len(spent["learn"]))
             best_settle = min(best_settle, sum(spent["settle"]) / len(spent["settle"]))
@@ -111,10 +111,10 @@ def main() -> int:
     settled = []
     settler = explorer._settler
 
-    def spying(config):
-        settle = settler(config)
+    def spying(layout):
+        settle = settler(layout)
 
-        def spy(raw, violation, number=None):
+        def spy(raw, violation, number):
             answer = settle(raw, violation, number)
             settled.append((raw, violation, number, answer[2]))
             return answer
@@ -129,17 +129,17 @@ def main() -> int:
         explorer._settler = settler
     # the search settles its states first, then those of its traces' paths
     settled = settled[:report.states_visited]
-    roots = _plan_memos(layout.plan)[0]
+    roots = _plan_memos(layout)[0]
     edges = [(raw, number, choice) for raw, _, number, options in settled for choice in options]
-    successors = [_transition(config, raw, number, choice, roots)[0]
+    successors = [_transition(layout, raw, number, choice, roots)[0]
                   for raw, number, choice in edges]
-    settle = settler(config)
+    settle = settler(layout)
     transitions = report.transitions_taken
     assert transitions == len(edges)
 
     def transition_part() -> None:
         for raw, number, choice in edges:
-            _transition(config, raw, number, choice, roots)
+            _transition(layout, raw, number, choice, roots)
 
     def key_part() -> None:
         for raw in successors:

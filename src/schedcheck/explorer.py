@@ -24,10 +24,11 @@ state's number masked to the cells it reads (`Layout.settle_mask`), and
 `_transition` keeps one trie per step, keyed by the bytes of the cells
 the step read, whose leaves mask and set the bytes it wrote, so an
 operation runs only on a miss, and an array is built only on a miss of
-either memo. The fix and fault toggles are cells of the state, so what
-either memo learns under one config holds under every config of the
-plan, and every search of a plan shares them (`_plan_memos`). The steps
-of its traces are found through those same memos.
+either memo. The fix and fault toggles are cells of the state, so the
+configs of a plan share one `Layout`, and what either memo learns under
+one config holds under every config of the plan: every search of a plan
+shares them (`_plan_memos`, keyed by the Layout). The steps of its traces
+are found through those same memos.
 """
 
 from __future__ import annotations
@@ -154,22 +155,6 @@ def _task_state_summary(buf: array, layout: Layout) -> tuple[tuple[int, str], ..
     return tuple(out)
 
 
-@cache
-def _step_of(kind: str, core: int | None, variant: int) -> ScheduleStep:
-    """The step (kind, core, variant), built once and then shared, so that
-    the settle memo's entries hold no step tuples of their own."""
-    return kind, core, variant
-
-
-@cache
-def _step_table(layout: Layout) -> tuple:
-    """The steps `_examine` hands out under `layout`, one table per kind."""
-    return (tuple(_step_of("PrimaryTimer", None, i) for i in range(layout.task_count)),
-            tuple(_step_of("PrimaryPreempter", None, i) for i in range(layout.core_count)),
-            _step_of("Spawner", None, 0),
-            tuple(_step_of("Worker", core, 0) for core in range(1, layout.core_count)))
-
-
 def _apply(state: KernelState, choice: ScheduleStep) -> KernelState:
     """Clone-and-execute one enabled step: the reference that the tests hold
     the memo and in-place walks to; the caller guarantees enabledness."""
@@ -236,7 +221,7 @@ class _Recorder:
 
 
 def _transition(
-    config: KernelConfig, raw: bytes, number: int, choice: ScheduleStep,
+    layout: Layout, raw: bytes, number: int, choice: ScheduleStep,
     roots: dict[ScheduleStep, list],
 ) -> tuple[bytes, tuple]:
     """The bytes of the successor of the state `raw`, whose number
@@ -251,29 +236,21 @@ def _transition(
     while type(leaf) is list:
         leaf = leaf[1].get(raw[leaf[0]])
     if leaf is None:
-        leaf = _learn(config, raw, choice, root)
+        leaf = _learn(layout, raw, choice, root)
     return (number & leaf[0] | leaf[1]).to_bytes(len(raw), byteorder), leaf
 
 
-@cache
-def _scratch(config: KernelConfig) -> KernelState:
-    """`_learn`'s one state under `config`, on a recorder, kept until
-    `release_plan_memos`."""
-    layout = layout_for(config)
-    return KernelState(config, layout, _Recorder(layout.boot[:]))
-
-
-def _learn(config: KernelConfig, raw: bytes, choice: ScheduleStep, root: list) -> tuple:
-    """Run `choice` once on the recorder of `_scratch(config)`, set to an
-    array of `raw`, and add its leaf to the trie `root` along the bytes of
-    the cells it read, in order (an empty root takes the first of them as
-    its offset), so a two-byte cell is two nodes. For a fixed plan an
-    operation is a deterministic function of the cells it reads, toggles
-    included, so every state that walks this path would take the same path
-    and have the same effect: the bytes of the cells it wrote, which the
-    leaf's mask clears and its bits set."""
-    state = _scratch(config)
-    recorder, layout = state.buf, state.layout
+def _learn(layout: Layout, raw: bytes, choice: ScheduleStep, root: list) -> tuple:
+    """Run `choice` once on the plan's scratch state (`_plan_memos`), its
+    recorder set to an array of `raw`, and add its leaf to the trie `root`
+    along the bytes of the cells it read, in order (an empty root takes the
+    first of them as its offset), so a two-byte cell is two nodes. For a
+    fixed plan an operation is a deterministic function of the cells it
+    reads, toggles included, so every state that walks this path would take
+    the same path and have the same effect: the bytes of the cells it wrote,
+    which the leaf's mask clears and its bits set."""
+    state = _plan_memos(layout)[3]
+    recorder = state.buf
     recorder.buf = array(layout.boot.typecode, raw)
     recorder.reads, recorder.written = reads, written = {}, {}
     _run(state, choice)
@@ -315,7 +292,7 @@ def _examine(state: KernelState) -> tuple[str | None, tuple[ScheduleStep, ...], 
     fails an invariant rather than index past the plan. The steps are ordered: timer variants first, then
     preempter, spawner, and workers ascending."""
     buf, layout = state.buf, state.layout
-    timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
+    timer_steps, preempt_steps, spawner_step, worker_steps = layout.steps
     n, tasks, cores, heavy = layout.task_count, layout.tasks, layout.cores, layout.heavy
     resume = buf[SKIP_RESUME_STATE]
     length = buf[QUEUE_LEN]
@@ -458,43 +435,39 @@ def _settle(state: KernelState) -> tuple[str | None, str, tuple[ScheduleStep, ..
 
 
 @cache
-def _plan_memos(plan: tuple) -> tuple[dict, dict, dict]:
-    """The memos that every search of the plan `plan` (`Layout.plan`)
-    shares until `release_plan_memos`, or else for the life of the
-    process: the tries by step (`_transition`), the settle memo
-    (`_settler`), and one copy of each distinct settle answer, which the
-    memo's entries share. `schedcheck --matrix` runs the 32 fix/fault
-    searches of one plan on them. The toggles are cells of the
-    state, so every trie path and settle key that depends on a toggle holds
-    its value, and what one config learns holds for every config of the
-    plan. `model._task_renames` shares the key's caches the same way."""
-    return {}, {}, {}
+def _plan_memos(layout: Layout) -> tuple[dict, dict, dict, KernelState]:
+    """The memos that every search of the plan of `layout` shares until
+    `release_plan_memos`, or else for the life of the process: the tries
+    by step (`_transition`), the settle memo (`_settler`), one copy of each
+    distinct settle answer, which the memo's entries share, and `_learn`'s
+    one state, on a recorder. `schedcheck --matrix` runs the 32 fix/fault
+    searches of one plan on them. The toggles are cells of the state, so
+    every trie path and settle key that depends on a toggle holds its
+    value, and what one config learns holds for every config of the plan.
+    The Layout holds the key's caches (`model._task_renames`)."""
+    return {}, {}, {}, KernelState(layout, _Recorder(layout.boot[:]))
 
 
 def release_plan_memos() -> None:
-    """Drop every plan's step memos (`_plan_memos`) and `_learn`'s scratch
-    states, for a process whose later searches are of other plans."""
+    """Drop every plan's step memos (`_plan_memos`), for a process whose
+    later searches are of other plans."""
     _plan_memos.cache_clear()
-    _scratch.cache_clear()
 
 
-def _settler(config: KernelConfig):
-    """`settle(raw, violation, number=None)`: `_settle`'s answer for the
-    state whose bytes are `raw`, reached by a step with that monitor
-    violation. It is kept per plan by the state's number (`int.from_bytes`
-    of `raw` in native order: `number`, or computed when it is None)
-    masked to the settle cells (`Layout.settle_mask`); a miss settles the
-    search's one `KernelState`, pointed at an array of `raw`."""
-    layout = layout_for(config)
+def _settler(layout: Layout):
+    """`settle(raw, violation, number)`: `_settle`'s answer for the state
+    whose bytes are `raw` and whose number (`int.from_bytes` of `raw` in
+    native order) is `number`, reached by a step with that monitor
+    violation. It is kept per plan by the number masked to the settle
+    cells (`Layout.settle_mask`); a miss settles the search's one
+    `KernelState`, pointed at an array of `raw`."""
     mask, typecode = layout.settle_mask, layout.boot.typecode
-    _, memo, answers = _plan_memos(layout.plan)
-    state = KernelState(config, layout, layout.boot[:])
+    _, memo, answers, _ = _plan_memos(layout)
+    state = KernelState(layout, layout.boot[:])
 
-    def settle(raw: bytes, violation: MonitorViolation | None, number: int | None = None) -> tuple:
+    def settle(raw: bytes, violation: MonitorViolation | None, number: int) -> tuple:
         if violation is not None:
             return VERDICT_MONITOR, "", ()
-        if number is None:
-            number = int.from_bytes(raw, byteorder)
         if (settled := memo.get(key := number & mask)) is None:
             state.buf = array(typecode, raw)
             answer = _settle(state)
@@ -561,8 +534,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     limits = limits or Limits()
     report = ExplorationReport(config=config)
     layout = layout_for(config)
-    settle = _settler(config)
-    roots: dict[ScheduleStep, list] = _plan_memos(layout.plan)[0]
+    settle = _settler(layout)
+    roots: dict[ScheduleStep, list] = _plan_memos(layout)[0]
     init = bytes(initial_state(config).buf)
     init_key = symmetric_key(init, layout)
     parents: dict[bytes, bytes | None] = {init_key: None}
@@ -572,15 +545,12 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     keys: list[bytes] = []
     numbers: list[int] = []
     opts: list[tuple[ScheduleStep, ...]] = []
-    # the states left unexpanded at the depth limit; no state is visited
-    # after another limit cuts, so their cut, if real, is the first
-    edge: list[tuple[bytes, tuple[ScheduleStep, ...]]] = []
 
     def cut(reason: str) -> None:
         report.incomplete = True
         report.incomplete_reason = report.incomplete_reason or reason
 
-    def visit(key: bytes, number: int, violation: MonitorViolation | None, depth: int,
+    def visit(key: bytes, number: int, violation: MonitorViolation | None,
               answer: tuple) -> bool:
         """File a newly visited state, its key `key` and its number `number`,
         by its settle answer `answer`; True when the search must stop."""
@@ -597,8 +567,6 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 return True
         elif not options:
             report.quiescent_ok += 1
-        elif max_depth is not None and depth >= max_depth:
-            edge.append((key, options))
         else:
             keys.append(key)
             numbers.append(number)
@@ -609,8 +577,8 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     states = 1
     transitions = depth = deepest = 0
     init_number = int.from_bytes(init_key, byteorder)
-    stop = visit(init_key, init_number, None, 0, settle(init_key, None, init_number))
-    while keys and not stop:
+    stop = visit(init_key, init_number, None, settle(init_key, None, init_number))
+    while keys and not stop and depth != max_depth:
         depth += 1
         level = zip(keys, numbers, opts)
         keys, numbers, opts = [], [], []
@@ -622,7 +590,7 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                     offset, children = leaf
                     leaf = children.get(parent[offset])
                 if leaf is None:
-                    leaf = _learn(config, parent, choice, root)
+                    leaf = _learn(layout, parent, choice, root)
                 keep, put, violation = leaf
                 succ = number & keep | put
                 raw = succ.to_bytes(size, byteorder)
@@ -640,18 +608,20 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
                 states += 1
                 deepest = depth
                 answer = settle(key, violation, succ)
-                if answer[2] and max_depth is None:  # the common case: expand it next level
+                if answer[2]:  # expand it next level
                     keys.append(key)
                     numbers.append(succ)
                     opts.append(answer[2])
-                elif stop := visit(key, succ, violation, depth, answer):
+                elif stop := visit(key, succ, violation, answer):
                     break
             if stop:
                 break
-    if any(
-        (raw := _transition(config, key, int.from_bytes(key, byteorder), choice, roots)[0])
-        not in parents and symmetric_key(raw, layout) not in parents
-        for key, options in edge for choice in options
+    # the last level holds the states left unexpanded at the depth limit; no
+    # state is visited after another limit cuts, so their cut, if real, is the first
+    if depth == max_depth and any(
+        (raw := _transition(layout, key, number, choice, roots)[0]) not in parents
+        and symmetric_key(raw, layout) not in parents
+        for key, number, options in zip(keys, numbers, opts) for choice in options
     ):
         report.incomplete = True
         report.incomplete_reason = "max_depth"
@@ -659,14 +629,14 @@ def explore(config: KernelConfig, limits: Limits | None = None) -> ExplorationRe
     report.states_visited, report.transitions_taken = states, transitions
     report.max_depth = deepest
     for kind, key in firsts.items():
-        steps = _steps_to(config, init, key, parents, settle, roots)
+        steps = _steps_to(layout, init, key, parents, settle, roots)
         report.violations.append(replay(config, steps))
         report.violating_states.append(counts[kind])
     return report
 
 
 def _steps_to(
-    config: KernelConfig, init: bytes, key: bytes, parents: dict[bytes, bytes | None],
+    layout: Layout, init: bytes, key: bytes, parents: dict[bytes, bytes | None],
     settle, roots: dict[ScheduleStep, list],
 ) -> tuple[ScheduleStep, ...]:
     """A shortest real path from the initial state's bytes `init` to a state
@@ -683,11 +653,11 @@ def _steps_to(
     while key is not None:
         chain.append(key)
         key = parents[key]
-    layout, raw, steps = layout_for(config), init, []
+    raw, steps = init, []
     for want in reversed(chain[:-1]):
         number = int.from_bytes(raw, byteorder)
         for choice in settle(raw, None, number)[2]:
-            succ = _transition(config, raw, number, choice, roots)[0]
+            succ = _transition(layout, raw, number, choice, roots)[0]
             if symmetric_key(succ, layout) == want:
                 break
         else:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from itertools import chain, islice, permutations, product
 from operator import eq, ge, gt, itemgetter
 from sys import byteorder
@@ -120,13 +119,14 @@ def script_for(kind: TaskKind, config: KernelConfig) -> tuple[Action, ...]:
 # -- flat state layout ------------------------------------------------
 #
 # The whole value of a KernelState is one array of small signed ints, laid
-# out by a Layout computed once per config; -1 stands for "none" (no task,
+# out by a Layout computed once per plan; -1 stands for "none" (no task,
 # IPI, phase or decision). Only the step bookkeeping is kept beside the
 # array, so copying the array copies the state and its bytes are the
 # state's visited-set key.
 
 # Global fields, then the run queue: its length, then its task ids. The
-# first five are the fix and fault toggles, set at boot and never written.
+# first five are the fix and fault toggles, which initial_state sets from
+# the config and no step writes.
 # Settling reads SKIP_RESUME_STATE alone of them (Layout.settle_offsets).
 (FIX_WAIT, FIX_PREEMPT, ENQUEUE_BEFORE_STATE, SKIP_RUNNING_CHECK, SKIP_RESUME_STATE,
  IN_FLIGHT, SPAWN_CURSOR, QUEUE_LEN, QUEUE) = range(9)
@@ -164,9 +164,12 @@ _TYPECODES = (("b", 2**7 - 1), ("h", 2**15 - 1))
 
 
 class Layout:
-    """Record offsets of one config's states, and the buffer at boot.
+    """What a plan compiles to: the record offsets of its states, the buffer
+    at boot with every toggle off, and the tables derived from them. A plan
+    is the task kinds, the worker count and the two bounds, so the 32
+    fix/fault configs of a plan share one Layout (`layout_for`).
 
-    The array's typecode is the narrowest that holds the config's largest
+    The array's typecode is the narrowest that holds the plan's largest
     value: task and core counts, script positions, the preemption bound,
     and monitor state codes. Signed, so that a budget overrun below zero
     stays visible to the invariant check."""
@@ -185,16 +188,14 @@ class Layout:
         typecode = next((tc for tc, top in _TYPECODES if largest < top), None)
         if typecode is None:
             raise ConfigurationError(f"bounds too large for the state layout ({largest})")
+        self.kinds = "".join(k.value for k in config.task_plan)
         self.heavy = tuple(k is TaskKind.HEAVY for k in config.task_plan)
+        self.preemptions = config.max_preemptions_per_task
         self.scripts = tuple(script_for(k, config) for k in config.task_plan)
         self.tasks = QUEUE + n
         self.cores = self.tasks + n * TASK_WIDTH
         end = self.cores + self.core_count * CORE_WIDTH
         boot = array(typecode, [0]) * end
-        boot[FIX_WAIT:IN_FLIGHT] = array(typecode, (
-            config.fix_wait_need_sched, config.fix_preempt_need_sched,
-            *(fault in config.faults
-              for fault in ("enqueue-before-state", "skip-running-check", "skip-resume-state"))))
         boot[self.cores:] = array(typecode, [-1]) * (end - self.cores)
         self.boot = boot
         self.monitor_cells = tuple(range(self.tasks + T_MONITOR, self.cores, TASK_WIDTH))
@@ -210,7 +211,9 @@ class Layout:
         # `int.from_bytes` in native order): a step memo's keep mask clears
         # those of the cells the step wrote (explorer._learn).
         size = boot.itemsize
-        self.cell_masks = _cell_masks(end, size)
+        self.cell_masks = tuple(
+            int.from_bytes(bytes(at * size) + b"\xff" * size + bytes((end - at - 1) * size),
+                           byteorder) for at in range(end))
         # The settle memo keys a state by its number masked to the settle
         # cells; the cell masks are disjoint, so their sum is their OR.
         self.settle_mask = sum(self.cell_masks[at] for at in self.settle_offsets)
@@ -225,21 +228,14 @@ class Layout:
         self.renames = None
         if typecode == "b":
             self.record_slices, self.renames = _task_renames(self.heavy)
-        # What fixes every cell but the toggles: the key of explore's step
-        # memos, which all configs of the plan share (explorer._plan_memos).
-        self.plan = (config.task_plan, config.worker_count,
-                     config.max_waits_per_task, config.max_preemptions_per_task)
+        # The steps explorer._examine hands out, one table per process kind:
+        # timer variants, preempter variants, the spawner, and the workers.
+        self.steps = (tuple(("PrimaryTimer", None, i) for i in range(n)),
+                      tuple(("PrimaryPreempter", None, i) for i in range(self.core_count)),
+                      ("Spawner", None, 0),
+                      tuple(("Worker", core, 0) for core in range(1, self.core_count)))
 
 
-@cache
-def _cell_masks(cells: int, size: int) -> tuple[int, ...]:
-    """Per cell of a state of `cells` cells of `size` bytes, the bits of its
-    bytes in the state's number, shared by the layouts of that shape."""
-    return tuple(int.from_bytes(bytes(at * size) + b"\xff" * size + bytes((cells - at - 1) * size),
-                                byteorder) for at in range(cells))
-
-
-@cache
 def _task_renames(heavy: tuple[bool, ...]) -> tuple[tuple[slice, ...], tuple]:
     """The record slices of a 'b' layout of the plan whose kinds are
     `heavy`, and per spawn cursor, None when no kind has two spawned tasks,
@@ -247,10 +243,9 @@ def _task_renames(heavy: tuple[bool, ...]) -> tuple[tuple[slice, ...], tuple]:
     kind with two or more spawned tasks, `pairs(raw)` the records of each
     two consecutive ids of a group, one pair after another, and `renamings`
     and `swaps` are the caches of `_renamed` and `_least`. The fix and fault
-    toggles and the bounds change none of this, and a key of `_least`'s memo
-    fixes the worker count by its length, so every config with the plan
-    shares these caches. They have company: `explorer._plan_memos` keeps
-    `explore`'s step memos per plan too, for the life of the process."""
+    toggles change none of this, so the caches belong to the plan's one
+    Layout, and every config of the plan shares them, as it shares
+    `explore`'s step memos (`explorer._plan_memos`)."""
     tasks = QUEUE + len(heavy)
     record_slices = tuple(slice(at, at + TASK_WIDTH)
                           for at in range(tasks, tasks + len(heavy) * TASK_WIDTH, TASK_WIDTH))
@@ -263,9 +258,16 @@ def _task_renames(heavy: tuple[bool, ...]) -> tuple[tuple[slice, ...], tuple]:
     return record_slices, tuple(renames)
 
 
-@cache
+_layouts: dict[tuple, Layout] = {}
+
+
 def layout_for(config: KernelConfig) -> Layout:
-    return Layout(config)
+    """The one Layout of the config's plan, built on the plan's first call."""
+    plan = (config.task_plan, config.worker_count,
+            config.max_waits_per_task, config.max_preemptions_per_task)
+    if (layout := _layouts.get(plan)) is None:
+        layout = _layouts[plan] = Layout(config)
+    return layout
 
 
 class KernelState:
@@ -279,11 +281,9 @@ class KernelState:
     of a step lands in `violation`.
     """
 
-    __slots__ = ("config", "layout", "buf", "monitors",
-                 "violation", "template", "args", "events")
+    __slots__ = ("layout", "buf", "monitors", "violation", "template", "args", "events")
 
-    def __init__(self, config: KernelConfig, layout: Layout, buf: array) -> None:
-        self.config = config
+    def __init__(self, layout: Layout, buf: array) -> None:
         self.layout = layout
         self.buf = buf
         self.monitors = MonitorRegistry(default_table(), buf, layout.monitor_cells)
@@ -294,7 +294,7 @@ class KernelState:
     # -- bookkeeping -------------------------------------------------
 
     def clone(self) -> KernelState:
-        return KernelState(self.config, self.layout, self.buf[:])
+        return KernelState(self.layout, self.buf[:])
 
     def begin_step(self, template: str, *args) -> None:
         self.template, self.args = template, args
@@ -374,12 +374,12 @@ class KernelState:
         task = buf[SPAWN_CURSOR]
         if task >= layout.task_count:
             raise UsageError("every planned task is spawned")
-        self.begin_step("spawn task {} ({})", task, self.config.task_plan[task].value)
+        self.begin_step("spawn task {} ({})", task, layout.kinds[task])
         buf[SPAWN_CURSOR] = task + 1
         at = layout.tasks + task * TASK_WIDTH
         buf[at + T_STATE] = RUNNABLE
         if layout.heavy[task]:
-            buf[at + T_PREEMPTIONS] = self.config.max_preemptions_per_task
+            buf[at + T_PREEMPTIONS] = layout.preemptions
         self.monitors.register(task)
         self._fire_event(task, Event.SPAWN)
         self._enqueue(task)
@@ -641,10 +641,16 @@ def reset_dead_fields(buf: array, at: int) -> None:
 
 
 def initial_state(config: KernelConfig) -> KernelState:
-    """Boot: cores as laid out, then spawn the first planned task
-    immediately (later entries are spawned by the spawner step)."""
+    """Boot: cores as laid out, the config's fix and fault toggles set,
+    then spawn the first planned task immediately (later entries are
+    spawned by the spawner step)."""
     layout = layout_for(config)
-    state = KernelState(config, layout, layout.boot[:])
+    buf = layout.boot[:]
+    buf[FIX_WAIT:IN_FLIGHT] = array(buf.typecode, (
+        config.fix_wait_need_sched, config.fix_preempt_need_sched,
+        *(fault in config.faults
+          for fault in ("enqueue-before-state", "skip-running-check", "skip-resume-state"))))
+    state = KernelState(layout, buf)
     state.spawn_next()
     state.begin_step("init")
     return state

@@ -140,16 +140,6 @@ class TestDocuments:
         with pytest.raises(ReplayError, match=re.escape("step #0 (PrimaryTimer[1]) is not")):
             replay(KernelConfig(), (("PrimaryTimer", None, 1),))
 
-    def test_parsing_a_report_does_not_grow_the_step_cache(self):
-        # a replayed document is untrusted: its steps must not be interned
-        # in the process-wide cache behind enabled()
-        steps = [{"process": "Worker", "core": 1, "variant": 10**12 + i} for i in range(1000)]
-        before = explorer._step_of.cache_info().currsize
-        _, violations = violations_from_doc({"violations": [{"verdict": "Deadlock",
-                                                             "steps": steps}]})
-        assert len(set(violations[0][1])) == 1000
-        assert explorer._step_of.cache_info().currsize == before
-
     def test_a_document_parses_to_step_triples(self):
         worker = {"process": "Worker", "core": 1, "variant": 0}
         spawner = {"process": "Spawner", "core": None, "variant": 0}

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cells import core_cell, run_queue, task_cell
+from schedcheck.cli import matrix_configs
 from schedcheck.monitor import Event
 from schedcheck.model import (
     C_CURRENT,
     C_PENDING_IPI,
+    FIX_WAIT,
     IN_FLIGHT,
     PENDING,
     PREEMPTED,
@@ -35,6 +37,7 @@ from schedcheck.model import (
     TaskState,
     UsageError,
     initial_state,
+    layout_for,
     script_for,
     snapshot,
 )
@@ -90,7 +93,7 @@ class TestSpawn:
     def test_boot_spawn_creates_first_planned_task(self):
         state = initial_state(config(task_plan=(H, L)))
         assert state.buf[SPAWN_CURSOR] == 1
-        assert state.config.task_plan[0] is H
+        assert state.layout.kinds[0] == "H"
         assert run_queue(state) == (0,)
 
     def test_exhausted_plan_is_a_usage_error(self):
@@ -647,3 +650,22 @@ class TestConfigValidation:
     def test_unknown_fault_rejected(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             KernelConfig(faults=frozenset({"bogus", "skip-resume-state"}))
+
+
+@pytest.mark.parametrize("plan", [(H, L, L), (H, H)], ids=["H,L,L", "H,H"])
+def test_the_configs_of_a_plan_share_one_layout(plan):
+    # the toggles are state cells that initial_state sets, so the 32
+    # fix/fault configs of a plan compile to one Layout, whose boot holds
+    # every toggle off
+    configs = matrix_configs(config(task_plan=plan))
+    layout = layout_for(configs[0])
+    assert len(configs) == 32 and all(layout_for(c) is layout for c in configs)
+    assert list(layout.boot[FIX_WAIT:IN_FLIGHT]) == [0] * 5
+    rest = initial_state(configs[0]).buf[IN_FLIGHT:]
+    for c in configs:
+        buf = initial_state(c).buf
+        assert list(buf[FIX_WAIT:IN_FLIGHT]) == [
+            c.fix_wait_need_sched, c.fix_preempt_need_sched,
+            "enqueue-before-state" in c.faults, "skip-running-check" in c.faults,
+            "skip-resume-state" in c.faults]
+        assert buf[IN_FLIGHT:] == rest

@@ -40,21 +40,22 @@ def flagged_states(config: KernelConfig) -> int:
     enabled steps, asserting that no step changes the pc or pending wait of
     a task whose flag it leaves set; returns the number of states with some
     flag set."""
-    settle, roots, layout = _settler(config), {}, layout_for(config)
+    layout = layout_for(config)
+    settle, roots = _settler(layout), {}
     assert layout.boot.typecode == "b"  # a byte is a cell
     records = range(layout.tasks, layout.cores, TASK_WIDTH)
     init = bytes(initial_state(config).buf)
     seen, frontier, flagged = {init}, deque([(init, None)]), 0
     while frontier:
         raw, violation = frontier.popleft()
-        verdict, _, options = settle(raw, violation)
+        number = int.from_bytes(raw, byteorder)
+        verdict, _, options = settle(raw, violation, number)
         if verdict is not None:
             continue
         saved = [at for at in records if raw[at + T_SAVED]]
         flagged += bool(saved)
-        number = int.from_bytes(raw, byteorder)
         for step in options:
-            succ, leaf = _transition(config, raw, number, step, roots)
+            succ, leaf = _transition(layout, raw, number, step, roots)
             for at in saved:
                 if succ[at + T_SAVED]:
                     context = (at + T_PC, at + T_PENDING_WAIT)

@@ -29,7 +29,6 @@ from schedcheck.explorer import (
     VERDICT_MONITOR,
     _run,
     _settle,
-    _step_table,
     check_invariants,
     enabled,
     explore,
@@ -61,9 +60,9 @@ from schedcheck.model import (
     WAITING,
     KernelConfig,
     KernelState,
+    Layout,
     TaskKind,
     initial_state,
-    layout_for,
 )
 
 H = TaskKind.HEAVY
@@ -75,7 +74,7 @@ L = TaskKind.LIGHT
 
 def oracle_enabled(state: KernelState) -> list:
     buf, layout = state.buf, state.layout
-    timer_steps, preempt_steps, spawner_step, worker_steps = _step_table(layout)
+    timer_steps, preempt_steps, spawner_step, worker_steps = layout.steps
     tasks, cores = layout.tasks, layout.cores
     heavy, resume = layout.heavy, buf[SKIP_RESUME_STATE]
     queued = buf[QUEUE_LEN] > 0
@@ -232,7 +231,7 @@ def settled_states(config: KernelConfig, monkeypatch) -> list[KernelState]:
     seen = []
 
     def recording(state):
-        seen.append(KernelState(config, state.layout, state.buf[:]))
+        seen.append(KernelState(state.layout, state.buf[:]))
         return settle(state)
 
     settle = explorer._settle
@@ -249,7 +248,7 @@ def walk_states(config: KernelConfig, seed: int) -> list[KernelState]:
     state = initial_state(config)
     out = []
     while True:
-        copy = KernelState(config, state.layout, state.buf[:])
+        copy = KernelState(state.layout, state.buf[:])
         copy.violation = state.violation
         out.append(copy)
         verdict, _, options = _settle(state)
@@ -291,16 +290,15 @@ def test_every_walk_state_agrees(walked):
         assert_variants_index_the_lists(state)
 
 
-def domains(config: KernelConfig) -> dict[int, range]:
+def domains(layout: Layout) -> dict[int, range]:
     """Per cell that settling reads, the values of its field's domain:
     flags 0 or 1 (the skip-resume-state toggle among them), task ids (-1
     for none), state codes, the budget down to an overrun of -1, the
     pending-IPI flag and handler phases (-1 for none), the cursor and the
     queue length up to one past capacity."""
-    layout = layout_for(config)
     n = layout.task_count
     ids, flags = range(-1, n), range(2)
-    budget = range(-1, config.max_preemptions_per_task + 1)
+    budget = range(-1, layout.preemptions + 1)
     out = {SKIP_RESUME_STATE: flags, IN_FLIGHT: flags, SPAWN_CURSOR: range(n + 1),
            QUEUE_LEN: range(n + 2)}
     out.update(dict.fromkeys(range(QUEUE, layout.tasks), range(n)))
@@ -319,11 +317,11 @@ def test_single_cell_mutations_agree_and_reach_every_message(walked):
     reached = set()
     mutants = 0
     for state in sample:
-        for at, values in domains(state.config).items():
+        for at, values in domains(state.layout).items():
             for value in values:
                 if value == state.buf[at]:
                     continue
-                mutant = KernelState(state.config, state.layout, state.buf[:])
+                mutant = KernelState(state.layout, state.buf[:])
                 mutant.buf[at] = value
                 answer = assert_same(mutant)
                 mutants += 1
@@ -351,7 +349,7 @@ def test_task_ids_outside_the_plan_fail_an_invariant(walked):
                 cells.append((C_CURRENT, "is current on a core"))
             for field, message in cells:
                 for value in (n, n + 1):
-                    mutant = KernelState(state.config, state.layout, state.buf[:])
+                    mutant = KernelState(state.layout, state.buf[:])
                     mutant.buf[at + field] = value
                     expected = outcome(oracle_check_invariants, mutant)
                     verdict, detail, options = _settle(mutant)

@@ -175,10 +175,10 @@ def test_explore_settles_and_expands_only_keys(config, monkeypatch):
     settler, steps_to = explorer._settler, explorer._steps_to
     settled, finding = [], []
 
-    def spying(config):
-        settle = settler(config)
+    def spying(layout):
+        settle = settler(layout)
 
-        def spy(raw, violation, number=None):
+        def spy(raw, violation, number):
             if not finding:
                 settled.append(raw)
                 # the search hands each state's number to its settle
@@ -212,7 +212,7 @@ def renamed(state: KernelState, tasks: dict[int, int], workers: tuple[int, ...])
     k + 1. A task record moves whole; the ids in the live queue slots and
     in each core's current task and decision are renamed; no other cell
     holds a task id, and none holds a worker id."""
-    image = KernelState(state.config, state.layout, state.buf[:])
+    image = KernelState(state.layout, state.buf[:])
     src, buf = state.buf, image.buf
     new_id = {old: new for new, old in tasks.items()}
 
@@ -326,7 +326,7 @@ def walk_sample(config: KernelConfig, seeds: range, per_walk: int) -> list[Kerne
         verdict, _, options = _settle(state)
         while verdict is None and options:
             _run(state, options[rng.randrange(len(options))])
-            states.append(KernelState(config, state.layout, state.buf[:]))
+            states.append(KernelState(state.layout, state.buf[:]))
             verdict, _, options = _settle(state)
         out += states[::max(1, len(states) // per_walk)][:per_walk]
     return out
@@ -371,19 +371,17 @@ def test_an_ordered_state_is_its_own_key():
     assert key == snapshot(renamed(state, {0: 1, 1: 0}, (2, 1)))
 
 
-def test_configs_of_a_plan_share_the_key_caches():
-    # symmetric_key's caches belong to the plan, whatever the worker count,
-    # toggles and bounds: a search must not depend on which configs filled
-    # them first
-    configs = [KernelConfig(worker_count=workers, task_plan=(H, H, L), faults=faults,
-                            max_waits_per_task=0, max_preemptions_per_task=preemptions)
-               for workers, faults, preemptions in ((2, frozenset(), 1), (3, frozenset(), 1),
-                                                    (2, frozenset({EBS, SRC}), 2))]
+def test_configs_of_a_plan_share_the_key_caches(monkeypatch):
+    # symmetric_key's caches belong to the plan's one Layout, whatever the
+    # toggles: a search must not depend on which config filled them first
+    configs = [KernelConfig(worker_count=2, task_plan=(H, H, L), faults=faults,
+                            fix_preempt_need_sched=fix_preempt, max_waits_per_task=0)
+               for fix_preempt, faults in ((True, frozenset()), (False, frozenset()),
+                                           (True, frozenset({EBS, SRC})))]
     assert len({id(layout_for(config).renames) for config in configs}) == 1
     searches = []
     for order in (configs, configs[::-1]):
-        model._task_renames.cache_clear()
-        layout_for.cache_clear()
+        monkeypatch.setattr(model, "_layouts", {})  # a new Layout: empty caches and memos
         searches.append({config: explore(config, Limits(max_violations=10**9))
                          for config in order})
     assert searches[0] == searches[1]

@@ -33,14 +33,15 @@ COMBOS = [
 def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
     """Exact DFS, violating states as leaves: each back edge as (step,
     label, whether it is a self-loop), and the states whose steps all loop."""
-    settle, roots, layout = _settler(config), {}, layout_for(config)
+    layout = layout_for(config)
+    settle, roots = _settler(layout), {}
 
     def successors(key, violation) -> list[tuple]:
-        verdict, _, options = settle(key, violation)
+        number = int.from_bytes(key, byteorder)
+        verdict, _, options = settle(key, violation, number)
         if verdict is not None:
             return []
-        number = int.from_bytes(key, byteorder)
-        return [(step, *_transition(config, key, number, step, roots)) for step in options]
+        return [(step, *_transition(layout, key, number, step, roots)) for step in options]
 
     def push(key, violation) -> None:
         succs = successors(key, violation)
@@ -60,7 +61,7 @@ def search_shape(config: KernelConfig) -> tuple[list[tuple], list[bytes]]:
         key, succs = stack[-1]
         for step, succ, leaf in succs:
             if succ in on_stack:
-                state = KernelState(config, layout, array(layout.boot.typecode, key))
+                state = KernelState(layout, array(layout.boot.typecode, key))
                 back_edges.append((step, _apply(state, step).step_label, succ == key))
             elif succ not in seen:
                 seen.add(succ)

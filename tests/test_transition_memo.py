@@ -67,7 +67,8 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
     for _ in range(2):  # the first pass fills the memo, the second only hits it
         for state, choice, effect in cases:
             raw = bytes(state.buf)
-            succ, leaf = _transition(config, raw, int.from_bytes(raw, byteorder), choice, roots)
+            number = int.from_bytes(raw, byteorder)
+            succ, leaf = _transition(state.layout, raw, number, choice, roots)
             assert (succ, leaf[2]) == effect
 
     # whole bytes, so a trie that skipped a byte of a two-byte cell would
@@ -85,14 +86,14 @@ def test_memo_agrees_with_the_operations_off_its_paths_too(config):
         assert _walk(root, scrambled)[1] is leaf
         keep, put, violation = leaf
         expected = (int.from_bytes(scrambled, byteorder) & keep | put).to_bytes(size, byteorder)
-        succ = _apply(KernelState(config, state.layout, array(typecode, scrambled)), choice)
+        succ = _apply(KernelState(state.layout, array(typecode, scrambled)), choice)
         assert (expected, violation) == _effect(succ), (choice, list(state.buf))
 
 
 def _recorded(state: KernelState) -> tuple[KernelState, _Recorder]:
     """A copy of `state` on a recorder, as `_learn` runs a step."""
     recorder = _Recorder(state.buf[:])
-    return KernelState(state.config, state.layout, recorder), recorder
+    return KernelState(state.layout, recorder), recorder
 
 
 @pytest.mark.parametrize("config", [
@@ -181,23 +182,24 @@ def test_every_edge_of_the_search_is_a_step_of_transition(config, monkeypatch):
     captured = []
     steps_to = explorer._steps_to
 
-    def capturing(config, init, key, parents, settle, roots):
+    def capturing(layout, init, key, parents, settle, roots):
         captured.append(parents)
-        return steps_to(config, init, key, parents, settle, roots)
+        return steps_to(layout, init, key, parents, settle, roots)
 
     monkeypatch.setattr(explorer, "_steps_to", capturing)
     report = explore(config, Limits(max_violations=10**9))
     assert report.violations and not report.incomplete
     parents = captured[0]
     assert len(parents) == report.states_visited
-    layout, settle, roots = layout_for(config), explorer._settler(config), {}
+    layout = layout_for(config)
+    settle, roots = explorer._settler(layout), {}
     for key, parent in parents.items():
         if parent is None:
             continue
         number = int.from_bytes(parent, byteorder)
         assert any(
-            symmetric_key(_transition(config, parent, number, choice, roots)[0], layout) == key
-            for choice in settle(parent, None)[2]), (parent, key)
+            symmetric_key(_transition(layout, parent, number, choice, roots)[0], layout) == key
+            for choice in settle(parent, None, number)[2]), (parent, key)
 
 
 def test_replay_steps_without_the_memos(monkeypatch):
@@ -242,8 +244,8 @@ def test_every_combo_of_a_plan_shares_the_memos_soundly(plan, monkeypatch):
     fresh = explorer._plan_memos.__wrapped__
     monkeypatch.setattr(explorer, "_plan_memos", fresh)
     cold = {config: _json(config) for config in configs}
-    shared = fresh(layout_for(configs[0]).plan)
-    monkeypatch.setattr(explorer, "_plan_memos", lambda plan: shared)
+    shared = fresh(layout_for(configs[0]))
+    monkeypatch.setattr(explorer, "_plan_memos", lambda layout: shared)
     for order in (configs, configs[::-1]):  # learning, then served what the others learned
         for config in order:
             assert _json(config) == cold[config], config
